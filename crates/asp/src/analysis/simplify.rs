@@ -30,7 +30,7 @@ use super::deps::ground_tight;
 use super::wfm::{well_founded, WfmResult};
 
 /// The outcome of [`simplify`]: the rewritten program plus the statistics
-/// the bench / analyze reports surface.
+/// the analyze report surfaces.
 #[derive(Debug, Clone)]
 pub struct SimplifyResult {
     /// The simplified program (same stable models as the input).

@@ -1,7 +1,8 @@
 //! Semi-naive, index-joined, parallel grounding engine.
 //!
-//! This is the optimized counterpart of the retained reference grounder in
-//! [`ground`](crate::ground): observationally identical output, very
+//! The one production grounding engine behind
+//! [`Grounder`](crate::ground::Grounder). The test build pins it to the
+//! naive oracle in `ground::naive`: observationally identical output, very
 //! different evaluation strategy.
 //!
 //! * **Stratified semi-naive fixpoint.** The predicate dependency graph
@@ -19,8 +20,8 @@
 //!   insert, so any bound argument — not just the first — narrows a scan.
 //! * **Slot substitutions.** Rules are compiled once: variables become
 //!   dense slots, substitutions become a `Vec<Option<Term>>` with
-//!   trail-based undo, and the `String`-keyed `BTreeMap` clones of the
-//!   reference join disappear from the hot path.
+//!   trail-based undo, and the `String`-keyed `BTreeMap` clones of a
+//!   naive join disappear from the hot path.
 //! * **Parallel instantiation.** Phase-2 top-level joins run across
 //!   `std::thread::scope` worker shards (`CPSRISK_THREADS`-controlled);
 //!   emission stays sequential in source-rule order, so the output is
@@ -108,7 +109,7 @@ struct CElement {
     atom: CAtom,
     /// Condition in join order (planned with the rule body's bindings).
     cond_plan: Vec<CLit>,
-    /// Condition in source order (emission mirrors the reference grounder).
+    /// Condition in source order (emission mirrors the naive oracle).
     cond_src: Vec<CLit>,
 }
 
@@ -636,7 +637,7 @@ fn join(
             let base: &[u32] = match probe {
                 // A probe that fails to evaluate (e.g. arithmetic on a
                 // symbol) falls back to the full scan: if no candidate
-                // exists the reference grounder never errors either.
+                // exists the naive oracle never errors either.
                 Some(p) => match eval_pat(&atom.pats[*p as usize], frame, names) {
                     Ok(v) => possible.candidates_at(atom.sig, *p, &v),
                     Err(_) => possible.candidates(atom.sig),
@@ -666,7 +667,7 @@ fn join(
         }
         CLit::Neg(atom) => {
             // Negation is decided at emission; here the atom must merely be
-            // ground (arithmetic errors propagate, as in the reference).
+            // ground (arithmetic errors propagate, as in the naive oracle).
             let _ = ground_catom(atom, frame, names)?;
             join(possible, lits, at + 1, delta, frame, names, cb)
         }
@@ -1031,7 +1032,7 @@ fn shard_instances(
 }
 
 /// Ground the positive/negative atoms of a compiled literal list (in source
-/// order) under a complete frame. Mirrors the reference `ground_condition`:
+/// order) under a complete frame. Mirrors the naive oracle's `ground_condition`:
 /// `alive` is false when a positive atom is underivable; negative literals
 /// over underivable atoms are trivially true and dropped.
 fn ground_condition(
@@ -1199,7 +1200,7 @@ fn emit_rule(
 // ---------------------------------------------------------------------------
 
 /// Ground a program with the semi-naive engine. Observationally identical
-/// to the reference grounder (same atoms, rules, cards, minimize literals,
+/// to the naive oracle grounder (same atoms, rules, cards, minimize literals,
 /// shows, and assumables), pinned by differential proptests.
 pub(crate) fn ground(program: &Program, cfg: &Config<'_>) -> Result<GroundProgram, AspError> {
     Ok(Session::new(program, cfg)?.out)
@@ -1676,13 +1677,13 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ground::Grounder;
+    use crate::ground::{naive, Grounder};
     use crate::parse;
 
     fn both(src: &str) -> (GroundProgram, GroundProgram) {
         let p = parse(src).unwrap();
         let semi = Grounder::new().ground(&p).unwrap();
-        let reference = Grounder::new_reference().ground(&p).unwrap();
+        let reference = naive::ground(&Grounder::new(), &p).unwrap();
         (semi, reference)
     }
 
@@ -1783,11 +1784,9 @@ mod tests {
     #[test]
     fn assumable_facts_match_reference() {
         let p = parse("flag(a). flag(b). on(X) :- flag(X), not off(X). { off(a) }.").unwrap();
-        let semi = Grounder::new().assumable("flag", 1).ground(&p).unwrap();
-        let reference = Grounder::new_reference()
-            .assumable("flag", 1)
-            .ground(&p)
-            .unwrap();
+        let grounder = Grounder::new().assumable("flag", 1);
+        let semi = grounder.ground(&p).unwrap();
+        let reference = naive::ground(&grounder, &p).unwrap();
         assert_eq!(canon(&semi), canon(&reference));
         let mut sa: Vec<String> = semi
             .assumable

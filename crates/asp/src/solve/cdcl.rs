@@ -34,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use super::{fingerprint, Lit, Model, SolveOptions, Solver, Val};
+use super::{Lit, Model, SolveOptions, Solver, Val};
 use crate::error::AspError;
 use crate::program::{AtomId, GroundHead, GroundProgram};
 use crate::proof::{ProofLog, ProofStep};
@@ -46,6 +46,16 @@ fn negate(v: Val) -> Val {
         Val::False => Val::True,
         Val::Unknown => unreachable!("negating Unknown"),
     }
+}
+
+/// Fingerprint of a learned nogood, the key of the dedup set.
+fn fingerprint(ng: &[(u32, Val)]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for &(a, v) in ng {
+        (a, v == Val::True).hash(&mut h);
+    }
+    h.finish()
 }
 
 /// Pack a (variable, value) literal into its code.
@@ -132,7 +142,7 @@ pub(super) struct Nogood {
     activity: f64,
 }
 
-/// The CDCL engine state. An empty shell on the reference engine.
+/// The CDCL engine state.
 #[derive(Debug)]
 pub(super) struct Cdcl {
     /// Number of atom variables (`val[..n_atoms]` is the atom assignment).
@@ -208,48 +218,11 @@ pub(super) struct Cdcl {
 }
 
 impl Cdcl {
-    /// The empty shell used by reference solvers.
-    pub(super) fn empty() -> Self {
-        Cdcl {
-            n_atoms: 0,
-            n_vars: 0,
-            val: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
-            dep: Vec::new(),
-            trail: Vec::new(),
-            qhead: 0,
-            lim: Vec::new(),
-            flipped: Vec::new(),
-            ngs: Vec::new(),
-            first_learned: 0,
-            learned_units: Vec::new(),
-            learned_fps: HashSet::new(),
-            units: Vec::new(),
-            root_unsat: false,
-            watches: Vec::new(),
-            card_occ: Vec::new(),
-            card_dirty: Vec::new(),
-            card_queue: Vec::new(),
-            antes: Vec::new(),
-            activity: Vec::new(),
-            var_inc: 1.0,
-            is_choice: Vec::new(),
-            saved: Vec::new(),
-            seen: Vec::new(),
-            conflicts_since_restart: 0,
-            restart_seq: 1,
-            reduce_count: 0,
-            bodies: Vec::new(),
-        }
-    }
-
     /// Translate the ground program into completion nogoods.
     pub(super) fn build(g: &GroundProgram) -> Self {
         let n_atoms = g.atom_count();
-        let mut cd = Cdcl::empty();
-        cd.n_atoms = n_atoms;
-        cd.root_unsat = false;
+        let mut root_unsat = false;
+        let mut units: Vec<(u32, Val)> = Vec::new();
 
         // Distinct bodies get one body variable each, keyed by the sorted
         // deduplicated literal sets.
@@ -278,10 +251,10 @@ impl Cdcl {
                         .chain(neg.iter().map(|&n| code(n, Val::False)))
                         .collect();
                     match lits.len() {
-                        0 => cd.root_unsat = true,
+                        0 => root_unsat = true,
                         1 => {
                             let c = lits[0];
-                            cd.units.push((code_var(c), negate(code_val(c))));
+                            units.push((code_var(c), negate(code_val(c))));
                         }
                         _ => statics.push(lits),
                     }
@@ -292,7 +265,7 @@ impl Cdcl {
                     if pos.is_empty() && neg.is_empty() {
                         unconditional[h.index()] = true;
                         if normal {
-                            cd.units.push((h.0, Val::True));
+                            units.push((h.0, Val::True));
                         }
                         continue;
                     }
@@ -312,7 +285,6 @@ impl Cdcl {
         }
 
         let n_vars = n_atoms + bodies.len();
-        cd.n_vars = n_vars;
 
         // Body equivalence nogoods.
         for (bi, (pos, neg)) in bodies.iter().enumerate() {
@@ -338,7 +310,7 @@ impl Cdcl {
         // Support nogoods: a defined non-unconditional atom needs a body.
         for a in 0..n_atoms as u32 {
             if !defined[a as usize] {
-                cd.units.push((a, Val::False));
+                units.push((a, Val::False));
             } else if !unconditional[a as usize] && !supports[a as usize].is_empty() {
                 let mut lits = vec![code(a, Val::True)];
                 lits.extend(
@@ -350,37 +322,29 @@ impl Cdcl {
             }
         }
 
-        cd.val = vec![Val::Unknown; n_vars];
-        cd.level = vec![0; n_vars];
-        cd.reason = vec![Reason::Decision; n_vars];
-        cd.dep = vec![false; n_vars];
-        cd.activity = vec![0.0; n_vars];
-        cd.saved = vec![Val::True; n_vars];
-        cd.seen = vec![false; n_vars];
-        cd.watches = vec![Vec::new(); n_vars * 2];
-        cd.is_choice = vec![false; n_atoms];
+        let mut is_choice = vec![false; n_atoms];
         for r in &g.rules {
             if let GroundHead::Choice(h) = r.head {
-                cd.is_choice[h.index()] = true;
+                is_choice[h.index()] = true;
             }
         }
 
+        let mut watches: Vec<Vec<u32>> = vec![Vec::new(); n_vars * 2];
+        let mut ngs: Vec<Nogood> = Vec::with_capacity(statics.len());
         for lits in statics {
             debug_assert!(lits.len() >= 2);
-            let ni = cd.ngs.len() as u32;
-            cd.watches[lits[0] as usize].push(ni);
-            cd.watches[lits[1] as usize].push(ni);
-            cd.ngs.push(Nogood {
+            let ni = ngs.len() as u32;
+            watches[lits[0] as usize].push(ni);
+            watches[lits[1] as usize].push(ni);
+            ngs.push(Nogood {
                 lits,
                 lbd: 0,
                 activity: 0.0,
             });
         }
-        cd.first_learned = cd.ngs.len();
 
         // Cardinality occurrence lists over every atom a card can react to.
-        cd.card_occ = vec![Vec::new(); n_atoms];
-        cd.card_dirty = vec![false; g.cards.len()];
+        let mut card_occ: Vec<Vec<u32>> = vec![Vec::new(); n_atoms];
         for (ci, c) in g.cards.iter().enumerate() {
             let mut mentioned: HashSet<u32> = HashSet::new();
             for &p in c.pos.iter().chain(c.neg.iter()) {
@@ -393,12 +357,42 @@ impl Cdcl {
                 }
             }
             for a in mentioned {
-                cd.card_occ[a as usize].push(ci as u32);
+                card_occ[a as usize].push(ci as u32);
             }
         }
 
-        cd.bodies = bodies;
-        cd
+        Cdcl {
+            n_atoms,
+            n_vars,
+            val: vec![Val::Unknown; n_vars],
+            level: vec![0; n_vars],
+            reason: vec![Reason::Decision; n_vars],
+            dep: vec![false; n_vars],
+            trail: Vec::new(),
+            qhead: 0,
+            lim: Vec::new(),
+            flipped: Vec::new(),
+            first_learned: ngs.len(),
+            ngs,
+            learned_units: Vec::new(),
+            learned_fps: HashSet::new(),
+            units,
+            root_unsat,
+            watches,
+            card_occ,
+            card_dirty: vec![false; g.cards.len()],
+            card_queue: Vec::new(),
+            antes: Vec::new(),
+            activity: vec![0.0; n_vars],
+            var_inc: 1.0,
+            is_choice,
+            saved: vec![Val::True; n_vars],
+            seen: vec![false; n_vars],
+            conflicts_since_restart: 0,
+            restart_seq: 1,
+            reduce_count: 0,
+            bodies,
+        }
     }
 
     /// Learned nogoods currently retained (watched plus units).
@@ -835,7 +829,7 @@ impl Solver<'_> {
                 }
                 continue;
             }
-            if self.use_tight() {
+            if self.tight {
                 return None;
             }
             let before = self.cdcl.trail.len();
@@ -1537,7 +1531,10 @@ impl Solver<'_> {
     /// The CDCL search loop: propagate, branch by EVSIDS with phase saving,
     /// analyze conflicts to 1UIP with Luby restarts; switch to
     /// chronological flips once enumeration needs to move past a model.
-    pub(super) fn search_cdcl(
+    /// `on_model` returns `false` to stop the search early; `prune`
+    /// returning `true` abandons the current branch (branch-and-bound).
+    /// Returns whether the search space was exhausted.
+    pub(super) fn search(
         &mut self,
         opts: &SolveOptions,
         on_model: &mut dyn FnMut(Model) -> bool,
@@ -1637,12 +1634,8 @@ impl Solver<'_> {
 
     /// Begin a certified solve call: lazily initialize the log and tag the
     /// call's assumptions so its terminal (model / unsat) steps are scoped
-    /// to them. A no-op on the reference engine, which never certifies.
+    /// to them.
     pub(super) fn begin_certified_call(&mut self, assumptions: &[Lit]) {
-        self.certify_call = false;
-        if self.reference {
-            return;
-        }
         if self.proof.is_none() {
             self.init_proof();
         }

@@ -14,22 +14,17 @@
 //! with the independent [`check`] module before it is reported, so the
 //! engine's soundness rests on the textbook definition rather than on the
 //! propagation code.
-//!
-//! [`Solver::new_reference`] retains the original full-scan smodels-style
-//! engine (Fitting passes, chronological backtracking) as the differential
-//! testing oracle and the benchmark baseline.
 
 mod cdcl;
 
 pub use cdcl::LearnedState;
-mod reference;
 
 use std::collections::HashSet;
 
 use crate::ast::Atom;
 use crate::check;
 use crate::error::AspError;
-use crate::program::{AtomId, GroundHead, GroundProgram, MinimizeLit};
+use crate::program::{AtomId, GroundProgram, MinimizeLit};
 
 /// Truth value during search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,9 +86,8 @@ pub struct SolveOptions {
     /// the call's verdict gets a terminal model / unsat step tagged with
     /// its assumptions. The first certified call drops any retained
     /// learned nogoods (they predate the log and could not be justified).
-    /// Ignored by the reference engine. Retrieve the log with
-    /// [`Solver::proof`] or [`Solver::take_proof`] and validate it with
-    /// [`check_proof`](crate::check::check_proof).
+    /// Retrieve the log with [`Solver::proof`] or [`Solver::take_proof`]
+    /// and validate it with [`check_proof`](crate::check::check_proof).
     pub certify: bool,
 }
 
@@ -133,10 +127,20 @@ impl Model {
     }
 
     /// True if the model contains an atom whose display form equals `s`
-    /// (whitespace-insensitive, e.g. `"p(a, b)"` matches `p(a,b)`).
+    /// (whitespace-insensitive outside string constants, e.g. `"p(a, b)"`
+    /// matches `p(a,b)` while `name("tank a")` keeps its inner space).
     #[must_use]
     pub fn contains_str(&self, s: &str) -> bool {
-        let needle: String = s.chars().filter(|c| !c.is_whitespace()).collect();
+        // Display keys render string constants verbatim between quotes, so
+        // toggling on every quote tracks exactly what the key holds.
+        let mut needle = String::with_capacity(s.len());
+        let mut quoted = false;
+        for c in s.chars() {
+            quoted ^= c == '"';
+            if quoted || c == '"' || !c.is_whitespace() {
+                needle.push(c);
+            }
+        }
         self.keys
             .binary_search_by(|k| k.as_str().cmp(&needle))
             .is_ok()
@@ -183,33 +187,23 @@ pub struct SolveResult {
     /// Conflicts hit during this call (propagation failures plus complete
     /// assignments that failed the stability check).
     pub conflicts: u64,
-    /// Restarts performed during this call (always 0 on the reference
-    /// engine, which never restarts).
+    /// Restarts performed during this call.
     pub restarts: u64,
 }
 
 /// A stable-model solver over one ground program.
 ///
-/// [`Solver::new`] builds the CDCL engine (watched-literal propagation over
+/// [`Solver::new`] builds the CDCL engine: watched-literal propagation over
 /// completion nogoods, 1UIP learning, EVSIDS branching with phase saving,
-/// Luby restarts, LBD-managed learned database); [`Solver::new_reference`]
-/// retains the original full-scan chronological engine for differential
-/// testing and as the benchmark baseline.
+/// Luby restarts, LBD-managed learned database.
 #[derive(Debug)]
 pub struct Solver<'a> {
     g: &'a GroundProgram,
-    /// Use the naive full-scan chronological engine.
-    reference: bool,
-    /// Unique choice atoms in first-occurrence rule order: the preferred
-    /// branching candidates (the decision variables of the encodings).
-    choice_atoms: Vec<u32>,
     /// Atom-level tightness certificate of the ground program (positive
     /// dependency graph acyclic — see
-    /// [`analysis::ground_tight`](crate::analysis::ground_tight)).
+    /// [`analysis::ground_tight`](crate::analysis::ground_tight)); when it
+    /// holds, the unfounded-set backstop is skipped.
     tight: bool,
-    /// Runtime switch for the tight fast path; defaults to on and only
-    /// matters when the certificate holds.
-    tight_mode: bool,
     /// Display form of every atom, rendered once at construction; model
     /// building clones these instead of re-rendering per model.
     display: Vec<String>,
@@ -240,33 +234,17 @@ pub struct Solver<'a> {
     /// Base restart interval in conflicts; the Luby sequence scales it.
     restart_interval: u64,
     /// The well-founded model of the ground program, computed once at
-    /// construction (never on the reference engine, which stays a pure
-    /// search oracle). Sound for every solve call: its verdicts hold in
+    /// construction. Sound for every solve call: its verdicts hold in
     /// every stable model regardless of assumptions.
-    wfm: Option<crate::analysis::wfm::WfmResult>,
+    wfm: crate::analysis::wfm::WfmResult,
     /// The WFM verdicts as level-0 assignments, pre-flattened so each
     /// solve call replays them without re-walking the truth vector. When
     /// the WFM is total the seeds decide every atom and the search
     /// returns without a single decision.
     wfm_seeds: Vec<(u32, Val)>,
-    /// Reference-engine assignment (empty on the CDCL engine).
-    val: Vec<Val>,
-    /// Reference-engine trail.
-    trail: Vec<u32>,
-    /// Reference engine: (atom, tried_both) per decision.
-    decisions: Vec<(u32, bool)>,
-    /// Reference engine: trail length at each decision.
-    trail_lim: Vec<usize>,
-    /// Reference engine: learned conflict nogoods (sets of `(atom, value)`
-    /// literals no stable model satisfies simultaneously), retained across
-    /// solve calls and deduplicated by fingerprint.
-    nogoods: Vec<Vec<(u32, Val)>>,
-    /// Fingerprint dedup index over `nogoods` — hashes replace the former
-    /// full-vector `HashSet<Vec<(u32, Val)>>` store.
-    nogood_fps: HashSet<u64>,
-    /// The CDCL engine state (empty shell on the reference engine).
+    /// The CDCL engine state.
     cdcl: cdcl::Cdcl,
-    /// The active proof log (certified solving only, CDCL engine only).
+    /// The active proof log (certified solving only).
     /// While present, every engine inference is appended — including those
     /// of interleaved uncertified calls, so learned-nogood retention
     /// across a multi-shot stream stays checkable.
@@ -282,35 +260,8 @@ impl<'a> Solver<'a> {
     /// Create a CDCL solver for a ground program.
     #[must_use]
     pub fn new(program: &'a GroundProgram) -> Self {
-        Solver::build(program, false)
-    }
-
-    /// A solver using the retained naive full-scan chronological engine.
-    ///
-    /// Semantically identical to [`Solver::new`]; kept as the differential
-    /// testing oracle and the `cpsrisk bench` baseline engine.
-    #[must_use]
-    pub fn new_reference(program: &'a GroundProgram) -> Self {
-        Solver::build(program, true)
-    }
-
-    fn build(program: &'a GroundProgram, reference: bool) -> Self {
         let n_atoms = program.atom_count();
-        let mut choice_atoms = Vec::new();
-        let mut choice_seen = vec![false; n_atoms];
-        for r in &program.rules {
-            if let GroundHead::Choice(h) = r.head {
-                if !choice_seen[h.index()] {
-                    choice_seen[h.index()] = true;
-                    choice_atoms.push(h.0);
-                }
-            }
-        }
-        let wfm = if reference {
-            None
-        } else {
-            Some(crate::analysis::well_founded(program))
-        };
+        let wfm = crate::analysis::well_founded(program);
         let display: Vec<String> = program.atoms().map(|(_, a)| a.to_string()).collect();
         let mut sorted_ids: Vec<u32> = (0..n_atoms as u32).collect();
         sorted_ids.sort_by(|&a, &b| display[a as usize].cmp(&display[b as usize]));
@@ -319,10 +270,7 @@ impl<'a> Solver<'a> {
             .collect();
         Solver {
             g: program,
-            reference,
-            tight: !reference && crate::analysis::ground_tight(program),
-            tight_mode: true,
-            choice_atoms,
+            tight: crate::analysis::ground_tight(program),
             display,
             sorted_ids,
             shown_flags,
@@ -335,26 +283,13 @@ impl<'a> Solver<'a> {
             bound_prune_count: 0,
             restart_count: 0,
             restart_interval: 100,
-            wfm_seeds: match &wfm {
-                Some(w) => w
-                    .true_atoms()
-                    .map(|id| (id.0, Val::True))
-                    .chain(w.false_atoms().map(|id| (id.0, Val::False)))
-                    .collect(),
-                None => Vec::new(),
-            },
+            wfm_seeds: wfm
+                .true_atoms()
+                .map(|id| (id.0, Val::True))
+                .chain(wfm.false_atoms().map(|id| (id.0, Val::False)))
+                .collect(),
             wfm,
-            val: vec![Val::Unknown; if reference { n_atoms } else { 0 }],
-            trail: Vec::new(),
-            decisions: Vec::new(),
-            trail_lim: Vec::new(),
-            nogoods: Vec::new(),
-            nogood_fps: HashSet::new(),
-            cdcl: if reference {
-                cdcl::Cdcl::empty()
-            } else {
-                cdcl::Cdcl::build(program)
-            },
+            cdcl: cdcl::Cdcl::build(program),
             proof: None,
             certify_call: false,
             call_seq: 0,
@@ -397,11 +332,7 @@ impl<'a> Solver<'a> {
     /// Number of learned conflict nogoods currently retained.
     #[must_use]
     pub fn learned_nogoods(&self) -> usize {
-        if self.reference {
-            self.nogoods.len()
-        } else {
-            self.cdcl.learned_count()
-        }
+        self.cdcl.learned_count()
     }
 
     /// Conflicts hit over the solver's whole lifetime (across every
@@ -423,7 +354,7 @@ impl<'a> Solver<'a> {
         self.bound_prune_count
     }
 
-    /// Restarts performed during the last call (0 on the reference engine).
+    /// Restarts performed during the last call.
     #[must_use]
     pub fn restarts(&self) -> u64 {
         self.restart_count
@@ -432,8 +363,7 @@ impl<'a> Solver<'a> {
     /// Set the base restart interval in conflicts (default 100). The k-th
     /// restart fires after `luby(k) * interval` conflicts since the last
     /// one. Restarts are disabled during model enumeration once the first
-    /// model is found (exhaustiveness relies on the flip trail) and on the
-    /// reference engine.
+    /// model is found (exhaustiveness relies on the flip trail).
     pub fn set_restart_interval(&mut self, conflicts: u64) {
         self.restart_interval = conflicts.max(1);
     }
@@ -442,45 +372,24 @@ impl<'a> Solver<'a> {
     /// program: the atom-level positive dependency graph is acyclic, so
     /// supported models are stable models (Fages' theorem) and the
     /// unfounded-set backstop can be skipped — the completion nogoods
-    /// already enforce supportedness. Always `false` on the reference
-    /// engine (it never computes the certificate).
+    /// already enforce supportedness.
     #[must_use]
     pub fn tight(&self) -> bool {
         self.tight
     }
 
-    /// Enable or disable the tight-program fast path (default: enabled).
-    ///
-    /// Only affects programs whose certificate holds — non-tight programs
-    /// always run the unfounded-set backstop. Disabling it on a tight
-    /// program is sound (the backstop subsumes the certificate); the
-    /// switch exists so benchmarks can measure the fast path against the
-    /// closure on identical inputs. Takes effect at the next solve call.
-    pub fn set_tight_mode(&mut self, on: bool) {
-        self.tight_mode = on;
-    }
-
-    fn use_tight(&self) -> bool {
-        self.tight && self.tight_mode && !self.reference
-    }
-
     /// Drop every retained learned nogood (e.g. to measure their effect).
     pub fn clear_learned(&mut self) {
-        self.nogoods.clear();
-        self.nogood_fps.clear();
-        if !self.reference {
-            self.log_learned_clear();
-            self.cdcl.clear_learned();
-        }
+        self.log_learned_clear();
+        self.cdcl.clear_learned();
     }
 
-    /// The well-founded model computed at construction, or `None` on the
-    /// reference engine. Its true/false verdicts hold in every stable
-    /// model, so callers can answer cautious/brave membership for decided
-    /// atoms without searching.
+    /// The well-founded model computed at construction. Its true/false
+    /// verdicts hold in every stable model, so callers can answer
+    /// cautious/brave membership for decided atoms without searching.
     #[must_use]
-    pub fn wfm(&self) -> Option<&crate::analysis::wfm::WfmResult> {
-        self.wfm.as_ref()
+    pub fn wfm(&self) -> &crate::analysis::wfm::WfmResult {
+        &self.wfm
     }
 
     /// Per-call setup shared by every solve entry point: reset, pin the
@@ -495,37 +404,12 @@ impl<'a> Solver<'a> {
         self.bound_prune_count = 0;
         self.restart_count = 0;
         self.assumptions.clear();
-        if self.reference {
-            self.prepare_reference(assumptions)
-        } else {
-            self.prepare_cdcl(assumptions)
-        }
+        self.prepare_cdcl(assumptions)
     }
 
-    /// The current truth value of an atom under the active engine.
+    /// The current truth value of an atom.
     fn value(&self, atom: AtomId) -> Val {
-        if self.reference {
-            self.val[atom.index()]
-        } else {
-            self.cdcl.val[atom.index()]
-        }
-    }
-
-    /// Core search dispatch. `on_model` returns `false` to stop the search
-    /// early; `prune` returning `true` abandons the current branch (used
-    /// by branch-and-bound). Returns whether the search space was
-    /// exhausted.
-    fn search(
-        &mut self,
-        opts: &SolveOptions,
-        on_model: &mut dyn FnMut(Model) -> bool,
-        prune: &mut dyn FnMut(&Self) -> bool,
-    ) -> Result<bool, AspError> {
-        if self.reference {
-            self.search_reference(opts, on_model, prune)
-        } else {
-            self.search_cdcl(opts, on_model, prune)
-        }
+        self.cdcl.val[atom.index()]
     }
 
     /// Enumerate answer sets (ignoring `#minimize`).
@@ -716,7 +600,7 @@ impl<'a> Solver<'a> {
             return Ok(Vec::new());
         }
         let n = self.g.atom_count();
-        let cap = n - self.wfm.as_ref().map_or(0, |w| w.false_count);
+        let cap = n - self.wfm.false_count;
         let mut in_some = vec![false; n];
         let mut marked = 0usize;
         let mut models_seen = 0usize;
@@ -754,7 +638,7 @@ impl<'a> Solver<'a> {
         if !self.prepare(&[]) {
             return Ok(Vec::new());
         }
-        let floor = self.wfm.as_ref().map_or(0, |w| w.true_count);
+        let floor = self.wfm.true_count;
         let mut candidates: Option<Vec<AtomId>> = None;
         let mut models_seen = 0usize;
         self.search(
@@ -788,12 +672,7 @@ impl<'a> Solver<'a> {
 
     /// The set of true atoms of the (complete) current assignment.
     fn candidate_set(&self) -> HashSet<AtomId> {
-        let vals = if self.reference {
-            &self.val
-        } else {
-            &self.cdcl.val
-        };
-        vals[..self.g.atom_count()]
+        self.cdcl.val[..self.g.atom_count()]
             .iter()
             .enumerate()
             .filter(|(_, v)| **v == Val::True)
@@ -858,7 +737,7 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// Budget check shared by both engines: decisions **plus conflicts**
+    /// Budget check: decisions **plus conflicts**
     /// against `max_decisions`, reporting the partial statistics on abort.
     fn check_budget(&self, opts: &SolveOptions) -> Result<(), AspError> {
         if self.decision_count + self.conflict_count > opts.max_decisions {
@@ -875,17 +754,6 @@ impl<'a> Solver<'a> {
 /// Lexicographic cost vector (higher priorities first) for comparisons.
 fn cost_vec(m: &Model) -> Vec<i64> {
     m.cost.iter().map(|(_, c)| *c).collect()
-}
-
-/// Fingerprint of a reference-engine nogood for cheap dedup (replaces
-/// hashing the full sorted vector into a `HashSet<Vec<_>>`).
-fn fingerprint(ng: &[(u32, Val)]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &(a, v) in ng {
-        (a, v == Val::True).hash(&mut h);
-    }
-    h.finish()
 }
 
 #[cfg(test)]

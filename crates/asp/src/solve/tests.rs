@@ -73,9 +73,6 @@ fn tight_certificate_tracks_ground_positive_loops() {
     let loopy = "{ x }. a :- x. a :- b. b :- a.";
     let g = Grounder::new().ground(&parse(loopy).unwrap()).unwrap();
     assert!(!Solver::new(&g).tight());
-    // The reference engine never claims the certificate.
-    let g = Grounder::new().ground(&parse(tight_src).unwrap()).unwrap();
-    assert!(!Solver::new_reference(&g).tight());
 }
 
 #[test]
@@ -88,11 +85,26 @@ fn tight_fast_path_matches_closure_on_tight_programs() {
     let mut fast = Solver::new(&g);
     assert!(fast.tight());
     let rf = fast.enumerate(&SolveOptions::default()).unwrap();
-    let mut slow = Solver::new(&g);
-    slow.set_tight_mode(false);
-    let rs = slow.enumerate(&SolveOptions::default()).unwrap();
-    assert!(rf.exhausted && rs.exhausted);
-    assert_eq!(model_strings(&rf.models), model_strings(&rs.models));
+    assert!(rf.exhausted);
+    // The fast path skips the unfounded-set closure; the independent
+    // reduct check over every candidate set must still agree.
+    let n = g.atom_count();
+    let mut closure: Vec<String> = (0u32..1 << n)
+        .map(|mask| -> HashSet<AtomId> {
+            (0..n as u32)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(AtomId)
+                .collect()
+        })
+        .filter(|candidate| check::is_stable_model(&g, candidate))
+        .map(|candidate| {
+            let mut atoms: Vec<String> = candidate.iter().map(|&a| g.atom(a).to_string()).collect();
+            atoms.sort();
+            atoms.join(" ")
+        })
+        .collect();
+    closure.sort();
+    assert_eq!(model_strings(&rf.models), closure);
     assert_eq!(rf.models.len(), 10);
 }
 
@@ -106,12 +118,12 @@ fn tight_mode_falsifies_atoms_without_any_rule() {
 
 #[test]
 fn non_tight_programs_keep_the_unfounded_closure() {
-    // Forcing tight mode on has no effect without the certificate.
+    // Without the certificate the backstop must refute the `a`/`b` loop
+    // once `x` is false.
     let g = Grounder::new()
         .ground(&parse("{ x }. a :- x. a :- b. b :- a. :- not a.").unwrap())
         .unwrap();
     let mut s = Solver::new(&g);
-    s.set_tight_mode(true);
     assert!(!s.tight());
     let r = s.enumerate(&SolveOptions::default()).unwrap();
     assert_eq!(model_strings(&r.models), vec!["a b x"]);
@@ -209,7 +221,7 @@ fn total_wfm_solves_without_decisions() {
     let src = "p. q :- p. r :- q, not s.";
     let g = Grounder::new().ground(&parse(src).unwrap()).unwrap();
     let mut s = Solver::new(&g);
-    assert!(s.wfm().expect("non-reference computes the WFM").total());
+    assert!(s.wfm().total());
     let res = s.enumerate(&SolveOptions::default()).unwrap();
     assert_eq!(res.models.len(), 1);
     assert_eq!(res.decisions, 0, "the backbone is the model");
@@ -313,6 +325,16 @@ fn stratified_negation_solves_without_branching() {
     assert!(models[0].contains_str("q(1)"));
     assert!(!models[0].contains_str("q(2)"));
     assert!(models[0].contains_str("q(3)"));
+}
+
+#[test]
+fn contains_str_keeps_spaces_inside_string_constants() {
+    let models = solve_all(r#"name("tank a"). level(tank, 3)."#);
+    let m = &models[0];
+    assert!(m.contains_str(r#"name("tank a")"#));
+    assert!(m.contains_str(r#" name ( "tank a" ) "#));
+    assert!(!m.contains_str(r#"name("tanka")"#));
+    assert!(m.contains_str("level(tank, 3)"));
 }
 
 #[test]

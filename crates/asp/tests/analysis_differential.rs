@@ -5,13 +5,16 @@
 //!
 //! * **slicing** — grounding with [`Grounder::with_slicing`] under a random
 //!   `#show` footprint must preserve the model count, the multiset of shown
-//!   projections, the exhausted flag, and optimal costs;
-//! * **tight fast path** — [`Solver::set_tight_mode`] on or off must
-//!   enumerate exactly the answer sets of the reference engine;
+//!   projections, and optimal costs (both judged by the guess-and-check
+//!   oracle in `support`);
+//! * **tight fast path** — the solver, which skips the unfounded-set
+//!   closure whenever the ground program is tight, must enumerate exactly
+//!   the oracle's answer sets, whose stability check runs that closure;
 //! * **tightness certificate** — predicate-level tightness must imply the
-//!   ground certificate, the certificate must match what the solver
-//!   reports, and solving structural programs through the fast path must
-//!   agree with the reference engine.
+//!   ground certificate, and the certificate must match what the solver
+//!   reports.
+
+mod support;
 
 use proptest::prelude::*;
 
@@ -91,21 +94,13 @@ fn models(solver: &mut Solver, opts: &SolveOptions) -> (Vec<String>, bool) {
 
 /// Sorted multiset of shown projections — the observable a slice must
 /// preserve even while it drops atoms from the full models.
-fn projections(g: &GroundProgram, opts: &SolveOptions) -> (Vec<String>, bool) {
-    let result = Solver::new_reference(g)
-        .enumerate(opts)
-        .expect("within budget");
-    let mut out: Vec<String> = result
-        .models
+fn projections(g: &GroundProgram) -> Vec<String> {
+    let mut out: Vec<String> = support::models(g, &[])
         .iter()
-        .map(|m| {
-            let mut atoms: Vec<String> = m.shown.iter().map(ToString::to_string).collect();
-            atoms.sort();
-            atoms.join(" ")
-        })
+        .map(|m| m.render_shown(g))
         .collect();
     out.sort();
-    (out, result.exhausted)
+    out
 }
 
 proptest! {
@@ -120,35 +115,32 @@ proptest! {
             sliced.rules.len() <= full.rules.len(),
             "a slice never grows the grounding, program:\n{}", src
         );
-        let opts = SolveOptions::default();
-        let (want, ex_w) = projections(&full, &opts);
-        let (got, ex_g) = projections(&sliced, &opts);
+        let want = projections(&full);
+        let got = projections(&sliced);
         prop_assert_eq!(&got, &want, "shown projections, program:\n{}", src);
         prop_assert_eq!(got.len(), want.len(), "model count, program:\n{}", src);
-        prop_assert_eq!(ex_g, ex_w, "exhausted flag, program:\n{}", src);
         // Optimal costs survive too: slicing must never touch #minimize.
-        let best_f = Solver::new_reference(&full).optimize(&opts).expect("within budget");
-        let best_s = Solver::new_reference(&sliced).optimize(&opts).expect("within budget");
-        match (&best_f, &best_s) {
-            (Some(a), Some(b)) => prop_assert_eq!(&a.cost, &b.cost, "cost, program:\n{}", src),
-            (None, None) => {}
-            _ => prop_assert!(false, "slicing flipped satisfiability:\n{src}"),
-        }
+        prop_assert_eq!(
+            support::optimum(&sliced, &[]), support::optimum(&full, &[]),
+            "cost, program:\n{}", src
+        );
+        // The solver sees the sliced program exactly as the oracle does.
+        let best = Solver::new(&sliced)
+            .optimize(&SolveOptions::default())
+            .expect("within budget");
+        prop_assert_eq!(
+            best.map(|m| m.cost), support::optimum(&sliced, &[]),
+            "solver cost on the slice, program:\n{}", src
+        );
     }
 
     #[test]
     fn tight_mode_matches_the_unfounded_closure_and_the_reference(src in arb_program()) {
         let p = parse(&src);
         let g = Grounder::new().ground(&p).expect("grounds");
-        let opts = SolveOptions::default();
-        let (fast, ex_f) = models(&mut Solver::new(&g), &opts);
-        let mut closure_solver = Solver::new(&g);
-        closure_solver.set_tight_mode(false);
-        let (closure, ex_c) = models(&mut closure_solver, &opts);
-        let (reference, ex_r) = models(&mut Solver::new_reference(&g), &opts);
-        prop_assert_eq!(&fast, &closure, "tight mode vs closure, program:\n{}", src);
-        prop_assert_eq!(&fast, &reference, "tight mode vs reference, program:\n{}", src);
-        prop_assert!(ex_f == ex_c && ex_f == ex_r, "exhausted flags, program:\n{}", src);
+        let (fast, exhausted) = models(&mut Solver::new(&g), &SolveOptions::default());
+        prop_assert_eq!(&fast, &support::rendered(&g, &[]), "program:\n{}", src);
+        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
     }
 
     #[test]

@@ -6,14 +6,21 @@
 //! reduct-based checker. This closes the loop: the checker is validated by
 //! inspection against the textbook definition, the solver is validated
 //! against the checker on the full space.
+//!
+//! The same full-subset enumeration validates the guess-and-check oracle
+//! (`support`) that the larger differential suites use: on these programs
+//! it must return exactly the full enumeration, also under assumptions.
+
+mod support;
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
+use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::check::is_stable_model;
 use cpsrisk_asp::program::AtomId;
-use cpsrisk_asp::{Grounder, Program, SolveOptions, Solver};
+use cpsrisk_asp::{GroundProgram, Grounder, Lit, Program, SolveOptions, Solver};
 
 /// A random program over atoms a0..a{n-1}: facts, normal rules with up to
 /// two positive and two negative body literals, constraints, and choices.
@@ -45,11 +52,16 @@ fn arb_program(n_atoms: usize) -> impl Strategy<Value = String> {
     prop::collection::vec(rule, 1..8).prop_map(|rules| rules.join("\n"))
 }
 
-fn reference_models(src: &str) -> HashSet<Vec<String>> {
+fn ground(src: &str) -> GroundProgram {
     let program: Program = src.parse().expect("generated programs parse");
-    let ground = Grounder::new()
+    Grounder::new()
         .ground(&program)
-        .expect("generated programs ground");
+        .expect("generated programs ground")
+}
+
+/// Every stable model among all `2^n` candidate sets, as sorted atom
+/// strings, filtered by `assumptions`.
+fn full_enumeration(ground: &GroundProgram, assumptions: &[Lit]) -> HashSet<Vec<String>> {
     let n = ground.atom_count();
     let mut out = HashSet::new();
     for mask in 0u32..(1 << n) {
@@ -57,7 +69,10 @@ fn reference_models(src: &str) -> HashSet<Vec<String>> {
             .filter(|i| mask & (1 << i) != 0)
             .map(|i| AtomId(i as u32))
             .collect();
-        if is_stable_model(&ground, &candidate) {
+        let assumed = assumptions
+            .iter()
+            .all(|l| candidate.contains(&l.atom) == l.positive);
+        if assumed && is_stable_model(ground, &candidate) {
             let mut atoms: Vec<String> = candidate
                 .iter()
                 .map(|&id| ground.atom(id).to_string())
@@ -67,6 +82,17 @@ fn reference_models(src: &str) -> HashSet<Vec<String>> {
         }
     }
     out
+}
+
+fn reference_models(src: &str) -> HashSet<Vec<String>> {
+    full_enumeration(&ground(src), &[])
+}
+
+fn oracle_models(ground: &GroundProgram, assumptions: &[Lit]) -> HashSet<Vec<String>> {
+    support::models(ground, assumptions)
+        .iter()
+        .map(|m| m.atoms(ground).into_iter().collect())
+        .collect()
 }
 
 fn solver_models(src: &str) -> HashSet<Vec<String>> {
@@ -97,6 +123,28 @@ proptest! {
         let got = solver_models(&src);
         prop_assert_eq!(got, expected, "program:\n{}", src);
     }
+
+    /// The guess-and-check oracle equals the full-subset enumeration, with
+    /// no assumptions and under a random (possibly contradictory) set of
+    /// assumption literals.
+    #[test]
+    fn oracle_equals_brute_force_enumeration(
+        src in arb_program(5),
+        pins in prop::collection::vec((0usize..5, any::<bool>()), 0..4),
+    ) {
+        let g = ground(&src);
+        prop_assert_eq!(oracle_models(&g, &[]), full_enumeration(&g, &[]), "program:\n{}", src);
+        let assumptions: Vec<Lit> = pins
+            .iter()
+            .filter_map(|&(i, positive)| {
+                g.lookup(&Atom::prop(format!("a{i}"))).map(|atom| Lit { atom, positive })
+            })
+            .collect();
+        prop_assert_eq!(
+            oracle_models(&g, &assumptions), full_enumeration(&g, &assumptions),
+            "assumptions {:?}, program:\n{}", pins, src
+        );
+    }
 }
 
 #[test]
@@ -113,5 +161,11 @@ fn known_tricky_programs() {
     ];
     for src in cases {
         assert_eq!(solver_models(src), reference_models(src), "program: {src}");
+        let g = ground(src);
+        assert_eq!(
+            oracle_models(&g, &[]),
+            full_enumeration(&g, &[]),
+            "oracle, program: {src}"
+        );
     }
 }

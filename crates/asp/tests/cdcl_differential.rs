@@ -1,15 +1,18 @@
-//! Differential testing: the CDCL engine vs the naive reference, on
-//! search-heavy programs.
+//! Differential testing: the CDCL engine vs the guess-and-check oracle,
+//! on search-heavy programs.
 //!
-//! The generic differential suite (`tests/differential.rs`) pins the two
-//! engines on broad random programs. This suite stresses the parts only
-//! the CDCL engine has: bounded cardinality choices (watched-literal and
-//! counter propagation interact), a one-conflict restart interval (every
-//! conflict triggers a Luby restart, so backjumping, phase saving, and
-//! learned-nogood replay are exercised constantly), the forced
-//! unfounded-closure mode, and assumption streams over a reused solver
-//! with retained learned nogoods. In every configuration the CDCL engine
-//! must enumerate exactly the answer sets of [`Solver::new_reference`].
+//! The generic differential suite (`tests/differential.rs`) pins the
+//! engine on broad random programs. This suite stresses the search
+//! machinery: bounded cardinality choices (watched-literal and counter
+//! propagation interact), a one-conflict restart interval (every conflict
+//! triggers a Luby restart, so backjumping, phase saving, and
+//! learned-nogood replay are exercised constantly), the unfounded-set
+//! closure on programs made non-tight by a positive loop, and assumption
+//! streams over a reused solver with retained learned nogoods. In every
+//! configuration the CDCL engine must enumerate exactly the answer sets of
+//! the oracle in `support`.
+
+mod support;
 
 use proptest::prelude::*;
 
@@ -108,18 +111,16 @@ fn lits(g: &GroundProgram, set: &[(usize, bool)]) -> Vec<Lit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Bounded cardinality choices: identical answer sets and exhausted
-    /// flags between CDCL and the reference engine.
+    /// Bounded cardinality choices: the oracle's answer sets, space
+    /// exhausted.
     #[test]
     fn cdcl_enumerates_identical_answer_sets_on_card_heavy_programs(
         src in arb_search_program(7),
     ) {
         let g = ground(&src);
-        let opts = SolveOptions::default();
-        let (cdcl, ex_c) = canonical(&mut Solver::new(&g), &opts);
-        let (reference, ex_r) = canonical(&mut Solver::new_reference(&g), &opts);
-        prop_assert_eq!(&cdcl, &reference, "program:\n{}", src);
-        prop_assert_eq!(ex_c, ex_r, "exhausted flag, program:\n{}", src);
+        let (cdcl, exhausted) = canonical(&mut Solver::new(&g), &SolveOptions::default());
+        prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
+        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
     }
 
     /// A one-conflict Luby interval restarts on *every* conflict before
@@ -133,32 +134,35 @@ proptest! {
         let opts = SolveOptions::default();
         let mut solver = Solver::new(&g);
         solver.set_restart_interval(1);
-        let (cdcl, ex_c) = canonical(&mut solver, &opts);
-        let (reference, ex_r) = canonical(&mut Solver::new_reference(&g), &opts);
-        prop_assert_eq!(&cdcl, &reference, "program:\n{}", src);
-        prop_assert_eq!(ex_c, ex_r, "exhausted flag, program:\n{}", src);
+        let (cdcl, exhausted) = canonical(&mut solver, &opts);
+        prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
+        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
     }
 
-    /// With the tight fast path disabled the CDCL engine runs the
-    /// unfounded-set backstop on every total assignment — same models.
+    /// A positive loop `l0 :- l1. l1 :- l0.`, entered from a generated
+    /// atom, makes every program non-tight, so the CDCL engine runs the
+    /// unfounded-set backstop at each propagation fixpoint — same models
+    /// as the oracle.
     #[test]
     fn cdcl_forced_closure_mode_matches_the_reference(
         src in arb_search_program(6),
+        entry in 0usize..6,
     ) {
+        let src = format!("{src}\nl0 :- a{entry}. l0 :- l1. l1 :- l0.");
         let g = ground(&src);
-        let opts = SolveOptions::default();
         let mut solver = Solver::new(&g);
-        solver.set_tight_mode(false);
-        let (cdcl, ex_c) = canonical(&mut solver, &opts);
-        let (reference, ex_r) = canonical(&mut Solver::new_reference(&g), &opts);
-        prop_assert_eq!(&cdcl, &reference, "program:\n{}", src);
-        prop_assert_eq!(ex_c, ex_r, "exhausted flag, program:\n{}", src);
+        let (cdcl, exhausted) = canonical(&mut solver, &SolveOptions::default());
+        if g.lookup(&Atom::prop("l1")).is_some() {
+            prop_assert!(!solver.tight(), "the loop must void the certificate:\n{}", src);
+        }
+        prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
+        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
     }
 
     /// Assumption streams on one reused CDCL solver, learned nogoods
-    /// retained (and with a one-conflict restart interval), versus a
-    /// fresh *reference* solver per query: identical answer sets and
-    /// exhausted flags for every query in the stream.
+    /// retained (and with a one-conflict restart interval), versus the
+    /// oracle per query: identical answer sets and an exhausted space for
+    /// every query in the stream.
     #[test]
     fn reused_cdcl_solver_with_retained_nogoods_matches_fresh_reference(
         src in arb_search_program(6),
@@ -176,38 +180,28 @@ proptest! {
             let got = reused
                 .solve_with_assumptions(&assumptions, &opts)
                 .expect("within budget");
-            let want = Solver::new_reference(&g)
-                .solve_with_assumptions(&assumptions, &opts)
-                .expect("within budget");
-            let render = |r: &cpsrisk_asp::SolveResult| {
-                let mut v: Vec<String> = r
-                    .models
-                    .iter()
-                    .map(|m| {
-                        m.atoms
-                            .iter()
-                            .map(ToString::to_string)
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    })
-                    .collect();
-                v.sort();
-                v
-            };
+            let mut rendered: Vec<String> = got
+                .models
+                .iter()
+                .map(|m| {
+                    m.atoms
+                        .iter()
+                        .map(ToString::to_string)
+                        .collect::<Vec<_>>()
+                        .join(" ")
+                })
+                .collect();
+            rendered.sort();
             prop_assert_eq!(
-                render(&got), render(&want),
+                rendered, support::rendered(&g, &assumptions),
                 "query {} (restart_hard={}), program:\n{}", k, restart_hard, src
             );
-            prop_assert_eq!(
-                got.exhausted, want.exhausted,
-                "exhausted flag, query {}, program:\n{}", k, src
-            );
+            prop_assert!(got.exhausted, "exhausted flag, query {}, program:\n{}", k, src);
         }
     }
 
-    /// Branch-and-bound under CDCL: equal optimal costs (or equal
-    /// unsatisfiability) against the reference, including under a
-    /// one-conflict restart interval.
+    /// Branch-and-bound under CDCL: the oracle's optimal costs (or
+    /// unsatisfiability), including under a one-conflict restart interval.
     #[test]
     fn cdcl_optimizer_finds_the_reference_optimum(
         src in arb_search_program(6),
@@ -219,14 +213,10 @@ proptest! {
         if restart_hard {
             solver.set_restart_interval(1);
         }
-        let best_c = solver.optimize(&opts).expect("within budget");
-        let best_r = Solver::new_reference(&g).optimize(&opts).expect("within budget");
-        match (&best_c, &best_r) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(&a.cost, &b.cost, "optimal cost, program:\n{}", src);
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "one engine found an optimum, the other did not:\n{src}"),
-        }
+        let best = solver.optimize(&opts).expect("within budget");
+        prop_assert_eq!(
+            best.map(|m| m.cost), support::optimum(&g, &[]),
+            "optimal cost, program:\n{}", src
+        );
     }
 }

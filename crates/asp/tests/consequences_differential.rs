@@ -1,7 +1,7 @@
 //! Differential testing of the well-founded analysis stack.
 //!
-//! Three soundness contracts, each pinned against brute-force enumeration
-//! on the naive reference engine ([`Solver::new_reference`]):
+//! Three soundness contracts, each pinned against the guess-and-check
+//! oracle in `support`:
 //!
 //! * the well-founded model **bounds** every stable model — WFM-true
 //!   atoms appear in every answer set, WFM-false atoms in none, and a
@@ -14,8 +14,10 @@
 //!
 //! A fourth suite pins [`Solver::brave`] / [`Solver::cautious`] (which
 //! seed from the WFM and terminate early on its bounds) to the
-//! union/intersection of the brute-forced answer sets, over programs with
+//! union/intersection of the oracle's answer sets, over programs with
 //! choices and assumable atoms.
+
+mod support;
 
 use std::collections::BTreeSet;
 
@@ -66,28 +68,17 @@ fn ground(src: &str) -> GroundProgram {
     ground_with_assumables(src, &[])
 }
 
-/// Every answer set as a sorted set of atom strings, via the reference
-/// engine (itself pinned by the brute-force suite).
+/// Every answer set as a sorted set of atom strings, via the oracle
+/// (itself pinned by the brute-force suite).
 fn brute_models(g: &GroundProgram) -> Vec<BTreeSet<String>> {
-    let mut models: Vec<BTreeSet<String>> = Solver::new_reference(g)
-        .enumerate(&SolveOptions::default())
-        .expect("within budget")
-        .models
-        .iter()
-        .map(|m| m.atoms.iter().map(ToString::to_string).collect())
-        .collect();
-    models.sort();
-    models
+    brute_models_under(g, &[])
 }
 
 /// Same, under an assumption set.
 fn brute_models_under(g: &GroundProgram, lits: &[Lit]) -> Vec<BTreeSet<String>> {
-    let mut models: Vec<BTreeSet<String>> = Solver::new_reference(g)
-        .solve_with_assumptions(lits, &SolveOptions::default())
-        .expect("within budget")
-        .models
+    let mut models: Vec<BTreeSet<String>> = support::models(g, lits)
         .iter()
-        .map(|m| m.atoms.iter().map(ToString::to_string).collect())
+        .map(|m| m.atoms(g))
         .collect();
     models.sort();
     models

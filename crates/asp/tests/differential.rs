@@ -1,13 +1,12 @@
-//! Differential testing: occurrence-indexed engine vs the naive reference.
+//! Differential testing: the CDCL engine vs the guess-and-check oracle.
 //!
-//! [`Solver::new`] (occurrence lists, incremental rule counters, worklist
-//! propagation, semi-naive unfounded closure) and [`Solver::new_reference`]
-//! (the retained full-scan passes) must be observationally identical: on
-//! randomly generated programs both engines enumerate exactly the same
-//! answer sets, report the same `exhausted` flag, and agree on optimal
-//! costs. The brute-force suite validates the reference engine against the
-//! independent checker; this suite pins the optimized engine to the
-//! reference.
+//! On randomly generated programs [`Solver::new`] must enumerate exactly
+//! the answer sets of the oracle in `support` (itself pinned to full-subset
+//! enumeration by the brute-force suite), exhaust the search space, and
+//! find the oracle's optimal costs; a reused solver must answer every
+//! query of an assumption stream like a fresh one.
+
+mod support;
 
 use proptest::prelude::*;
 
@@ -123,38 +122,33 @@ proptest! {
     #[test]
     fn engines_enumerate_identical_answer_sets(src in arb_program(7)) {
         let g = ground(&src);
-        let opts = SolveOptions::default();
-        let (indexed, ex_i) = canonical(&mut Solver::new(&g), &opts);
-        let (reference, ex_r) = canonical(&mut Solver::new_reference(&g), &opts);
-        prop_assert_eq!(&indexed, &reference, "program:\n{}", src);
-        prop_assert_eq!(ex_i, ex_r, "exhausted flag, program:\n{}", src);
+        let (cdcl, exhausted) = canonical(&mut Solver::new(&g), &SolveOptions::default());
+        prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
+        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
     }
 
     #[test]
     fn engines_agree_under_model_limits(src in arb_program(6), max in 1usize..4) {
-        // Under max_models the engines may surface different model
-        // *prefixes* (CDCL branches by activity and phase, the reference
-        // chronologically), but each must deliver min(max, total) genuine
-        // answer sets and the same exhausted verdict.
+        // Under max_models the solver surfaces some *prefix* of the answer
+        // sets (CDCL branches by activity and phase): it must deliver
+        // min(max, total) genuine answer sets, and report the space
+        // exhausted exactly when it stopped short of the limit.
         let g = ground(&src);
-        let (all, ex_full) = canonical(&mut Solver::new_reference(&g), &SolveOptions::default());
-        prop_assert!(ex_full);
+        let all = support::rendered(&g, &[]);
         let opts = SolveOptions { max_models: max, ..SolveOptions::default() };
-        let (limited, ex_i) = canonical(&mut Solver::new(&g), &opts);
-        let (reference, ex_r) = canonical(&mut Solver::new_reference(&g), &opts);
-        let expect = all.len().min(max);
-        prop_assert_eq!(limited.len(), expect, "program:\n{}", src);
-        prop_assert_eq!(reference.len(), expect, "program:\n{}", src);
-        for m in limited.iter().chain(reference.iter()) {
+        let (limited, exhausted) = canonical(&mut Solver::new(&g), &opts);
+        prop_assert_eq!(limited.len(), all.len().min(max), "program:\n{}", src);
+        for m in &limited {
             prop_assert!(all.contains(m), "not an answer set: {}\nprogram:\n{}", m, src);
         }
-        prop_assert_eq!(ex_i, ex_r, "exhausted flag, program:\n{}", src);
+        prop_assert_eq!(exhausted, all.len() < max, "exhausted flag, program:\n{}", src);
     }
 
     /// One solver reused across a whole stream of randomized assumption
     /// sets (with and without learned-nogood retention) must enumerate
     /// exactly what a fresh `Solver::new` enumerates per call: identical
-    /// answer sets and exhausted flags, query after query.
+    /// answer sets and exhausted flags, query after query — and both must
+    /// equal the oracle's answer sets under the same assumptions.
     #[test]
     fn reused_assumption_solver_matches_fresh_solver_per_call(
         src in arb_program(6),
@@ -176,6 +170,10 @@ proptest! {
                 "query {} (retain={}), program:\n{}", k, retain, src
             );
             prop_assert_eq!(
+                &want, &support::rendered(&g, &assumptions),
+                "oracle, query {}, program:\n{}", k, src
+            );
+            prop_assert_eq!(
                 ex_g, ex_w,
                 "exhausted flag, query {} (retain={}), program:\n{}", k, retain, src
             );
@@ -183,7 +181,8 @@ proptest! {
     }
 
     /// Same reuse property for the optimizer: equal optimal costs (or
-    /// equal unsatisfiability) under every assumption set in the stream.
+    /// equal unsatisfiability) under every assumption set in the stream,
+    /// and the oracle's optimum.
     #[test]
     fn reused_assumption_optimizer_matches_fresh_solver_per_call(
         src in arb_program(5),
@@ -200,32 +199,25 @@ proptest! {
             let want = Solver::new(&g)
                 .optimize_with_assumptions(&assumptions, &opts)
                 .expect("within budget");
-            match (&got, &want) {
-                (Some(a), Some(b)) => prop_assert_eq!(
-                    &a.cost, &b.cost,
-                    "optimal cost, query {}, program:\n{}", k, src
-                ),
-                (None, None) => {}
-                _ => prop_assert!(
-                    false,
-                    "reuse and fresh disagree on satisfiability, query {k}:\n{src}"
-                ),
-            }
+            let cost = |m: &Option<cpsrisk_asp::Model>| m.as_ref().map(|m| m.cost.clone());
+            prop_assert_eq!(
+                cost(&got), cost(&want),
+                "reuse vs fresh optimum, query {}, program:\n{}", k, src
+            );
+            prop_assert_eq!(
+                cost(&want), support::optimum(&g, &assumptions),
+                "oracle optimum, query {}, program:\n{}", k, src
+            );
         }
     }
 
     #[test]
     fn engines_find_equal_optimal_costs(src in arb_program(6)) {
         let g = ground(&src);
-        let opts = SolveOptions::default();
-        let best_i = Solver::new(&g).optimize(&opts).expect("within budget");
-        let best_r = Solver::new_reference(&g).optimize(&opts).expect("within budget");
-        match (&best_i, &best_r) {
-            (Some(a), Some(b)) => {
-                prop_assert_eq!(&a.cost, &b.cost, "optimal cost, program:\n{}", src);
-            }
-            (None, None) => {}
-            _ => prop_assert!(false, "one engine found an optimum, the other did not:\n{src}"),
-        }
+        let best = Solver::new(&g).optimize(&SolveOptions::default()).expect("within budget");
+        prop_assert_eq!(
+            best.map(|m| m.cost), support::optimum(&g, &[]),
+            "optimal cost, program:\n{}", src
+        );
     }
 }

@@ -1,18 +1,13 @@
-//! Differential testing: semi-naive grounder vs the naive reference.
+//! Determinism of the semi-naive grounder: single-thread and multi-thread
+//! instantiation must produce *bit-identical* ground programs on randomly
+//! generated non-ground programs covering joins, recursion, negation,
+//! arithmetic `=` binding, choice heads with conditions, and `#minimize`.
 //!
-//! [`Grounder::new`] (stratified delta evaluation, multi-argument indexes,
-//! slot substitutions, parallel instantiation) and
-//! [`Grounder::new_reference`] (the retained global re-join fixpoint) must
-//! produce identical `GroundProgram`s — the same atoms, rules (modulo
-//! order), cardinality constraints, minimize literals, shows, and
-//! assumables — on randomly generated non-ground programs covering joins,
-//! recursion, negation, arithmetic `=` binding, choice heads with
-//! conditions, and `#minimize`. A second suite pins single-thread and
-//! multi-thread instantiation to *bit-identical* output.
+//! The semi-naive vs naive-oracle proptests over the same generator live
+//! next to the oracle, in the crate's `ground::naive` unit tests.
 
 use proptest::prelude::*;
 
-use cpsrisk_asp::program::{CardConstraint, GroundHead, MinimizeLit};
 use cpsrisk_asp::{GroundProgram, Grounder, Program};
 
 /// One random statement drawn from safe templates over a small universe:
@@ -67,90 +62,6 @@ fn parse(src: &str) -> Program {
     src.parse().expect("generated programs parse")
 }
 
-/// Canonical rendering of a ground program: every component becomes a
-/// tagged, sorted string, so two programs are observationally identical iff
-/// their canonical forms are equal — independent of atom-id assignment and
-/// of rule/card/minimize instance order.
-fn canon(g: &GroundProgram) -> Vec<String> {
-    let atom = |id| g.atom(id).to_string();
-    let atoms =
-        |ids: &[cpsrisk_asp::AtomId]| ids.iter().map(|&i| atom(i)).collect::<Vec<_>>().join(",");
-    let mut out: Vec<String> = Vec::new();
-    for (_, a) in g.atoms() {
-        out.push(format!("atom {a}"));
-    }
-    for r in &g.rules {
-        let head = match r.head {
-            GroundHead::Atom(h) => atom(h),
-            GroundHead::Choice(h) => format!("{{{}}}", atom(h)),
-            GroundHead::None => String::new(),
-        };
-        out.push(format!(
-            "rule {head} :- {}; not {}",
-            atoms(&r.pos),
-            atoms(&r.neg)
-        ));
-    }
-    for CardConstraint {
-        pos,
-        neg,
-        elements,
-        lower,
-        upper,
-    } in &g.cards
-    {
-        let mut elems: Vec<String> = elements
-            .iter()
-            .map(|e| {
-                format!(
-                    "{} if {}; not {}",
-                    atom(e.atom),
-                    atoms(&e.guard_pos),
-                    atoms(&e.guard_neg)
-                )
-            })
-            .collect();
-        elems.sort();
-        out.push(format!(
-            "card {lower}..{upper} :- {}; not {} | {}",
-            atoms(pos),
-            atoms(neg),
-            elems.join(" | ")
-        ));
-    }
-    for (prio, lits) in &g.minimize {
-        let mut rendered: Vec<String> = lits
-            .iter()
-            .map(
-                |MinimizeLit {
-                     weight,
-                     tuple,
-                     pos,
-                     neg,
-                 }| {
-                    let t: Vec<String> = tuple.iter().map(ToString::to_string).collect();
-                    format!(
-                        "min@{prio} {weight},{} : {}; not {}",
-                        t.join(","),
-                        atoms(pos),
-                        atoms(neg)
-                    )
-                },
-            )
-            .collect();
-        rendered.sort();
-        out.extend(rendered);
-    }
-    for (p, n) in &g.shows {
-        out.push(format!("show {p}/{n}"));
-    }
-    for &a in &g.assumable {
-        out.push(format!("assume {}", atom(a)));
-    }
-    out.sort();
-    out
-}
-
 /// Exact structural equality (atom ids included) — the determinism bar for
 /// thread-count variations of the same engine.
 fn assert_identical(a: &GroundProgram, b: &GroundProgram, label: &str) {
@@ -166,32 +77,6 @@ fn assert_identical(a: &GroundProgram, b: &GroundProgram, label: &str) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn engines_ground_identical_programs(src in arb_program()) {
-        let p = parse(&src);
-        let semi = Grounder::new().ground(&p).expect("semi-naive grounds");
-        let reference = Grounder::new_reference().ground(&p).expect("reference grounds");
-        prop_assert_eq!(canon(&semi), canon(&reference), "program:\n{}", src);
-    }
-
-    #[test]
-    fn engines_agree_under_assumable_signatures(src in arb_program()) {
-        // Assumable fact handling must be identical: `u0/1` and `b1/2`
-        // facts become choice-supported assumable atoms on both engines.
-        let p = parse(&src);
-        let semi = Grounder::new()
-            .assumable("u0", 1)
-            .assumable("b1", 2)
-            .ground(&p)
-            .expect("semi-naive grounds");
-        let reference = Grounder::new_reference()
-            .assumable("u0", 1)
-            .assumable("b1", 2)
-            .ground(&p)
-            .expect("reference grounds");
-        prop_assert_eq!(canon(&semi), canon(&reference), "program:\n{}", src);
-    }
 
     #[test]
     fn thread_counts_are_bit_identical(src in arb_program()) {

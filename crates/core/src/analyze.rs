@@ -19,18 +19,26 @@
 //!   enumeration of the ground program: decisions, conflicts, restarts,
 //!   propagations, and retained learned nogoods;
 //! * **lint findings** — the full `A000`…`A014` pass over the source.
+//!
+//! Besides program files, `cpsrisk analyze --workload` analyzes one of the
+//! parametric [`Workload`] programs.
 
 use serde::{Deserialize, Serialize};
 
 use cpsrisk_asp::analysis::{
     analyze_dependencies, ground_tight, predict_sizes, simplify_with, slice_program, well_founded,
 };
-use cpsrisk_asp::{lint, Grounder, SolveOptions, Solver};
+use cpsrisk_asp::{lint, Grounder, Program, SolveOptions, Solver};
+use cpsrisk_epa::encode::{encode, EncodeMode};
+use cpsrisk_epa::workload::{
+    adversarial_needed, adversarial_problem, catalog_problem, chain_problem, grid_problem,
+    temporal_tank_problem,
+};
 
 use crate::error::CoreError;
 
 /// Schema identifier stamped into every report so downstream tooling can
-/// validate the shape it parses (mirrors the bench report's `schema`).
+/// validate the shape it parses.
 pub const ANALYZE_SCHEMA: &str = "cpsrisk-analyze/2";
 
 /// Models the search section enumerates before stopping: enough to expose
@@ -40,6 +48,129 @@ const SEARCH_MODEL_CAP: usize = 64;
 
 /// Decision+conflict budget for the search section's bounded enumeration.
 const SEARCH_BUDGET: u64 = 1_000_000;
+
+/// The seed every `catalog` workload generates its plant and threat
+/// entries from, so analyses are comparable across machines.
+pub const CATALOG_SEED: u64 = 0xC47A;
+
+/// Chain count of the catalog plant at size `n` (components).
+#[must_use]
+pub fn catalog_chains(n: usize) -> usize {
+    (n / 7).max(4)
+}
+
+/// The parametric workload programs `cpsrisk analyze --workload` builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Workload {
+    /// `chain_problem(n)` under exhaustive scenario enumeration —
+    /// enumeration-bound (`2^(n+2)` scenarios).
+    Chain,
+    /// `grid_problem(n, n)` — grounding-bound (constant scenario space,
+    /// `n²` devices).
+    Grid,
+    /// `temporal_tank_problem(n)` — grounding-bound (deterministic
+    /// dynamics unrolled over an `n`-step horizon).
+    Temporal,
+    /// `adversarial_problem(n, ⌈n/3⌉ - 1)` — search-bound: selecting
+    /// mitigations under a cardinality budget one below the covering
+    /// number of `n` circularly overlapping attack chains. UNSAT and
+    /// pigeonhole-hard, so refutation cost is pure conflict-driven
+    /// search.
+    Adversarial,
+    /// `catalog_problem(n, catalog_chains(n), CATALOG_SEED)` with
+    /// singleton scenarios — a catalog-scale plant (its full choice space
+    /// is astronomically large).
+    Catalog,
+}
+
+impl Workload {
+    /// Every workload, in presentation order. The single source of truth
+    /// behind [`Workload::parse`]'s error message and the CLI help
+    /// strings — adding a variant here is the whole registration.
+    pub const ALL: [Workload; 5] = [
+        Workload::Chain,
+        Workload::Grid,
+        Workload::Temporal,
+        Workload::Adversarial,
+        Workload::Catalog,
+    ];
+
+    /// The `a|b|c` rendering of [`Workload::ALL`] used by usage strings.
+    #[must_use]
+    pub fn names_usage() -> String {
+        let names: Vec<&str> = Self::ALL.iter().map(|w| w.as_str()).collect();
+        names.join("|")
+    }
+
+    /// The `a, b, or c` rendering of [`Workload::ALL`] used by error
+    /// messages.
+    #[must_use]
+    pub fn names_prose() -> String {
+        let names: Vec<&str> = Self::ALL.iter().map(|w| w.as_str()).collect();
+        match names.split_last() {
+            Some((last, rest)) if !rest.is_empty() => {
+                format!("{}, or {last}", rest.join(", "))
+            }
+            _ => names.join(""),
+        }
+    }
+
+    /// Parse a `--workload` value.
+    ///
+    /// # Errors
+    ///
+    /// A message listing every name in [`Workload::ALL`].
+    pub fn parse(s: &str) -> Result<Self, String> {
+        Self::ALL
+            .iter()
+            .copied()
+            .find(|w| w.as_str() == s)
+            .ok_or_else(|| format!("unknown workload `{s}` (expected {})", Self::names_prose()))
+    }
+
+    /// The workload's name.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Workload::Chain => "chain",
+            Workload::Grid => "grid",
+            Workload::Temporal => "temporal",
+            Workload::Adversarial => "adversarial",
+            Workload::Catalog => "catalog",
+        }
+    }
+
+    /// Default size parameter when `--n` is not given: chain length 8,
+    /// grid side 12, temporal horizon 24, adversarial chain count 27
+    /// (tens of milliseconds of CDCL refutation), catalog component count
+    /// 160 (hundreds of elements).
+    #[must_use]
+    pub fn default_n(self) -> usize {
+        match self {
+            Workload::Chain => 8,
+            Workload::Grid => 12,
+            Workload::Temporal => 24,
+            Workload::Adversarial => 27,
+            Workload::Catalog => 160,
+        }
+    }
+
+    /// The workload's ASP program at size `n`.
+    #[must_use]
+    pub fn program(self, n: usize) -> Program {
+        let exhaustive = |max_faults| EncodeMode::Exhaustive { max_faults };
+        match self {
+            Workload::Chain => encode(&chain_problem(n), &exhaustive(None)),
+            Workload::Grid => encode(&grid_problem(n, n), &exhaustive(None)),
+            Workload::Temporal => temporal_tank_problem(n),
+            Workload::Adversarial => adversarial_problem(n, adversarial_needed(n) - 1),
+            Workload::Catalog => encode(
+                &catalog_problem(n, catalog_chains(n), CATALOG_SEED),
+                &exhaustive(Some(1)),
+            ),
+        }
+    }
+}
 
 /// One lint finding, flattened for the JSON report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -562,6 +693,34 @@ mod tests {
         assert_eq!(r.size.actual_rules, 0);
         assert_eq!(r.schema, ANALYZE_SCHEMA);
         assert_eq!(r.consequences.atoms, 0);
+    }
+
+    #[test]
+    fn unknown_workload_error_lists_the_valid_names() {
+        let err = Workload::parse("catalogue").unwrap_err();
+        for w in Workload::ALL {
+            assert!(
+                err.contains(w.as_str()),
+                "error should list `{}`: {err}",
+                w.as_str()
+            );
+        }
+        // The same registry feeds the CLI help strings.
+        for w in Workload::ALL {
+            assert!(Workload::names_usage().contains(w.as_str()));
+            assert!(Workload::names_prose().contains(w.as_str()));
+            assert_eq!(Workload::parse(w.as_str()), Ok(w));
+        }
+    }
+
+    #[test]
+    fn workload_programs_analyze_cleanly() {
+        for w in Workload::ALL {
+            let src = w.program(w.default_n().min(6)).to_string();
+            let r = analyze_source(w.as_str(), &src).unwrap();
+            assert_eq!(r.errors(), 0, "{}", w.as_str());
+            assert!(r.size.actual_rules > 0, "{}", w.as_str());
+        }
     }
 
     #[test]

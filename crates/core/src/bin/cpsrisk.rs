@@ -11,7 +11,6 @@
 //! cpsrisk lint [file.lp ...]     static-analyze ASP programs / the case study
 //! cpsrisk analyze <file.lp ...>  semantic analysis: strata, tightness, sizes
 //! cpsrisk simulate f1,f2         simulate the plant under a fault set
-//! cpsrisk bench [--workload W]   measure the ASP hot path, write BENCH_asp.json
 //! ```
 
 use std::process::ExitCode;
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
         "lint" => lint(&args[1..]),
         "analyze" => analyze(&args[1..]),
         "simulate" => simulate(&args[1..]),
-        "bench" => bench(&args[1..]),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -65,7 +63,7 @@ fn main() -> ExitCode {
 }
 
 fn print_help() {
-    let workloads = cpsrisk::bench::Workload::names_usage();
+    let workloads = cpsrisk::analyze::Workload::names_usage();
     println!(
         "cpsrisk — preliminary risk and mitigation assessment in cyber-physical systems\n\n\
          USAGE: cpsrisk <command> [options]\n\n\
@@ -80,8 +78,8 @@ fn print_help() {
          \x20                        (lint gate: errors abort, warnings go to stderr;\n\
          \x20                        --certify writes a self-contained proof the\n\
          \x20                        independent checker can replay)\n\
-         \x20 check <file.proof>     replay a certificate emitted by solve/bench\n\
-         \x20                        --certify: re-ground the embedded program and\n\
+         \x20 check <file.proof>     replay a certificate emitted by solve --certify:\n\
+         \x20                        re-ground the embedded program and\n\
          \x20                        verify every inference, model, and refutation\n\
          \x20                        with the solver-independent checker\n\
          \x20 lint [--deny-warnings] [file.lp | - ...]\n\
@@ -99,21 +97,6 @@ fn print_help() {
          \x20                        fails on error findings or when the prediction\n\
          \x20                        diverges past R\n\
          \x20 simulate <f1,f2,...>   simulate the continuous plant under a fault set\n\
-         \x20 bench [--workload {workloads}] [--n N]\n\
-         \x20       [--threads T] [--steal-batch B] [--max-in-flight M]\n\
-         \x20       [--certify] [--proof-out FILE]\n\
-         \x20       [--out FILE]     measure the ASP hot path on a parametric workload\n\
-         \x20                        (grounding: reference vs semi-naive; solving:\n\
-         \x20                        reference vs CDCL; CDCL search counters on the\n\
-         \x20                        UNSAT adversarial workload; incremental + the\n\
-         \x20                        work-stealing vs static-chunk sweep with a\n\
-         \x20                        memory-bounded streaming pass on EPA workloads;\n\
-         \x20                        incremental vs from-scratch horizon sweep on\n\
-         \x20                        the horizon workload; --certify adds the\n\
-         \x20                        proof-logging overhead + independent-check\n\
-         \x20                        section and writes the certificate)\n\
-         \x20                        and write a JSON report;\n\
-         \x20                        `--validate FILE` checks an existing report\n\
          \x20 help                   this message"
     );
 }
@@ -269,7 +252,7 @@ fn check(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let (src, log) = cpsrisk::asp::ProofLog::from_text(&text)?;
     let src = src.ok_or(
         "proof file embeds no program source; \
-         re-emit it with `cpsrisk solve --certify` or `cpsrisk bench --certify`",
+         re-emit it with `cpsrisk solve --certify`",
     )?;
     let program = cpsrisk::asp::parse(&src)?;
     let ground = cpsrisk::asp::Grounder::new().ground(&program)?;
@@ -367,7 +350,7 @@ fn read_program_input(path: &str) -> Result<(String, String), Box<dyn std::error
 
 fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut json = false;
-    let mut workload: Option<cpsrisk::bench::Workload> = None;
+    let mut workload: Option<cpsrisk::analyze::Workload> = None;
     let mut n: Option<usize> = None;
     let mut max_divergence: Option<f64> = None;
     let mut files: Vec<String> = Vec::new();
@@ -381,7 +364,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
         match arg.as_str() {
             "--json" => json = true,
             "--workload" => {
-                workload = Some(cpsrisk::bench::Workload::parse(&value("--workload")?)?);
+                workload = Some(cpsrisk::analyze::Workload::parse(&value("--workload")?)?);
             }
             "--n" => n = Some(value("--n")?.parse()?),
             "--max-divergence" => max_divergence = Some(value("--max-divergence")?.parse()?),
@@ -400,7 +383,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
             "usage: cpsrisk analyze <file.lp ...> [--json] \
              [--workload {} [--n N]] \
              [--max-divergence R]",
-            cpsrisk::bench::Workload::names_usage()
+            cpsrisk::analyze::Workload::names_usage()
         )
         .into());
     }
@@ -413,37 +396,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(w) = workload {
         let n = n.unwrap_or_else(|| w.default_n());
-        let program = match w {
-            cpsrisk::bench::Workload::Chain => cpsrisk::epa::encode::encode(
-                &cpsrisk::epa::workload::chain_problem(n),
-                &cpsrisk::epa::encode::EncodeMode::Exhaustive { max_faults: None },
-            ),
-            cpsrisk::bench::Workload::Grid => cpsrisk::epa::encode::encode(
-                &cpsrisk::epa::workload::grid_problem(n, n),
-                &cpsrisk::epa::encode::EncodeMode::Exhaustive { max_faults: None },
-            ),
-            cpsrisk::bench::Workload::Temporal => cpsrisk::epa::workload::temporal_tank_problem(n),
-            // The horizon workload analyzes the same tank unrolling at
-            // its top horizon (the sweep itself is a bench-only measure).
-            cpsrisk::bench::Workload::Horizon => cpsrisk::epa::workload::temporal_tank_problem(n),
-            cpsrisk::bench::Workload::Adversarial => cpsrisk::epa::workload::adversarial_problem(
-                n,
-                cpsrisk::epa::workload::adversarial_needed(n) - 1,
-            ),
-            // The catalog's full choice space is astronomically large;
-            // analyze the singleton-bounded encoding, like the bench's
-            // grounding/solve sections do.
-            cpsrisk::bench::Workload::Catalog => cpsrisk::epa::encode::encode(
-                &cpsrisk::epa::workload::catalog_problem(
-                    n,
-                    cpsrisk::bench::catalog_chains(n),
-                    cpsrisk::bench::CATALOG_SEED,
-                ),
-                &cpsrisk::epa::encode::EncodeMode::Exhaustive {
-                    max_faults: Some(1),
-                },
-            ),
-        };
+        let program = w.program(n);
         inputs.push((
             format!("workload:{}(n={n})", w.as_str()),
             program.to_string(),
@@ -512,306 +465,6 @@ fn simulate(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let q = cpsrisk::plant::qualitative::abstract_levels(&run)?;
     println!("qualitative level path: {}", q.level_path().join(" -> "));
-    Ok(())
-}
-
-fn bench(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut workload = cpsrisk::bench::Workload::Chain;
-    let mut n: Option<usize> = None;
-    // Env-derived defaults (CPSRISK_THREADS etc.); flags override.
-    let mut opts = cpsrisk::epa::SweepOptions::default();
-    let mut out = "BENCH_asp.json".to_owned();
-    let mut validate: Option<String> = None;
-    let mut baseline_ms: Option<f64> = None;
-    let mut certify = false;
-    let mut proof_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--workload" => workload = cpsrisk::bench::Workload::parse(&value("--workload")?)?,
-            "--n" => n = Some(value("--n")?.parse()?),
-            "--threads" => {
-                opts.threads = value("--threads")?.parse()?;
-                if opts.threads == 0 {
-                    return Err("--threads must be >= 1".into());
-                }
-            }
-            "--steal-batch" => {
-                opts.steal_batch = value("--steal-batch")?.parse()?;
-                if opts.steal_batch == 0 {
-                    return Err("--steal-batch must be >= 1".into());
-                }
-            }
-            "--max-in-flight" => {
-                opts.max_in_flight = value("--max-in-flight")?.parse()?;
-                if opts.max_in_flight == 0 {
-                    return Err("--max-in-flight must be >= 1".into());
-                }
-            }
-            "--out" => out = value("--out")?,
-            "--validate" => validate = Some(value("--validate")?),
-            "--baseline-ms" => baseline_ms = Some(value("--baseline-ms")?.parse()?),
-            "--certify" => certify = true,
-            "--proof-out" => proof_out = Some(value("--proof-out")?),
-            other => {
-                return Err(format!(
-                    "unknown bench flag `{other}` \
-                     (try --workload/--n/--threads/--steal-batch/--max-in-flight\
-                     /--out/--validate/--baseline-ms/--certify/--proof-out)"
-                )
-                .into())
-            }
-        }
-    }
-    let n = n.unwrap_or_else(|| workload.default_n());
-
-    if let Some(path) = validate {
-        let json = std::fs::read_to_string(&path)?;
-        let report = cpsrisk::bench::validate(&json).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "{path}: valid {} report ({} workload, n={}, grounding {:.2}x, \
-             solver engines {:.2}x)",
-            report.schema,
-            report.workload,
-            report.n,
-            report.grounding.speedup,
-            report.solve.engine_speedup
-        );
-        return Ok(());
-    }
-
-    if proof_out.is_some() && !certify {
-        return Err("--proof-out requires --certify".into());
-    }
-    let (report, proof) = if certify {
-        let (report, proof) = cpsrisk::bench::run_certified(workload, n, &opts, baseline_ms)?;
-        (report, Some(proof))
-    } else {
-        (cpsrisk::bench::run(workload, n, &opts, baseline_ms)?, None)
-    };
-    std::fs::write(&out, serde_json::to_string_pretty(&report)? + "\n")?;
-    let g = &report.grounding;
-    println!(
-        "{}({n}): {} ground atoms / {} rules, {:.1} ms end to end",
-        report.workload, g.atoms, g.rules, report.total_ms
-    );
-    println!(
-        "  grounding: reference {:.1} ms vs semi-naive {:.1} ms = {:.2}x \
-         (parallel {:.1} ms on {} thread(s); equivalence: {}, determinism: {})",
-        g.reference_ms,
-        g.seminaive_ms,
-        g.speedup,
-        g.parallel_ms,
-        g.threads,
-        if g.matches_reference {
-            "ok"
-        } else {
-            "MISMATCH"
-        },
-        if g.parallel_matches_single {
-            "ok"
-        } else {
-            "MISMATCH"
-        }
-    );
-    for e in [&report.solve.baseline, &report.solve.optimized] {
-        println!(
-            "  {} solver: {:.1} ms, {} model(s) ({:.0} models/s, {} decisions, \
-             {} propagations)",
-            e.mode, e.solve_ms, e.models, e.models_per_sec, e.decisions, e.propagations
-        );
-    }
-    println!(
-        "  solver engine speedup: {:.2}x",
-        report.solve.engine_speedup
-    );
-    let t = &report.tight_solve;
-    println!(
-        "  tight fast path: {} ({:.1} ms vs closure {:.1} ms = {:.2}x, model check: {})",
-        if t.tight {
-            "active"
-        } else {
-            "inactive (not tight)"
-        },
-        t.fast_ms,
-        t.closure_ms,
-        t.speedup,
-        if t.matches { "ok" } else { "MISMATCH" }
-    );
-    let w = &report.wfm;
-    println!(
-        "  well-founded: {:.1} ms, {}/{} atoms decided ({} true, {} false), \
-         rules {} -> {}, {}/{} scenario(s) decided without search \
-         (simplify check: {}, static check: {})",
-        w.wfm_ms,
-        w.true_atoms + w.false_atoms,
-        w.atoms,
-        w.true_atoms,
-        w.false_atoms,
-        w.rules_before,
-        w.rules_after,
-        w.statically_decided,
-        w.scenarios,
-        if w.simplified_matches {
-            "ok"
-        } else {
-            "MISMATCH"
-        },
-        if w.static_matches_search {
-            "ok"
-        } else {
-            "MISMATCH"
-        }
-    );
-    if let Some(se) = &report.search {
-        println!(
-            "  cdcl search: {:.1} ms vs reference {:.1} ms = {:.2}x \
-             ({} decisions, {} conflicts, {} restarts, {} learned / {} kept nogoods, \
-             {} model(s), engine check: {})",
-            se.cdcl_ms,
-            se.reference_ms,
-            se.speedup,
-            se.decisions,
-            se.conflicts,
-            se.restarts,
-            se.learned_nogoods,
-            se.kept_nogoods,
-            se.models,
-            if se.matches_reference {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-        );
-    }
-    if let Some(pre) = &report.pre_pr {
-        println!(
-            "  vs pre-optimization build: {:.1} ms -> {:.1} ms ({:.2}x)",
-            pre.total_ms, report.total_ms, pre.speedup
-        );
-    }
-    if let Some(inc) = &report.incremental {
-        println!(
-            "  incremental: {} scenarios, fresh {:.1} ms ({:.3} ms/scenario) vs \
-             reused {:.1} ms ({:.3} ms/scenario) = {:.2}x amortized \
-             ({} nogoods, {} conflicts, outcome check: {})",
-            inc.scenarios,
-            inc.fresh_ms,
-            inc.fresh_per_scenario_ms,
-            inc.reused_ms,
-            inc.reused_per_scenario_ms,
-            inc.amortized_speedup,
-            inc.learned_nogoods,
-            inc.conflicts,
-            if inc.matches_fresh { "ok" } else { "MISMATCH" }
-        );
-    }
-    if let Some(par) = &report.parallel {
-        let util = par
-            .utilization
-            .iter()
-            .map(|u| format!("{:.0}%", u * 100.0))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "  sweep: {} queries on {} thread(s), static {:.1} ms vs stealing {:.1} ms \
-             = {:.2}x ({:.0} queries/s, {} steals of batch {}, utilization [{util}], \
-             order check: {})",
-            par.scenarios,
-            par.threads,
-            par.static_ms,
-            par.stealing_ms,
-            par.speedup,
-            par.scenarios_per_sec,
-            par.steals,
-            par.steal_batch,
-            if par.matches_sequential {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-        );
-        let st = &par.streaming;
-        println!(
-            "  streaming sweep: {:.1} ms ({:.2}x the materialized sweep), \
-             peak {} in flight (bound {}, {}; stream check: {})",
-            st.stream_ms,
-            st.overhead_ratio,
-            st.peak_in_flight,
-            st.max_in_flight,
-            if st.within_bound {
-                "within bound"
-            } else {
-                "BOUND EXCEEDED"
-            },
-            if st.matches_materialized {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-        );
-        if par.threads == 1 {
-            eprintln!(
-                "warning: the sweep ran single-threaded \
-                 (pass --threads or set CPSRISK_THREADS to use more workers)"
-            );
-        }
-    }
-    if let Some(hz) = &report.horizon {
-        println!(
-            "  horizon sweep {}..={}: incremental {:.1} ms ({:.2} ms/horizon) vs \
-             from-scratch {:.1} ms ({:.2} ms/horizon) = {:.2}x amortized \
-             (min violating {}, {} nogoods retained, slices {:?}, \
-             verdict check: {})",
-            hz.h_min,
-            hz.h_max,
-            hz.incremental_ms,
-            hz.incremental_per_horizon_ms,
-            hz.scratch_ms,
-            hz.scratch_per_horizon_ms,
-            hz.amortized_speedup,
-            hz.min_violating
-                .map_or_else(|| "none".to_owned(), |h| h.to_string()),
-            hz.retained_nogoods,
-            hz.slice_atoms,
-            if hz.verdicts_match { "ok" } else { "MISMATCH" }
-        );
-    }
-    if let Some(c) = &report.certify {
-        println!(
-            "  certify: plain {:.1} ms vs logged {:.1} ms = {:.2}x overhead \
-             ({} proof steps, {} learned; checker {:.1} ms: {} model(s) + {} \
-             refutation(s) audited, verdict check: {}, certificate: {})",
-            c.uncertified_ms,
-            c.certified_ms,
-            c.overhead_ratio,
-            c.proof_steps,
-            c.learned_steps,
-            c.check_ms,
-            c.models_audited,
-            c.unsats_audited,
-            if c.matches_uncertified {
-                "ok"
-            } else {
-                "MISMATCH"
-            },
-            if c.check_pass { "ok" } else { "REJECTED" }
-        );
-    }
-    if let Some(text) = proof {
-        let proof_path = proof_out.unwrap_or_else(|| format!("{out}.proof"));
-        std::fs::write(&proof_path, &text)?;
-        println!(
-            "wrote certificate to {proof_path} \
-             (verify with `cpsrisk check {proof_path}`)"
-        );
-    }
-    println!("wrote {out}");
     Ok(())
 }
 

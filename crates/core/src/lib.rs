@@ -42,7 +42,6 @@
 
 pub mod analyze;
 pub mod behavioral_casestudy;
-pub mod bench;
 pub mod casestudy;
 pub mod error;
 pub mod hierarchy;

@@ -223,14 +223,15 @@ pub fn analyze_fixed(
 }
 
 /// Solve a fixed scenario by re-encoding, re-grounding, and solving from
-/// scratch — the pre-incremental path, kept as the reference baseline for
-/// the equivalence tests and the `cpsrisk bench` fresh-solve column.
+/// scratch: the test oracle for the assumption-based incremental path,
+/// sharing none of its grounding or solver state.
 ///
 /// # Errors
 ///
 /// [`EpaError::Asp`] on grounding/solving failure, [`EpaError::NoModel`]
 /// if the (deterministic) program is inconsistent.
-pub fn analyze_fixed_fresh(
+#[cfg(test)]
+pub(crate) fn analyze_fixed_fresh(
     problem: &EpaProblem,
     scenario: &Scenario,
 ) -> Result<ScenarioOutcome, EpaError> {

@@ -12,9 +12,9 @@
 //! [`LearnedState`], and re-pins the new frontier with assumptions.
 //!
 //! The entry point is [`check_horizon_sweep`]; [`check_horizon_scratch`]
-//! is the from-scratch reference the benchmark and CI gate compare
-//! against (verdict equality at every horizon is a hard gate, speed is
-//! the payoff).
+//! is the from-scratch path the tests and the benchmark's horizon gate
+//! compare against (verdict equality at every horizon is a hard gate,
+//! speed is the payoff).
 
 use std::ops::RangeInclusive;
 
@@ -306,8 +306,8 @@ pub fn check_horizon_sweep(
 }
 
 /// From-scratch reference: encode, ground and solve the full fixed-horizon
-/// unrolling at `horizon`, with no session reuse. Used by the benchmark
-/// and CI to gate the incremental path on verdict equality.
+/// unrolling at `horizon`, with no session reuse. Used by the tests and
+/// the benchmark to gate the incremental path on verdict equality.
 ///
 /// # Errors
 ///

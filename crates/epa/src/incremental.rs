@@ -3,8 +3,7 @@
 //!
 //! Every fixed-scenario query against the same [`EpaProblem`] solves a
 //! near-identical ASP program — only the handful of `scenario_fault/1`
-//! facts differ. Instead of re-encoding and re-grounding per scenario (the
-//! [`analyze_fixed_fresh`](crate::encode::analyze_fixed_fresh) path), this
+//! facts differ. Instead of re-encoding and re-grounding per scenario, this
 //! module grounds the [`EncodeMode::Assumable`] encoding **once** and pins
 //! the scenario (and sensitivity-decision) toggles per query with
 //! assumption literals, in the style of clingo's multi-shot interface. One
@@ -17,7 +16,7 @@ use cpsrisk_asp::{check_proof, AspError, GroundProgram, Grounder, Lit, SolveOpti
 use crate::encode::{encode, outcome_from_atoms, outcome_from_model, EncodeMode};
 use crate::error::EpaError;
 use crate::parallel::SweepStats;
-use crate::parallel::{run_static_with, run_stealing_stream, run_stealing_with, SweepOptions};
+use crate::parallel::{run_stealing_stream, run_stealing_with, SweepOptions};
 use crate::problem::EpaProblem;
 use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::sensitivity::Decision;
@@ -244,28 +243,6 @@ impl IncrementalAnalysis {
         Ok((outcomes, stats))
     }
 
-    /// [`sweep`](Self::sweep) on the retired static-chunk scheduler — the
-    /// measured baseline `cpsrisk bench` compares the work-stealing sweep
-    /// against. Produces identical outcomes, only the schedule differs.
-    ///
-    /// # Errors
-    ///
-    /// The first (in input order) [`EpaError`] any scenario produced.
-    pub fn sweep_static(
-        &self,
-        scenarios: &[Scenario],
-        opts: &SweepOptions,
-    ) -> Result<Vec<ScenarioOutcome>, EpaError> {
-        run_static_with(
-            scenarios,
-            opts.threads,
-            || self.solver(),
-            |solver, s| self.analyze_with(solver, s),
-        )
-        .into_iter()
-        .collect()
-    }
-
     /// [`sweep`](Self::sweep) with certified spot checks: after the normal
     /// parallel sweep, a configurable fraction of the scenarios (an evenly
     /// spaced, deterministic sample; `fraction` is clamped to `(0, 1]`) is
@@ -379,6 +356,7 @@ impl IncrementalAnalysis {
 mod tests {
     use super::*;
     use crate::encode::analyze_fixed_fresh;
+    use crate::parallel::sweep_fixed;
     use crate::scenario::ScenarioSpace;
     use crate::workload::chain_problem;
 
@@ -452,6 +430,58 @@ mod tests {
         // Quarter fraction: an evenly spaced sample.
         let (_, sparse) = analysis.sweep_certified(&scenarios, &opts, 0.25).unwrap();
         assert_eq!(sparse.checked, scenarios.len().div_ceil(4));
+    }
+
+    #[test]
+    fn incremental_sweep_equals_fresh_per_scenario_path() {
+        let p = chain_problem(3);
+        let scenarios: Vec<Scenario> = ScenarioSpace::new(&p, usize::MAX).iter().collect();
+        assert_eq!(scenarios.len(), 32, "2^(3+2) scenarios");
+        // Encode + ground + solve from scratch per scenario.
+        let fresh: Vec<ScenarioOutcome> = scenarios
+            .iter()
+            .map(|s| analyze_fixed_fresh(&p, s).expect("fresh solve succeeds"))
+            .collect();
+        // The incremental path, sequential and sharded.
+        for threads in [1, 4] {
+            let incremental = sweep_fixed(&p, &scenarios, &SweepOptions::with_threads(threads))
+                .expect("incremental sweep succeeds");
+            assert_eq!(incremental, fresh, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn incremental_sweep_equals_fresh_path_under_active_mitigations() {
+        let mut p = chain_problem(2);
+        p.activate_mitigation("m_ew").unwrap();
+        // Sweep the space of the *unmitigated* problem so blocked-fault
+        // scenarios are exercised too.
+        let scenarios: Vec<Scenario> = ScenarioSpace::new(&chain_problem(2), usize::MAX)
+            .iter()
+            .collect();
+        let fresh: Vec<ScenarioOutcome> = scenarios
+            .iter()
+            .map(|s| analyze_fixed_fresh(&p, s).expect("fresh solve succeeds"))
+            .collect();
+        for threads in [1, 4] {
+            let incremental = sweep_fixed(&p, &scenarios, &SweepOptions::with_threads(threads))
+                .expect("incremental sweep succeeds");
+            assert_eq!(incremental, fresh, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn one_reused_solver_survives_a_long_query_stream() {
+        let p = chain_problem(4);
+        let analysis = IncrementalAnalysis::new(&p).expect("grounds");
+        let mut solver = analysis.solver();
+        for (i, scenario) in ScenarioSpace::new(&p, usize::MAX).iter().enumerate() {
+            let reused = analysis
+                .analyze_with(&mut solver, &scenario)
+                .expect("assumption solve succeeds");
+            let fresh = analyze_fixed_fresh(&p, &scenario).expect("fresh solve succeeds");
+            assert_eq!(reused, fresh, "query {i}: scenario {scenario}");
+        }
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub mod workload;
 pub use attack_path::{shortest_attack_paths, AttackPath};
 pub use cegar::{refine_hazards, refine_hazards_parallel, AspOracle, CegarResult, ConcreteOracle};
 pub use encode::{
-    analyze_exhaustive, analyze_fixed, analyze_fixed_fresh, cheapest_attack, encode, EncodeMode,
-    ExhaustiveAnalysis,
+    analyze_exhaustive, analyze_fixed, cheapest_attack, encode, EncodeMode, ExhaustiveAnalysis,
 };
 pub use error::EpaError;
 pub use horizon::{

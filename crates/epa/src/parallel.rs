@@ -3,8 +3,7 @@
 //! The scenario space is embarrassingly parallel, but it is no longer
 //! uniform: the conditional well-founded model decides plain scenarios in
 //! microseconds while contested margin queries take milliseconds of CDCL
-//! search. Static contiguous chunks (the old scheme, retained as
-//! `run_static_with` for benchmarking) let one hard run of scenarios
+//! search. Static contiguous chunks would let one hard run of scenarios
 //! idle every other core. The sweep therefore runs a **work-stealing
 //! scheduler**: the input is pre-split into batches of
 //! [`SweepOptions::steal_batch`] consecutive items, each worker owns a
@@ -343,38 +342,6 @@ where
     (collect_slots(out), stats)
 }
 
-/// The retired static-chunk scheme, kept as the measured baseline the
-/// work-stealing scheduler is benchmarked against: one contiguous chunk
-/// per worker, no load balancing.
-pub(crate) fn run_static_with<T, R, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, items.len());
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    let init = &init;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (input, slots) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                let mut state = init();
-                for (slot, item) in slots.iter_mut().zip(input) {
-                    *slot = Some(f(&mut state, item));
-                }
-            });
-        }
-    });
-    collect_slots(out)
-}
-
 /// Shared state of the persistent streaming pool: a bounded queue of
 /// pending batches plus finished batches awaiting in-order emission.
 struct StreamState<T, R> {
@@ -582,15 +549,6 @@ mod tests {
             }
         }
         assert!(run_stealing(&[] as &[u32], &SweepOptions::with_threads(4), |&x| x).is_empty());
-    }
-
-    #[test]
-    fn static_baseline_preserves_order() {
-        let items: Vec<u32> = (0..23).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let out = run_static_with(&items, threads, || (), |(), &x| x * 2);
-            assert_eq!(out, (0..23).map(|x| x * 2).collect::<Vec<_>>());
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Parametric benchmark workloads.
 //!
 //! Lives in the EPA crate (rather than the bench crate) so the analysis
-//! engines, the CLI `bench` subcommand, and the criterion benches can all
-//! generate identical problem instances; `cpsrisk-bench` re-exports it.
+//! engines, `cpsrisk analyze --workload`, the criterion benches and the
+//! `perfbench` benchmark can all generate identical problem instances;
+//! `cpsrisk-bench` re-exports it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,9 +19,7 @@ use crate::error::EpaError;
 use crate::incremental::IncrementalAnalysis;
 use crate::margin::AttackMargin;
 use crate::mutation::{CandidateMutation, MutationSource};
-use crate::parallel::{
-    run_static_with, run_stealing_stream, run_stealing_with, SweepOptions, SweepStats,
-};
+use crate::parallel::{run_stealing_stream, run_stealing_with, SweepOptions, SweepStats};
 use crate::problem::{EpaProblem, MitigationOption, Requirement};
 use crate::scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
 
@@ -213,8 +212,8 @@ fn tank_dynamics(b: &mut ProgramBuilder, limit: i64) {
     .pos("time", vec![Term::var("U")])
     .done();
     // ahead(C, D, T) :- reading(C, L, T), reading(D, K, T), L > K.
-    // The self-join lands on the third argument — the position the
-    // reference grounder cannot narrow on.
+    // The self-join lands on the third argument — a position a
+    // first-argument index cannot narrow on.
     b.rule(
         "ahead",
         vec![Term::var("C"), Term::var("D"), Term::var("T")],
@@ -762,26 +761,6 @@ impl CatalogAnalysis {
         Ok((results.into_iter().collect::<Result<Vec<_>, _>>()?, stats))
     }
 
-    /// [`sweep`](Self::sweep) on the static-chunk baseline scheduler.
-    ///
-    /// # Errors
-    ///
-    /// The first (in input order) [`EpaError`] any query produced.
-    pub fn sweep_static(
-        &self,
-        queries: &[CatalogQuery],
-        opts: &SweepOptions,
-    ) -> Result<Vec<CatalogAnswer>, EpaError> {
-        run_static_with(
-            queries,
-            opts.threads,
-            || self.solvers(),
-            |st, q| self.answer_with(st, q),
-        )
-        .into_iter()
-        .collect()
-    }
-
     /// Memory-bounded streaming sweep over a lazy query stream (e.g.
     /// [`catalog_queries`]): at most [`SweepOptions::max_in_flight`]
     /// queries are materialized at any moment, `emit` receives answers in
@@ -872,6 +851,71 @@ mod tests {
                 .expect("solves within budget");
             assert!(unsat.is_empty(), "n={n}: pigeonhole-hard below {needed}");
         }
+    }
+
+    #[test]
+    fn adversarial_refutation_is_certified_and_matches_the_plain_verdict() {
+        // One budget below the covering number: UNSAT, refuted through
+        // conflict-driven search, and the proof-logging run must reach the
+        // same verdict with a certificate the independent checker accepts
+        // (learned nogoods replayed by reverse unit propagation).
+        let n = 9;
+        let program = adversarial_problem(n, adversarial_needed(n) - 1);
+        let ground = cpsrisk_asp::Grounder::new().ground(&program).unwrap();
+        let plain = Solver::new(&ground)
+            .enumerate(&cpsrisk_asp::SolveOptions::default())
+            .unwrap();
+        assert!(
+            plain.models.is_empty() && plain.exhausted,
+            "UNSAT by construction"
+        );
+        assert!(
+            plain.decisions > 0 && plain.conflicts > 0,
+            "refuted by search"
+        );
+        let mut solver = Solver::new(&ground);
+        let certified = solver
+            .enumerate(&cpsrisk_asp::SolveOptions {
+                certify: true,
+                ..cpsrisk_asp::SolveOptions::default()
+            })
+            .unwrap();
+        assert_eq!(certified.models.len(), plain.models.len());
+        assert_eq!(certified.exhausted, plain.exhausted);
+        let proof = solver.take_proof().expect("certified call logs a proof");
+        assert!(!proof.is_empty());
+        let report = cpsrisk_asp::check_proof(&ground, &proof).expect("certificate checks");
+        assert_eq!(report.unsats, 1, "the refutation is audited");
+        assert!(report.learned > 0, "learned nogoods are RUP-replayed");
+    }
+
+    #[test]
+    fn temporal_tank_problem_grounds_tight_and_the_wfm_decides_it() {
+        // The deterministic unrolled dynamics need no search: the ground
+        // program is tight and its well-founded model is total and equal
+        // to the one answer set.
+        let ground = cpsrisk_asp::Grounder::new()
+            .ground(&temporal_tank_problem(8))
+            .unwrap();
+        let mut solver = Solver::new(&ground);
+        assert!(solver.tight());
+        let wfm = solver.wfm();
+        assert!(wfm.total() && !wfm.inconsistent);
+        let wfm_true: BTreeSet<String> = wfm
+            .true_atoms()
+            .map(|id| ground.atom(id).to_string())
+            .collect();
+        let result = solver
+            .enumerate(&cpsrisk_asp::SolveOptions::default())
+            .unwrap();
+        assert_eq!(result.models.len(), 1);
+        assert_eq!(result.decisions, 0, "decided without branching");
+        let model: BTreeSet<String> = result.models[0]
+            .atoms
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(model, wfm_true);
     }
 
     #[test]
@@ -976,8 +1020,6 @@ mod tests {
         let opts = SweepOptions::with_threads(4).steal_batch(1);
         let (stolen, _) = analysis.sweep(&queries, &opts).unwrap();
         assert_eq!(stolen, sequential);
-        let chunked = analysis.sweep_static(&queries, &opts).unwrap();
-        assert_eq!(chunked, sequential);
 
         let mut streamed: Vec<Option<CatalogAnswer>> = vec![None; queries.len()];
         let stream_opts = SweepOptions::with_threads(4)

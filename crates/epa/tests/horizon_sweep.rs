@@ -28,6 +28,7 @@ fn sweep_matches_scratch_at_every_horizon() {
         Some(temporal_tank_min_violating(limit)),
         "minimal violating horizon"
     );
+    assert_eq!(report.slice_atoms.len(), 10, "one slice per extension");
     // Per-slice growth must be bounded: no extension may ground more than
     // a small multiple of the smallest extension.
     let min = report

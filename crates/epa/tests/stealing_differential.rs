@@ -61,9 +61,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// On randomly permuted chain-workload scenario streams, the
-    /// stealing sweep, the static-chunk baseline, and the streaming pass
-    /// all reproduce the sequential outcome stream bit for bit, for
-    /// every thread count and batch size.
+    /// stealing sweep reproduces the sequential outcome stream bit for
+    /// bit, for every thread count and batch size.
     #[test]
     fn stealing_matches_sequential_on_permuted_streams(
         n in 1usize..=3,
@@ -87,8 +86,6 @@ proptest! {
                 prop_assert_eq!(&stolen, &sequential, "threads={} batch={}", threads, batch);
                 prop_assert_eq!(totals(&stolen), expected_totals);
                 prop_assert_eq!(stats.processed.iter().sum::<usize>(), scenarios.len());
-                let chunked = analysis.sweep_static(&scenarios, &o).expect("static");
-                prop_assert_eq!(&chunked, &sequential, "threads={} batch={}", threads, batch);
             }
         }
     }
@@ -152,8 +149,6 @@ fn catalog_mixed_queries_agree_across_all_scheduler_configs() {
             let o = opts(threads, batch).max_in_flight(16);
             let (stolen, _) = analysis.sweep(&queries, &o).expect("stealing");
             assert_eq!(stolen, sequential, "threads={threads} batch={batch}");
-            let chunked = analysis.sweep_static(&queries, &o).expect("static");
-            assert_eq!(chunked, sequential, "threads={threads} batch={batch}");
             let mut streamed = vec![None; queries.len()];
             let stats = analysis
                 .sweep_streaming(catalog_queries(&space, &ranked, 4), &o, |i, a| {

@@ -262,87 +262,17 @@ fn bad_fault_ids_are_rejected() {
 }
 
 #[test]
-fn bench_writes_a_validatable_report() {
-    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cpsrisk_bench_cli_test.json");
-    let out = out.to_str().unwrap();
-    let (stdout, stderr, ok) = run(&["bench", "--n", "2", "--threads", "2", "--out", out]);
-    assert!(ok, "bench runs: {stderr}");
-    assert!(stdout.contains("chain(2):"), "{stdout}");
-    assert!(stdout.contains("grounding: reference"), "{stdout}");
-    assert!(stdout.contains("equivalence: ok"), "{stdout}");
-    assert!(stdout.contains("determinism: ok"), "{stdout}");
-    assert!(stdout.contains("solver engine speedup:"), "{stdout}");
-    assert!(stdout.contains("amortized"), "{stdout}");
-    assert!(stdout.contains("outcome check: ok"), "{stdout}");
-    assert!(stdout.contains("order check: ok"), "{stdout}");
-    assert!(stdout.contains("static"), "{stdout}");
-    assert!(stdout.contains("stealing"), "{stdout}");
-    assert!(stdout.contains("streaming sweep:"), "{stdout}");
-    assert!(stdout.contains("stream check: ok"), "{stdout}");
-    // The written report passes the built-in validator.
-    let (stdout, stderr, ok) = run(&["bench", "--validate", out]);
-    assert!(ok, "validate accepts the fresh report: {stderr}");
-    assert!(stdout.contains("valid cpsrisk-bench/9 report"), "{stdout}");
-    std::fs::remove_file(out).ok();
-    // A grounding-bound workload skips the EPA-only sections.
-    let (stdout, stderr, ok) = run(&["bench", "--workload", "temporal", "--n", "6", "--out", out]);
-    assert!(ok, "temporal bench runs: {stderr}");
-    assert!(stdout.contains("temporal(6):"), "{stdout}");
-    assert!(!stdout.contains("amortized"), "{stdout}");
-    std::fs::remove_file(out).ok();
-    // The search-bound adversarial workload reports CDCL counters and
-    // validates despite its (correct) empty model set.
-    let (stdout, stderr, ok) = run(&[
-        "bench",
-        "--workload",
-        "adversarial",
-        "--n",
-        "15",
-        "--out",
-        out,
-    ]);
-    assert!(ok, "adversarial bench runs: {stderr}");
-    assert!(stdout.contains("adversarial(15):"), "{stdout}");
-    assert!(stdout.contains("cdcl search:"), "{stdout}");
-    assert!(stdout.contains("engine check: ok"), "{stdout}");
-    let (stdout, stderr, ok) = run(&["bench", "--validate", out]);
-    assert!(ok, "validate accepts the adversarial report: {stderr}");
-    assert!(stdout.contains("valid cpsrisk-bench/9 report"), "{stdout}");
-    std::fs::remove_file(out).ok();
-    // The horizon workload reports the incremental sweep and validates.
-    let (stdout, stderr, ok) = run(&["bench", "--workload", "horizon", "--n", "12", "--out", out]);
-    assert!(ok, "horizon bench runs: {stderr}");
-    assert!(stdout.contains("horizon(12):"), "{stdout}");
-    assert!(stdout.contains("horizon sweep 8..=12:"), "{stdout}");
-    assert!(stdout.contains("verdict check: ok"), "{stdout}");
-    let (stdout, stderr, ok) = run(&["bench", "--validate", out]);
-    assert!(ok, "validate accepts the horizon report: {stderr}");
-    assert!(stdout.contains("valid cpsrisk-bench/9 report"), "{stdout}");
-    std::fs::remove_file(out).ok();
-    // Unknown flags and workloads are rejected.
-    let (_, stderr, ok) = run(&["bench", "--frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown bench flag"), "{stderr}");
-    let (_, stderr, ok) = run(&["bench", "--workload", "mesh"]);
+fn analyze_rejects_an_unknown_workload() {
+    let (_, stderr, ok) = run(&["analyze", "--workload", "mesh"]);
     assert!(!ok);
     assert!(stderr.contains("unknown workload"), "{stderr}");
     // The error names every valid workload.
-    for name in [
-        "chain",
-        "grid",
-        "temporal",
-        "adversarial",
-        "catalog",
-        "horizon",
-    ] {
+    for name in ["chain", "grid", "temporal", "adversarial", "catalog"] {
         assert!(
             stderr.contains(name),
             "error should list `{name}`: {stderr}"
         );
     }
-    let (_, stderr, ok) = run(&["bench", "--steal-batch", "0"]);
-    assert!(!ok);
-    assert!(stderr.contains("--steal-batch must be >= 1"), "{stderr}");
 }
 
 #[test]
@@ -369,39 +299,28 @@ fn certified_solving_round_trips_through_check() {
     std::fs::remove_file(&lp).ok();
     std::fs::remove_file(proof).ok();
     std::fs::remove_file(corrupt).ok();
-    // `bench --certify` emits a checkable proof next to the report.
-    let out = tmp.join("cpsrisk_cli_certify_bench.json");
-    let out = out.to_str().unwrap();
-    let bench_proof = tmp.join("cpsrisk_cli_certify_bench.proof");
-    let bench_proof = bench_proof.to_str().unwrap();
-    let (stdout, stderr, ok) = run(&[
-        "bench",
-        "--workload",
-        "adversarial",
-        "--n",
-        "9",
-        "--certify",
-        "--out",
-        out,
-        "--proof-out",
-        bench_proof,
-    ]);
-    assert!(ok, "certified bench runs: {stderr}");
-    assert!(stdout.contains("certify:"), "{stdout}");
-    assert!(stdout.contains("certificate: ok"), "{stdout}");
-    let (stdout, stderr, ok) = run(&["bench", "--validate", out]);
-    assert!(ok, "validate accepts the certified report: {stderr}");
-    assert!(stdout.contains("valid cpsrisk-bench/9 report"), "{stdout}");
-    let (stdout, stderr, ok) = run(&["check", bench_proof]);
-    assert!(ok, "checker accepts the bench certificate: {stderr}");
-    assert!(stdout.contains("certificate OK"), "{stdout}");
-    std::fs::remove_file(out).ok();
-    std::fs::remove_file(bench_proof).ok();
-    // --proof-out without --certify is rejected.
-    let (_, stderr, ok) = run(&["bench", "--proof-out", bench_proof]);
-    assert!(!ok);
-    assert!(
-        stderr.contains("--proof-out requires --certify"),
-        "{stderr}"
+    // A conflict-heavy refutation: the adversarial workload one budget
+    // below its covering number is UNSAT, and its certificate carries
+    // learned nogoods the stand-alone checker replays by reverse unit
+    // propagation.
+    let n = 9;
+    let unsat = tmp.join("cpsrisk_cli_adversarial.lp");
+    let program = cpsrisk::epa::workload::adversarial_problem(
+        n,
+        cpsrisk::epa::workload::adversarial_needed(n) - 1,
     );
+    std::fs::write(&unsat, program.to_string()).unwrap();
+    let proof = tmp.join("cpsrisk_cli_adversarial.proof");
+    let proof = proof.to_str().unwrap();
+    let (stdout, stderr, ok) = run(&["solve", unsat.to_str().unwrap(), "--certify", proof]);
+    assert!(ok, "certified adversarial solve runs: {stderr}");
+    assert!(stdout.contains("0 model(s)"), "{stdout}");
+    assert!(stdout.contains("wrote certificate"), "{stdout}");
+    let (stdout, stderr, ok) = run(&["check", proof]);
+    assert!(ok, "checker accepts the refutation: {stderr}");
+    assert!(stdout.contains("certificate OK"), "{stdout}");
+    assert!(stdout.contains("1 refutation(s) replayed"), "{stdout}");
+    assert!(!stdout.contains(" 0 learned"), "{stdout}");
+    std::fs::remove_file(&unsat).ok();
+    std::fs::remove_file(proof).ok();
 }
