@@ -32,6 +32,16 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 # must pass, so removing an API it uses fails here.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --offline --manifest-path perfbench/Cargo.toml
+# A one-second traced sweep runs the benchmark's correctness gate: ASP
+# answers against the direct engine, one-thread sweep equality, probe
+# grounding against the resident programs, and static verdicts against
+# the sweep. The result is the last line of standard output.
+result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep --seconds 1 --trace 1 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$result" || ! grep -Eq '"failed": 0[,}]' <<<"$result"; then
+    echo "ci.sh: perfbench sweep smoke run failed its correctness gate: ${result:0:200}" >&2
+    exit 1
+fi
 
 # Static-analysis gate: the example programs must analyze without
 # error-severity findings, and on the temporal workload the grounding-size

@@ -155,11 +155,35 @@ impl Workload {
         }
     }
 
-    /// The workload's ASP program at size `n`.
+    /// Smallest size parameter the workload's generator accepts: a grid
+    /// needs one device, the temporal tank a horizon of two steps, and the
+    /// adversarial covering three chains for one full circular window.
     #[must_use]
-    pub fn program(self, n: usize) -> Program {
-        let exhaustive = |max_faults| EncodeMode::Exhaustive { max_faults };
+    pub fn min_n(self) -> usize {
         match self {
+            Workload::Chain | Workload::Catalog => 0,
+            Workload::Grid => 1,
+            Workload::Temporal => 2,
+            Workload::Adversarial => 3,
+        }
+    }
+
+    /// The workload's ASP program at size `n`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the minimum when `n` is below
+    /// [`min_n`](Self::min_n).
+    pub fn program(self, n: usize) -> Result<Program, String> {
+        if n < self.min_n() {
+            return Err(format!(
+                "workload `{}` needs --n >= {} (got {n})",
+                self.as_str(),
+                self.min_n()
+            ));
+        }
+        let exhaustive = |max_faults| EncodeMode::Exhaustive { max_faults };
+        Ok(match self {
             Workload::Chain => encode(&chain_problem(n), &exhaustive(None)),
             Workload::Grid => encode(&grid_problem(n, n), &exhaustive(None)),
             Workload::Temporal => temporal_tank_problem(n),
@@ -168,7 +192,7 @@ impl Workload {
                 &catalog_problem(n, catalog_chains(n), CATALOG_SEED),
                 &exhaustive(Some(1)),
             ),
-        }
+        })
     }
 }
 
@@ -716,7 +740,7 @@ mod tests {
     #[test]
     fn workload_programs_analyze_cleanly() {
         for w in Workload::ALL {
-            let src = w.program(w.default_n().min(6)).to_string();
+            let src = w.program(w.default_n().min(6)).unwrap().to_string();
             let r = analyze_source(w.as_str(), &src).unwrap();
             assert_eq!(r.errors(), 0, "{}", w.as_str());
             assert!(r.size.actual_rules > 0, "{}", w.as_str());

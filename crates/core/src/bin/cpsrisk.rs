@@ -396,7 +396,7 @@ fn analyze(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     if let Some(w) = workload {
         let n = n.unwrap_or_else(|| w.default_n());
-        let program = w.program(n);
+        let program = w.program(n)?;
         inputs.push((
             format!("workload:{}(n={n})", w.as_str()),
             program.to_string(),

@@ -12,9 +12,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::incremental::IncrementalAnalysis;
-use crate::parallel::{run_stealing_with, SweepOptions};
 use crate::scenario::ScenarioOutcome;
+use crate::session::{Answer, Query, Session, Solvers};
 
 /// A concrete oracle answering whether an abstract finding is real.
 pub trait ConcreteOracle {
@@ -22,38 +21,42 @@ pub trait ConcreteOracle {
     fn confirms(&self, outcome: &ScenarioOutcome, requirement: &str) -> bool;
 }
 
-/// A concrete oracle backed by the incremental ASP analysis of a (usually
-/// refined) problem. The refinement loop consults the oracle once per
+/// A concrete oracle backed by the ASP [`Session`] of a (usually refined)
+/// problem. The refinement loop consults the oracle once per
 /// `(hazard, requirement)` pair — a family of near-identical solves that
 /// the oracle answers from **one** shared ground program with one reused
-/// solver, re-checking each abstract hazard's scenario as an assumption
-/// set.
+/// solver, re-checking each abstract hazard's scenario as an outcome
+/// query.
 ///
 /// If a query fails to solve, the hazard is conservatively **confirmed**:
 /// CEGAR only ever removes findings, and an oracle error must never drop a
 /// potentially real hazard.
 pub struct AspOracle<'a> {
-    analysis: &'a IncrementalAnalysis,
-    solver: RefCell<cpsrisk_asp::Solver<'a>>,
+    session: &'a Session,
+    solvers: RefCell<Solvers<'a>>,
 }
 
 impl<'a> AspOracle<'a> {
-    /// An oracle over an already-grounded incremental analysis.
+    /// An oracle over an already-grounded session.
     #[must_use]
-    pub fn new(analysis: &'a IncrementalAnalysis) -> Self {
+    pub fn new(session: &'a Session) -> Self {
         AspOracle {
-            analysis,
-            solver: RefCell::new(analysis.solver()),
+            session,
+            solvers: RefCell::new(session.solvers()),
         }
     }
 }
 
 impl ConcreteOracle for AspOracle<'_> {
     fn confirms(&self, outcome: &ScenarioOutcome, requirement: &str) -> bool {
-        let mut solver = self.solver.borrow_mut();
-        self.analysis
-            .analyze_with(&mut solver, &outcome.scenario)
-            .map_or(true, |o| o.violated.contains(requirement))
+        let query = Query::Outcome(outcome.scenario.clone());
+        match self
+            .session
+            .answer_with(&mut self.solvers.borrow_mut(), &query)
+        {
+            Ok(Answer::Outcome(o)) => o.violated.contains(requirement),
+            _ => true,
+        }
     }
 }
 
@@ -110,57 +113,6 @@ pub fn refine_hazards(hazards: &[ScenarioOutcome], oracle: &dyn ConcreteOracle) 
         for r in &h.violated {
             oracle_calls += 1;
             if oracle.confirms(h, r) {
-                kept.insert(r.clone());
-            } else {
-                refuted.insert(r.clone());
-            }
-        }
-        if !refuted.is_empty() {
-            spurious.push((h.clone(), refuted));
-        }
-        if !kept.is_empty() {
-            let mut c = h.clone();
-            c.violated = kept;
-            confirmed.push(c);
-        }
-    }
-    CegarResult {
-        confirmed,
-        spurious,
-        oracle_calls,
-    }
-}
-
-/// [`refine_hazards`] with the ASP oracle's concrete solves fanned out
-/// across the work-stealing scheduler: each hazard's scenario is
-/// re-evaluated once on a per-worker reused solver over `analysis`'s
-/// shared ground program, and every violated requirement of the hazard is
-/// checked against that concrete outcome. Produces exactly the result of
-/// `refine_hazards(hazards, &AspOracle::new(analysis))` — including the
-/// conservative confirm-on-error rule — at any thread count.
-#[must_use]
-pub fn refine_hazards_parallel(
-    analysis: &IncrementalAnalysis,
-    hazards: &[ScenarioOutcome],
-    opts: &SweepOptions,
-) -> CegarResult {
-    let (outcomes, _) = run_stealing_with(
-        hazards,
-        opts,
-        || analysis.solver(),
-        |solver, h: &ScenarioOutcome| analysis.analyze_with(solver, &h.scenario).ok(),
-    );
-    let mut confirmed = Vec::new();
-    let mut spurious = Vec::new();
-    let mut oracle_calls = 0usize;
-    for (h, concrete) in hazards.iter().zip(outcomes) {
-        let mut kept = BTreeSet::new();
-        let mut refuted = BTreeSet::new();
-        for r in &h.violated {
-            oracle_calls += 1;
-            // An oracle error must never drop a potentially real hazard.
-            let confirms = concrete.as_ref().is_none_or(|o| o.violated.contains(r));
-            if confirms {
                 kept.insert(r.clone());
             } else {
                 refuted.insert(r.clone());
@@ -265,7 +217,7 @@ mod tests {
         assert!(!hazards.is_empty());
 
         // Concrete level 1: the same problem — everything is confirmed.
-        let same = IncrementalAnalysis::new(&abstract_p).unwrap();
+        let same = Session::new(&abstract_p, None).unwrap();
         let result = refine_hazards(&hazards, &AspOracle::new(&same));
         assert_eq!(result.confirmed, hazards, "no hazard may be dropped");
         assert!(result.spurious.is_empty());
@@ -281,7 +233,7 @@ mod tests {
         {
             refined_p.activate_mitigation(&id).unwrap();
         }
-        let refined = IncrementalAnalysis::new(&refined_p).unwrap();
+        let refined = Session::new(&refined_p, None).unwrap();
         let result = refine_hazards(&hazards, &AspOracle::new(&refined));
         let direct = TopologyAnalysis::new(&refined_p);
         for h in &hazards {
@@ -296,39 +248,6 @@ mod tests {
                     h.scenario
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_refinement_matches_the_sequential_oracle_loop() {
-        use crate::scenario::ScenarioSpace;
-        use crate::topology::TopologyAnalysis;
-        use crate::workload::chain_problem;
-
-        let abstract_p = chain_problem(2);
-        let hazards: Vec<ScenarioOutcome> = {
-            let direct = TopologyAnalysis::new(&abstract_p);
-            ScenarioSpace::new(&abstract_p, usize::MAX)
-                .iter()
-                .map(|s| direct.evaluate(&s))
-                .filter(ScenarioOutcome::is_hazard)
-                .collect()
-        };
-        let mut refined_p = abstract_p.clone();
-        for id in refined_p
-            .mitigations
-            .iter()
-            .map(|m| m.id.clone())
-            .collect::<Vec<_>>()
-        {
-            refined_p.activate_mitigation(&id).unwrap();
-        }
-        let refined = IncrementalAnalysis::new(&refined_p).unwrap();
-        let sequential = refine_hazards(&hazards, &AspOracle::new(&refined));
-        for threads in [1, 4] {
-            let opts = crate::parallel::SweepOptions::with_threads(threads).steal_batch(1);
-            let parallel = refine_hazards_parallel(&refined, &hazards, &opts);
-            assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
 

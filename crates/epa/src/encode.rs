@@ -30,9 +30,8 @@ pub enum EncodeMode {
     /// Multi-shot form: every scenario/decision toggle becomes an
     /// *assumable* fact (`scenario_fault/1`, `fault_enabled/1`,
     /// `active_mitigation/2`) so one ground program answers every fixed
-    /// scenario — and every sensitivity variant — via
-    /// [`Solver::solve_with_assumptions`]. Used by
-    /// [`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis).
+    /// scenario via [`Solver::solve_with_assumptions`]. Used by outcome
+    /// queries of a [`Session`](crate::session::Session).
     Assumable,
     /// Multi-shot **attack-extension** form: the [`Assumable`] vocabulary
     /// plus an assumable `target/1` fact per requirement, a bounded choice
@@ -42,7 +41,8 @@ pub enum EncodeMode {
     /// satisfiable iff some extension of at most `budget` faults violates
     /// the targeted requirement. Unlike the WFM-decided [`Assumable`]
     /// queries this leaves real choice atoms open: answering takes CDCL
-    /// search. Used by [`AttackMargin`](crate::margin::AttackMargin).
+    /// search. Used by margin queries of a
+    /// [`Session`](crate::session::Session).
     ///
     /// [`Assumable`]: EncodeMode::Assumable
     Contested {
@@ -207,9 +207,9 @@ pub fn encode(problem: &EpaProblem, mode: &EncodeMode) -> Program {
 /// Solve a fixed scenario through the ASP back-end.
 ///
 /// Convenience wrapper around a one-shot
-/// [`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis);
-/// callers evaluating several scenarios against the same problem should
-/// build the analysis once and iterate scenarios as assumption sets.
+/// [`Session`](crate::session::Session); callers evaluating several
+/// scenarios against the same problem should build the session once and
+/// query it repeatedly.
 ///
 /// # Errors
 ///
@@ -219,7 +219,10 @@ pub fn analyze_fixed(
     problem: &EpaProblem,
     scenario: &Scenario,
 ) -> Result<ScenarioOutcome, EpaError> {
-    crate::incremental::IncrementalAnalysis::new(problem)?.analyze(scenario)
+    let query = crate::session::Query::Outcome(scenario.clone());
+    Ok(crate::session::Session::new(problem, None)?
+        .answer(&query)?
+        .into_outcome())
 }
 
 /// Solve a fixed scenario by re-encoding, re-grounding, and solving from
@@ -424,7 +427,7 @@ pub(crate) fn outcome_from_model(
 
 /// Build a [`ScenarioOutcome`] from any stream of true atoms — shared by
 /// the model-based form above and the static (well-founded) verdict path
-/// in [`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis),
+/// of a [`Session`](crate::session::Session),
 /// which reads atoms off a ground program instead of a solved model.
 pub(crate) fn outcome_from_atoms<'a>(
     scenario: Scenario,

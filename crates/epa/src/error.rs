@@ -19,6 +19,13 @@ pub enum EpaError {
     NoModel,
     /// Behavioural analysis needs a behaviour machine for a component.
     MissingBehavior(String),
+    /// A margin query reached a session built without an attacker budget.
+    NoMarginBudget {
+        /// The query's starting scenario.
+        scenario: crate::scenario::Scenario,
+        /// The query's targeted requirement id.
+        requirement: String,
+    },
 }
 
 impl fmt::Display for EpaError {
@@ -36,6 +43,14 @@ impl fmt::Display for EpaError {
                     "component `{c}` has no behaviour machine for detailed analysis"
                 )
             }
+            EpaError::NoMarginBudget {
+                scenario,
+                requirement,
+            } => write!(
+                f,
+                "margin query on `{requirement}` from scenario {scenario}: \
+                 the session was built without an attacker budget"
+            ),
         }
     }
 }

@@ -24,15 +24,16 @@
 //! * [`behavioral`] — detailed propagation analysis: per-component
 //!   qualitative state machines unrolled over time in ASP (Listing 2
 //!   semantics for stuck-at faults),
-//! * [`incremental`] — assumption-based multi-shot analysis: one shared
-//!   ground program answers every fixed scenario (and every sensitivity
-//!   variant) as an assumption set on a reused solver,
+//! * [`session`] — the resident multi-shot analysis: shared ground
+//!   programs answer every outcome and attack-margin [`Query`] as an
+//!   assumption set on reused solvers, one query at a time or in
+//!   work-stealing sweeps,
 //! * [`cegar`] — CEGAR-style refinement: eliminate spurious hazards found
 //!   at the abstract level by consulting a concrete oracle, never dropping
 //!   a real hazard,
 //! * [`sensitivity`] — modeling-decision sensitivity analysis (§II-A),
-//! * [`parallel`] — sharded multi-threaded scenario sweeps with
-//!   deterministic (input-order) results,
+//! * [`parallel`] — the work-stealing, memory-bounded sweep scheduler,
+//!   with deterministic (input-order) results,
 //! * [`workload`] — parametric benchmark problem generators.
 //!
 //! The direct engine and the ASP encoding are **cross-checked** in the
@@ -45,18 +46,17 @@ pub mod cegar;
 pub mod encode;
 pub mod error;
 pub mod horizon;
-pub mod incremental;
-pub mod margin;
 pub mod mutation;
 pub mod parallel;
 pub mod problem;
 pub mod scenario;
 pub mod sensitivity;
+pub mod session;
 pub mod topology;
 pub mod workload;
 
 pub use attack_path::{shortest_attack_paths, AttackPath};
-pub use cegar::{refine_hazards, refine_hazards_parallel, AspOracle, CegarResult, ConcreteOracle};
+pub use cegar::{refine_hazards, AspOracle, CegarResult, ConcreteOracle};
 pub use encode::{
     analyze_exhaustive, analyze_fixed, cheapest_attack, encode, EncodeMode, ExhaustiveAnalysis,
 };
@@ -65,19 +65,17 @@ pub use horizon::{
     check_horizon_scratch, check_horizon_sweep, HorizonReport, HorizonRow, HorizonSession,
     RequirementVerdict,
 };
-pub use incremental::{CertifySummary, IncrementalAnalysis};
-pub use margin::AttackMargin;
 pub use mutation::{inject_mutations, screen_mutations, CandidateMutation, MutationSource};
-pub use parallel::{sweep_fixed, SweepOptions, SweepStats};
+pub use parallel::{SweepOptions, SweepStats};
 pub use problem::{EpaProblem, MitigationOption, Requirement};
 pub use scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
-pub use sensitivity::{
-    sensitivity_sweep, sensitivity_sweep_incremental, sensitivity_sweep_parallel, Decision,
-    SensitivityFinding,
-};
+pub use sensitivity::{sensitivity_sweep, Decision, SensitivityFinding};
+pub use session::{Answer, CertifySummary, Query, Session, Solvers};
+#[doc(hidden)]
+pub use session::{CatalogAnalysis, CatalogAnswer, CatalogQuery};
 pub use topology::TopologyAnalysis;
 pub use workload::{
     catalog_margin_budget, catalog_problem, catalog_queries, catalog_requirements_ranked,
     catalog_zone_count, temporal_tank_base, temporal_tank_min_violating, temporal_tank_problem,
-    temporal_tank_requirements, temporal_tank_step, CatalogAnalysis, CatalogAnswer, CatalogQuery,
+    temporal_tank_requirements, temporal_tank_step,
 };

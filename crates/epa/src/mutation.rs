@@ -154,7 +154,7 @@ pub fn inject_mutations(
 /// Screen every candidate mutation in isolation: evaluate the singleton
 /// scenario `{m}` for each mutation of the problem and return the outcomes
 /// in mutation order. The screen runs on **one** shared ground program
-/// ([`IncrementalAnalysis`](crate::incremental::IncrementalAnalysis)) —
+/// (a [`Session`](crate::session::Session)) —
 /// each worker reuses a single solver across its chunk, so screening `n`
 /// candidates costs one grounding plus `n` assumption solves instead of
 /// `n` full encode–ground–solve rounds.
@@ -166,12 +166,16 @@ pub fn screen_mutations(
     problem: &crate::problem::EpaProblem,
     opts: &crate::parallel::SweepOptions,
 ) -> Result<Vec<crate::scenario::ScenarioOutcome>, crate::error::EpaError> {
-    let singletons: Vec<crate::scenario::Scenario> = problem
+    let singletons: Vec<crate::session::Query> = problem
         .mutations
         .iter()
-        .map(|m| crate::scenario::Scenario::of(&[&m.id]))
+        .map(|m| crate::session::Query::Outcome(crate::scenario::Scenario::of(&[&m.id])))
         .collect();
-    crate::incremental::IncrementalAnalysis::new(problem)?.sweep(&singletons, opts)
+    let (answers, _) = crate::session::Session::new(problem, None)?.sweep(&singletons, opts)?;
+    Ok(answers
+        .into_iter()
+        .map(crate::session::Answer::into_outcome)
+        .collect())
 }
 
 /// Collapse mutations that agree on (component, mode), keeping the highest

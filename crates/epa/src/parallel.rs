@@ -28,11 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
-use crate::error::EpaError;
-use crate::incremental::IncrementalAnalysis;
-use crate::problem::EpaProblem;
-use crate::scenario::{Scenario, ScenarioOutcome};
-
 /// Default number of consecutive items per work-stealing batch.
 pub const DEFAULT_STEAL_BATCH: usize = 16;
 
@@ -302,21 +297,12 @@ fn collect_slots<R>(out: Vec<Option<R>>) -> Vec<R> {
 }
 
 /// Apply `f` to every item across work-stealing workers, preserving input
-/// order in the output.
-pub(crate) fn run_stealing<T, R, F>(items: &[T], opts: &SweepOptions, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    run_stealing_with(items, opts, || (), |(), item| f(item)).0
-}
-
-/// [`run_stealing`] with per-worker state: each worker calls `init` once
-/// (on its own thread before the round starts) and threads the state
-/// through every batch it processes or steals. This is how the
-/// incremental sweep gives every worker its own reusable
-/// [`Solver`](cpsrisk_asp::Solver) over the shared ground program.
+/// order in the output, with per-worker state: each worker calls `init`
+/// once (on its own thread before the round starts) and threads the state
+/// through every batch it processes or steals. This is how a
+/// [`Session`](crate::session::Session) sweep gives every worker its own
+/// reusable [`Solver`](cpsrisk_asp::Solver)s over the shared ground
+/// programs.
 ///
 /// `f` must be a pure function of the item for the output to be
 /// schedule-independent (solver reuse qualifies: reused solving is pinned
@@ -510,28 +496,11 @@ where
     }
 }
 
-/// Evaluate every scenario through the ASP back-end across work-stealing
-/// worker threads: the problem is encoded and grounded **once**
-/// ([`IncrementalAnalysis`]), then each worker reuses its own solver over
-/// the shared ground program. `outcomes[i]` corresponds to
-/// `scenarios[i]`; the result is bit-identical to the sequential sweep at
-/// any thread count and steal schedule.
-///
-/// # Errors
-///
-/// The first (in input order) [`EpaError`] any scenario produced.
-pub fn sweep_fixed(
-    problem: &EpaProblem,
-    scenarios: &[Scenario],
-    opts: &SweepOptions,
-) -> Result<Vec<ScenarioOutcome>, EpaError> {
-    IncrementalAnalysis::new(problem)?.sweep(scenarios, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ScenarioSpace;
+    use crate::scenario::{Scenario, ScenarioSpace};
+    use crate::session::{Answer, Query, Session};
     use crate::workload::chain_problem;
 
     #[test]
@@ -548,7 +517,13 @@ mod tests {
                 assert_eq!(stats.peak_in_flight, items.len());
             }
         }
-        assert!(run_stealing(&[] as &[u32], &SweepOptions::with_threads(4), |&x| x).is_empty());
+        let (empty, _) = run_stealing_with(
+            &[] as &[u32],
+            &SweepOptions::with_threads(4),
+            || (),
+            |(), &x| x,
+        );
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -625,12 +600,15 @@ mod tests {
     fn parallel_sweep_equals_sequential() {
         let p = chain_problem(2);
         let scenarios: Vec<Scenario> = ScenarioSpace::new(&p, usize::MAX).iter().collect();
-        let sequential: Vec<ScenarioOutcome> = scenarios
+        let queries: Vec<Query> = scenarios.iter().cloned().map(Query::Outcome).collect();
+        let sequential: Vec<Answer> = scenarios
             .iter()
-            .map(|s| crate::encode::analyze_fixed(&p, s).unwrap())
+            .map(|s| Answer::Outcome(crate::encode::analyze_fixed(&p, s).unwrap()))
             .collect();
+        let session = Session::new(&p, None).unwrap();
         for threads in [1, 4] {
-            let parallel = sweep_fixed(&p, &scenarios, &SweepOptions::with_threads(threads))
+            let (parallel, _) = session
+                .sweep(&queries, &SweepOptions::with_threads(threads))
                 .expect("sweep succeeds");
             assert_eq!(parallel, sequential, "threads = {threads}");
         }

@@ -12,8 +12,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::error::EpaError;
-use crate::incremental::IncrementalAnalysis;
 use crate::problem::EpaProblem;
 use crate::scenario::Scenario;
 use crate::topology::TopologyAnalysis;
@@ -85,97 +83,6 @@ pub fn sensitivity_sweep(problem: &EpaProblem, max_faults: usize) -> Vec<Sensiti
         .collect();
     rank(&mut findings);
     findings
-}
-
-/// [`sensitivity_sweep`] with the per-decision variant evaluations fanned
-/// out across work-stealing worker threads. Each variant re-runs the full
-/// scenario space independently, so the sweep parallelizes without any
-/// sharing; the result is identical to the sequential sweep (the final
-/// ranking is a total order).
-#[must_use]
-pub fn sensitivity_sweep_parallel(
-    problem: &EpaProblem,
-    max_faults: usize,
-    opts: &crate::parallel::SweepOptions,
-) -> Vec<SensitivityFinding> {
-    let scenarios: Vec<Scenario> = crate::scenario::ScenarioSpace::new(problem, max_faults)
-        .iter()
-        .collect();
-    let baseline = verdicts(problem, &scenarios);
-    let variants = decision_variants(problem);
-    let mut findings = crate::parallel::run_stealing(&variants, opts, |(decision, variant)| {
-        diff(decision.clone(), &baseline, &verdicts(variant, &scenarios))
-    });
-    rank(&mut findings);
-    findings
-}
-
-/// [`sensitivity_sweep`] answered end-to-end by the ASP back-end with
-/// **one** shared ground program: the
-/// [`EncodeMode::Assumable`](crate::encode::EncodeMode::Assumable)
-/// encoding exposes `fault_enabled/1`
-/// and `active_mitigation/2` as assumable atoms, so every decision variant
-/// is just a different assumption set — no per-variant re-encoding,
-/// re-grounding, or problem cloning. Each work item (the baseline plus one
-/// per decision) runs on a worker that reuses a single solver across the
-/// whole scenario list. The findings are identical to the topology-based
-/// sweep; the two are cross-checked in tests.
-///
-/// # Errors
-///
-/// The first [`EpaError`] any variant evaluation produced.
-pub fn sensitivity_sweep_incremental(
-    problem: &EpaProblem,
-    max_faults: usize,
-    opts: &crate::parallel::SweepOptions,
-) -> Result<Vec<SensitivityFinding>, EpaError> {
-    let scenarios: Vec<Scenario> = crate::scenario::ScenarioSpace::new(problem, max_faults)
-        .iter()
-        .collect();
-    let analysis = IncrementalAnalysis::new(problem)?;
-    let items: Vec<Option<Decision>> = std::iter::once(None)
-        .chain(decisions(problem).into_iter().map(Some))
-        .collect();
-    let (maps, _) = crate::parallel::run_stealing_with(
-        &items,
-        opts,
-        || analysis.solver(),
-        |solver, decision| -> Result<BTreeMap<(Scenario, String), bool>, EpaError> {
-            let mut out = BTreeMap::new();
-            for s in &scenarios {
-                let lits = analysis.assumptions_for(s, decision.as_ref());
-                let outcome = analysis.outcome_under(solver, s, &lits)?;
-                for r in &problem.requirements {
-                    out.insert((s.clone(), r.id.clone()), outcome.violated.contains(&r.id));
-                }
-            }
-            Ok(out)
-        },
-    );
-    let mut maps = maps.into_iter();
-    let baseline = maps.next().expect("baseline item")?;
-    let mut findings = Vec::new();
-    for (decision, map) in items.into_iter().skip(1).zip(maps) {
-        let decision = decision.expect("non-baseline items carry a decision");
-        findings.push(diff(decision, &baseline, &map?));
-    }
-    rank(&mut findings);
-    Ok(findings)
-}
-
-/// Every flippable decision, in declaration order.
-fn decisions(problem: &EpaProblem) -> Vec<Decision> {
-    problem
-        .mutations
-        .iter()
-        .map(|m| Decision::DropMutation(m.id.clone()))
-        .chain(
-            problem
-                .mitigations
-                .iter()
-                .map(|mit| Decision::ToggleMitigation(mit.id.clone())),
-        )
-        .collect()
 }
 
 /// Every flippable decision paired with the problem variant it induces.
@@ -294,42 +201,6 @@ mod tests {
         let p = problem();
         let findings = sensitivity_sweep(&p, usize::MAX);
         assert_eq!(findings.len(), p.mutations.len() + p.mitigations.len());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        let p = problem();
-        let sequential = sensitivity_sweep(&p, usize::MAX);
-        for threads in [1, 4] {
-            let parallel = sensitivity_sweep_parallel(
-                &p,
-                usize::MAX,
-                &crate::parallel::SweepOptions::with_threads(threads),
-            );
-            assert_eq!(parallel, sequential, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn incremental_sweep_matches_topology_sweep() {
-        // Both toggle directions: m_v inactive (activation flips verdicts)
-        // and m_v active (deactivation flips them back).
-        for activate in [false, true] {
-            let mut p = problem();
-            if activate {
-                p.activate_mitigation("m_v").unwrap();
-            }
-            let expected = sensitivity_sweep(&p, usize::MAX);
-            for threads in [1, 4] {
-                let got = sensitivity_sweep_incremental(
-                    &p,
-                    usize::MAX,
-                    &crate::parallel::SweepOptions::with_threads(threads),
-                )
-                .expect("incremental sweep succeeds");
-                assert_eq!(got, expected, "activate = {activate}, threads = {threads}");
-            }
-        }
     }
 
     #[test]

@@ -1,0 +1,894 @@
+//! One resident analysis session: shared ground programs answering every
+//! outcome and attack-margin query as an assumption set.
+//!
+//! Every fixed-scenario query against the same [`EpaProblem`] solves a
+//! near-identical ASP program — only the handful of `scenario_fault/1`
+//! facts differ. A [`Session`] therefore encodes and grounds the problem
+//! **once** and pins each query's toggles with assumption literals, in the
+//! style of clingo's multi-shot interface. Reused [`Solver`]s carry their
+//! learned conflict nogoods from call to call.
+//!
+//! Two query kinds share the session:
+//!
+//! * [`Query::Outcome`] — the propagation outcome of one scenario, over
+//!   the [`EncodeMode::Assumable`] program. Every toggle is pinned, so the
+//!   conditional well-founded model usually decides it without search.
+//! * [`Query::Margin`] — can an attacker with `budget` extra faults,
+//!   on top of the pinned scenario, violate a requirement? Answered over
+//!   the [`EncodeMode::Contested`] program, whose bounded `chosen/1`
+//!   choice stays open: a SAT call, and UNSAT answers take conflict-driven
+//!   search (the catalog workload makes them pigeonhole-hard). Margin
+//!   queries give catalog sweeps their cheap-vs-expensive skew.
+//!
+//! This module is the only one besides [`encode`](mod@crate::encode) that
+//! knows the assumable vocabulary (`scenario_fault/1`, `fault_enabled/1`,
+//! `active_mitigation/2`, `target/1`).
+
+use cpsrisk_asp::ast::Term;
+use cpsrisk_asp::{
+    check_proof, AspError, AtomId, GroundProgram, Grounder, Lit, SolveOptions, Solver,
+};
+
+use crate::encode::{encode, outcome_from_atoms, outcome_from_model, EncodeMode};
+use crate::error::EpaError;
+use crate::parallel::{run_stealing_stream, run_stealing_with, SweepOptions, SweepStats};
+use crate::problem::EpaProblem;
+use crate::scenario::{Scenario, ScenarioOutcome};
+
+/// One unit of session work: a fixed-scenario outcome query (usually
+/// WFM-decided, microseconds) or an attack-margin query (a SAT call,
+/// potentially pigeonhole-hard).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Query {
+    /// Evaluate the scenario's propagation outcome.
+    Outcome(Scenario),
+    /// Can the attacker extend `scenario` within the session's budget to
+    /// violate `requirement`?
+    Margin {
+        /// The pinned starting scenario.
+        scenario: Scenario,
+        /// The targeted requirement id.
+        requirement: String,
+    },
+}
+
+/// The answer to a [`Query`], same variant order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// Propagation outcome of a [`Query::Outcome`] query.
+    Outcome(ScenarioOutcome),
+    /// Attack existence for a [`Query::Margin`] query.
+    Margin(bool),
+}
+
+impl Answer {
+    /// The outcome of an outcome query's answer.
+    pub(crate) fn into_outcome(self) -> ScenarioOutcome {
+        match self {
+            Answer::Outcome(o) => o,
+            Answer::Margin(_) => unreachable!("an outcome query is answered with an outcome"),
+        }
+    }
+}
+
+/// What [`Session::sweep_certified`] verified.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CertifySummary {
+    /// Queries re-solved under proof logging and audited.
+    pub checked: usize,
+    /// Steps in the accumulated multi-shot certificates.
+    pub proof_steps: usize,
+    /// Models the independent checker fully audited.
+    pub models_audited: usize,
+    /// Unsatisfiable verdicts (refuted margins) the checker re-derived.
+    pub unsats: usize,
+}
+
+/// How one assumable atom is pinned per query, decided once when the
+/// program is grounded.
+enum Pin {
+    /// The same polarity for every query: `fault_enabled/1` (true) and
+    /// `active_mitigation/2` (the problem's baseline activation).
+    Fixed(bool),
+    /// `scenario_fault(F)`: true iff the query's scenario contains `F`.
+    Fault(String),
+    /// `target(R)`: true iff `R` is the margin query's requirement.
+    Target(String),
+}
+
+/// A resident ground program with its assumable atoms classified.
+#[doc(hidden)]
+pub struct Resident {
+    ground: GroundProgram,
+    /// One pin per atom of `ground.assumable`, in that order.
+    pins: Vec<(AtomId, Pin)>,
+}
+
+impl Resident {
+    fn new(problem: &EpaProblem, mode: &EncodeMode) -> Result<Self, EpaError> {
+        let program = encode(problem, mode);
+        // Slice before grounding: the assumable signatures are slice roots,
+        // so every atom an assumption can touch stays in the program.
+        let mut grounder = Grounder::new()
+            .assumable("scenario_fault", 1)
+            .assumable("fault_enabled", 1)
+            .assumable("active_mitigation", 2);
+        if matches!(mode, EncodeMode::Contested { .. }) {
+            grounder = grounder.assumable("target", 1);
+        }
+        let ground = grounder.with_slicing(true).ground(&program)?;
+        let pins = ground
+            .assumable
+            .iter()
+            .map(|&id| {
+                let atom = ground.atom(id);
+                let pin = match (atom.pred.as_str(), atom.args.as_slice()) {
+                    ("scenario_fault", [Term::Const(f)]) => Pin::Fault(f.clone()),
+                    ("fault_enabled", _) => Pin::Fixed(true),
+                    ("active_mitigation", [_, Term::Const(m)]) => {
+                        Pin::Fixed(problem.active_mitigations.contains(m))
+                    }
+                    ("target", [Term::Const(r)]) => Pin::Target(r.clone()),
+                    _ => Pin::Fixed(false),
+                };
+                (id, pin)
+            })
+            .collect();
+        Ok(Resident { ground, pins })
+    }
+
+    /// The ground program.
+    #[must_use]
+    pub fn ground(&self) -> &GroundProgram {
+        &self.ground
+    }
+
+    /// The assumption set pinning every assumable atom for `scenario`
+    /// (and, on the contested program, targeting `requirement`). Scenario
+    /// faults unknown to the problem have no atom and are ignored.
+    fn assumptions(&self, scenario: &Scenario, requirement: Option<&str>) -> Vec<Lit> {
+        self.pins
+            .iter()
+            .map(|(atom, pin)| Lit {
+                atom: *atom,
+                positive: match pin {
+                    Pin::Fixed(positive) => *positive,
+                    Pin::Fault(f) => scenario.contains(f),
+                    Pin::Target(r) => requirement == Some(r.as_str()),
+                },
+            })
+            .collect()
+    }
+
+    /// The conditional well-founded model under `assumptions`: when it is
+    /// total and consistent it pins every atom of the unique stable model,
+    /// so the outcome is read off its true atoms without search.
+    fn static_outcome(&self, scenario: &Scenario, assumptions: &[Lit]) -> Option<ScenarioOutcome> {
+        let wfm = cpsrisk_asp::well_founded_with(&self.ground, assumptions);
+        if wfm.inconsistent || !wfm.total() {
+            return None;
+        }
+        Some(outcome_from_atoms(
+            scenario.clone(),
+            wfm.true_atoms().map(|id| self.ground.atom(id)),
+        ))
+    }
+}
+
+/// Reusable solvers of one sweep worker: over the outcome program, and
+/// over the margin program when the session has one.
+pub type Solvers<'a> = (Solver<'a>, Option<Solver<'a>>);
+
+/// The resident analysis of one [`EpaProblem`]: every [`Query`] is
+/// answered on a shared ground program by fixing its assumable atoms at
+/// decision level 0.
+pub struct Session {
+    outcome: Resident,
+    margin: Option<Resident>,
+}
+
+impl Session {
+    /// Encode and ground `problem` under [`EncodeMode::Assumable`] and,
+    /// when `margin_budget` is given, under [`EncodeMode::Contested`] with
+    /// that attacker budget. Without a budget the second grounding is
+    /// skipped and margin queries return an error.
+    ///
+    /// # Errors
+    ///
+    /// [`EpaError::Asp`] on grounding failure.
+    pub fn new(problem: &EpaProblem, margin_budget: Option<u32>) -> Result<Self, EpaError> {
+        Ok(Session {
+            outcome: Resident::new(problem, &EncodeMode::Assumable)?,
+            margin: margin_budget
+                .map(|budget| Resident::new(problem, &EncodeMode::Contested { budget }))
+                .transpose()?,
+        })
+    }
+
+    /// The ground program answering outcome queries.
+    #[must_use]
+    pub fn ground(&self) -> &GroundProgram {
+        &self.outcome.ground
+    }
+
+    /// Try to decide `scenario`'s outcome without search, from the
+    /// conditional well-founded model under its assumptions. Returns
+    /// `None` when the WFM leaves atoms open (or refutes the assumptions);
+    /// [`answer_with`](Self::answer_with) then falls back to search.
+    #[must_use]
+    pub fn decide_statically(&self, scenario: &Scenario) -> Option<ScenarioOutcome> {
+        self.outcome
+            .static_outcome(scenario, &self.outcome.assumptions(scenario, None))
+    }
+
+    /// Fresh reusable solvers, one per resident program — one set per
+    /// sweep worker.
+    #[must_use]
+    pub fn solvers(&self) -> Solvers<'_> {
+        (
+            Solver::new(&self.outcome.ground),
+            self.margin.as_ref().map(|m| Solver::new(&m.ground)),
+        )
+    }
+
+    /// Answer one query on caller-provided solvers (from
+    /// [`Self::solvers`]) — the reuse form that amortizes solver set-up
+    /// and learned nogoods across a query stream.
+    ///
+    /// A margin query whose requirement the problem does not know has no
+    /// `target/1` atom; its constraint is then vacuous and the answer is
+    /// `true` (conservative, like unknown scenario faults answering as
+    /// absent).
+    ///
+    /// # Errors
+    ///
+    /// [`EpaError::Asp`] on solving failure, [`EpaError::NoModel`] if an
+    /// outcome query's assumptions are inconsistent with the program, and
+    /// [`EpaError::NoMarginBudget`] for a margin query on a session built
+    /// without a budget.
+    pub fn answer_with(
+        &self,
+        solvers: &mut Solvers<'_>,
+        query: &Query,
+    ) -> Result<Answer, EpaError> {
+        self.answer_on(&mut solvers.0, solvers.1.as_mut(), query, false)
+    }
+
+    /// [`answer_with`](Self::answer_with) on throwaway solvers.
+    ///
+    /// # Errors
+    ///
+    /// As [`answer_with`](Self::answer_with).
+    pub fn answer(&self, query: &Query) -> Result<Answer, EpaError> {
+        self.answer_with(&mut self.solvers(), query)
+    }
+
+    /// Answer `query`; under `certify` by proof-logged search alone (the
+    /// static well-founded shortcut emits no certificate).
+    fn answer_on(
+        &self,
+        outcome: &mut Solver<'_>,
+        margin: Option<&mut Solver<'_>>,
+        query: &Query,
+        certify: bool,
+    ) -> Result<Answer, EpaError> {
+        let opts = SolveOptions {
+            max_models: 1,
+            certify,
+            ..SolveOptions::default()
+        };
+        match query {
+            Query::Outcome(scenario) => {
+                let assumptions = self.outcome.assumptions(scenario, None);
+                if !certify {
+                    if let Some(out) = self.outcome.static_outcome(scenario, &assumptions) {
+                        return Ok(Answer::Outcome(out));
+                    }
+                }
+                let result = outcome.solve_with_assumptions(&assumptions, &opts)?;
+                let model = result.models.first().ok_or(EpaError::NoModel)?;
+                Ok(Answer::Outcome(outcome_from_model(scenario.clone(), model)))
+            }
+            Query::Margin {
+                scenario,
+                requirement,
+            } => {
+                let (Some(program), Some(solver)) = (&self.margin, margin) else {
+                    return Err(EpaError::NoMarginBudget {
+                        scenario: scenario.clone(),
+                        requirement: requirement.clone(),
+                    });
+                };
+                let assumptions = program.assumptions(scenario, Some(requirement));
+                let result = solver.solve_with_assumptions(&assumptions, &opts)?;
+                Ok(Answer::Margin(!result.models.is_empty()))
+            }
+        }
+    }
+
+    /// Answer every query across work-stealing workers, each reusing one
+    /// set of [`Solvers`] over every batch it processes or steals.
+    /// `answers[i]` corresponds to `queries[i]` regardless of thread count
+    /// or steal schedule; the scheduler's counters come alongside.
+    ///
+    /// # Errors
+    ///
+    /// The first (in input order) [`EpaError`] any query produced.
+    pub fn sweep(
+        &self,
+        queries: &[Query],
+        opts: &SweepOptions,
+    ) -> Result<(Vec<Answer>, SweepStats), EpaError> {
+        let (results, stats) = run_stealing_with(
+            queries,
+            opts,
+            || self.solvers(),
+            |solvers, q| self.answer_with(solvers, q),
+        );
+        Ok((results.into_iter().collect::<Result<_, _>>()?, stats))
+    }
+
+    /// Memory-bounded streaming sweep over a lazy query stream: at most
+    /// [`SweepOptions::max_in_flight`] queries are materialized at any
+    /// moment, so arbitrarily long streams sweep in `O(window)` memory.
+    /// `emit` receives answers in input order with their global stream
+    /// index; per-worker solvers persist across the whole stream. Returns
+    /// the scheduler's counters (`peak_in_flight` is the largest window
+    /// actually held).
+    ///
+    /// # Errors
+    ///
+    /// If some query fails, the error of the first failing one in input
+    /// order, at index `j`: `emit` has then received exactly the answers
+    /// at indices `0..j`, and nothing at or past `j`. The rest of the
+    /// stream is still drained.
+    pub fn sweep_streaming<E>(
+        &self,
+        queries: impl Iterator<Item = Query>,
+        opts: &SweepOptions,
+        mut emit: E,
+    ) -> Result<SweepStats, EpaError>
+    where
+        E: FnMut(usize, Answer),
+    {
+        // Results arrive in input order, so the first error seen is the
+        // first in input order.
+        let mut first_err: Option<EpaError> = None;
+        let stats = run_stealing_stream(
+            queries,
+            opts,
+            || self.solvers(),
+            |solvers, q| self.answer_with(solvers, q),
+            |i, r| match (&first_err, r) {
+                (None, Ok(a)) => emit(i, a),
+                (None, Err(e)) => first_err = Some(e),
+                (Some(_), _) => {}
+            },
+        );
+        first_err.map_or(Ok(stats), Err)
+    }
+
+    /// [`sweep`](Self::sweep) with certified spot checks: after the normal
+    /// sweep, an evenly spaced, deterministic sample of the queries
+    /// (`fraction` is clamped to `(0, 1]`) is re-solved on proof-logging
+    /// solvers, and each program's accumulated multi-shot certificate is
+    /// replayed through the independent checker
+    /// ([`cpsrisk_asp::check_proof`]). Each re-solved answer must agree
+    /// with the sweep's. This audits the work-stealing sweep, the
+    /// learned-nogood reuse and the static well-founded fast path of
+    /// outcome queries, and the SAT and UNSAT verdicts of margin queries.
+    ///
+    /// # Errors
+    ///
+    /// Any sweep error; [`EpaError::Asp`] with an internal error if a
+    /// certificate fails to check or a certified answer disagrees with
+    /// the sweep.
+    pub fn sweep_certified(
+        &self,
+        queries: &[Query],
+        opts: &SweepOptions,
+        fraction: f64,
+    ) -> Result<(Vec<Answer>, CertifySummary), EpaError> {
+        let (answers, _) = self.sweep(queries, opts)?;
+        let fraction = fraction.clamp(f64::MIN_POSITIVE, 1.0);
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let stride = (1.0 / fraction).ceil().max(1.0) as usize;
+        let internal = |msg: String| EpaError::Asp(AspError::Internal(msg));
+        let mut summary = CertifySummary::default();
+        // One proof-logging solver per program answers every sampled query
+        // of its kind; each accumulated certificate (learned-nogood
+        // retention included) is replayed once at the end.
+        let (mut outcome, mut margin) = self.solvers();
+        let (mut outcome_calls, mut margin_calls) = (0usize, 0usize);
+        for (i, query) in queries.iter().enumerate().step_by(stride) {
+            let certified = self.answer_on(&mut outcome, margin.as_mut(), query, true)?;
+            if certified != answers[i] {
+                return Err(internal(format!(
+                    "certified answer disagrees with the sweep for query {i}: {query:?}"
+                )));
+            }
+            match query {
+                Query::Outcome(_) => outcome_calls += 1,
+                Query::Margin { .. } => margin_calls += 1,
+            }
+            summary.checked += 1;
+        }
+        let mut audit = |solver: &mut Solver<'_>, program: &Resident, calls: usize| {
+            if calls == 0 {
+                return Ok(());
+            }
+            let log = solver
+                .take_proof()
+                .ok_or_else(|| internal("certified calls emitted no proof".into()))?;
+            let report = check_proof(&program.ground, &log)
+                .map_err(|e| internal(format!("certificate rejected: {e}")))?;
+            summary.proof_steps += report.steps;
+            summary.models_audited += report.models;
+            summary.unsats += report.unsats;
+            Ok::<_, EpaError>(())
+        };
+        audit(&mut outcome, &self.outcome, outcome_calls)?;
+        if let (Some(solver), Some(program)) = (margin.as_mut(), &self.margin) {
+            audit(solver, program, margin_calls)?;
+        }
+        Ok((answers, summary))
+    }
+}
+
+/// [`Query`] under its catalog-workload name.
+#[doc(hidden)]
+pub type CatalogQuery = Query;
+
+/// [`Answer`] under its catalog-workload name.
+#[doc(hidden)]
+pub type CatalogAnswer = Answer;
+
+/// The `perfbench` benchmark's shim: a [`Session`] with a margin budget,
+/// under the name and signatures the benchmark calls. It only delegates.
+/// Delete it, with `CatalogQuery` and `CatalogAnswer`, when the benchmark
+/// moves onto [`Session`].
+#[doc(hidden)]
+pub struct CatalogAnalysis(Session);
+
+#[allow(missing_docs)]
+impl CatalogAnalysis {
+    pub fn new(problem: &EpaProblem, budget: u32) -> Result<Self, EpaError> {
+        Session::new(problem, Some(budget)).map(CatalogAnalysis)
+    }
+
+    #[must_use]
+    pub fn outcome_analysis(&self) -> &Session {
+        &self.0
+    }
+
+    #[must_use]
+    pub fn margin_analysis(&self) -> &Resident {
+        self.0.margin.as_ref().expect("built with a margin budget")
+    }
+
+    #[must_use]
+    pub fn solvers(&self) -> (Solver<'_>, Solver<'_>) {
+        let (outcome, margin) = self.0.solvers();
+        (outcome, margin.expect("built with a margin budget"))
+    }
+
+    pub fn answer_with(
+        &self,
+        solvers: &mut (Solver<'_>, Solver<'_>),
+        query: &Query,
+    ) -> Result<Answer, EpaError> {
+        self.0
+            .answer_on(&mut solvers.0, Some(&mut solvers.1), query, false)
+    }
+
+    pub fn sweep(
+        &self,
+        queries: &[Query],
+        opts: &SweepOptions,
+    ) -> Result<(Vec<Answer>, SweepStats), EpaError> {
+        self.0.sweep(queries, opts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::encode::analyze_fixed_fresh;
+    use crate::mutation::CandidateMutation;
+    use crate::problem::Requirement;
+    use crate::scenario::ScenarioSpace;
+    use crate::topology::TopologyAnalysis;
+    use crate::workload::{
+        catalog_margin_budget, catalog_problem, catalog_queries, catalog_requirements_ranked,
+        chain_problem,
+    };
+    use cpsrisk_model::{ElementKind, SystemModel};
+
+    fn outcome_of(session: &Session, solvers: &mut Solvers<'_>, s: &Scenario) -> ScenarioOutcome {
+        session
+            .answer_with(solvers, &Query::Outcome(s.clone()))
+            .expect("outcome query succeeds")
+            .into_outcome()
+    }
+
+    fn margin_query(scenario: &Scenario, requirement: &str) -> Query {
+        Query::Margin {
+            scenario: scenario.clone(),
+            requirement: requirement.to_owned(),
+        }
+    }
+
+    fn outcome_queries(p: &EpaProblem, max_faults: usize) -> Vec<Query> {
+        ScenarioSpace::new(p, max_faults)
+            .iter()
+            .map(Query::Outcome)
+            .collect()
+    }
+
+    /// Three zones in a ring, three spreaders each compromising two
+    /// adjacent zones. Covering all three zones takes two spreaders.
+    fn covering_problem() -> EpaProblem {
+        let mut m = SystemModel::new("ring");
+        for z in 0..3 {
+            m.add_element(&format!("zn{z}"), &format!("Zone {z}"), ElementKind::Device)
+                .unwrap();
+            m.add_element(
+                &format!("sp{z}"),
+                &format!("Spreader {z}"),
+                ElementKind::Device,
+            )
+            .unwrap();
+        }
+        for z in 0..3u32 {
+            for off in 0..2u32 {
+                m.add_relation(
+                    &format!("sp{z}"),
+                    &format!("zn{}", (z + off) % 3),
+                    cpsrisk_model::RelationKind::Flow,
+                )
+                .unwrap();
+            }
+        }
+        let mutations: Vec<CandidateMutation> = (0..3)
+            .map(|z| {
+                CandidateMutation::spontaneous(
+                    &format!("f_sp{z}"),
+                    &format!("sp{z}"),
+                    "compromised",
+                )
+            })
+            .collect();
+        let requirements = vec![Requirement::all_of(
+            "r_ring",
+            "no full-ring compromise",
+            &[
+                ("zn0", "compromised"),
+                ("zn1", "compromised"),
+                ("zn2", "compromised"),
+            ],
+        )];
+        EpaProblem::new(m, mutations, requirements, vec![]).unwrap()
+    }
+
+    /// Brute-force reference: does any extension of at most `budget`
+    /// mutations on top of `scenario` make the topology engine violate
+    /// `requirement`?
+    fn attack_exists_brute(
+        p: &EpaProblem,
+        scenario: &Scenario,
+        requirement: &str,
+        budget: usize,
+    ) -> bool {
+        let direct = TopologyAnalysis::new(p);
+        ScenarioSpace::new(p, budget).iter().any(|ext| {
+            let mut combined = scenario.clone();
+            for f in ext.iter() {
+                combined.insert(f);
+            }
+            direct.evaluate(&combined).violated.contains(requirement)
+        })
+    }
+
+    #[test]
+    fn every_assumable_atom_is_pinned_per_query() {
+        let p = chain_problem(2);
+        let session = Session::new(&p, None).unwrap();
+        assert!(!session.ground().assumable.is_empty());
+        let lits = session.outcome.assumptions(&Scenario::nominal(), None);
+        let order: Vec<AtomId> = lits.iter().map(|l| l.atom).collect();
+        assert_eq!(order, session.ground().assumable, "ground.assumable order");
+        // Nominal scenario under the baseline problem: no scenario faults,
+        // all faults enabled.
+        for l in &lits {
+            let atom = session.ground().atom(l.atom);
+            match atom.pred.as_str() {
+                "scenario_fault" => assert!(!l.positive, "{atom}"),
+                "fault_enabled" => assert!(l.positive, "{atom}"),
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn reused_solver_matches_fresh_path_over_the_whole_space() {
+        let p = chain_problem(2);
+        let session = Session::new(&p, None).unwrap();
+        let mut solvers = session.solvers();
+        for scenario in ScenarioSpace::new(&p, usize::MAX).iter() {
+            let fresh = analyze_fixed_fresh(&p, &scenario).unwrap();
+            let reused = outcome_of(&session, &mut solvers, &scenario);
+            assert_eq!(reused, fresh, "scenario {scenario}");
+        }
+    }
+
+    #[test]
+    fn static_verdicts_match_the_search_path() {
+        let p = chain_problem(2);
+        let session = Session::new(&p, None).unwrap();
+        let (mut solver, _) = session.solvers();
+        let mut decided = 0usize;
+        for scenario in ScenarioSpace::new(&p, usize::MAX).iter() {
+            let Some(static_out) = session.decide_statically(&scenario) else {
+                continue;
+            };
+            decided += 1;
+            let query = Query::Outcome(scenario.clone());
+            // The certified path always searches.
+            let searched = session.answer_on(&mut solver, None, &query, true).unwrap();
+            assert_eq!(Answer::Outcome(static_out), searched, "scenario {scenario}");
+        }
+        // The assumable encoding pins every toggle, so the conditional WFM
+        // decides every scenario of this choice-free-after-assumption
+        // workload without search.
+        assert!(decided > 0, "no scenario was statically decided");
+    }
+
+    #[test]
+    fn certified_sweep_audits_a_sample_and_matches() {
+        let p = chain_problem(2);
+        let session = Session::new(&p, None).unwrap();
+        let queries = outcome_queries(&p, usize::MAX);
+        let opts = SweepOptions::default();
+        let (plain, _) = session.sweep(&queries, &opts).unwrap();
+        // Full fraction: every query is certified.
+        let (answers, summary) = session.sweep_certified(&queries, &opts, 1.0).unwrap();
+        assert_eq!(answers, plain);
+        assert_eq!(summary.checked, queries.len());
+        assert_eq!(summary.models_audited, queries.len());
+        assert!(summary.proof_steps > 0);
+        // Quarter fraction: an evenly spaced sample.
+        let (_, sparse) = session.sweep_certified(&queries, &opts, 0.25).unwrap();
+        assert_eq!(sparse.checked, queries.len().div_ceil(4));
+    }
+
+    #[test]
+    fn certified_sweep_audits_margin_refutations() {
+        let p = catalog_problem(36, 4, 2);
+        let budget = catalog_margin_budget(4);
+        let ranked = catalog_requirements_ranked(&p, budget);
+        let space = ScenarioSpace::new(&p, 1);
+        let queries: Vec<Query> = catalog_queries(&space, &ranked, 6).collect();
+        let margins = queries
+            .iter()
+            .filter(|q| matches!(q, Query::Margin { .. }))
+            .count();
+        assert!(margins > 0, "the stream samples margin queries");
+        let session = Session::new(&p, Some(budget)).unwrap();
+        let opts = SweepOptions::with_threads(2);
+        let (plain, _) = session.sweep(&queries, &opts).unwrap();
+        let (answers, summary) = session.sweep_certified(&queries, &opts, 1.0).unwrap();
+        assert_eq!(answers, plain, "every certified answer equals the sweep's");
+        assert_eq!(summary.checked, queries.len());
+        // Below the covering number the r_zone margins are UNSAT: their
+        // refutations are re-derived by the checker.
+        assert!(answers.contains(&Answer::Margin(false)));
+        assert!(summary.unsats > 0, "margin refutations are audited");
+        assert_eq!(summary.models_audited + summary.unsats, queries.len());
+    }
+
+    #[test]
+    fn incremental_sweep_equals_fresh_per_scenario_path() {
+        let p = chain_problem(3);
+        let scenarios: Vec<Scenario> = ScenarioSpace::new(&p, usize::MAX).iter().collect();
+        assert_eq!(scenarios.len(), 32, "2^(3+2) scenarios");
+        // Encode + ground + solve from scratch per scenario.
+        let fresh: Vec<Answer> = scenarios
+            .iter()
+            .map(|s| Answer::Outcome(analyze_fixed_fresh(&p, s).expect("fresh solve succeeds")))
+            .collect();
+        let queries: Vec<Query> = scenarios.into_iter().map(Query::Outcome).collect();
+        let session = Session::new(&p, None).unwrap();
+        for threads in [1, 4] {
+            let (swept, _) = session
+                .sweep(&queries, &SweepOptions::with_threads(threads))
+                .expect("sweep succeeds");
+            assert_eq!(swept, fresh, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn incremental_sweep_equals_fresh_path_under_active_mitigations() {
+        let mut p = chain_problem(2);
+        p.activate_mitigation("m_ew").unwrap();
+        // Sweep the space of the *unmitigated* problem so blocked-fault
+        // scenarios are exercised too.
+        let scenarios: Vec<Scenario> = ScenarioSpace::new(&chain_problem(2), usize::MAX)
+            .iter()
+            .collect();
+        let fresh: Vec<Answer> = scenarios
+            .iter()
+            .map(|s| Answer::Outcome(analyze_fixed_fresh(&p, s).expect("fresh solve succeeds")))
+            .collect();
+        let queries: Vec<Query> = scenarios.into_iter().map(Query::Outcome).collect();
+        let session = Session::new(&p, None).unwrap();
+        for threads in [1, 4] {
+            let (swept, _) = session
+                .sweep(&queries, &SweepOptions::with_threads(threads))
+                .expect("sweep succeeds");
+            assert_eq!(swept, fresh, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn one_reused_solver_survives_a_long_query_stream() {
+        let p = chain_problem(4);
+        let session = Session::new(&p, None).expect("grounds");
+        let mut solvers = session.solvers();
+        for (i, scenario) in ScenarioSpace::new(&p, usize::MAX).iter().enumerate() {
+            let reused = outcome_of(&session, &mut solvers, &scenario);
+            let fresh = analyze_fixed_fresh(&p, &scenario).expect("fresh solve succeeds");
+            assert_eq!(reused, fresh, "query {i}: scenario {scenario}");
+        }
+    }
+
+    #[test]
+    fn unknown_faults_are_ignored_like_the_fresh_path() {
+        let p = chain_problem(1);
+        let scenario = Scenario::of(&["no_such_fault"]);
+        let session = Session::new(&p, None).unwrap();
+        let out = outcome_of(&session, &mut session.solvers(), &scenario);
+        assert_eq!(out, analyze_fixed_fresh(&p, &scenario).unwrap());
+        assert_eq!(out.scenario, scenario, "label preserved verbatim");
+        assert!(!out.is_hazard());
+    }
+
+    #[test]
+    fn margin_matches_brute_force_on_the_ring() {
+        let p = covering_problem();
+        for budget in 0..=3u32 {
+            let session = Session::new(&p, Some(budget)).unwrap();
+            let mut solvers = session.solvers();
+            for scenario in ScenarioSpace::new(&p, usize::MAX).iter() {
+                let expected = attack_exists_brute(&p, &scenario, "r_ring", budget as usize);
+                let got = session
+                    .answer_with(&mut solvers, &margin_query(&scenario, "r_ring"))
+                    .unwrap();
+                assert_eq!(
+                    got,
+                    Answer::Margin(expected),
+                    "budget {budget} scenario {scenario}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn covering_number_separates_sat_from_unsat() {
+        let p = covering_problem();
+        let attack_exists = |budget, scenario: &Scenario| {
+            let session = Session::new(&p, Some(budget)).unwrap();
+            session.answer(&margin_query(scenario, "r_ring")).unwrap() == Answer::Margin(true)
+        };
+        let nominal = Scenario::nominal();
+        // One spreader misses a zone; two adjacent spreaders cover all
+        // three.
+        assert!(!attack_exists(1, &nominal));
+        assert!(attack_exists(2, &nominal));
+        // A head start changes the margin: with sp0 already compromised,
+        // one extension fault finishes the ring.
+        assert!(attack_exists(1, &Scenario::of(&["f_sp0"])));
+    }
+
+    #[test]
+    fn margin_matches_brute_force_on_the_chain_workload() {
+        let p = chain_problem(2);
+        for budget in [0u32, 1] {
+            let session = Session::new(&p, Some(budget)).unwrap();
+            let mut solvers = session.solvers();
+            for scenario in ScenarioSpace::new(&p, 1).iter() {
+                for r in &p.requirements {
+                    let expected = attack_exists_brute(&p, &scenario, &r.id, budget as usize);
+                    let got = session
+                        .answer_with(&mut solvers, &margin_query(&scenario, &r.id))
+                        .unwrap();
+                    assert_eq!(
+                        got,
+                        Answer::Margin(expected),
+                        "budget {budget} scenario {scenario} req {}",
+                        r.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_requirement_is_conservatively_attackable() {
+        let p = covering_problem();
+        let session = Session::new(&p, Some(0)).unwrap();
+        let query = margin_query(&Scenario::nominal(), "no_such_requirement");
+        assert_eq!(session.answer(&query), Ok(Answer::Margin(true)));
+    }
+
+    #[test]
+    fn margin_query_without_a_budget_is_an_error() {
+        let p = covering_problem();
+        let session = Session::new(&p, None).unwrap();
+        assert!(session.solvers().1.is_none(), "no contested grounding");
+        let scenario = Scenario::of(&["f_sp0"]);
+        let err = session
+            .answer(&margin_query(&scenario, "r_ring"))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EpaError::NoMarginBudget {
+                scenario,
+                requirement: "r_ring".to_owned(),
+            }
+        );
+    }
+
+    #[test]
+    fn streaming_stops_at_the_first_failing_query() {
+        // The only failing query is a margin query on a budget-less
+        // session, at index j of the stream.
+        let p = chain_problem(2);
+        let session = Session::new(&p, None).unwrap();
+        let mut queries = outcome_queries(&p, usize::MAX);
+        let j = queries.len() / 2;
+        let failing = margin_query(&Scenario::of(&["f_ew"]), "r1");
+        queries.insert(j, failing.clone());
+        let expected_err = session.answer(&failing).unwrap_err();
+        for threads in [1, 2, 8] {
+            let opts = SweepOptions::with_threads(threads)
+                .steal_batch(1)
+                .max_in_flight(4);
+            let mut emitted = Vec::new();
+            let err = session
+                .sweep_streaming(queries.iter().cloned(), &opts, |i, _| emitted.push(i))
+                .unwrap_err();
+            assert_eq!(emitted, (0..j).collect::<Vec<_>>(), "threads = {threads}");
+            assert_eq!(err, expected_err, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn catalog_sweeps_agree_across_schedulers() {
+        let p = catalog_problem(36, 4, 2);
+        let budget = catalog_margin_budget(4);
+        let ranked = catalog_requirements_ranked(&p, budget);
+        let space = ScenarioSpace::new(&p, 1);
+        let queries: Vec<Query> = catalog_queries(&space, &ranked, 6).collect();
+        let session = Session::new(&p, Some(budget)).unwrap();
+
+        let (sequential, _) = session
+            .sweep(&queries, &SweepOptions::with_threads(1))
+            .unwrap();
+        let opts = SweepOptions::with_threads(4).steal_batch(1);
+        let (stolen, _) = session.sweep(&queries, &opts).unwrap();
+        assert_eq!(stolen, sequential);
+
+        let mut streamed: Vec<Option<Answer>> = vec![None; queries.len()];
+        let stream_opts = SweepOptions::with_threads(4)
+            .steal_batch(1)
+            .max_in_flight(16);
+        let stats = session
+            .sweep_streaming(catalog_queries(&space, &ranked, 6), &stream_opts, |i, a| {
+                streamed[i] = Some(a)
+            })
+            .unwrap();
+        assert!(stats.peak_in_flight <= 16);
+        let streamed: Vec<Answer> = streamed.into_iter().map(Option::unwrap).collect();
+        assert_eq!(streamed, sequential);
+    }
+}

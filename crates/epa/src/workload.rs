@@ -8,20 +8,17 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cpsrisk_asp::ast::{ArithOp, CmpOp};
-use cpsrisk_asp::{predict_sizes, ProgramBuilder, Solver, Term};
+use cpsrisk_asp::{predict_sizes, ProgramBuilder, Term};
 use cpsrisk_model::{ElementKind, FlowKind, Relation, RelationKind, SystemModel};
 use cpsrisk_qr::Qual;
 use cpsrisk_temporal::{parse_ltl, unroll, Ltl};
 use cpsrisk_threat::generator::{generate, GeneratorConfig};
 
 use crate::encode::{encode, EncodeMode};
-use crate::error::EpaError;
-use crate::incremental::IncrementalAnalysis;
-use crate::margin::AttackMargin;
 use crate::mutation::{CandidateMutation, MutationSource};
-use crate::parallel::{run_stealing_stream, run_stealing_with, SweepOptions, SweepStats};
 use crate::problem::{EpaProblem, MitigationOption, Requirement};
-use crate::scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
+use crate::scenario::ScenarioSpace;
+use crate::session::Query;
 
 /// A parametric control chain: `ew -> d1 -> … -> dn -> valve`, one
 /// `compromised` mutation per device plus a stuck-valve mutation, and a
@@ -399,7 +396,7 @@ pub fn catalog_margin_budget(chains: usize) -> u32 {
 ///
 /// The zone ring is deliberately unreachable from the chain graph: its
 /// covering structure is what makes `r_zone` attack-margin queries
-/// ([`AttackMargin`]) pigeonhole-hard below the covering number, giving
+/// ([`Query::Margin`]) pigeonhole-hard below the covering number, giving
 /// catalog sweeps an honest cheap-vs-expensive query skew.
 ///
 /// # Panics
@@ -615,32 +612,6 @@ pub fn catalog_requirements_ranked(problem: &EpaProblem, budget: u32) -> Vec<Str
     ranked.into_iter().map(|(_, id)| id).collect()
 }
 
-/// One unit of catalog sweep work: either a fixed-scenario outcome query
-/// (WFM-decided, microseconds) or an attack-margin query (a SAT call,
-/// potentially pigeonhole-hard — see [`AttackMargin`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CatalogQuery {
-    /// Evaluate the scenario's propagation outcome.
-    Outcome(Scenario),
-    /// Can the attacker extend `scenario` within budget to violate
-    /// `requirement`?
-    Margin {
-        /// The pinned starting scenario.
-        scenario: Scenario,
-        /// The targeted requirement id.
-        requirement: String,
-    },
-}
-
-/// The answer to a [`CatalogQuery`], same variant order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CatalogAnswer {
-    /// Propagation outcome of an [`CatalogQuery::Outcome`] query.
-    Outcome(ScenarioOutcome),
-    /// Attack existence for a [`CatalogQuery::Margin`] query.
-    Margin(bool),
-}
-
 /// The catalog query stream, lazily generated: every scenario's outcome
 /// query in [`ScenarioSpace`] cardinality order, then margin queries
 /// sampled every `margin_every` scenarios, grouped by
@@ -652,7 +623,7 @@ pub fn catalog_queries<'a>(
     space: &'a ScenarioSpace,
     ranked: &[String],
     margin_every: usize,
-) -> impl Iterator<Item = CatalogQuery> + 'a {
+) -> impl Iterator<Item = Query> + 'a {
     let ranked: Vec<String> = if margin_every == 0 {
         Vec::new()
     } else {
@@ -664,153 +635,21 @@ pub fn catalog_queries<'a>(
             .iter()
             .skip(rank * margin_every)
             .step_by(stride)
-            .map(move |scenario| CatalogQuery::Margin {
+            .map(move |scenario| Query::Margin {
                 scenario,
                 requirement: req.clone(),
             })
     });
-    space.iter().map(CatalogQuery::Outcome).chain(margins)
-}
-
-/// Paired incremental analyses answering a [`CatalogQuery`] stream: one
-/// shared ground program for outcome queries ([`IncrementalAnalysis`]) and
-/// one for margin queries ([`AttackMargin`]), each worker carrying a
-/// reusable solver over both.
-pub struct CatalogAnalysis {
-    outcome: IncrementalAnalysis,
-    margin: AttackMargin,
-}
-
-impl CatalogAnalysis {
-    /// Encode and ground both programs for `problem`, margins at `budget`.
-    ///
-    /// # Errors
-    ///
-    /// [`EpaError::Asp`] on grounding failure.
-    pub fn new(problem: &EpaProblem, budget: u32) -> Result<Self, EpaError> {
-        Ok(CatalogAnalysis {
-            outcome: IncrementalAnalysis::new(problem)?,
-            margin: AttackMargin::new(problem, budget)?,
-        })
-    }
-
-    /// The outcome-query analysis.
-    #[must_use]
-    pub fn outcome_analysis(&self) -> &IncrementalAnalysis {
-        &self.outcome
-    }
-
-    /// The margin-query analysis.
-    #[must_use]
-    pub fn margin_analysis(&self) -> &AttackMargin {
-        &self.margin
-    }
-
-    /// A fresh reusable solver pair (outcome, margin) — one per sweep
-    /// worker.
-    #[must_use]
-    pub fn solvers(&self) -> (Solver<'_>, Solver<'_>) {
-        (self.outcome.solver(), self.margin.solver())
-    }
-
-    /// Answer one query on a caller-provided solver pair (from
-    /// [`Self::solvers`]).
-    ///
-    /// # Errors
-    ///
-    /// [`EpaError::Asp`] on solving failure, [`EpaError::NoModel`] if an
-    /// outcome query's assumptions are inconsistent.
-    pub fn answer_with(
-        &self,
-        solvers: &mut (Solver<'_>, Solver<'_>),
-        query: &CatalogQuery,
-    ) -> Result<CatalogAnswer, EpaError> {
-        match query {
-            CatalogQuery::Outcome(s) => Ok(CatalogAnswer::Outcome(
-                self.outcome.analyze_with(&mut solvers.0, s)?,
-            )),
-            CatalogQuery::Margin {
-                scenario,
-                requirement,
-            } => Ok(CatalogAnswer::Margin(self.margin.attack_exists_with(
-                &mut solvers.1,
-                scenario,
-                requirement,
-            )?)),
-        }
-    }
-
-    /// Answer every query across work-stealing workers; `answers[i]`
-    /// corresponds to `queries[i]` regardless of thread count or steal
-    /// schedule.
-    ///
-    /// # Errors
-    ///
-    /// The first (in input order) [`EpaError`] any query produced.
-    pub fn sweep(
-        &self,
-        queries: &[CatalogQuery],
-        opts: &SweepOptions,
-    ) -> Result<(Vec<CatalogAnswer>, SweepStats), EpaError> {
-        let (results, stats) = run_stealing_with(
-            queries,
-            opts,
-            || self.solvers(),
-            |st, q| self.answer_with(st, q),
-        );
-        Ok((results.into_iter().collect::<Result<Vec<_>, _>>()?, stats))
-    }
-
-    /// Memory-bounded streaming sweep over a lazy query stream (e.g.
-    /// [`catalog_queries`]): at most [`SweepOptions::max_in_flight`]
-    /// queries are materialized at any moment, `emit` receives answers in
-    /// input order with their global stream index, and per-worker solver
-    /// pairs persist across windows.
-    ///
-    /// # Errors
-    ///
-    /// The first (in input order) [`EpaError`] any query produced; answers
-    /// at or past the first failing index are not emitted.
-    pub fn sweep_streaming<E>(
-        &self,
-        queries: impl Iterator<Item = CatalogQuery>,
-        opts: &SweepOptions,
-        mut emit: E,
-    ) -> Result<SweepStats, EpaError>
-    where
-        E: FnMut(usize, CatalogAnswer),
-    {
-        let mut first_err: Option<(usize, EpaError)> = None;
-        let stats = run_stealing_stream(
-            queries,
-            opts,
-            || self.solvers(),
-            |st, q| self.answer_with(st, q),
-            |i, r| match r {
-                Ok(a) => {
-                    if first_err.is_none() {
-                        emit(i, a);
-                    }
-                }
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_err = Some((i, e));
-                    }
-                }
-            },
-        );
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(stats),
-        }
-    }
+    space.iter().map(Query::Outcome).chain(margins)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use crate::session::{Answer, Session};
     use crate::topology::TopologyAnalysis;
+    use cpsrisk_asp::Solver;
 
     #[test]
     fn chain_problem_scales_and_propagates() {
@@ -960,20 +799,22 @@ mod tests {
         let below = catalog_margin_budget(4);
         assert_eq!(catalog_zone_count(4), 4);
         assert_eq!(below, 1, "covering number 2 at 4 zones");
-        assert!(!AttackMargin::new(&p, below)
-            .unwrap()
-            .attack_exists(&nominal, "r_zone")
-            .unwrap());
-        assert!(AttackMargin::new(&p, below + 1)
-            .unwrap()
-            .attack_exists(&nominal, "r_zone")
-            .unwrap());
+        let attack_exists = |budget, requirement: &str| {
+            let query = Query::Margin {
+                scenario: nominal.clone(),
+                requirement: requirement.to_owned(),
+            };
+            Session::new(&p, Some(budget))
+                .unwrap()
+                .answer(&query)
+                .unwrap()
+                == Answer::Margin(true)
+        };
+        assert!(!attack_exists(below, "r_zone"));
+        assert!(attack_exists(below + 1, "r_zone"));
         // Chain margins are cheap by comparison: one chosen fault breaks
         // a valve requirement.
-        assert!(AttackMargin::new(&p, 1)
-            .unwrap()
-            .attack_exists(&nominal, "r_chain0")
-            .unwrap());
+        assert!(attack_exists(1, "r_chain0"));
     }
 
     #[test]
@@ -989,50 +830,18 @@ mod tests {
         );
         let space = ScenarioSpace::new(&p, 1);
         let n = usize::try_from(space.scenario_count()).unwrap();
-        let queries: Vec<CatalogQuery> = catalog_queries(&space, &ranked, 4).collect();
+        let queries: Vec<Query> = catalog_queries(&space, &ranked, 4).collect();
         assert!(queries.len() > n, "margin queries were sampled");
-        assert!(queries[..n]
-            .iter()
-            .all(|q| matches!(q, CatalogQuery::Outcome(_))));
+        assert!(queries[..n].iter().all(|q| matches!(q, Query::Outcome(_))));
         assert!(queries[n..]
             .iter()
-            .all(|q| matches!(q, CatalogQuery::Margin { .. })));
+            .all(|q| matches!(q, Query::Margin { .. })));
         match queries.last() {
-            Some(CatalogQuery::Margin { requirement, .. }) => assert_eq!(requirement, "r_zone"),
+            Some(Query::Margin { requirement, .. }) => assert_eq!(requirement, "r_zone"),
             other => panic!("stream should end on an r_zone margin, got {other:?}"),
         }
         // Disabling sampling leaves a pure outcome stream.
         assert_eq!(catalog_queries(&space, &ranked, 0).count(), n);
-    }
-
-    #[test]
-    fn catalog_sweeps_agree_across_schedulers() {
-        let p = catalog_problem(36, 4, 2);
-        let budget = catalog_margin_budget(4);
-        let ranked = catalog_requirements_ranked(&p, budget);
-        let space = ScenarioSpace::new(&p, 1);
-        let queries: Vec<CatalogQuery> = catalog_queries(&space, &ranked, 6).collect();
-        let analysis = CatalogAnalysis::new(&p, budget).unwrap();
-
-        let (sequential, _) = analysis
-            .sweep(&queries, &SweepOptions::with_threads(1))
-            .unwrap();
-        let opts = SweepOptions::with_threads(4).steal_batch(1);
-        let (stolen, _) = analysis.sweep(&queries, &opts).unwrap();
-        assert_eq!(stolen, sequential);
-
-        let mut streamed: Vec<Option<CatalogAnswer>> = vec![None; queries.len()];
-        let stream_opts = SweepOptions::with_threads(4)
-            .steal_batch(1)
-            .max_in_flight(16);
-        let stats = analysis
-            .sweep_streaming(catalog_queries(&space, &ranked, 6), &stream_opts, |i, a| {
-                streamed[i] = Some(a)
-            })
-            .unwrap();
-        assert!(stats.peak_in_flight <= 16);
-        let streamed: Vec<CatalogAnswer> = streamed.into_iter().map(Option::unwrap).collect();
-        assert_eq!(streamed, sequential);
     }
 
     #[test]

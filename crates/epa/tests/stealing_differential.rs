@@ -7,18 +7,17 @@
 //! aggregate computed from them. These properties pin that contract on
 //! randomized scenario streams (including permuted input orders), on the
 //! catalog workload's skewed cheap-outcome/expensive-margin mix, and on
-//! the sensitivity and mutation-screening entry points that route
-//! through the same scheduler.
+//! the mutation-screening entry point that routes through the same
+//! scheduler.
 
 use proptest::prelude::*;
 
 use cpsrisk_epa::workload::{
     catalog_margin_budget, catalog_problem, catalog_queries, catalog_requirements_ranked,
-    chain_problem, CatalogAnalysis,
+    chain_problem,
 };
 use cpsrisk_epa::{
-    screen_mutations, sensitivity_sweep, sensitivity_sweep_parallel, IncrementalAnalysis, Scenario,
-    ScenarioOutcome, ScenarioSpace, SweepOptions,
+    screen_mutations, Answer, Query, Scenario, ScenarioSpace, Session, SweepOptions,
 };
 
 /// The scheduler configurations the properties sweep over: every
@@ -50,11 +49,24 @@ fn permute<T>(items: &mut [T], seed: u64) {
 /// Aggregates a caller might fold a sweep into; equality of the streams
 /// implies equality here, but asserting them separately documents that
 /// totals (hazard counts, violation mass) are scheduler-independent.
-fn totals(outcomes: &[ScenarioOutcome]) -> (usize, usize) {
-    (
-        outcomes.iter().filter(|o| o.is_hazard()).count(),
-        outcomes.iter().map(|o| o.violated.len()).sum(),
-    )
+fn totals(answers: &[Answer]) -> (usize, usize) {
+    let outcomes = answers.iter().filter_map(|a| match a {
+        Answer::Outcome(o) => Some(o),
+        Answer::Margin(_) => None,
+    });
+    outcomes.fold((0, 0), |(hazards, violations), o| {
+        (
+            hazards + usize::from(o.is_hazard()),
+            violations + o.violated.len(),
+        )
+    })
+}
+
+/// The outcome queries of `p`'s scenario space, permuted by `seed`.
+fn permuted_queries(p: &cpsrisk_epa::EpaProblem, max_faults: usize, seed: u64) -> Vec<Query> {
+    let mut scenarios: Vec<Scenario> = ScenarioSpace::new(p, max_faults).iter().collect();
+    permute(&mut scenarios, seed);
+    scenarios.into_iter().map(Query::Outcome).collect()
 }
 
 proptest! {
@@ -70,22 +82,19 @@ proptest! {
         max_faults in 1usize..=2,
     ) {
         let p = chain_problem(n);
-        let analysis = IncrementalAnalysis::new(&p).expect("grounds");
-        let mut scenarios: Vec<Scenario> =
-            ScenarioSpace::new(&p, max_faults).iter().collect();
-        permute(&mut scenarios, seed);
-        let sequential = analysis
-            .sweep(&scenarios, &opts(1, 1))
+        let session = Session::new(&p, None).expect("grounds");
+        let queries = permuted_queries(&p, max_faults, seed);
+        let (sequential, _) = session
+            .sweep(&queries, &opts(1, 1))
             .expect("sequential sweep");
         let expected_totals = totals(&sequential);
         for threads in THREADS {
             for batch in BATCHES {
                 let o = opts(threads, batch);
-                let (stolen, stats) =
-                    analysis.sweep_with_stats(&scenarios, &o).expect("stealing");
+                let (stolen, stats) = session.sweep(&queries, &o).expect("stealing");
                 prop_assert_eq!(&stolen, &sequential, "threads={} batch={}", threads, batch);
                 prop_assert_eq!(totals(&stolen), expected_totals);
-                prop_assert_eq!(stats.processed.iter().sum::<usize>(), scenarios.len());
+                prop_assert_eq!(stats.processed.iter().sum::<usize>(), queries.len());
             }
         }
     }
@@ -103,19 +112,17 @@ proptest! {
         let (threads, batch) = (THREADS[threads_ix], BATCHES[batch_ix]);
         let bound = [1usize, 5, 32][bound_ix];
         let p = chain_problem(2);
-        let analysis = IncrementalAnalysis::new(&p).expect("grounds");
-        let mut scenarios: Vec<Scenario> =
-            ScenarioSpace::new(&p, usize::MAX).iter().collect();
-        permute(&mut scenarios, seed);
+        let session = Session::new(&p, None).expect("grounds");
+        let queries = permuted_queries(&p, usize::MAX, seed);
         let o = opts(threads, batch).max_in_flight(bound);
-        let materialized = analysis.sweep(&scenarios, &o).expect("materialized");
-        let mut streamed: Vec<Option<ScenarioOutcome>> = vec![None; scenarios.len()];
-        let stats = analysis
-            .sweep_streaming(scenarios.iter().cloned(), &o, |i, out| {
+        let (materialized, _) = session.sweep(&queries, &o).expect("materialized");
+        let mut streamed: Vec<Option<Answer>> = vec![None; queries.len()];
+        let stats = session
+            .sweep_streaming(queries.iter().cloned(), &o, |i, out| {
                 streamed[i] = Some(out);
             })
             .expect("streaming");
-        let streamed: Vec<ScenarioOutcome> =
+        let streamed: Vec<Answer> =
             streamed.into_iter().map(|s| s.expect("every slot emitted")).collect();
         prop_assert_eq!(streamed, materialized);
         prop_assert!(
@@ -134,7 +141,7 @@ fn catalog_mixed_queries_agree_across_all_scheduler_configs() {
     let chains = 4;
     let p = catalog_problem(30, chains, 11);
     let budget = catalog_margin_budget(chains);
-    let analysis = CatalogAnalysis::new(&p, budget).expect("grounds");
+    let analysis = Session::new(&p, Some(budget)).expect("grounds");
     let ranked = catalog_requirements_ranked(&p, budget);
     let space = ScenarioSpace::new(&p, 1);
     let queries: Vec<_> = catalog_queries(&space, &ranked, 4).collect();
@@ -165,22 +172,15 @@ fn catalog_mixed_queries_agree_across_all_scheduler_configs() {
     }
 }
 
-/// Sensitivity analysis and mutation screening route through the same
-/// scheduler; their ranked findings and screening outcomes must be
-/// independent of every scheduler knob.
+/// Mutation screening routes through the same scheduler; its screening
+/// outcomes must be independent of every scheduler knob.
 #[test]
 fn sensitivity_and_screening_are_scheduler_independent() {
     let p = chain_problem(2);
-    let sequential_findings = sensitivity_sweep(&p, 1);
     let sequential_screen = screen_mutations(&p, &opts(1, 1)).expect("screens");
     for threads in THREADS {
         for batch in BATCHES {
             let o = opts(threads, batch);
-            assert_eq!(
-                sensitivity_sweep_parallel(&p, 1, &o),
-                sequential_findings,
-                "threads={threads} batch={batch}"
-            );
             assert_eq!(
                 screen_mutations(&p, &o).expect("screens"),
                 sequential_screen,

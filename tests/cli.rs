@@ -276,6 +276,23 @@ fn analyze_rejects_an_unknown_workload() {
 }
 
 #[test]
+fn analyze_rejects_workload_sizes_below_the_minimum() {
+    for (workload, n, min) in [
+        ("adversarial", "2", "3"),
+        ("temporal", "1", "2"),
+        ("grid", "0", "1"),
+    ] {
+        let (_, stderr, ok) = run(&["analyze", "--workload", workload, "--n", n]);
+        assert!(!ok, "{workload} --n {n} must fail");
+        assert!(!stderr.contains("panicked"), "{workload} --n {n}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--n >= {min}")),
+            "{workload} --n {n} should name the minimum: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn certified_solving_round_trips_through_check() {
     let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
     // `solve --certify` writes a proof the `check` subcommand accepts.
