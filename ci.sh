@@ -18,6 +18,15 @@ for lib in crates/*/src/lib.rs; do
     }
 done
 
+# The EPA crate has one sweep scheduler: the worker pool in parallel.rs is
+# the only place it spawns scoped threads.
+scopes=$(grep -rn 'thread::scope' crates/epa/src || true)
+if [ "$(grep -c . <<<"$scopes")" -ne 1 ] || ! grep -q '^crates/epa/src/parallel.rs:' <<<"$scopes"; then
+    echo "ci.sh: thread::scope must appear exactly once in crates/epa/src, in parallel.rs:" >&2
+    echo "$scopes" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 # The independent certificate checker's unit + mutation suite must pass

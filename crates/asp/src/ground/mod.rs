@@ -15,6 +15,7 @@
 //! differentially tested against.
 
 use std::num::NonZeroUsize;
+use std::sync::Once;
 
 use crate::ast::{Atom, Program};
 use crate::error::AspError;
@@ -38,8 +39,8 @@ pub struct Grounder {
     /// cannot influence a `#show`n predicate, a constraint, a `#minimize`
     /// statement, or an assumable signature are dropped up front.
     slicing: bool,
-    /// Worker threads for semi-naive instantiation; `None` resolves from
-    /// `CPSRISK_THREADS`, then available parallelism.
+    /// Worker threads for semi-naive instantiation; `None` resolves
+    /// through [`default_threads`].
     threads: Option<usize>,
 }
 
@@ -54,13 +55,44 @@ impl Default for Grounder {
     }
 }
 
-/// Worker-thread default: `CPSRISK_THREADS`, then available parallelism.
-fn default_threads() -> usize {
-    std::env::var("CPSRISK_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+/// Worker-thread default shared by grounding and EPA sweeps: the
+/// `CPSRISK_THREADS` environment variable if set to a positive integer,
+/// else the machine's available parallelism. A malformed value (e.g.
+/// `CPSRISK_THREADS=abc` or `0`) falls back to the machine default and
+/// emits a one-time stderr warning naming the rejected value.
+#[must_use]
+pub fn default_threads() -> usize {
+    match parse_threads(std::env::var("CPSRISK_THREADS").ok().as_deref()) {
+        Ok(Some(t)) => t,
+        Ok(None) => available_parallelism(),
+        Err(raw) => {
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "cpsrisk: ignoring CPSRISK_THREADS={raw:?} (expected a \
+                     positive integer); using available parallelism"
+                );
+            });
+            available_parallelism()
+        }
+    }
+}
+
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Interpret a raw `CPSRISK_THREADS` value: `Ok(None)` when unset,
+/// `Ok(Some(t))` for a positive integer, `Err(raw)` for anything else
+/// (the caller warns and falls back).
+fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    match raw {
+        None => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(t) if t > 0 => Ok(Some(t)),
+            _ => Err(v.to_owned()),
+        },
+    }
 }
 
 /// Predicted grounding sizes below this instantiate sequentially: sharding
@@ -160,7 +192,7 @@ impl Grounder {
     /// puts the grounding below the spawn-overhead floor.
     fn effective_threads(&self, program: &Program) -> usize {
         let requested = self.threads.unwrap_or_else(default_threads);
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let cores = available_parallelism();
         let threads = requested.min(cores);
         if threads > 1 && crate::analysis::predict_sizes(program).total < PAR_SPAWN_FLOOR {
             return 1;
@@ -169,7 +201,7 @@ impl Grounder {
     }
 
     /// Ground a program into a resident [`GroundSession`] that can later be
-    /// [`extend`](Grounder::extend)ed with program deltas. Slicing is not
+    /// [`extend`](GroundSession::extend)ed with program deltas. Slicing is not
     /// applied, since a slice computed now could wrongly drop rules a later
     /// delta reaches.
     ///
@@ -192,22 +224,6 @@ impl Grounder {
             },
         )
         .map(|inner| GroundSession { inner })
-    }
-
-    /// Extend a session with a program delta: convenience forwarding of
-    /// [`GroundSession::extend`], so the grounder owns the whole
-    /// ground-then-extend lifecycle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`GroundSession::extend`].
-    pub fn extend(
-        &self,
-        session: &mut GroundSession,
-        delta: &Program,
-        revoke: &[Atom],
-    ) -> Result<ExtendStats, AspError> {
-        session.extend(delta, revoke)
     }
 }
 
@@ -263,6 +279,19 @@ mod tests {
 
     fn ground_src(src: &str) -> GroundProgram {
         Grounder::new().ground(&parse(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn from_env_rejects_malformed_thread_counts() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some(" 2 ")), Ok(Some(2)));
+        // Malformed values are surfaced (the one-time warning names them),
+        // never silently swallowed.
+        assert_eq!(parse_threads(Some("abc")), Err("abc".to_owned()));
+        assert_eq!(parse_threads(Some("0")), Err("0".to_owned()));
+        assert_eq!(parse_threads(Some("-3")), Err("-3".to_owned()));
+        assert_eq!(parse_threads(Some("")), Err(String::new()));
     }
 
     #[test]

@@ -764,74 +764,16 @@ impl CRule {
     }
 }
 
-/// Tarjan's algorithm over the signature dependency graph. Returns the
-/// component index of every node, with components numbered in topological
-/// order (producers before consumers along body → head edges).
-fn condense(n: usize, adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
-    struct T<'a> {
-        adj: &'a [Vec<usize>],
-        index: Vec<Option<u32>>,
-        low: Vec<u32>,
-        on_stack: Vec<bool>,
-        stack: Vec<usize>,
-        next: u32,
-        comps: Vec<Vec<usize>>,
-    }
-    impl T<'_> {
-        fn connect(&mut self, v: usize) {
-            self.index[v] = Some(self.next);
-            self.low[v] = self.next;
-            self.next += 1;
-            self.stack.push(v);
-            self.on_stack[v] = true;
-            for &w in &self.adj[v] {
-                match self.index[w] {
-                    None => {
-                        self.connect(w);
-                        self.low[v] = self.low[v].min(self.low[w]);
-                    }
-                    Some(wi) if self.on_stack[w] => {
-                        self.low[v] = self.low[v].min(wi);
-                    }
-                    Some(_) => {}
-                }
-            }
-            if Some(self.low[v]) == self.index[v] {
-                let mut comp = Vec::new();
-                while let Some(w) = self.stack.pop() {
-                    self.on_stack[w] = false;
-                    comp.push(w);
-                    if w == v {
-                        break;
-                    }
-                }
-                self.comps.push(comp);
-            }
-        }
-    }
-    let mut t = T {
-        adj,
-        index: vec![None; n],
-        low: vec![0; n],
-        on_stack: vec![false; n],
-        stack: Vec::new(),
-        next: 0,
-        comps: Vec::new(),
-    };
-    for v in 0..n {
-        if t.index[v].is_none() {
-            t.connect(v);
-        }
-    }
-    // Tarjan emits successors first; reverse for producers-first order.
-    t.comps.reverse();
-    let mut comp_of = vec![0usize; n];
-    for (c, comp) in t.comps.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = c;
-        }
-    }
-    (comp_of, t.comps.len())
+/// Strongly connected components of the signature dependency graph
+/// (iterative Tarjan, so deep chains cannot overflow the stack). Returns
+/// the component index of every node, with components numbered in
+/// topological order (producers before consumers along body → head
+/// edges), and the component count.
+fn condense(adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
+    let comp = crate::analysis::deps::tarjan_scc(adj);
+    let n_comps = comp.iter().max().map_or(0, |&c| c + 1);
+    // Tarjan numbers successors first; reverse for producers-first order.
+    (comp.into_iter().map(|c| n_comps - 1 - c).collect(), n_comps)
 }
 
 // ---------------------------------------------------------------------------
@@ -917,7 +859,7 @@ fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(),
     for (from, to) in edges {
         adj[from].push(to);
     }
-    let (comp_of, n_comps) = condense(n, &adj);
+    let (comp_of, n_comps) = condense(&adj);
 
     // A rule belongs to the earliest component among its head signatures:
     // every signature it reads lives in that component or earlier, and any

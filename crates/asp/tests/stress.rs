@@ -1,7 +1,9 @@
 //! Stress tests: classic combinatorial encodings through the full
 //! parse → ground → solve pipeline, with known solution counts.
 
-use cpsrisk_asp::{Grounder, Program, SolveOptions, Solver};
+use cpsrisk_asp::{
+    Atom, Grounder, Head, Literal, Program, Rule, SolveOptions, Solver, Statement, Term,
+};
 
 fn count_models(src: &str) -> usize {
     let program: Program = src.parse().expect("parses");
@@ -118,4 +120,36 @@ fn wide_choice_with_budgeted_enumeration_cap() {
         .unwrap();
     assert_eq!(result.models.len(), 100);
     assert!(!result.exhausted);
+}
+
+#[test]
+fn long_predicate_chain_grounds_on_a_small_stack() {
+    // p0(a). p{i}(X) :- p{i-1}(X). — 50,000 predicates, one SCC each, so
+    // a recursive SCC pass nests 50,000 frames deep. Built from
+    // statements, since parsing a long chain is superlinear; one thread
+    // skips the size prediction, which is too.
+    const N: usize = 50_000;
+    let x = || vec![Term::var("X")];
+    let fact = Rule::fact(Atom::new("p0", vec![Term::sym("a")]));
+    let rules = (1..N).map(|i| Rule {
+        head: Head::Atom(Atom::new(format!("p{i}"), x())),
+        body: vec![Literal::Pos(Atom::new(format!("p{}", i - 1), x()))],
+    });
+    let program = Program {
+        statements: std::iter::once(fact)
+            .chain(rules)
+            .map(Statement::Rule)
+            .collect(),
+    };
+    // A 2 MiB stack, the default for spawned threads.
+    let ground = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || Grounder::new().with_threads(1).ground(&program))
+        .expect("spawns")
+        .join()
+        .expect("grounding thread finishes")
+        .expect("grounds");
+    assert_eq!(ground.atom_count(), N);
+    let last = Atom::new(format!("p{}", N - 1), vec![Term::sym("a")]);
+    assert!(ground.lookup(&last).is_some(), "the chain reaches its end");
 }

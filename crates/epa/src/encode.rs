@@ -322,11 +322,16 @@ impl ExhaustiveAnalysis {
             .collect())
     }
 
-    /// §IV-D "most efficient attack" against one requirement, answered from
-    /// the cached ground program: the `#minimize` objective is attached at
-    /// the propositional level (one weighted literal per ground
-    /// `active_fault` atom), so no re-encoding or re-grounding happens per
-    /// requirement.
+    /// §IV-D "most efficient attack" against one requirement: the
+    /// cheapest fault combination (by attacker cost) that violates it. The
+    /// attack cost of a fault derives from its likelihood band — easier
+    /// faults (higher likelihood) are cheaper for the attacker:
+    /// `cost = (5 − likelihood_index) × 10`.
+    ///
+    /// Answered from the cached ground program: the `#minimize` objective
+    /// is attached at the propositional level (one weighted literal per
+    /// ground `active_fault` atom), so no re-encoding or re-grounding
+    /// happens per requirement.
     ///
     /// Returns `None` if no potential fault combination violates the
     /// requirement at all.
@@ -387,25 +392,6 @@ impl ExhaustiveAnalysis {
             (scenario_of_model(&model), cost)
         }))
     }
-}
-
-/// §IV-D "most efficient attack": the cheapest fault combination (by
-/// attacker cost) that violates the given requirement, found with the ASP
-/// `#minimize` machinery. The attack cost of a fault derives from its
-/// likelihood band — easier faults (higher likelihood) are cheaper for the
-/// attacker: `cost = (5 − likelihood_index) × 10`.
-///
-/// Returns `None` if no potential fault combination violates the
-/// requirement at all.
-///
-/// # Errors
-///
-/// [`EpaError::Asp`] on grounding/solving failure.
-pub fn cheapest_attack(
-    problem: &EpaProblem,
-    requirement_id: &str,
-) -> Result<Option<(Scenario, i64)>, EpaError> {
-    ExhaustiveAnalysis::new(problem, None)?.cheapest_attack(requirement_id)
 }
 
 /// The scenario an answer set encodes: the fault ids of its
@@ -569,11 +555,18 @@ mod tests {
                 _ => cpsrisk_qr::Qual::VeryLow,            // cost 50
             };
         }
-        let (scenario, cost) = cheapest_attack(&p, "r1").unwrap().expect("r1 attackable");
+        let analysis = ExhaustiveAnalysis::new(&p, None).unwrap();
+        let (scenario, cost) = analysis
+            .cheapest_attack("r1")
+            .unwrap()
+            .expect("r1 attackable");
         assert_eq!(scenario, Scenario::of(&["f_ew_comp"]));
         assert_eq!(cost, 10);
         // r2 likewise: the single compromise beats {valve, hmi} = 100.
-        let (s2, c2) = cheapest_attack(&p, "r2").unwrap().expect("r2 attackable");
+        let (s2, c2) = analysis
+            .cheapest_attack("r2")
+            .unwrap()
+            .expect("r2 attackable");
         assert_eq!(s2, Scenario::of(&["f_ew_comp"]));
         assert_eq!(c2, 10);
     }
@@ -586,7 +579,8 @@ mod tests {
             "impossible",
             &[("tank", "melted")],
         ));
-        assert_eq!(cheapest_attack(&p, "r_unreachable").unwrap(), None);
+        let analysis = ExhaustiveAnalysis::new(&p, None).unwrap();
+        assert_eq!(analysis.cheapest_attack("r_unreachable").unwrap(), None);
     }
 
     #[test]
@@ -596,7 +590,9 @@ mod tests {
         p.activate_mitigation("m2").unwrap();
         // The workstation route is blocked; the attack must use the direct
         // valve fault.
-        let (scenario, _) = cheapest_attack(&p, "r1")
+        let (scenario, _) = ExhaustiveAnalysis::new(&p, None)
+            .unwrap()
+            .cheapest_attack("r1")
             .unwrap()
             .expect("still attackable");
         assert_eq!(scenario, Scenario::of(&["f_valve_closed"]));
@@ -610,11 +606,12 @@ mod tests {
         let one_shot = analyze_exhaustive(&p, None).unwrap();
         assert_eq!(cached.outcomes().unwrap(), one_shot);
         assert_eq!(cached.outcomes().unwrap(), one_shot);
-        // Same cheapest attack per requirement, without re-grounding.
+        // One cached analysis answers every requirement like a fresh one.
         for r in &p.requirements {
+            let fresh = ExhaustiveAnalysis::new(&p, None).unwrap();
             assert_eq!(
                 cached.cheapest_attack(&r.id).unwrap(),
-                cheapest_attack(&p, &r.id).unwrap(),
+                fresh.cheapest_attack(&r.id).unwrap(),
                 "requirement {}",
                 r.id
             );

@@ -26,13 +26,13 @@
 //!   semantics for stuck-at faults),
 //! * [`session`] — the resident multi-shot analysis: shared ground
 //!   programs answer every outcome and attack-margin [`Query`] as an
-//!   assumption set on reused solvers, one query at a time or in
-//!   work-stealing sweeps,
+//!   assumption set on reused solvers, one query at a time or in pooled
+//!   sweeps,
 //! * [`cegar`] — CEGAR-style refinement: eliminate spurious hazards found
 //!   at the abstract level by consulting a concrete oracle, never dropping
 //!   a real hazard,
 //! * [`sensitivity`] — modeling-decision sensitivity analysis (§II-A),
-//! * [`parallel`] — the work-stealing, memory-bounded sweep scheduler,
+//! * [`parallel`] — the sweep scheduler: one memory-bounded worker pool
 //!   with deterministic (input-order) results,
 //! * [`workload`] — parametric benchmark problem generators.
 //!
@@ -57,9 +57,7 @@ pub mod workload;
 
 pub use attack_path::{shortest_attack_paths, AttackPath};
 pub use cegar::{refine_hazards, AspOracle, CegarResult, ConcreteOracle};
-pub use encode::{
-    analyze_exhaustive, analyze_fixed, cheapest_attack, encode, EncodeMode, ExhaustiveAnalysis,
-};
+pub use encode::{analyze_exhaustive, analyze_fixed, encode, EncodeMode, ExhaustiveAnalysis};
 pub use error::EpaError;
 pub use horizon::{
     check_horizon_scratch, check_horizon_sweep, HorizonReport, HorizonRow, HorizonSession,

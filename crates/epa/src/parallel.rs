@@ -1,35 +1,29 @@
-//! Work-stealing, memory-bounded scenario sweeps over OS threads.
+//! The sweep scheduler: a memory-bounded worker pool over OS threads.
 //!
-//! The scenario space is embarrassingly parallel, but it is no longer
-//! uniform: the conditional well-founded model decides plain scenarios in
+//! The scenario space is embarrassingly parallel, but it is not uniform:
+//! the conditional well-founded model decides plain scenarios in
 //! microseconds while contested margin queries take milliseconds of CDCL
 //! search. Static contiguous chunks would let one hard run of scenarios
-//! idle every other core. The sweep therefore runs a **work-stealing
-//! scheduler**: the input is pre-split into batches of
-//! [`SweepOptions::steal_batch`] consecutive items, each worker owns a
-//! deque of batches, pops from the front, and — when empty — steals half
-//! of a victim's remaining batches from the back.
+//! idle every other core. The pool therefore shares **one queue** of
+//! batches of [`SweepOptions::batch`] consecutive items: a worker pulls
+//! the next batch the moment it finishes one, so a slow run of items
+//! spreads over every worker that runs dry.
 //!
-//! Results are written into preallocated index-addressed slots (each batch
-//! carries its own disjoint `&mut` window of the output), so the output
-//! order equals the input order and the result is **bit-identical to the
-//! sequential sweep at any thread count and any steal schedule** — no
-//! unsafe code, no per-slot locks.
-//!
-//! For inputs too large to materialize, `run_stealing_stream` consumes
-//! scenarios from an iterator into a **persistent** worker pool, keeping
-//! at most [`SweepOptions::max_in_flight`] items in memory at a time: the
-//! producer refills the shared queue in [`SweepOptions::steal_batch`]-
-//! sized batches as in-order emission frees budget, so workers never idle
-//! at a window barrier.
+//! The calling thread produces the batches from an iterator, keeping at
+//! most [`SweepOptions::max_in_flight`] items materialized at a time, and
+//! hands the results to the caller in input order with their global
+//! index. Each worker keeps one state (its own solvers) for the whole
+//! run. A materialized sweep is the same run with the window set to the
+//! input length. The output is therefore **bit-identical to the
+//! sequential sweep at any thread count, batch size and window**, with no
+//! unsafe code and no per-slot locks.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, Once};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default number of consecutive items per work-stealing batch.
-pub const DEFAULT_STEAL_BATCH: usize = 16;
+/// Default number of consecutive items per batch.
+pub const DEFAULT_BATCH: usize = 16;
 
 /// Default bound on materialized scenarios in streaming sweeps.
 pub const DEFAULT_MAX_IN_FLIGHT: usize = 4096;
@@ -39,10 +33,10 @@ pub const DEFAULT_MAX_IN_FLIGHT: usize = 4096;
 pub struct SweepOptions {
     /// Number of worker threads (≥ 1).
     pub threads: usize,
-    /// Consecutive items per work-stealing batch (≥ 1). Small batches
-    /// balance skewed workloads better; large batches amortize deque
-    /// traffic on uniform ones.
-    pub steal_batch: usize,
+    /// Consecutive items per batch (≥ 1). Small batches balance skewed
+    /// workloads better; large batches amortize queue traffic on uniform
+    /// ones.
+    pub batch: usize,
     /// Upper bound on scenarios materialized at once in streaming sweeps
     /// (≥ 1). Memory use of the streaming form is `O(max_in_flight)`
     /// regardless of stream length.
@@ -55,15 +49,15 @@ impl SweepOptions {
     pub fn with_threads(threads: usize) -> Self {
         SweepOptions {
             threads: threads.max(1),
-            steal_batch: DEFAULT_STEAL_BATCH,
+            batch: DEFAULT_BATCH,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
         }
     }
 
-    /// Replace the work-stealing batch size.
+    /// Replace the batch size.
     #[must_use]
-    pub fn steal_batch(mut self, batch: usize) -> Self {
-        self.steal_batch = batch.max(1);
+    pub fn batch(mut self, batch: usize) -> Self {
+        self.batch = batch.max(1);
         self
     }
 
@@ -74,28 +68,13 @@ impl SweepOptions {
         self
     }
 
-    /// Thread count from the `CPSRISK_THREADS` environment variable if set
-    /// to a positive integer, else the machine's available parallelism. A
-    /// malformed value (e.g. `CPSRISK_THREADS=abc` or `0`) falls back to
-    /// the machine default and emits a one-time stderr warning naming the
-    /// rejected value.
+    /// Thread count from [`cpsrisk_asp::default_threads`]: the
+    /// `CPSRISK_THREADS` environment variable if set to a positive
+    /// integer, else the machine's available parallelism. A malformed
+    /// value warns once on stderr.
     #[must_use]
     pub fn from_env() -> Self {
-        let threads = match parse_threads(std::env::var("CPSRISK_THREADS").ok().as_deref()) {
-            Ok(Some(t)) => t,
-            Ok(None) => default_parallelism(),
-            Err(raw) => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "cpsrisk: ignoring CPSRISK_THREADS={raw:?} (expected a \
-                         positive integer); using available parallelism"
-                    );
-                });
-                default_parallelism()
-            }
-        };
-        SweepOptions::with_threads(threads)
+        SweepOptions::with_threads(cpsrisk_asp::default_threads())
     }
 }
 
@@ -106,35 +85,20 @@ impl Default for SweepOptions {
     }
 }
 
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Interpret a raw `CPSRISK_THREADS` value: `Ok(None)` when unset,
-/// `Ok(Some(t))` for a positive integer, `Err(raw)` for anything else
-/// (the caller warns and falls back).
-fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(t) if t > 0 => Ok(Some(t)),
-            _ => Err(v.to_owned()),
-        },
-    }
-}
-
-/// Observability counters from one work-stealing sweep.
+/// Observability counters from one sweep.
 #[derive(Debug, Clone, Default)]
 pub struct SweepStats {
     /// Worker threads actually spawned.
     pub threads: usize,
     /// Work batches the input was split into.
     pub batches: usize,
-    /// Successful steal operations (each moves half a victim's deque).
+    /// Always 0: the pool has no steal operation. Kept only because the
+    /// benchmark still reads it.
+    #[doc(hidden)]
     pub steals: u64,
     /// Items processed per worker (sums to the input length).
     pub processed: Vec<usize>,
-    /// Time each worker spent evaluating items (excludes idle scanning).
+    /// Time each worker spent evaluating items (excludes waiting).
     pub busy: Vec<Duration>,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
@@ -163,200 +127,76 @@ impl SweepStats {
     }
 }
 
-/// One unit of schedulable work: a run of consecutive input items plus
-/// the matching disjoint window of output slots.
-struct Batch<'a, T, R> {
-    items: &'a [T],
-    slots: &'a mut [Option<R>],
-}
-
-/// Run the work-stealing scheduler over `items` with caller-provided
-/// per-worker states (one `&mut S` per worker, reused across every batch
-/// the worker processes or steals). `out` must have the same length as
-/// `items`; slot `i` receives `f(state, &items[i])`.
-fn stealing_round<'env, T, R, S, F>(
-    items: &'env [T],
-    out: &'env mut [Option<R>],
-    states: &mut [S],
-    steal_batch: usize,
-    f: &F,
-) -> SweepStats
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    debug_assert_eq!(items.len(), out.len());
-    let threads = states.len().max(1);
-    let start = Instant::now();
-    if items.is_empty() {
-        return SweepStats {
-            threads,
-            processed: vec![0; threads],
-            busy: vec![Duration::ZERO; threads],
-            wall: start.elapsed(),
-            peak_in_flight: 0,
-            ..SweepStats::default()
-        };
-    }
-    let batch = steal_batch.max(1);
-    let mut batches: Vec<Batch<'_, T, R>> = items
-        .chunks(batch)
-        .zip(out.chunks_mut(batch))
-        .map(|(items, slots)| Batch { items, slots })
-        .collect();
-    let n_batches = batches.len();
-
-    // Deal contiguous runs of batches to the workers (the same split the
-    // static scheme used, at batch granularity) — locality first, stealing
-    // only when a worker runs dry.
-    let deques: Vec<Mutex<VecDeque<Batch<'_, T, R>>>> = {
-        let per = n_batches.div_ceil(threads);
-        let mut dqs: Vec<VecDeque<Batch<'_, T, R>>> = Vec::with_capacity(threads);
-        dqs.resize_with(threads, VecDeque::new);
-        for (i, b) in batches.drain(..).enumerate() {
-            dqs[(i / per).min(threads - 1)].push_back(b);
-        }
-        dqs.into_iter().map(Mutex::new).collect()
-    };
-    let steals = AtomicU64::new(0);
-    let deques = &deques;
-    let steals_ref = &steals;
-    let f = &f;
-
-    let mut processed = vec![0usize; threads];
-    let mut busy = vec![Duration::ZERO; threads];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for (w, state) in states.iter_mut().enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut done = 0usize;
-                let mut active = Duration::ZERO;
-                loop {
-                    // Own work first, front to back.
-                    let mine = deques[w].lock().expect("deque poisoned").pop_front();
-                    if let Some(b) = mine {
-                        let t0 = Instant::now();
-                        for (slot, item) in b.slots.iter_mut().zip(b.items) {
-                            *slot = Some(f(state, item));
-                        }
-                        done += b.items.len();
-                        active += t0.elapsed();
-                        continue;
-                    }
-                    // Empty: scan the other workers round-robin and steal
-                    // the back half of the first non-empty deque found.
-                    let mut stolen: Option<VecDeque<Batch<'_, T, R>>> = None;
-                    for off in 1..threads {
-                        let v = (w + off) % threads;
-                        let mut dq = deques[v].lock().expect("deque poisoned");
-                        let len = dq.len();
-                        if len > 0 {
-                            let take = len.div_ceil(2);
-                            stolen = Some(dq.split_off(len - take));
-                            break;
-                        }
-                    }
-                    match stolen {
-                        Some(batches) => {
-                            steals_ref.fetch_add(1, Ordering::Relaxed);
-                            deques[w].lock().expect("deque poisoned").extend(batches);
-                        }
-                        // Every deque was empty at scan time: no work is
-                        // left for this worker (batches in flight are
-                        // finished by whoever holds them).
-                        None => break,
-                    }
-                }
-                (done, active)
-            }));
-        }
-        for (w, h) in handles.into_iter().enumerate() {
-            let (done, active) = h.join().expect("sweep worker panicked");
-            processed[w] = done;
-            busy[w] = active;
-        }
-    });
-
-    SweepStats {
-        threads,
-        batches: n_batches,
-        steals: steals.into_inner(),
-        processed,
-        busy,
-        wall: start.elapsed(),
-        peak_in_flight: items.len(),
-    }
-}
-
-fn collect_slots<R>(out: Vec<Option<R>>) -> Vec<R> {
-    out.into_iter()
-        .map(|r| r.expect("worker filled every slot"))
-        .collect()
-}
-
-/// Apply `f` to every item across work-stealing workers, preserving input
-/// order in the output, with per-worker state: each worker calls `init`
-/// once (on its own thread before the round starts) and threads the state
-/// through every batch it processes or steals. This is how a
-/// [`Session`](crate::session::Session) sweep gives every worker its own
-/// reusable [`Solver`](cpsrisk_asp::Solver)s over the shared ground
-/// programs.
-///
-/// `f` must be a pure function of the item for the output to be
-/// schedule-independent (solver reuse qualifies: reused solving is pinned
-/// to fresh solving by the PR 3 differential suite).
-pub(crate) fn run_stealing_with<T, R, S, I, F>(
-    items: &[T],
-    opts: &SweepOptions,
-    init: I,
-    f: F,
-) -> (Vec<R>, SweepStats)
-where
-    T: Sync,
-    R: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> R + Sync,
-{
-    let threads = opts.threads.clamp(1, items.len().max(1));
-    let mut states: Vec<S> = std::iter::repeat_with(&init).take(threads).collect();
-    let mut out: Vec<Option<R>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    let stats = stealing_round(items, &mut out, &mut states, opts.steal_batch, &f);
-    (collect_slots(out), stats)
-}
-
-/// Shared state of the persistent streaming pool: a bounded queue of
-/// pending batches plus finished batches awaiting in-order emission.
-struct StreamState<T, R> {
+/// Shared state of the worker pool: a bounded queue of pending batches
+/// plus finished batches awaiting in-order emission.
+struct PoolState<T, R> {
     /// Pending batches, in input order: `(first item index, items)`.
     jobs: VecDeque<(usize, Vec<T>)>,
     /// Finished batches keyed by their first item index.
     done: BTreeMap<usize, Vec<R>>,
+    /// Index of the next result to emit: the first item of the batch
+    /// emission waits for.
+    next_emit: usize,
     /// Items materialized and not yet emitted (pending + in evaluation +
     /// finished). Bounded by [`SweepOptions::max_in_flight`].
     in_flight: usize,
     /// The input stream is dry; workers exit once `jobs` drains.
     exhausted: bool,
+    /// A worker panicked: its batch never finishes, so the producer stops
+    /// waiting and the scope re-raises the panic.
+    aborted: bool,
 }
 
-/// Memory-bounded streaming sweep: consume `stream` into
-/// [`SweepOptions::steal_batch`]-sized batches feeding one **persistent**
-/// worker pool (at most [`SweepOptions::max_in_flight`] items
-/// materialized at any moment), with per-worker states that persist for
-/// the whole stream, and hand every result to `emit` in input order with
-/// its global index. Returns the scheduler stats;
-/// `stats.peak_in_flight` is the largest window actually materialized.
+impl<T, R> PoolState<T, R> {
+    /// Emit every finished batch that is next in input order; returns
+    /// whether anything was emitted (i.e. in-flight budget was freed).
+    fn try_emit(&mut self, emit: &mut impl FnMut(usize, R)) -> bool {
+        let mut any = false;
+        while let Some(results) = self.done.remove(&self.next_emit) {
+            self.in_flight -= results.len();
+            for r in results {
+                emit(self.next_emit, r);
+                self.next_emit += 1;
+            }
+            any = true;
+        }
+        any
+    }
+}
+
+/// Held by each worker: if the worker unwinds, it marks the pool aborted
+/// and wakes the producer, which would otherwise wait forever for the
+/// worker's batch.
+struct AbortOnPanic<'a, T, R> {
+    state: &'a Mutex<PoolState<T, R>>,
+    progress: &'a Condvar,
+}
+
+impl<T, R> Drop for AbortOnPanic<'_, T, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut st) = self.state.lock() {
+                st.aborted = true;
+            }
+            self.progress.notify_one();
+        }
+    }
+}
+
+/// Run `f` over `stream` on a pool of [`SweepOptions::threads`] workers:
+/// the calling thread cuts the stream into [`SweepOptions::batch`]-sized
+/// batches on one shared queue, holding at most
+/// [`SweepOptions::max_in_flight`] items at any moment, and hands every
+/// result to `emit` in input order with its global index. Each worker
+/// calls `init` once and threads that state through every batch it runs.
+/// Returns the scheduler stats; `stats.peak_in_flight` is the largest
+/// window actually materialized. A panic in `f` ends the run and is
+/// re-raised on the calling thread.
 ///
-/// Unlike the materialized sweep there is no window barrier: workers pull
-/// the next batch the moment they finish one, and the producer refills
-/// the queue batch by batch as emission frees in-flight budget. (The old
-/// scheme re-spawned a full scheduler round per window, idling every
-/// worker at each window boundary; on the catalog stream that overhead
-/// was ~1.5x the materialized sweep.)
-pub(crate) fn run_stealing_stream<T, R, S, I, F, E>(
+/// `f` must be a pure function of the item for the output to be
+/// schedule-independent (solver reuse qualifies: reused solving is pinned
+/// to fresh solving by the differential suites).
+pub(crate) fn run_pool<T, R, S, I, F, E>(
     stream: impl Iterator<Item = T>,
     opts: &SweepOptions,
     init: I,
@@ -375,38 +215,24 @@ where
     let cap = opts.max_in_flight.max(1);
     // A batch may never exceed the in-flight bound or it could never be
     // admitted.
-    let batch_size = opts.steal_batch.clamp(1, cap);
+    let batch_size = opts.batch.clamp(1, cap);
     let start = Instant::now();
     let mut states: Vec<S> = std::iter::repeat_with(&init).take(threads).collect();
 
-    let state = Mutex::new(StreamState::<T, R> {
+    let state = Mutex::new(PoolState::<T, R> {
         jobs: VecDeque::new(),
         done: BTreeMap::new(),
+        next_emit: 0,
         in_flight: 0,
         exhausted: false,
+        aborted: false,
     });
     let work_ready = Condvar::new(); // producer -> workers: jobs queued / stream dry
-    let progress = Condvar::new(); // workers -> producer: a batch finished
+    let progress = Condvar::new(); // workers -> producer: the next batch to emit finished
     let mut batches = 0usize;
     let mut peak_in_flight = 0usize;
     let mut processed = vec![0usize; threads];
     let mut busy = vec![Duration::ZERO; threads];
-
-    // Emit every finished batch that is next in input order; returns
-    // whether anything was emitted (i.e. in-flight budget was freed).
-    let mut next_emit = 0usize;
-    let mut try_emit = |st: &mut StreamState<T, R>, emit: &mut E| -> bool {
-        let mut any = false;
-        while let Some(results) = st.done.remove(&next_emit) {
-            st.in_flight -= results.len();
-            for r in results {
-                emit(next_emit, r);
-                next_emit += 1;
-            }
-            any = true;
-        }
-        any
-    };
 
     let mut stream = stream.fuse();
     std::thread::scope(|scope| {
@@ -416,11 +242,12 @@ where
             let (work_ready, progress) = (&work_ready, &progress);
             let f = &f;
             handles.push(scope.spawn(move || {
+                let _abort = AbortOnPanic { state, progress };
                 let mut done = 0usize;
                 let mut active = Duration::ZERO;
                 loop {
                     let job = {
-                        let mut st = state.lock().expect("stream state poisoned");
+                        let mut st = state.lock().expect("pool state poisoned");
                         loop {
                             if let Some(job) = st.jobs.pop_front() {
                                 break Some(job);
@@ -428,7 +255,7 @@ where
                             if st.exhausted {
                                 break None;
                             }
-                            st = work_ready.wait(st).expect("stream state poisoned");
+                            st = work_ready.wait(st).expect("pool state poisoned");
                         }
                     };
                     let Some((first, items)) = job else {
@@ -438,9 +265,13 @@ where
                     let results: Vec<R> = items.iter().map(|item| f(state_w, item)).collect();
                     active += t0.elapsed();
                     done += items.len();
-                    let mut st = state.lock().expect("stream state poisoned");
+                    let mut st = state.lock().expect("pool state poisoned");
                     st.done.insert(first, results);
-                    progress.notify_all();
+                    // Only this batch can unblock the producer, which waits
+                    // for emission to make progress.
+                    if first == st.next_emit {
+                        progress.notify_one();
+                    }
                 }
             }));
         }
@@ -454,11 +285,14 @@ where
                 break;
             }
             let len = batch.len();
-            let mut st = state.lock().expect("stream state poisoned");
-            while st.in_flight + len > cap {
-                if !try_emit(&mut st, &mut emit) {
-                    st = progress.wait(st).expect("stream state poisoned");
+            let mut st = state.lock().expect("pool state poisoned");
+            while st.in_flight + len > cap && !st.aborted {
+                if !st.try_emit(&mut emit) {
+                    st = progress.wait(st).expect("pool state poisoned");
                 }
+            }
+            if st.aborted {
+                break;
             }
             st.in_flight += len;
             peak_in_flight = peak_in_flight.max(st.in_flight);
@@ -469,17 +303,17 @@ where
             drop(st);
         }
         {
-            let mut st = state.lock().expect("stream state poisoned");
+            let mut st = state.lock().expect("pool state poisoned");
             st.exhausted = true;
             work_ready.notify_all();
-            while st.in_flight > 0 {
-                if !try_emit(&mut st, &mut emit) {
-                    st = progress.wait(st).expect("stream state poisoned");
+            while st.in_flight > 0 && !st.aborted {
+                if !st.try_emit(&mut emit) {
+                    st = progress.wait(st).expect("pool state poisoned");
                 }
             }
         }
         for (w, h) in handles.into_iter().enumerate() {
-            let (done, active) = h.join().expect("stream worker panicked");
+            let (done, active) = h.join().expect("pool worker panicked");
             processed[w] = done;
             busy[w] = active;
         }
@@ -502,68 +336,94 @@ mod tests {
     use crate::scenario::{Scenario, ScenarioSpace};
     use crate::session::{Answer, Query, Session};
     use crate::workload::chain_problem;
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    #[test]
-    fn run_stealing_preserves_order_for_any_thread_count_and_batch() {
-        let items: Vec<u32> = (0..97).collect();
-        let expected: Vec<u32> = items.iter().map(|x| x * 2).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            for batch in [1, 7, 64] {
-                let opts = SweepOptions::with_threads(threads).steal_batch(batch);
-                let (out, stats) = run_stealing_with(&items, &opts, || (), |(), &x| x * 2);
-                assert_eq!(out, expected, "threads={threads} batch={batch}");
-                assert_eq!(stats.processed.iter().sum::<usize>(), items.len());
-                assert_eq!(stats.batches, items.len().div_ceil(batch));
-                assert_eq!(stats.peak_in_flight, items.len());
-            }
-        }
-        let (empty, _) = run_stealing_with(
-            &[] as &[u32],
-            &SweepOptions::with_threads(4),
+    /// Run the pool over `items`, collecting `(index, result)` pairs in
+    /// emission order.
+    fn collect<T: Send + Copy, R: Send>(
+        items: &[T],
+        opts: &SweepOptions,
+        f: impl Fn(&T) -> R + Sync,
+    ) -> (Vec<(usize, R)>, SweepStats) {
+        let mut out = Vec::new();
+        let stats = run_pool(
+            items.iter().copied(),
+            opts,
             || (),
-            |(), &x| x,
+            |(), x| f(x),
+            |i, r| out.push((i, r)),
         );
-        assert!(empty.is_empty());
+        (out, stats)
     }
 
     #[test]
-    fn skewed_items_are_stolen() {
-        // One pathological run of slow items at the tail of the input: a
-        // static split gives them all to the last worker; stealing must
-        // spread them. With batch size 1 and 4 workers over 64 items where
-        // the last 16 are slow, at least one steal must occur.
-        let items: Vec<u64> = (0..64).collect();
-        let opts = SweepOptions::with_threads(4).steal_batch(1);
-        let (out, stats) = run_stealing_with(
-            &items,
-            &opts,
-            || (),
-            |(), &x| {
-                if x >= 48 {
-                    std::thread::sleep(Duration::from_millis(2));
+    fn run_pool_preserves_order_for_any_thread_count_batch_and_window() {
+        let items: Vec<u32> = (0..97).collect();
+        let expected: Vec<(usize, u32)> = items.iter().map(|&x| (x as usize, x * 2)).collect();
+        for threads in [1, 2, 3, 8, 64] {
+            for batch in [1, 7, 64] {
+                // Window below the input (the producer blocks and refills)
+                // and at or above it (admission never blocks).
+                for window in [5, 64, 97, 200] {
+                    let opts = SweepOptions::with_threads(threads)
+                        .batch(batch)
+                        .max_in_flight(window);
+                    let (out, stats) = collect(&items, &opts, |&x| x * 2);
+                    let tag = format!("threads={threads} batch={batch} window={window}");
+                    assert_eq!(out, expected, "{tag}");
+                    assert_eq!(stats.processed.iter().sum::<usize>(), items.len(), "{tag}");
+                    assert_eq!(
+                        stats.batches,
+                        items.len().div_ceil(batch.min(window)),
+                        "{tag}"
+                    );
+                    assert!(stats.peak_in_flight <= window, "{tag}");
+                    if window >= items.len() {
+                        assert_eq!(stats.peak_in_flight, items.len(), "{tag}");
+                    }
                 }
-                x + 1
-            },
+            }
+        }
+        let (empty, stats) = collect(&[] as &[u32], &SweepOptions::with_threads(4), |&x| x);
+        assert!(empty.is_empty());
+        assert_eq!((stats.batches, stats.peak_in_flight), (0, 0));
+    }
+
+    #[test]
+    fn skewed_tail_runs_on_several_workers() {
+        // One run of slow items at the tail of the input: a static split
+        // would give them all to the last worker. On the shared queue an
+        // idle worker takes the next slow item while the first one still
+        // runs. The first slow item waits (bounded) until a second one has
+        // started, so the test does not depend on timing.
+        let items: Vec<u64> = (0..64).collect();
+        let started = AtomicUsize::new(0);
+        let opts = SweepOptions::with_threads(4).batch(1);
+        let (out, stats) = collect(&items, &opts, |&x| {
+            if x >= 48 && started.fetch_add(1, Ordering::SeqCst) == 0 {
+                let t0 = Instant::now();
+                while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(5) {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            (x + 1, std::thread::current().id())
+        });
+        let values: Vec<u64> = out.iter().map(|(_, (v, _))| *v).collect();
+        assert_eq!(values, (1..=64).collect::<Vec<_>>());
+        let tail_workers: HashSet<_> = out[48..].iter().map(|(_, (_, id))| *id).collect();
+        assert!(
+            tail_workers.len() >= 2,
+            "the slow tail ran on one worker: {tail_workers:?}"
         );
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        assert!(stats.steals > 0, "no steals on a skewed workload");
         assert_eq!(stats.processed.iter().sum::<usize>(), 64);
     }
 
     #[test]
     fn streaming_matches_materialized_and_bounds_the_window() {
         let items: Vec<u32> = (0..217).collect();
-        let opts = SweepOptions::with_threads(3)
-            .steal_batch(4)
-            .max_in_flight(32);
-        let mut emitted: Vec<(usize, u32)> = Vec::new();
-        let stats = run_stealing_stream(
-            items.iter().copied(),
-            &opts,
-            || (),
-            |(), &x| x * 3,
-            |i, r| emitted.push((i, r)),
-        );
+        let opts = SweepOptions::with_threads(3).batch(4).max_in_flight(32);
+        let (emitted, stats) = collect(&items, &opts, |&x| x * 3);
         let expected: Vec<(usize, u32)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
         assert_eq!(emitted, expected, "in-order emission");
         assert!(stats.peak_in_flight <= 32, "peak {}", stats.peak_in_flight);
@@ -571,16 +431,18 @@ mod tests {
     }
 
     #[test]
-    fn from_env_rejects_malformed_thread_counts() {
-        assert_eq!(parse_threads(None), Ok(None));
-        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_threads(Some(" 2 ")), Ok(Some(2)));
-        // Malformed values are surfaced (the one-time warning names them),
-        // never silently swallowed.
-        assert_eq!(parse_threads(Some("abc")), Err("abc".to_owned()));
-        assert_eq!(parse_threads(Some("0")), Err("0".to_owned()));
-        assert_eq!(parse_threads(Some("-3")), Err("-3".to_owned()));
-        assert_eq!(parse_threads(Some("")), Err(String::new()));
+    fn a_panicking_item_ends_the_run_instead_of_hanging_it() {
+        let items: Vec<u32> = (0..40).collect();
+        for window in [4, 40] {
+            let opts = SweepOptions::with_threads(2).batch(2).max_in_flight(window);
+            let run = std::panic::catch_unwind(|| {
+                collect(&items, &opts, |&x| {
+                    assert_ne!(x, 7, "item 7 fails");
+                    x
+                })
+            });
+            assert!(run.is_err(), "window={window}");
+        }
     }
 
     #[test]
@@ -617,10 +479,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Result slots are index-addressed: a task that fails lands its
-        /// error in exactly its input slot, for every thread count and
-        /// batch size — so callers that take the first error in slot
-        /// order always surface the first *input-order* failure, no
+        /// Results are index-addressed: a task that fails hands its error
+        /// to `emit` at exactly its input index, for every thread count,
+        /// batch size and window — so callers that stop at the first error
+        /// emitted always surface the first *input-order* failure, no
         /// matter which worker hit it first on the wall clock.
         #[test]
         fn errors_land_in_input_order_slots(
@@ -628,30 +490,34 @@ mod tests {
             fail_mask in proptest::prelude::any::<u64>(),
             threads_ix in 0usize..3,
             batch_ix in 0usize..3,
+            window_ix in 0usize..3,
         ) {
             let threads = [1usize, 2, 8][threads_ix];
             let batch = [1usize, 7, 64][batch_ix];
+            // Below, at and above the input length.
+            let window = [3usize, n, 64][window_ix];
             let items: Vec<usize> = (0..n).collect();
             let fails = |i: usize| fail_mask & (1 << (i % 64)) != 0;
-            let opts = SweepOptions::with_threads(threads).steal_batch(batch);
-            let (out, _) = run_stealing_with(&items, &opts, || (), |(), &i| {
+            let opts = SweepOptions::with_threads(threads).batch(batch).max_in_flight(window);
+            let (out, _) = collect(&items, &opts, |&i| {
                 if fails(i) { Err(format!("task {i} failed")) } else { Ok(i * 2) }
             });
             proptest::prop_assert_eq!(out.len(), n);
-            for (i, r) in out.iter().enumerate() {
+            for (slot, (i, r)) in out.iter().enumerate() {
+                proptest::prop_assert_eq!(slot, *i);
                 match r {
                     Ok(v) => {
-                        proptest::prop_assert!(!fails(i));
+                        proptest::prop_assert!(!fails(*i));
                         proptest::prop_assert_eq!(*v, i * 2);
                     }
                     Err(e) => {
-                        proptest::prop_assert!(fails(i));
+                        proptest::prop_assert!(fails(*i));
                         proptest::prop_assert_eq!(e, &format!("task {i} failed"));
                     }
                 }
             }
-            // The selection rule every sweep wrapper applies.
-            let first = out.into_iter().collect::<Result<Vec<_>, _>>();
+            // The first error emitted is the first in input order.
+            let first = out.into_iter().map(|(_, r)| r).collect::<Result<Vec<_>, _>>();
             match (0..n).find(|&i| fails(i)) {
                 None => proptest::prop_assert!(first.is_ok()),
                 Some(i) => {

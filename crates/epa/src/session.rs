@@ -24,6 +24,8 @@
 //! knows the assumable vocabulary (`scenario_fault/1`, `fault_enabled/1`,
 //! `active_mitigation/2`, `target/1`).
 
+use std::borrow::Borrow;
+
 use cpsrisk_asp::ast::Term;
 use cpsrisk_asp::{
     check_proof, AspError, AtomId, GroundProgram, Grounder, Lit, SolveOptions, Solver,
@@ -31,7 +33,7 @@ use cpsrisk_asp::{
 
 use crate::encode::{encode, outcome_from_atoms, outcome_from_model, EncodeMode};
 use crate::error::EpaError;
-use crate::parallel::{run_stealing_stream, run_stealing_with, SweepOptions, SweepStats};
+use crate::parallel::{run_pool, SweepOptions, SweepStats};
 use crate::problem::EpaProblem;
 use crate::scenario::{Scenario, ScenarioOutcome};
 
@@ -306,10 +308,11 @@ impl Session {
         }
     }
 
-    /// Answer every query across work-stealing workers, each reusing one
-    /// set of [`Solvers`] over every batch it processes or steals.
-    /// `answers[i]` corresponds to `queries[i]` regardless of thread count
-    /// or steal schedule; the scheduler's counters come alongside.
+    /// Answer every query on the worker pool, each worker reusing one set
+    /// of [`Solvers`] over every batch it runs. `answers[i]` corresponds
+    /// to `queries[i]` regardless of thread count or batch size; the
+    /// scheduler's counters come alongside. The whole input is one
+    /// window, and at most one worker per query is spawned.
     ///
     /// # Errors
     ///
@@ -319,13 +322,14 @@ impl Session {
         queries: &[Query],
         opts: &SweepOptions,
     ) -> Result<(Vec<Answer>, SweepStats), EpaError> {
-        let (results, stats) = run_stealing_with(
-            queries,
-            opts,
-            || self.solvers(),
-            |solvers, q| self.answer_with(solvers, q),
-        );
-        Ok((results.into_iter().collect::<Result<_, _>>()?, stats))
+        let opts = SweepOptions {
+            threads: opts.threads.clamp(1, queries.len().max(1)),
+            max_in_flight: queries.len().max(1),
+            ..opts.clone()
+        };
+        let mut answers = Vec::with_capacity(queries.len());
+        let stats = self.run(queries.iter(), &opts, |_, a| answers.push(a))?;
+        Ok((answers, stats))
     }
 
     /// Memory-bounded streaming sweep over a lazy query stream: at most
@@ -346,19 +350,34 @@ impl Session {
         &self,
         queries: impl Iterator<Item = Query>,
         opts: &SweepOptions,
-        mut emit: E,
+        emit: E,
     ) -> Result<SweepStats, EpaError>
     where
         E: FnMut(usize, Answer),
     {
-        // Results arrive in input order, so the first error seen is the
-        // first in input order.
+        self.run(queries, opts, emit)
+    }
+
+    /// Both sweeps: answer `queries` on the pool and hand the answers
+    /// before the first failing query to `emit`; return that query's
+    /// error. Results arrive in input order, so the first error seen is
+    /// the first in input order.
+    fn run<Q, E>(
+        &self,
+        queries: impl Iterator<Item = Q>,
+        opts: &SweepOptions,
+        mut emit: E,
+    ) -> Result<SweepStats, EpaError>
+    where
+        Q: Borrow<Query> + Send,
+        E: FnMut(usize, Answer),
+    {
         let mut first_err: Option<EpaError> = None;
-        let stats = run_stealing_stream(
+        let stats = run_pool(
             queries,
             opts,
             || self.solvers(),
-            |solvers, q| self.answer_with(solvers, q),
+            |solvers, q| self.answer_with(solvers, q.borrow()),
             |i, r| match (&first_err, r) {
                 (None, Ok(a)) => emit(i, a),
                 (None, Err(e)) => first_err = Some(e),
@@ -374,7 +393,7 @@ impl Session {
     /// solvers, and each program's accumulated multi-shot certificate is
     /// replayed through the independent checker
     /// ([`cpsrisk_asp::check_proof`]). Each re-solved answer must agree
-    /// with the sweep's. This audits the work-stealing sweep, the
+    /// with the sweep's. This audits the pooled sweep, the
     /// learned-nogood reuse and the static well-founded fast path of
     /// outcome queries, and the SAT and UNSAT verdicts of margin queries.
     ///
@@ -851,13 +870,16 @@ mod tests {
         let expected_err = session.answer(&failing).unwrap_err();
         for threads in [1, 2, 8] {
             let opts = SweepOptions::with_threads(threads)
-                .steal_batch(1)
+                .batch(1)
                 .max_in_flight(4);
             let mut emitted = Vec::new();
             let err = session
                 .sweep_streaming(queries.iter().cloned(), &opts, |i, _| emitted.push(i))
                 .unwrap_err();
             assert_eq!(emitted, (0..j).collect::<Vec<_>>(), "threads = {threads}");
+            assert_eq!(err, expected_err, "threads = {threads}");
+            // The materialized sweep applies the same first-error rule.
+            let err = session.sweep(&queries, &opts).unwrap_err();
             assert_eq!(err, expected_err, "threads = {threads}");
         }
     }
@@ -874,14 +896,12 @@ mod tests {
         let (sequential, _) = session
             .sweep(&queries, &SweepOptions::with_threads(1))
             .unwrap();
-        let opts = SweepOptions::with_threads(4).steal_batch(1);
-        let (stolen, _) = session.sweep(&queries, &opts).unwrap();
-        assert_eq!(stolen, sequential);
+        let opts = SweepOptions::with_threads(4).batch(1);
+        let (pooled, _) = session.sweep(&queries, &opts).unwrap();
+        assert_eq!(pooled, sequential);
 
         let mut streamed: Vec<Option<Answer>> = vec![None; queries.len()];
-        let stream_opts = SweepOptions::with_threads(4)
-            .steal_batch(1)
-            .max_in_flight(16);
+        let stream_opts = SweepOptions::with_threads(4).batch(1).max_in_flight(16);
         let stats = session
             .sweep_streaming(catalog_queries(&space, &ranked, 6), &stream_opts, |i, a| {
                 streamed[i] = Some(a)

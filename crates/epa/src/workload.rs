@@ -617,7 +617,7 @@ pub fn catalog_requirements_ranked(problem: &EpaProblem, budget: u32) -> Vec<Str
 /// sampled every `margin_every` scenarios, grouped by
 /// [`catalog_requirements_ranked`] rank (`ranked` cheapest-first) so the
 /// expensive wide-requirement margins cluster at the tail — the schedule
-/// shape that starves static chunking and rewards work stealing.
+/// shape that starves static chunking and rewards a shared work queue.
 /// `margin_every == 0` disables margin queries.
 pub fn catalog_queries<'a>(
     space: &'a ScenarioSpace,

@@ -1,14 +1,14 @@
-//! Differential testing: the work-stealing sweep scheduler vs the
-//! sequential reference, on every public sweep surface.
+//! Differential testing: the pooled sweep scheduler vs the sequential
+//! reference, on every public sweep surface.
 //!
-//! The scheduler's contract is that thread count, steal batch size, and
+//! The scheduler's contract is that thread count, batch size, and
 //! streaming window bound are *performance* knobs — none of them may
 //! change a single answer, the order answers come back in, or any
 //! aggregate computed from them. These properties pin that contract on
 //! randomized scenario streams (including permuted input orders), on the
 //! catalog workload's skewed cheap-outcome/expensive-margin mix, and on
 //! the mutation-screening entry point that routes through the same
-//! scheduler.
+//! worker pool.
 
 use proptest::prelude::*;
 
@@ -22,13 +22,13 @@ use cpsrisk_epa::{
 
 /// The scheduler configurations the properties sweep over: every
 /// combination of a thread count that under-, exactly-, and
-/// over-subscribes typical hardware with a batch size that maximizes,
-/// mixes, and effectively disables stealing granularity.
+/// over-subscribes typical hardware with a batch size from one item per
+/// queue pull to most of the input in one batch.
 const THREADS: [usize; 3] = [1, 2, 8];
 const BATCHES: [usize; 3] = [1, 7, 64];
 
 fn opts(threads: usize, batch: usize) -> SweepOptions {
-    SweepOptions::with_threads(threads).steal_batch(batch)
+    SweepOptions::with_threads(threads).batch(batch)
 }
 
 /// Deterministic pseudo-shuffle: permute `items` by a seed so the
@@ -73,7 +73,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// On randomly permuted chain-workload scenario streams, the
-    /// stealing sweep reproduces the sequential outcome stream bit for
+    /// pooled sweep reproduces the sequential outcome stream bit for
     /// bit, for every thread count and batch size.
     #[test]
     fn stealing_matches_sequential_on_permuted_streams(

@@ -53,8 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\n=== most efficient attacks (\u{a7}IV-D, ASP #minimize) ===\n");
+    let exhaustive = cpsrisk::epa::ExhaustiveAnalysis::new(&problem, None)?;
     for req in ["r1", "r2"] {
-        match cpsrisk::epa::cheapest_attack(&problem, req)? {
+        match exhaustive.cheapest_attack(req)? {
             Some((scenario, cost)) => {
                 println!(
                     "  {req}: cheapest violating fault set {scenario} at attacker cost {cost}"
