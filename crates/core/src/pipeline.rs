@@ -199,11 +199,9 @@ impl Assessment {
         // Step 7: mitigation strategy over the minimal hazards.
         let mitigation_problem = self.mitigation_problem(&minimal_hazards);
         let budget = self.budget.unwrap_or_else(|| {
-            mitigation_problem
-                .candidates
-                .iter()
-                .map(|c| c.total_cost(1))
-                .sum()
+            let periods = mitigation_problem.periods;
+            (mitigation_problem.candidates.iter())
+                .fold(0, |sum, c| sum.saturating_add(c.total_cost(periods)))
         });
         let selection = best_under_budget(&mitigation_problem, budget);
         let residual_loss = mitigation_problem.residual_loss(&selection);
@@ -325,6 +323,22 @@ mod tests {
         assert_eq!(cost, 50, "40 + one maintenance period of 10");
         // Residual: the purely physical faults (f2 chains) stay.
         assert!(report.residual_loss > 0);
+    }
+
+    #[test]
+    fn costs_past_u64_max_end_in_a_recommendation() {
+        // A loaded model may carry any u64 cost: the default budget and
+        // every cost sum saturate instead of overflowing, and the two
+        // mitigations together cost more than any budget can express.
+        let mut problem = casestudy::water_tank_problem(&[]).unwrap();
+        for m in &mut problem.mitigations {
+            m.cost = u64::MAX;
+            m.maintenance_cost = u64::MAX;
+        }
+        let report = Assessment::new(problem).run().unwrap();
+        let (sel, cost) = report.recommendation.expect("a recommendation exists");
+        assert_eq!(sel.ids.len(), 1, "one mitigation is affordable: {sel}");
+        assert_eq!(cost, u64::MAX);
     }
 
     #[test]

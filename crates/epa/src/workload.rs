@@ -1,9 +1,8 @@
 //! Parametric benchmark workloads.
 //!
-//! Lives in the EPA crate (rather than the bench crate) so the analysis
-//! engines, `cpsrisk analyze --workload`, the criterion benches and the
-//! `perfbench` benchmark can all generate identical problem instances;
-//! `cpsrisk-bench` re-exports it.
+//! Lives in the EPA crate so the analysis engines, their tests,
+//! `cpsrisk analyze --workload` and the `perfbench` benchmark can all
+//! generate identical problem instances.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -646,7 +645,7 @@ pub fn catalog_queries<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{Scenario, ScenarioSpace};
     use crate::session::{Answer, Session};
     use crate::topology::TopologyAnalysis;
     use cpsrisk_asp::Solver;
@@ -656,6 +655,13 @@ mod tests {
         for n in [1, 3, 6] {
             let p = chain_problem(n);
             assert_eq!(p.mutations.len(), n + 2);
+            // Every fault subset is a scenario: 2^(n+2) of them; at most
+            // two simultaneous faults keeps the space quadratic.
+            let all = ScenarioSpace::new(&p, usize::MAX).scenario_count();
+            assert_eq!(all, 1 << (n + 2));
+            let k = n as u128 + 2;
+            let pairs = ScenarioSpace::new(&p, 2).scenario_count();
+            assert_eq!(pairs, 1 + k + k * (k - 1) / 2);
             // Compromising the workstation reaches the valve down the chain.
             let out = TopologyAnalysis::new(&p).evaluate(&Scenario::of(&["f_ew"]));
             assert!(out.violated.contains("r1"), "chain length {n}");

@@ -3,15 +3,10 @@
 use std::fmt;
 
 /// Errors from optimization problems.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MitigationError {
     /// No selection can block every scenario (an unmitigable fault exists).
     Infeasible,
-    /// The ASP back-end failed.
-    Asp(cpsrisk_asp::AspError),
-    /// A scenario references a fault no candidate blocks and the problem
-    /// required full coverage.
-    UncoverableScenario(String),
 }
 
 impl fmt::Display for MitigationError {
@@ -20,18 +15,8 @@ impl fmt::Display for MitigationError {
             MitigationError::Infeasible => {
                 write!(f, "no mitigation selection blocks all scenarios")
             }
-            MitigationError::Asp(e) => write!(f, "asp error: {e}"),
-            MitigationError::UncoverableScenario(s) => {
-                write!(f, "scenario `{s}` cannot be blocked by any selection")
-            }
         }
     }
 }
 
 impl std::error::Error for MitigationError {}
-
-impl From<cpsrisk_asp::AspError> for MitigationError {
-    fn from(e: cpsrisk_asp::AspError) -> Self {
-        MitigationError::Asp(e)
-    }
-}

@@ -1,236 +1,243 @@
-//! Optimizers for mitigation selection.
+//! The exact mitigation optimizer (§IV-D).
 //!
-//! Two canonical tasks (§IV-D):
+//! One engine answers both canonical tasks:
 //!
-//! 1. **Minimum-cost blocking** — the cheapest selection blocking every
-//!    scenario (weighted set cover over attack chains): exact
-//!    [`branch_and_bound`], approximate [`greedy_cover`], and the ASP
-//!    `#minimize` back-end [`min_cost_blocking_asp`].
-//! 2. **Budget-constrained risk reduction** — minimize residual loss with
-//!    total mitigation cost ≤ budget ([`best_under_budget`], exact
-//!    branch-and-bound; ties broken toward lower cost).
+//! 1. **Budget-constrained risk reduction** ([`best_under_budget`]) —
+//!    minimize residual loss with total mitigation cost ≤ budget.
+//! 2. **Minimum-cost blocking** ([`branch_and_bound`]) — the same search
+//!    with no budget, every scenario weighing at least 1, so that a zero
+//!    residual means every scenario is blocked.
+//!
+//! Each call compiles the problem once into an indexed form (candidate
+//! costs, one scenario bitset per candidate and, for [`Coverage::All`],
+//! the candidate sets each scenario needs in full) and searches it depth
+//! first. Costs and losses are summed exactly (in `u128`), so no selection
+//! looks cheaper than it is when large costs would overflow a `u64`.
 
-use cpsrisk_asp::builder::pos;
-use cpsrisk_asp::{Grounder, ProgramBuilder, SolveOptions, Solver, Term};
+use std::collections::BTreeMap;
 
 use crate::error::MitigationError;
 use crate::space::{Coverage, MitigationProblem, Selection};
 
-/// Exact minimum-cost selection blocking all scenarios, by DFS
-/// branch-and-bound over candidates (include/exclude), pruning on cost.
-///
-/// # Errors
-///
-/// [`MitigationError::Infeasible`] if even the full selection fails.
-pub fn branch_and_bound(problem: &MitigationProblem) -> Result<Selection, MitigationError> {
-    let full = Selection {
-        ids: problem.candidates.iter().map(|c| c.id.clone()).collect(),
-    };
-    if !problem.blocks_all(&full) {
-        return Err(MitigationError::Infeasible);
+/// A fixed-width bitset over scenario or candidate indices.
+#[derive(Clone)]
+pub(crate) struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(len: usize) -> Self {
+        Bits(vec![0; len.div_ceil(64)])
     }
-    let mut best: Option<(u64, Selection)> = None;
-    let mut current = Selection::empty();
-    bb(problem, 0, 0, &mut current, &mut best);
-    Ok(best.expect("full selection is feasible").1)
+
+    pub(crate) fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    pub(crate) fn clear(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    pub(crate) fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn is_subset(&self, of: &Bits) -> bool {
+        self.0.iter().zip(&of.0).all(|(a, b)| a & !b == 0)
+    }
+
+    fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.0.len() * 64).filter(|&i| self.get(i))
+    }
 }
 
-fn bb(
-    problem: &MitigationProblem,
-    idx: usize,
-    cost_so_far: u64,
-    current: &mut Selection,
-    best: &mut Option<(u64, Selection)>,
-) {
-    if let Some((bc, _)) = best {
-        if cost_so_far >= *bc {
-            return; // cannot improve
+/// A [`MitigationProblem`] compiled for search. Scenarios of zero weight
+/// are dropped: no selection changes what they add to the residual.
+pub(crate) struct Compiled {
+    /// Total cost of each candidate over the problem's periods.
+    pub(crate) costs: Vec<u64>,
+    /// Weight of each kept scenario.
+    weights: Vec<u64>,
+    /// Per candidate: the kept scenarios it blocks a fault of.
+    touches: Vec<Bits>,
+    /// [`Coverage::All`] only: per kept scenario, one candidate set per
+    /// blockable fault; the scenario is blocked once any set is selected.
+    needs: Option<Vec<Vec<Bits>>>,
+}
+
+impl Compiled {
+    /// Compiles `problem`, weighing each scenario `loss.max(min_weight)`.
+    pub(crate) fn new(problem: &MitigationProblem, min_weight: u64) -> Self {
+        let n = problem.candidates.len();
+        let mut blockers: BTreeMap<&str, Bits> = BTreeMap::new();
+        for (i, c) in problem.candidates.iter().enumerate() {
+            for f in &c.blocks {
+                blockers.entry(f).or_insert_with(|| Bits::new(n)).set(i);
+            }
+        }
+        let kept: Vec<_> = (problem.scenarios.iter())
+            .map(|s| (s, s.loss.max(min_weight)))
+            .filter(|&(_, w)| w > 0)
+            .collect();
+        let mut touches = vec![Bits::new(kept.len()); n];
+        let mut needs = Vec::with_capacity(kept.len());
+        for (i, (s, _)) in kept.iter().enumerate() {
+            let sets: Vec<Bits> = s
+                .faults
+                .iter()
+                .filter_map(|f| blockers.get(f.as_str()))
+                .cloned()
+                .collect();
+            for c in sets.iter().flat_map(Bits::ones) {
+                touches[c].set(i);
+            }
+            needs.push(sets);
+        }
+        Compiled {
+            costs: (problem.candidates.iter())
+                .map(|c| c.total_cost(problem.periods))
+                .collect(),
+            weights: kept.iter().map(|&(_, w)| w).collect(),
+            touches,
+            needs: (problem.coverage == Coverage::All).then_some(needs),
         }
     }
-    if problem.blocks_all(current) {
-        *best = Some((cost_so_far, current.clone()));
-        return;
+
+    /// The empty candidate and scenario sets.
+    pub(crate) fn empty(&self) -> (Bits, Bits) {
+        (Bits::new(self.costs.len()), Bits::new(self.weights.len()))
     }
-    if idx >= problem.candidates.len() {
-        return;
+
+    /// Updates `blocked` after candidate `j` joined `selected`.
+    pub(crate) fn block(&self, blocked: &mut Bits, selected: &Bits, j: usize) {
+        match &self.needs {
+            None => {
+                for (b, t) in blocked.0.iter_mut().zip(&self.touches[j].0) {
+                    *b |= t;
+                }
+            }
+            Some(needs) => {
+                for s in self.touches[j].ones() {
+                    if needs[s].iter().any(|set| set.is_subset(selected)) {
+                        blocked.set(s);
+                    }
+                }
+            }
+        }
     }
-    let cand = &problem.candidates[idx];
-    // Include.
-    current.ids.insert(cand.id.clone());
-    bb(
-        problem,
-        idx + 1,
-        cost_so_far + cand.total_cost(problem.periods),
-        current,
-        best,
-    );
-    current.ids.remove(&cand.id);
-    // Exclude.
-    bb(problem, idx + 1, cost_so_far, current, best);
+
+    /// Summed weight of the scenarios outside `blocked`.
+    pub(crate) fn residual(&self, blocked: &Bits) -> u128 {
+        (self.weights.iter().enumerate())
+            .filter(|&(s, _)| !blocked.get(s))
+            .map(|(_, &w)| u128::from(w))
+            .sum()
+    }
+
+    /// The selection of least (residual, cost) within `budget`, and its
+    /// residual.
+    fn optimize(&self, problem: &MitigationProblem, budget: u128) -> (u128, Selection) {
+        let (selected, blocked) = self.empty();
+        let mut search = Search {
+            compiled: self,
+            budget,
+            best: (u128::MAX, u128::MAX, selected.clone()),
+            selected,
+        };
+        search.dfs(0, 0, &blocked);
+        let (residual, _, best) = search.best;
+        let ids = best.ones().map(|i| problem.candidates[i].id.clone());
+        (residual, Selection { ids: ids.collect() })
+    }
 }
 
-/// Greedy weighted set cover: repeatedly pick the candidate with the best
-/// newly-blocked-loss / cost ratio. Fast, within the classic `ln n`
-/// approximation bound; used as the scalable baseline in the benches.
+/// Depth-first branch-and-bound state: the current selection and the
+/// incumbent (residual, cost, selection).
+struct Search<'a> {
+    compiled: &'a Compiled,
+    budget: u128,
+    selected: Bits,
+    best: (u128, u128, Bits),
+}
+
+impl Search<'_> {
+    /// Decides candidates `j..` given the current selection, its cost and
+    /// the scenarios it blocks. Candidates are tried in order, include
+    /// first, so leaves are met in the order of the exhaustive scan.
+    fn dfs(&mut self, j: usize, cost: u128, blocked: &Bits) {
+        let c = self.compiled;
+        // Lower bound: the residual left by adding every later candidate
+        // that still fits. Blocking only grows with the selection, so no
+        // leaf below does better. A leaf below that ties the incumbent
+        // comes later in scan order and loses the tie.
+        let mut reach = blocked.clone();
+        let mut with = self.selected.clone();
+        for k in j..c.costs.len() {
+            if cost + u128::from(c.costs[k]) <= self.budget {
+                with.set(k);
+                c.block(&mut reach, &with, k);
+            }
+        }
+        let bound = c.residual(&reach);
+        if (bound, cost) >= (self.best.0, self.best.1) {
+            return;
+        }
+        if j == c.costs.len() {
+            self.best = (bound, cost, self.selected.clone());
+            return;
+        }
+        let cost_j = u128::from(c.costs[j]);
+        let fits = cost + cost_j <= self.budget;
+        // A candidate that blocks no scenario still open helps no leaf
+        // below: paid for, it only adds cost, so it is skipped; free, it
+        // ties every leaf without it, and the scan meets the leaf with it
+        // first, so it is taken.
+        let useful = !c.touches[j].is_subset(blocked);
+        if fits && (useful || cost_j == 0) {
+            self.selected.set(j);
+            let mut next = blocked.clone();
+            c.block(&mut next, &self.selected, j);
+            self.dfs(j + 1, cost + cost_j, &next);
+            self.selected.clear(j);
+        }
+        if !fits || useful || cost_j > 0 {
+            self.dfs(j + 1, cost, blocked);
+        }
+    }
+}
+
+/// Minimum-cost selection blocking every scenario: [`best_under_budget`]'s
+/// engine with no budget, every scenario weighing at least 1.
 ///
 /// # Errors
 ///
 /// [`MitigationError::Infeasible`] if no selection blocks everything.
-pub fn greedy_cover(problem: &MitigationProblem) -> Result<Selection, MitigationError> {
-    let mut selection = Selection::empty();
-    loop {
-        if problem.blocks_all(&selection) {
-            return Ok(selection);
-        }
-        let mut best: Option<(f64, &str)> = None;
-        for c in &problem.candidates {
-            if selection.ids.contains(&c.id) {
-                continue;
-            }
-            let mut trial = selection.clone();
-            trial.ids.insert(c.id.clone());
-            let newly_blocked: u64 = problem
-                .scenarios
-                .iter()
-                .filter(|s| {
-                    !problem.scenario_blocked(&selection, s) && problem.scenario_blocked(&trial, s)
-                })
-                .map(|s| s.loss.max(1))
-                .sum();
-            if newly_blocked == 0 {
-                continue;
-            }
-            let ratio = newly_blocked as f64 / c.total_cost(problem.periods).max(1) as f64;
-            if best.is_none_or(|(r, _)| ratio > r) {
-                best = Some((ratio, &c.id));
-            }
-        }
-        match best {
-            Some((_, id)) => {
-                selection.ids.insert(id.to_owned());
-            }
-            None => return Err(MitigationError::Infeasible),
-        }
+pub fn branch_and_bound(problem: &MitigationProblem) -> Result<Selection, MitigationError> {
+    match Compiled::new(problem, 1).optimize(problem, u128::MAX) {
+        (0, selection) => Ok(selection),
+        _ => Err(MitigationError::Infeasible),
     }
 }
 
-/// Minimum-cost blocking through the ASP engine (`#minimize` over selected
-/// mitigation costs, integrity constraints forcing every scenario blocked).
+/// Exact best selection under a budget. Scenarios that cannot be blocked
+/// at any price simply stay in the residual.
 ///
-/// # Errors
+/// **Objective:** among the selections whose total cost is at most
+/// `budget`, the least residual loss, then the least cost.
 ///
-/// [`MitigationError::Infeasible`] for unblockable problems,
-/// [`MitigationError::Asp`] on engine failures.
-pub fn min_cost_blocking_asp(problem: &MitigationProblem) -> Result<Selection, MitigationError> {
-    let mut b = ProgramBuilder::new();
-    for c in &problem.candidates {
-        b.fact("mitigation", [Term::sym(&c.id)]);
-        b.fact(
-            "mit_cost",
-            [
-                Term::sym(&c.id),
-                Term::Int(c.total_cost(problem.periods) as i64),
-            ],
-        );
-        for f in &c.blocks {
-            b.fact("blocks", [Term::sym(&c.id), Term::sym(f)]);
-        }
-    }
-    for s in &problem.scenarios {
-        b.fact("scenario", [Term::sym(&s.id)]);
-        for f in &s.faults {
-            b.fact("scenario_fault", [Term::sym(&s.id), Term::sym(f)]);
-        }
-    }
-    b.choice(None, None)
-        .element_if("select", ["M"], vec![pos("mitigation", ["M"])])
-        .done();
-    let coverage_rules = match problem.coverage {
-        Coverage::Any => {
-            "fault_blocked(F) :- blocks(M, F), select(M). \
-             scenario_blocked(S) :- scenario_fault(S, F), fault_blocked(F). \
-             :- scenario(S), not scenario_blocked(S)."
-        }
-        Coverage::All => {
-            "applicable(F) :- blocks(M, F). \
-             unblocked(F) :- blocks(M, F), not select(M). \
-             fault_blocked(F) :- applicable(F), not unblocked(F). \
-             scenario_blocked(S) :- scenario_fault(S, F), fault_blocked(F). \
-             :- scenario(S), not scenario_blocked(S)."
-        }
-    };
-    b.append(cpsrisk_asp::parse(coverage_rules).expect("static encoding parses"));
-    b.minimize(
-        0,
-        Term::var("C"),
-        [Term::var("M")],
-        vec![pos("select", ["M"]), pos("mit_cost", ["M", "C"])],
-    );
-
-    let program = b.finish();
-    let ground = Grounder::new()
-        .ground(&program)
-        .map_err(MitigationError::from)?;
-    let mut solver = Solver::new(&ground);
-    let best = solver
-        .optimize(&SolveOptions::default())
-        .map_err(MitigationError::from)?;
-    match best {
-        Some(model) => Ok(Selection {
-            ids: model
-                .atoms_of("select")
-                .iter()
-                .filter_map(|a| a.args.first().map(ToString::to_string))
-                .collect(),
-        }),
-        None => Err(MitigationError::Infeasible),
-    }
-}
-
-/// Exact best selection under a budget: minimize residual loss, then cost.
-/// Scenarios that cannot be blocked at any price simply stay in the
-/// residual.
+/// **Tie-break:** among equal optima, the first in include-first order over
+/// the candidates: of two selections, the one that selects their first
+/// differing candidate comes first. So every free candidate is selected.
+///
+/// Candidate ids are assumed unique.
 #[must_use]
 pub fn best_under_budget(problem: &MitigationProblem, budget: u64) -> Selection {
-    let mut best: Option<(u64, u64, Selection)> = None; // (residual, cost, sel)
-    let mut current = Selection::empty();
-    bb_budget(problem, 0, 0, budget, &mut current, &mut best);
-    best.map(|(_, _, s)| s).unwrap_or_default()
-}
-
-fn bb_budget(
-    problem: &MitigationProblem,
-    idx: usize,
-    cost_so_far: u64,
-    budget: u64,
-    current: &mut Selection,
-    best: &mut Option<(u64, u64, Selection)>,
-) {
-    if idx >= problem.candidates.len() {
-        let residual = problem.residual_loss(current);
-        let better = match best {
-            None => true,
-            Some((br, bc, _)) => residual < *br || (residual == *br && cost_so_far < *bc),
-        };
-        if better {
-            *best = Some((residual, cost_so_far, current.clone()));
-        }
-        return;
-    }
-    let cand = &problem.candidates[idx];
-    let c = cand.total_cost(problem.periods);
-    if cost_so_far + c <= budget {
-        current.ids.insert(cand.id.clone());
-        bb_budget(problem, idx + 1, cost_so_far + c, budget, current, best);
-        current.ids.remove(&cand.id);
-    }
-    bb_budget(problem, idx + 1, cost_so_far, budget, current, best);
+    (Compiled::new(problem, 0).optimize(problem, u128::from(budget))).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::space::{AttackScenario, MitigationCandidate};
+    use crate::support::{greedy_cover, min_cost_blocking_asp};
 
     fn problem() -> MitigationProblem {
         MitigationProblem {
@@ -323,5 +330,31 @@ mod tests {
         let sel = best_under_budget(&p, 10_000);
         assert_eq!(p.residual_loss(&sel), 0);
         assert_eq!(p.cost(&sel), 230);
+    }
+
+    #[test]
+    fn blocking_ignores_zero_loss_only_under_a_budget() {
+        let mut p = problem();
+        p.scenarios
+            .push(AttackScenario::new("s_free", &["f_malware"], 0));
+        // The zero-loss scenario adds nothing to the residual...
+        assert_eq!(best_under_budget(&p, 10_000), Selection::of(&["m4"]));
+        // ...but blocking every scenario must cover it too.
+        let sel = branch_and_bound(&p).unwrap();
+        assert!(p.blocks_all(&sel));
+        assert_eq!(sel, Selection::of(&["m2", "m3"]));
+    }
+
+    #[test]
+    fn costs_past_u64_max_are_not_affordable_together() {
+        let mut p = problem();
+        for c in &mut p.candidates {
+            c.cost = u64::MAX;
+        }
+        // Any one candidate fits a u64::MAX budget, no two do.
+        let sel = best_under_budget(&p, u64::MAX);
+        assert_eq!(sel, Selection::of(&["m4"]));
+        assert_eq!(p.residual_loss(&sel), 0);
+        assert_eq!(sel, branch_and_bound(&p).unwrap());
     }
 }

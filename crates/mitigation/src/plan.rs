@@ -9,7 +9,8 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use crate::space::{MitigationProblem, Selection};
+use crate::optimize::{Bits, Compiled};
+use crate::space::MitigationProblem;
 
 /// One consolidation phase.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,52 +40,51 @@ impl fmt::Display for Phase {
 
 /// Build a multi-phase plan: each entry of `budgets` is one period's
 /// budget. Acquisition is greedy by marginal blocked-loss / cost within
-/// each phase; already-acquired mitigations persist. Unspent budget does
-/// **not** roll over (conservative: SME budgets are per fiscal period).
+/// each phase (ties go to the first candidate); already-acquired
+/// mitigations persist. Unspent budget does **not** roll over
+/// (conservative: SME budgets are per fiscal period).
 #[must_use]
 pub fn consolidation_plan(problem: &MitigationProblem, budgets: &[u64]) -> Vec<Phase> {
-    let mut owned = Selection::empty();
+    let compiled = Compiled::new(problem, 0);
+    let (mut owned, mut blocked) = compiled.empty();
+    let mut residual = compiled.residual(&blocked);
     let mut phases = Vec::with_capacity(budgets.len());
     for (i, &budget) in budgets.iter().enumerate() {
         let mut remaining = budget;
         let mut acquired = Vec::new();
         loop {
-            let mut best: Option<(f64, &str, u64)> = None;
-            for c in &problem.candidates {
-                if owned.ids.contains(&c.id) {
+            let mut best: Option<(f64, usize, Bits, u128)> = None;
+            for (j, &cost) in compiled.costs.iter().enumerate() {
+                if owned.get(j) || cost > remaining {
                     continue;
                 }
-                let cost = c.total_cost(problem.periods);
-                if cost > remaining {
-                    continue;
-                }
-                let mut trial = owned.clone();
-                trial.ids.insert(c.id.clone());
-                let gain = problem
-                    .residual_loss(&owned)
-                    .saturating_sub(problem.residual_loss(&trial));
+                owned.set(j);
+                let mut trial = blocked.clone();
+                compiled.block(&mut trial, &owned, j);
+                owned.clear(j);
+                let trial_residual = compiled.residual(&trial);
+                let gain = residual - trial_residual;
                 if gain == 0 {
                     continue;
                 }
                 let ratio = gain as f64 / cost.max(1) as f64;
-                if best.is_none_or(|(r, _, _)| ratio > r) {
-                    best = Some((ratio, &c.id, cost));
+                if best.as_ref().is_none_or(|&(r, ..)| ratio > r) {
+                    best = Some((ratio, j, trial, trial_residual));
                 }
             }
-            match best {
-                Some((_, id, cost)) => {
-                    owned.ids.insert(id.to_owned());
-                    acquired.push(id.to_owned());
-                    remaining -= cost;
-                }
-                None => break,
-            }
+            let Some((_, j, trial, trial_residual)) = best else {
+                break;
+            };
+            owned.set(j);
+            (blocked, residual) = (trial, trial_residual);
+            acquired.push(problem.candidates[j].id.clone());
+            remaining -= compiled.costs[j];
         }
         phases.push(Phase {
             number: i + 1,
             acquired,
             spent: budget - remaining,
-            residual_loss: problem.residual_loss(&owned),
+            residual_loss: u64::try_from(residual).unwrap_or(u64::MAX),
         });
     }
     phases

@@ -33,10 +33,12 @@ impl MitigationCandidate {
         }
     }
 
-    /// Total cost over `periods` maintenance periods.
+    /// Total cost over `periods` maintenance periods, saturating at
+    /// `u64::MAX` instead of overflowing.
     #[must_use]
     pub fn total_cost(&self, periods: u64) -> u64 {
-        self.cost + self.maintenance_cost * periods
+        self.cost
+            .saturating_add(self.maintenance_cost.saturating_mul(periods))
     }
 }
 
@@ -128,14 +130,14 @@ impl fmt::Display for Selection {
 }
 
 impl MitigationProblem {
-    /// Total (implementation + maintenance) cost of a selection.
+    /// Total (implementation + maintenance) cost of a selection,
+    /// saturating at `u64::MAX`.
     #[must_use]
     pub fn cost(&self, selection: &Selection) -> u64 {
         self.candidates
             .iter()
             .filter(|c| selection.ids.contains(&c.id))
-            .map(|c| c.total_cost(self.periods))
-            .sum()
+            .fold(0, |sum, c| sum.saturating_add(c.total_cost(self.periods)))
     }
 
     /// Is `fault` blocked by the selection under the coverage semantics?
@@ -165,14 +167,13 @@ impl MitigationProblem {
     }
 
     /// Residual loss: the summed losses of scenarios the selection fails to
-    /// block.
+    /// block, saturating at `u64::MAX`.
     #[must_use]
     pub fn residual_loss(&self, selection: &Selection) -> u64 {
         self.scenarios
             .iter()
             .filter(|s| !self.scenario_blocked(selection, s))
-            .map(|s| s.loss)
-            .sum()
+            .fold(0, |sum, s| sum.saturating_add(s.loss))
     }
 
     /// Does the selection block every scenario?

@@ -7,6 +7,7 @@ use std::collections::BTreeMap;
 use cpsrisk::casestudy;
 use cpsrisk::epa::behavioral::analyze_behavior;
 use cpsrisk::epa::encode::analyze_exhaustive;
+use cpsrisk::epa::workload::chain_problem;
 use cpsrisk::epa::{Scenario, ScenarioSpace, TopologyAnalysis};
 use cpsrisk::fta::compare::compare_methods;
 use cpsrisk::model::aspect::MergedModel;
@@ -33,6 +34,22 @@ fn exhaustive_asp_enumeration_equals_direct_sweep() {
         assert_eq!(a.scenario, d.scenario);
         assert_eq!(a.violated, d.violated, "scenario {}", a.scenario);
         assert_eq!(a.effective_modes, d.effective_modes);
+    }
+}
+
+/// EXPERIMENTS.md Perf-1: on control chains of 2 and 4 devices the ASP
+/// enumeration finds the same 2^(n+2) outcomes as the direct engine.
+#[test]
+fn exhaustive_asp_enumeration_equals_direct_sweep_on_chains() {
+    for n in [2, 4] {
+        let problem = chain_problem(n);
+        let direct = TopologyAnalysis::new(&problem);
+        let mut asp: Vec<_> = analyze_exhaustive(&problem, None).expect("asp enumerates");
+        asp.sort_by(|a, b| a.scenario.cmp(&b.scenario));
+        let mut expected: Vec<_> = direct.evaluate_all(usize::MAX);
+        expected.sort_by(|a, b| a.scenario.cmp(&b.scenario));
+        assert_eq!(asp.len(), 1 << (n + 2));
+        assert_eq!(asp, expected, "chain of {n}");
     }
 }
 
@@ -66,6 +83,9 @@ fn fta_baseline_underreports_exactly_the_propagated_hazards() {
         "FTA never over-reports vs EPA"
     );
     assert!(report.fta_coverage() < 1.0);
+    // EXPERIMENTS.md Perf-4: FTA misses 4 of EPA's 12 R1 hazards.
+    assert_eq!(report.missed_by_fta.len(), 4);
+    assert_eq!(report.agreed + report.missed_by_fta.len(), 12);
 }
 
 /// Behavioural (Listing 2) analysis agrees with the qualitative trace of
