@@ -62,3 +62,11 @@ done
 # prediction must stay within 10x of the actual grounding.
 ./target/release/cpsrisk analyze examples/listing1.lp examples/water_tank.lp
 ./target/release/cpsrisk analyze --workload temporal --max-divergence 10
+
+# Every example of crates/core runs end to end (asp_repl is interactive and
+# is skipped). attack_surface is the public ExhaustiveAnalysis caller
+# outside the CLI.
+for example in $(awk '/^\[\[example\]\]/ { getline; gsub(/"/, "", $3); print $3 }' crates/core/Cargo.toml); do
+    [ "$example" = asp_repl ] && continue
+    cargo run --release -q -p cpsrisk --example "$example" </dev/null >/dev/null
+done

@@ -945,13 +945,17 @@ fn instances(rule: &CRule, possible: &PossibleSet) -> Result<Vec<Snapshot>, AspE
 /// Per-rule instance lists, computed on worker threads when the program is
 /// large enough. Contiguous rule shards keep results indexed by rule, so
 /// the emitted program is identical for every thread count.
+///
+/// # Errors
+///
+/// [`AspError::Internal`] if a worker panicked.
 fn shard_instances(
     crules: &[CRule],
     possible: &PossibleSet,
     threads: usize,
-) -> Vec<Result<Vec<Snapshot>, AspError>> {
+) -> Result<Vec<Result<Vec<Snapshot>, AspError>>, AspError> {
     if threads <= 1 || crules.len() < PAR_MIN_RULES || possible.len() < PAR_MIN_ATOMS {
-        return crules.iter().map(|r| instances(r, possible)).collect();
+        return Ok(crules.iter().map(|r| instances(r, possible)).collect());
     }
     let chunk = crules.len().div_ceil(threads);
     std::thread::scope(|s| {
@@ -966,10 +970,25 @@ fn shard_instances(
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("grounder worker panicked"))
-            .collect()
+        // Join every worker before returning, so no panic is left for the
+        // scope to re-raise.
+        let shards: Vec<_> = handles.into_iter().map(join_worker).collect();
+        let mut out = Vec::with_capacity(crules.len());
+        for shard in shards {
+            out.extend(shard?);
+        }
+        Ok(out)
+    })
+}
+
+/// Join a grounder worker; its panic becomes an [`AspError::Internal`]
+/// instead of unwinding into the caller.
+fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T, AspError> {
+    handle.join().map_err(|payload| {
+        let msg = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        AspError::Internal(format!("grounder worker panicked: {msg}"))
     })
 }
 
@@ -1285,7 +1304,7 @@ impl Session {
         possible_fixpoint(&crules, &mut possible)?;
 
         // Phase 2: parallel instantiation, sequential source-order emission.
-        let snaps = shard_instances(&crules, &possible, cfg.threads);
+        let snaps = shard_instances(&crules, &possible, cfg.threads)?;
         let mut out = GroundProgram::new();
         let mut seen: HashSet<GroundRule> = HashSet::new();
         for (rule, snap) in crules.iter().zip(snaps) {
@@ -1752,5 +1771,18 @@ mod tests {
             Grounder::with_budget(10).ground(&p),
             Err(AspError::GroundingBudget { limit: 10 })
         ));
+    }
+
+    #[test]
+    fn a_panicking_worker_becomes_an_internal_error() {
+        std::thread::scope(|s| {
+            let ok = join_worker(s.spawn(|| 7));
+            assert!(matches!(ok, Ok(7)));
+            let failed = join_worker(s.spawn(|| -> u32 { panic!("boom") }));
+            let Err(AspError::Internal(msg)) = failed else {
+                panic!("expected an internal error, got {failed:?}");
+            };
+            assert!(msg.contains("boom"), "{msg}");
+        });
     }
 }

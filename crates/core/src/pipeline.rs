@@ -3,7 +3,7 @@
 use cpsrisk_epa::cegar::{refine_hazards, ConcreteOracle};
 use cpsrisk_epa::encode::analyze_exhaustive;
 use cpsrisk_epa::sensitivity::{sensitivity_sweep, SensitivityFinding};
-use cpsrisk_epa::{EpaProblem, ScenarioOutcome, TopologyAnalysis};
+use cpsrisk_epa::{minimal_hazards, EpaProblem, ScenarioOutcome, TopologyAnalysis};
 use cpsrisk_mitigation::{
     best_under_budget, consolidation_plan, AttackScenario, Coverage, MitigationCandidate,
     MitigationProblem, Phase, Selection,
@@ -34,11 +34,17 @@ pub struct RatedHazard {
 /// The full assessment report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AssessmentReport {
-    /// Every evaluated scenario outcome.
+    /// Every evaluated scenario outcome, one per scenario in
+    /// [`ScenarioSpace::iter`](cpsrisk_epa::ScenarioSpace::iter) order on
+    /// both back-ends. The ASP back-end answers them on one resident
+    /// [`Session`](cpsrisk_epa::Session) sweep
+    /// ([`analyze_exhaustive`]).
     pub outcomes: Vec<ScenarioOutcome>,
     /// Hazards rated and sorted by risk (descending), then by fewer faults.
     pub hazards: Vec<RatedHazard>,
-    /// Minimal hazardous scenarios (cut-set analogue).
+    /// Minimal hazardous scenarios (cut-set analogue), filtered from
+    /// `outcomes` by [`minimal_hazards`] in
+    /// the same order.
     pub minimal_hazards: Vec<ScenarioOutcome>,
     /// Recommended mitigation selection (step 7), with its cost.
     pub recommendation: Option<(Selection, u64)>,
@@ -115,7 +121,9 @@ impl Assessment {
     }
 
     /// Use the ASP back-end for hazard identification instead of the
-    /// direct fixpoint engine (the two agree; the ASP path exercises the
+    /// direct fixpoint engine: one resident
+    /// [`Session`](cpsrisk_epa::Session) answers every scenario (the two
+    /// back-ends produce the same report; the ASP path exercises the
     /// hidden formal method end to end).
     #[must_use]
     pub fn with_asp_backend(mut self) -> Self {
@@ -165,15 +173,15 @@ impl Assessment {
             return Err(CoreError::Lint(lint));
         }
 
-        // Steps 3–4: exhaustive hazard identification.
+        // Steps 3–4: exhaustive hazard identification, every scenario
+        // evaluated once, in scenario-space order on either back-end.
         let outcomes = if self.use_asp {
             let bound = u32::try_from(self.max_faults).ok();
             analyze_exhaustive(&self.problem, bound)?
         } else {
             TopologyAnalysis::new(&self.problem).evaluate_all(self.max_faults)
         };
-        let mut minimal_hazards =
-            TopologyAnalysis::new(&self.problem).minimal_hazards(self.max_faults);
+        let mut minimal_hazards = minimal_hazards(&outcomes);
 
         // Step 5: CEGAR refinement against the oracle, if configured.
         let mut hazard_outcomes: Vec<ScenarioOutcome> =
@@ -341,22 +349,31 @@ mod tests {
         assert_eq!(cost, u64::MAX);
     }
 
+    /// Both back-ends emit the outcomes in scenario-space order, so the
+    /// whole report — outcomes, hazards, minimal hazards, recommendation,
+    /// residual loss and phases — is identical.
+    fn assert_backends_agree(problem: &EpaProblem, max_faults: usize) {
+        let direct = Assessment::new(problem.clone())
+            .with_max_faults(max_faults)
+            .with_phase_budgets(&[60, 200]);
+        let asp = direct.clone().with_asp_backend();
+        assert_eq!(direct.run().unwrap(), asp.run().unwrap());
+    }
+
     #[test]
     fn direct_and_asp_backends_agree_end_to_end() {
-        let problem = casestudy::water_tank_problem(&[]).unwrap();
-        let direct = Assessment::new(problem.clone()).run().unwrap();
-        let asp = Assessment::new(problem).with_asp_backend().run().unwrap();
-        let key = |r: &AssessmentReport| {
-            let mut v: Vec<String> = r
-                .outcomes
-                .iter()
-                .map(|o| format!("{}->{:?}", o.scenario, o.violated))
-                .collect();
-            v.sort();
-            v
-        };
-        assert_eq!(key(&direct), key(&asp));
-        assert_eq!(direct.hazards.len(), asp.hazards.len());
+        for active in [&[][..], &["m1", "m2"]] {
+            let problem = casestudy::water_tank_problem(active).unwrap();
+            assert_backends_agree(&problem, usize::MAX);
+        }
+    }
+
+    #[test]
+    fn direct_and_asp_backends_agree_on_catalog_plants() {
+        for seed in [0xC47A, 1, 2] {
+            let problem = cpsrisk_epa::catalog_problem(34, 4, seed);
+            assert_backends_agree(&problem, 2);
+        }
     }
 
     #[test]

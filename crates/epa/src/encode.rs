@@ -13,8 +13,10 @@ use cpsrisk_model::export::export_facts;
 use std::collections::BTreeSet;
 
 use crate::error::EpaError;
+use crate::parallel::SweepOptions;
 use crate::problem::EpaProblem;
-use crate::scenario::{Scenario, ScenarioOutcome};
+use crate::scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
+use crate::session::{Query, Session};
 
 /// How the scenario dimension is encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,7 +33,7 @@ pub enum EncodeMode {
     /// *assumable* fact (`scenario_fault/1`, `fault_enabled/1`,
     /// `active_mitigation/2`) so one ground program answers every fixed
     /// scenario via [`Solver::solve_with_assumptions`]. Used by outcome
-    /// queries of a [`Session`](crate::session::Session).
+    /// queries of a [`Session`].
     Assumable,
     /// Multi-shot **attack-extension** form: the [`Assumable`] vocabulary
     /// plus an assumable `target/1` fact per requirement, a bounded choice
@@ -42,7 +44,7 @@ pub enum EncodeMode {
     /// the targeted requirement. Unlike the WFM-decided [`Assumable`]
     /// queries this leaves real choice atoms open: answering takes CDCL
     /// search. Used by margin queries of a
-    /// [`Session`](crate::session::Session).
+    /// [`Session`].
     ///
     /// [`Assumable`]: EncodeMode::Assumable
     Contested {
@@ -207,7 +209,7 @@ pub fn encode(problem: &EpaProblem, mode: &EncodeMode) -> Program {
 /// Solve a fixed scenario through the ASP back-end.
 ///
 /// Convenience wrapper around a one-shot
-/// [`Session`](crate::session::Session); callers evaluating several
+/// [`Session`]; callers evaluating several
 /// scenarios against the same problem should build the session once and
 /// query it repeatedly.
 ///
@@ -219,9 +221,8 @@ pub fn analyze_fixed(
     problem: &EpaProblem,
     scenario: &Scenario,
 ) -> Result<ScenarioOutcome, EpaError> {
-    let query = crate::session::Query::Outcome(scenario.clone());
-    Ok(crate::session::Session::new(problem, None)?
-        .answer(&query)?
+    Ok(Session::new(problem, None)?
+        .answer(&Query::Outcome(scenario.clone()))?
         .into_outcome())
 }
 
@@ -249,12 +250,18 @@ pub(crate) fn analyze_fixed_fresh(
     Ok(outcome_from_model(scenario.clone(), model))
 }
 
-/// Enumerate all scenarios (up to `max_faults`) through the ASP back-end;
-/// one [`ScenarioOutcome`] per answer set.
+/// Evaluate every scenario of up to `max_faults` simultaneous faults
+/// through the ASP back-end: one [`ScenarioOutcome`] per scenario, in
+/// [`ScenarioSpace::iter`] order (the order of the direct engine's
+/// [`evaluate_all`](crate::topology::TopologyAnalysis::evaluate_all)).
 ///
-/// Convenience wrapper around a one-shot [`ExhaustiveAnalysis`]; callers
-/// issuing several queries against the same problem should build the
-/// analysis once and reuse it.
+/// Builds one resident [`Session`] and sweeps the scenario space as
+/// [`Query::Outcome`] queries on the worker pool
+/// ([`SweepOptions::from_env`]); the conditional well-founded model
+/// decides most of them without search. The answers are those of the
+/// stable models of the choice-rule (Listing 1) program of
+/// [`ExhaustiveAnalysis::ground`], one per scenario; the test suite
+/// checks the two against each other.
 ///
 /// # Errors
 ///
@@ -263,20 +270,31 @@ pub fn analyze_exhaustive(
     problem: &EpaProblem,
     max_faults: Option<u32>,
 ) -> Result<Vec<ScenarioOutcome>, EpaError> {
-    ExhaustiveAnalysis::new(problem, max_faults)?.outcomes()
+    let bound = max_faults.map_or(usize::MAX, |k| usize::try_from(k).unwrap_or(usize::MAX));
+    let space = ScenarioSpace::new(problem, bound);
+    let queries = space.iter().map(Query::Outcome);
+    let mut outcomes = Vec::new();
+    Session::new(problem, None)?.sweep_streaming(queries, &SweepOptions::from_env(), |_, a| {
+        outcomes.push(a.into_outcome());
+    })?;
+    Ok(outcomes)
 }
 
-/// An exhaustive-mode analysis with a **cached ground program**.
+/// An exhaustive-mode analysis with a **cached ground program**: the
+/// choice-rule (Listing 1) program over every scenario of up to
+/// `max_faults` faults.
 ///
-/// Encoding and grounding the choice-rule program dominates the cost of
-/// small queries, and every exhaustive query (scenario enumeration, one
-/// `cheapest_attack` per requirement) shares the same ground program. This
-/// struct grounds once at construction; each query then works at the
-/// propositional level.
+/// Every `cheapest_attack` query (one per requirement) shares that ground
+/// program: it is grounded once at construction, and each query then works
+/// at the propositional level. [`outcomes`](Self::outcomes) does not
+/// enumerate it; it is [`analyze_exhaustive`].
 pub struct ExhaustiveAnalysis {
     ground: cpsrisk_asp::GroundProgram,
     /// Fault id → attacker cost derived from the likelihood band.
     attack_costs: std::collections::HashMap<String, i64>,
+    /// The analysed problem and bound, for [`outcomes`](Self::outcomes).
+    problem: EpaProblem,
+    max_faults: Option<u32>,
 }
 
 impl ExhaustiveAnalysis {
@@ -298,28 +316,28 @@ impl ExhaustiveAnalysis {
         Ok(ExhaustiveAnalysis {
             ground,
             attack_costs,
+            problem: problem.clone(),
+            max_faults,
         })
     }
 
-    /// The cached ground program.
+    /// The cached ground choice-rule program: one stable model per
+    /// scenario ([`outcome_of_model`] reads its outcome).
     #[must_use]
     pub fn ground(&self) -> &cpsrisk_asp::GroundProgram {
         &self.ground
     }
 
-    /// Enumerate every scenario outcome (one per answer set).
+    /// Every scenario outcome, in [`ScenarioSpace::iter`] order: exactly
+    /// [`analyze_exhaustive`] on the analysed problem and bound (a
+    /// resident-session sweep, not an enumeration of
+    /// [`ground`](Self::ground)).
     ///
     /// # Errors
     ///
-    /// [`EpaError::Asp`] on solving failure.
+    /// [`EpaError::Asp`] on grounding/solving failure.
     pub fn outcomes(&self) -> Result<Vec<ScenarioOutcome>, EpaError> {
-        let mut solver = Solver::new(&self.ground);
-        let result = solver.enumerate(&SolveOptions::default())?;
-        Ok(result
-            .models
-            .iter()
-            .map(|m| outcome_from_model(scenario_of_model(m), m))
-            .collect())
+        analyze_exhaustive(&self.problem, self.max_faults)
     }
 
     /// §IV-D "most efficient attack" against one requirement: the
@@ -394,6 +412,14 @@ impl ExhaustiveAnalysis {
     }
 }
 
+/// The scenario outcome one stable model of the choice-rule program of
+/// [`ExhaustiveAnalysis::ground`] encodes: its scenario is the fault ids
+/// of the model's `active_fault/2` atoms.
+#[must_use]
+pub fn outcome_of_model(model: &cpsrisk_asp::Model) -> ScenarioOutcome {
+    outcome_from_model(scenario_of_model(model), model)
+}
+
 /// The scenario an answer set encodes: the fault ids of its
 /// `active_fault/2` atoms.
 fn scenario_of_model(model: &cpsrisk_asp::Model) -> Scenario {
@@ -413,7 +439,7 @@ pub(crate) fn outcome_from_model(
 
 /// Build a [`ScenarioOutcome`] from any stream of true atoms — shared by
 /// the model-based form above and the static (well-founded) verdict path
-/// of a [`Session`](crate::session::Session),
+/// of a [`Session`],
 /// which reads atoms off a ground program instead of a solved model.
 pub(crate) fn outcome_from_atoms<'a>(
     scenario: Scenario,
@@ -448,7 +474,6 @@ mod tests {
     use super::*;
     use crate::mutation::CandidateMutation;
     use crate::problem::{MitigationOption, Requirement};
-    use crate::scenario::ScenarioSpace;
     use crate::topology::TopologyAnalysis;
     use cpsrisk_model::{ElementKind, SystemModel};
     use cpsrisk_model::{FlowKind, Relation, RelationKind};
@@ -525,7 +550,7 @@ mod tests {
     fn exhaustive_enumeration_covers_the_space() {
         let p = problem();
         let outcomes = analyze_exhaustive(&p, None).unwrap();
-        assert_eq!(outcomes.len(), 8, "2^3 answer sets");
+        assert_eq!(outcomes.len(), 8, "2^3 scenarios");
         let hazards = outcomes.iter().filter(|o| o.is_hazard()).count();
         assert_eq!(hazards, 6, "matches the direct engine");
         // Every ASP outcome agrees with the direct engine.

@@ -66,7 +66,7 @@ pub use horizon::{
 pub use mutation::{inject_mutations, screen_mutations, CandidateMutation, MutationSource};
 pub use parallel::{SweepOptions, SweepStats};
 pub use problem::{EpaProblem, MitigationOption, Requirement};
-pub use scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
+pub use scenario::{minimal_hazards, Scenario, ScenarioOutcome, ScenarioSpace};
 pub use sensitivity::{sensitivity_sweep, Decision, SensitivityFinding};
 pub use session::{Answer, CertifySummary, Query, Session, Solvers};
 #[doc(hidden)]

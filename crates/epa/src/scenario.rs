@@ -96,6 +96,28 @@ impl ScenarioOutcome {
     }
 }
 
+/// The minimal hazards among `outcomes`: the hazardous outcomes for which
+/// no hazardous outcome of a proper sub-scenario violates at least the
+/// same requirements (the qualitative analogue of minimal cut sets).
+///
+/// The result keeps the input order. Both back-ends of the assessment
+/// pipeline filter the outcomes they already have with this function.
+#[must_use]
+pub fn minimal_hazards(outcomes: &[ScenarioOutcome]) -> Vec<ScenarioOutcome> {
+    let hazards: Vec<&ScenarioOutcome> = outcomes.iter().filter(|o| o.is_hazard()).collect();
+    hazards
+        .iter()
+        .filter(|h| {
+            !hazards.iter().any(|other| {
+                other.scenario.len() < h.scenario.len()
+                    && other.scenario.iter().all(|f| h.scenario.contains(f))
+                    && other.violated.is_superset(&h.violated)
+            })
+        })
+        .map(|h| (*h).clone())
+        .collect()
+}
+
 impl fmt::Display for ScenarioOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} -> ", self.scenario)?;
@@ -158,8 +180,10 @@ impl ScenarioSpace {
         total
     }
 
-    /// Iterate all scenarios in cardinality-then-lexicographic order,
-    /// starting with the nominal scenario.
+    /// Iterate all scenarios in cardinality-then-lexicographic order
+    /// (lexicographic over the problem's mutation order), starting with
+    /// the nominal scenario. Every exhaustive outcome list of this crate
+    /// comes in this order.
     pub fn iter(&self) -> impl Iterator<Item = Scenario> + '_ {
         let n = self.potential.len();
         let bound = self.max_faults.min(n);

@@ -129,23 +129,12 @@ impl<'a> TopologyAnalysis<'a> {
             .collect()
     }
 
-    /// Minimal hazardous scenarios: hazards none of whose proper subsets
-    /// are hazardous for the same requirement (the qualitative analogue of
-    /// minimal cut sets).
+    /// Minimal hazardous scenarios up to `max_faults` simultaneous faults:
+    /// [`minimal_hazards`](crate::scenario::minimal_hazards) over
+    /// [`evaluate_all`](Self::evaluate_all), in scenario-space order.
     #[must_use]
     pub fn minimal_hazards(&self, max_faults: usize) -> Vec<ScenarioOutcome> {
-        let hazards = self.hazards(max_faults);
-        hazards
-            .iter()
-            .filter(|h| {
-                !hazards.iter().any(|other| {
-                    other.scenario.len() < h.scenario.len()
-                        && other.scenario.iter().all(|f| h.scenario.contains(f))
-                        && other.violated.is_superset(&h.violated)
-                })
-            })
-            .cloned()
-            .collect()
+        crate::scenario::minimal_hazards(&self.evaluate_all(max_faults))
     }
 }
 

@@ -4,11 +4,14 @@
 
 use std::collections::BTreeMap;
 
+use cpsrisk::asp::{SolveOptions, Solver};
 use cpsrisk::casestudy;
 use cpsrisk::epa::behavioral::analyze_behavior;
-use cpsrisk::epa::encode::analyze_exhaustive;
+use cpsrisk::epa::encode::{analyze_exhaustive, outcome_of_model};
 use cpsrisk::epa::workload::chain_problem;
-use cpsrisk::epa::{Scenario, ScenarioSpace, TopologyAnalysis};
+use cpsrisk::epa::{
+    catalog_problem, minimal_hazards, ExhaustiveAnalysis, Scenario, ScenarioSpace, TopologyAnalysis,
+};
 use cpsrisk::fta::compare::compare_methods;
 use cpsrisk::model::aspect::MergedModel;
 use cpsrisk::model::{ElementKind, Relation, RelationKind, SystemModel};
@@ -51,6 +54,52 @@ fn exhaustive_asp_enumeration_equals_direct_sweep_on_chains() {
         assert_eq!(asp.len(), 1 << (n + 2));
         assert_eq!(asp, expected, "chain of {n}");
     }
+}
+
+/// The production path no longer enumerates the choice-rule program:
+/// its stable models, one per scenario, are the oracle for the
+/// resident-session sweep of `analyze_exhaustive`.
+#[test]
+fn listing_1_models_equal_the_session_sweep() {
+    let cases = [
+        (
+            casestudy::water_tank_problem(&[]).expect("problem builds"),
+            None,
+        ),
+        (chain_problem(2), None),
+        (chain_problem(4), None),
+        (catalog_problem(34, 4, 0xC47A), Some(2)),
+    ];
+    for (problem, max_faults) in cases {
+        let name = &problem.model.name;
+        let analysis = ExhaustiveAnalysis::new(&problem, max_faults).expect("grounds");
+        let models = Solver::new(analysis.ground())
+            .enumerate(&SolveOptions::default())
+            .expect("enumerates")
+            .models;
+        let mut listing_1: Vec<_> = models.iter().map(outcome_of_model).collect();
+        listing_1.sort_by(|a, b| a.scenario.cmp(&b.scenario));
+        let mut swept = analyze_exhaustive(&problem, max_faults).expect("sweeps");
+        swept.sort_by(|a, b| a.scenario.cmp(&b.scenario));
+        assert_eq!(listing_1, swept, "{name}");
+    }
+}
+
+/// The shared minimal-hazard filter keeps its input's order and, on the
+/// direct engine's outcomes, is `TopologyAnalysis::minimal_hazards`.
+#[test]
+fn minimal_hazard_filter_keeps_input_order() {
+    let problem = casestudy::water_tank_problem(&[]).expect("problem builds");
+    let direct = TopologyAnalysis::new(&problem);
+    let mut outcomes = direct.evaluate_all(usize::MAX);
+    let minimal = minimal_hazards(&outcomes);
+    assert_eq!(minimal, direct.minimal_hazards(usize::MAX));
+    let scenarios: Vec<_> = minimal.iter().map(|h| h.scenario.clone()).collect();
+    let expected = [&["f2"][..], &["f4"], &["f2", "f3"]].map(Scenario::of);
+    assert_eq!(scenarios, expected, "scenario-space order");
+    outcomes.reverse();
+    let reversed: Vec<_> = minimal.iter().rev().cloned().collect();
+    assert_eq!(minimal_hazards(&outcomes), reversed);
 }
 
 #[test]
