@@ -46,9 +46,11 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 # probe grounding against the resident programs, and static verdicts
 # against the sweep. On assess: a step-by-step replay of Assessment::run
 # (mitigation selection included) against the pipeline's own report, and
-# the ASP outcomes against the direct engine. The result is the last line
-# of standard output.
-for workload in sweep assess; do
+# the ASP outcomes against the direct engine. On solve: no lint errors in
+# the generated files, one model of the temporal file, an UNSAT adversarial
+# file, and the horizon probe. The result is the last line of standard
+# output.
+for workload in sweep assess solve; do
     result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seconds 1 --trace 1 | tail -n 1)
     if ! grep -q '"correct": true' <<<"$result" || ! grep -Eq '"failed": 0[,}]' <<<"$result"; then

@@ -27,7 +27,7 @@
 //! rule can fire, so that one is sound) plus the predicted-vs-actual
 //! report of `cpsrisk analyze`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::ast::{CmpOp, Head, Literal, Program, Statement, Term};
 
@@ -79,8 +79,9 @@ impl SizePrediction {
     #[must_use]
     pub fn bound(&self, pred: &str, arity: usize) -> Option<&PredBound> {
         self.preds
-            .iter()
-            .find(|b| b.pred == pred && b.arity == arity)
+            .binary_search_by(|b| (b.pred.as_str(), b.arity).cmp(&(pred, arity)))
+            .ok()
+            .map(|i| &self.preds[i])
     }
 }
 
@@ -93,16 +94,15 @@ fn sat(x: f64) -> f64 {
     }
 }
 
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 struct Bounds {
     atoms: Vec<f64>,
     args: Vec<Vec<f64>>,
 }
 
 struct Ctx<'p> {
-    program: &'p Program,
-    sigs: Vec<(String, usize)>,
-    index: HashMap<(String, usize), usize>,
+    sigs: Vec<(&'p str, usize)>,
+    index: HashMap<(&'p str, usize), usize>,
     defined: Vec<bool>,
     /// Distinct ground (sub)terms in the program: the Herbrand-universe
     /// estimate that caps any single argument position.
@@ -117,68 +117,60 @@ struct Ctx<'p> {
     functional: Vec<Vec<bool>>,
 }
 
+impl Ctx<'_> {
+    fn sig(&self, a: &crate::ast::Atom) -> usize {
+        self.index[&(a.pred.as_str(), a.args.len())]
+    }
+}
+
 /// Predict per-predicate domain sizes and per-rule instantiation counts.
 #[must_use]
 pub fn predict_sizes(program: &Program) -> SizePrediction {
     let ctx = build_ctx(program);
-    let nsigs = ctx.sigs.len();
+    let stmts: Vec<Compiled> = program
+        .statements
+        .iter()
+        .enumerate()
+        .map(|(si, stmt)| Compiled::new(&ctx, stmt, ctx.is_fact[si]))
+        .collect();
+    let mut fix = Fixpoint::new(&ctx, &stmts);
     let mut cur = ctx.facts.clone();
     // Enough headroom for temporal chains, whose argument bounds grow by
     // a constant per step until the time domain caps them.
-    let max_iter = (2 * nsigs + 8).max(64);
+    let max_iter = (2 * ctx.sigs.len() + 8).max(64);
     let mut converged = false;
     for _ in 0..max_iter {
-        let next = step(&ctx, &cur);
-        if next == cur {
+        let changes = fix.step(&cur);
+        if changes.is_empty() {
             converged = true;
             break;
         }
-        cur = next;
+        fix.apply(&mut cur, changes);
     }
     if !converged {
         // Force-saturate whatever is still moving; one more monotone step
         // folds the saturated bounds into their dependents.
-        let next = step(&ctx, &cur);
-        for s in 0..nsigs {
-            if next.atoms[s] != cur.atoms[s] || next.args[s] != cur.args[s] {
-                let arity = ctx.sigs[s].1;
-                cur.atoms[s] = sat(ctx.universe.powi(arity.max(1) as i32));
-                for a in &mut cur.args[s] {
-                    *a = ctx.universe;
-                }
-            } else {
-                cur.atoms[s] = next.atoms[s];
-                cur.args[s] = next.args[s].clone();
-            }
-        }
-        cur = step(&ctx, &cur);
+        let moving = fix.step(&cur);
+        fix.saturate(&ctx, &mut cur, moving);
+        let changes = fix.step(&cur);
+        fix.apply(&mut cur, changes);
     }
 
     let mut rules = Vec::new();
     let mut total = 0.0f64;
-    for (si, stmt) in program.statements.iter().enumerate() {
+    for (si, stmt) in stmts.iter().enumerate() {
         let instances = match stmt {
-            Statement::Rule(_) if ctx.is_fact[si] => 1.0,
-            Statement::Rule(rule) => estimate_rule(&ctx, &cur, rule),
-            Statement::Minimize { elements, .. } => {
+            Compiled::Fact => 1.0,
+            Compiled::Rule(rule) => rule.estimate(&cur, ctx.universe),
+            Compiled::Minimize(elements) => {
                 let mut est = 0.0f64;
                 for e in elements {
-                    let doms = domains(&ctx, &cur, &e.condition);
-                    let cond: Vec<&Literal> = e.condition.iter().collect();
-                    let det = determined_vars(&ctx, &cond);
-                    let mut vars = BTreeSet::new();
-                    for lit in &e.condition {
-                        literal_vars(lit, &mut vars);
-                    }
-                    e.weight.collect_vars(&mut vars);
-                    for t in &e.terms {
-                        t.collect_vars(&mut vars);
-                    }
-                    est = sat(est + free_product(&vars, &det, &doms, ctx.universe));
+                    let doms = e.scope.domains(&cur, ctx.universe);
+                    est = sat(est + product(&e.free, &doms, ctx.universe));
                 }
                 est
             }
-            Statement::Show { .. } => continue,
+            Compiled::Show => continue,
         };
         rules.push(RuleEstimate {
             stmt: si,
@@ -191,9 +183,9 @@ pub fn predict_sizes(program: &Program) -> SizePrediction {
         .sigs
         .iter()
         .enumerate()
-        .map(|(s, (pred, arity))| PredBound {
-            pred: pred.clone(),
-            arity: *arity,
+        .map(|(s, &(pred, arity))| PredBound {
+            pred: pred.to_owned(),
+            arity,
             atoms: cur.atoms[s],
             args: cur.args[s].clone(),
             defined: ctx.defined[s],
@@ -206,21 +198,23 @@ pub fn predict_sizes(program: &Program) -> SizePrediction {
     }
 }
 
-fn build_ctx(program: &Program) -> Ctx<'_> {
-    let mut sig_set: BTreeSet<(String, usize)> = BTreeSet::new();
-    let mut defined_set: BTreeSet<(String, usize)> = BTreeSet::new();
-    let mut ground_terms: BTreeSet<String> = BTreeSet::new();
-    let mut each_atom = |atom: &crate::ast::Atom, is_head: bool| {
-        let sig = (atom.pred.clone(), atom.args.len());
+fn build_ctx<'p>(program: &'p Program) -> Ctx<'p> {
+    let mut sig_set: BTreeSet<(&str, usize)> = BTreeSet::new();
+    let mut defined_set: BTreeSet<(&str, usize)> = BTreeSet::new();
+    let mut ground_terms: HashSet<&Term> = HashSet::new();
+    let mut each_atom = |atom: &'p crate::ast::Atom, is_head: bool| {
+        let sig = (atom.pred.as_str(), atom.args.len());
         if is_head {
-            defined_set.insert(sig.clone());
+            defined_set.insert(sig);
         }
         sig_set.insert(sig);
     };
-    let body_atom = |lit: &Literal| match lit {
-        Literal::Pos(a) | Literal::Neg(a) => Some(a.clone()),
-        Literal::Cmp(..) => None,
-    };
+    fn body_atom(lit: &Literal) -> Option<&crate::ast::Atom> {
+        match lit {
+            Literal::Pos(a) | Literal::Neg(a) => Some(a),
+            Literal::Cmp(..) => None,
+        }
+    }
     for stmt in &program.statements {
         match stmt {
             Statement::Rule(rule) => {
@@ -231,7 +225,7 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
                             each_atom(&e.atom, true);
                             for lit in &e.condition {
                                 if let Some(a) = body_atom(lit) {
-                                    each_atom(&a, false);
+                                    each_atom(a, false);
                                 }
                             }
                         }
@@ -240,7 +234,7 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
                 }
                 for lit in &rule.body {
                     if let Some(a) = body_atom(lit) {
-                        each_atom(&a, false);
+                        each_atom(a, false);
                     }
                 }
             }
@@ -248,7 +242,7 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
                 for e in elements {
                     for lit in &e.condition {
                         if let Some(a) = body_atom(lit) {
-                            each_atom(&a, false);
+                            each_atom(a, false);
                         }
                     }
                 }
@@ -257,22 +251,19 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
         }
         collect_ground_subterms(stmt, &mut ground_terms);
     }
-    let sigs: Vec<(String, usize)> = sig_set.into_iter().collect();
-    let index: HashMap<(String, usize), usize> = sigs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.clone(), i))
-        .collect();
+    let sigs: Vec<(&str, usize)> = sig_set.into_iter().collect();
+    let index: HashMap<(&str, usize), usize> =
+        sigs.iter().enumerate().map(|(i, &s)| (s, i)).collect();
     let defined: Vec<bool> = sigs.iter().map(|s| defined_set.contains(s)).collect();
     let universe = ground_terms.len().max(1) as f64;
 
     // Count fact predicates exactly: distinct tuples and per-position
     // distinct values.
-    let mut tuples: Vec<BTreeSet<String>> = vec![BTreeSet::new(); sigs.len()];
-    let mut rows: Vec<Vec<Vec<String>>> = vec![Vec::new(); sigs.len()];
-    let mut values: Vec<Vec<BTreeSet<String>>> = sigs
+    let mut tuples: Vec<HashSet<&[Term]>> = vec![HashSet::new(); sigs.len()];
+    let mut rows: Vec<Vec<&[Term]>> = vec![Vec::new(); sigs.len()];
+    let mut values: Vec<Vec<HashSet<&Term>>> = sigs
         .iter()
-        .map(|(_, arity)| vec![BTreeSet::new(); *arity])
+        .map(|(_, arity)| vec![HashSet::new(); *arity])
         .collect();
     let mut is_fact = vec![false; program.statements.len()];
     for (si, stmt) in program.statements.iter().enumerate() {
@@ -286,12 +277,12 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
             continue;
         }
         is_fact[si] = true;
-        let s = index[&(a.pred.clone(), a.args.len())];
-        if tuples[s].insert(format!("{:?}", a.args)) {
-            rows[s].push(a.args.iter().map(|t| format!("{t:?}")).collect());
+        let s = index[&(a.pred.as_str(), a.args.len())];
+        if tuples[s].insert(&a.args) {
+            rows[s].push(&a.args);
         }
         for (i, t) in a.args.iter().enumerate() {
-            values[s][i].insert(format!("{t:?}"));
+            values[s][i].insert(t);
         }
     }
     let facts = Bounds {
@@ -303,7 +294,6 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
     };
     let functional = functional_positions(program, &sigs, &index, &is_fact, &rows);
     Ctx {
-        program,
         sigs,
         index,
         defined,
@@ -330,10 +320,10 @@ fn build_ctx(program: &Program) -> Ctx<'_> {
 /// * Choice heads are nondeterministic, so they clear every flag.
 fn functional_positions(
     program: &Program,
-    sigs: &[(String, usize)],
-    index: &HashMap<(String, usize), usize>,
+    sigs: &[(&str, usize)],
+    index: &HashMap<(&str, usize), usize>,
     is_fact: &[bool],
-    fact_rows: &[Vec<Vec<String>>],
+    fact_rows: &[Vec<&[Term]>],
 ) -> Vec<Vec<bool>> {
     let mut fd: Vec<Vec<bool>> = sigs
         .iter()
@@ -347,7 +337,7 @@ fn functional_positions(
             if !*flag {
                 continue;
             }
-            let mut keys: BTreeSet<Vec<&String>> = BTreeSet::new();
+            let mut keys: HashSet<Vec<&Term>> = HashSet::new();
             for row in rows {
                 keys.insert(
                     row.iter()
@@ -372,13 +362,13 @@ fn functional_positions(
         }
         match &rule.head {
             Head::Atom(a) => {
-                let s = index[&(a.pred.clone(), a.args.len())];
+                let s = index[&(a.pred.as_str(), a.args.len())];
                 rule_heads[s] += 1;
                 rules.push((s, rule));
             }
             Head::Choice { elements, .. } => {
                 for e in elements {
-                    let s = index[&(e.atom.pred.clone(), e.atom.args.len())];
+                    let s = index[&(e.atom.pred.as_str(), e.atom.args.len())];
                     fd[s].iter_mut().for_each(|f| *f = false);
                 }
             }
@@ -431,7 +421,7 @@ fn fd_closure(
     seed: BTreeSet<String>,
     lits: &[&Literal],
     fd: &[Vec<bool>],
-    index: &HashMap<(String, usize), usize>,
+    index: &HashMap<(&str, usize), usize>,
 ) -> BTreeSet<String> {
     let mut det = seed;
     loop {
@@ -467,7 +457,7 @@ fn fd_closure(
                     }
                 }
                 Literal::Pos(atom) => {
-                    let Some(&s) = index.get(&(atom.pred.clone(), atom.args.len())) else {
+                    let Some(&s) = index.get(&(atom.pred.as_str(), atom.args.len())) else {
                         continue;
                     };
                     for (j, t) in atom.args.iter().enumerate() {
@@ -523,38 +513,242 @@ fn solves_uniquely(t: &Term, v: &str) -> bool {
     }
 }
 
-/// One monotone step: recompute every bound as facts plus the sum of rule
-/// head contributions under the current bounds.
-fn step(ctx: &Ctx<'_>, cur: &Bounds) -> Bounds {
-    let mut next = ctx.facts.clone();
-    for (si, stmt) in ctx.program.statements.iter().enumerate() {
-        let Statement::Rule(rule) = stmt else {
-            continue;
-        };
-        if ctx.is_fact[si] {
-            continue;
+// ---------------------------------------------------------------------------
+// Statements compiled once for the fixpoint.
+// ---------------------------------------------------------------------------
+
+/// Dense ids for the variables of one scope, numbered in name order: an
+/// ascending id list walks the variables in the order of the
+/// `BTreeSet<String>` they came from, so products over it multiply in the
+/// same order, and every `f64` comes out bit-identical to a name-keyed
+/// evaluation.
+struct VarIds(Vec<String>);
+
+impl VarIds {
+    fn id(&self, name: &str) -> usize {
+        self.0
+            .binary_search_by(|v| v.as_str().cmp(name))
+            .expect("every variable of the scope is numbered")
+    }
+
+    /// The ids of `names`, ascending.
+    fn ids<'a>(&self, names: impl IntoIterator<Item = &'a String>) -> Vec<usize> {
+        names.into_iter().map(|n| self.id(n)).collect()
+    }
+
+    fn term(&self, t: &Term) -> Vec<usize> {
+        let mut vars = BTreeSet::new();
+        t.collect_vars(&mut vars);
+        self.ids(&vars)
+    }
+}
+
+/// The variable domains of one literal scope — a rule's positive literals
+/// and `V = expr` bindings, or one `#minimize` element's condition.
+struct Scope {
+    /// Positive literals: the signature, and the variable at each argument
+    /// position that holds a bare variable.
+    pos: Vec<(usize, Vec<Option<usize>>)>,
+    /// `V = expr` bindings in literal order, one per side that is a bare
+    /// variable: that variable and the variables of the other side.
+    binds: Vec<(usize, Vec<usize>)>,
+    nvars: usize,
+}
+
+impl Scope {
+    fn new(ctx: &Ctx<'_>, literals: &[&Literal], ids: &VarIds) -> Self {
+        let mut pos = Vec::new();
+        let mut binds = Vec::new();
+        for lit in literals {
+            match lit {
+                Literal::Pos(a) => {
+                    let slots = a
+                        .args
+                        .iter()
+                        .map(|t| match t {
+                            Term::Var(v) => Some(ids.id(v)),
+                            _ => None,
+                        })
+                        .collect();
+                    pos.push((ctx.sig(a), slots));
+                }
+                Literal::Cmp(CmpOp::Eq, l, r) => {
+                    for (v, other) in [(l, r), (r, l)] {
+                        if let Term::Var(name) = v {
+                            binds.push((ids.id(name), ids.term(other)));
+                        }
+                    }
+                }
+                Literal::Neg(_) | Literal::Cmp(..) => {}
+            }
         }
+        Scope {
+            pos,
+            binds,
+            nvars: ids.0.len(),
+        }
+    }
+
+    /// Domain bound per variable: the minimum bound over the positive
+    /// positions it occurs in, refined by `V = expr` bindings (the bound
+    /// of `V` is at most the number of distinct values of `expr`; a
+    /// couple of passes settle chains). Unbound variables stay infinite.
+    fn domains(&self, cur: &Bounds, universe: f64) -> Vec<f64> {
+        let mut doms = vec![f64::INFINITY; self.nvars];
+        for (s, slots) in &self.pos {
+            for (i, v) in slots.iter().enumerate() {
+                if let Some(v) = *v {
+                    doms[v] = doms[v].min(cur.args[*s][i]);
+                }
+            }
+        }
+        for _ in 0..2 {
+            for (v, other) in &self.binds {
+                let b = product(other, &doms, universe);
+                doms[*v] = doms[*v].min(b);
+            }
+        }
+        doms
+    }
+
+    /// The signatures this scope reads.
+    fn reads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.pos.iter().map(|(s, _)| *s)
+    }
+}
+
+/// Product of the domains of `vars` (ascending ids), an unbounded domain
+/// counting as the universe. Over the variables of a term this is the
+/// term's distinct-value bound: a ground term (no variables) is one value.
+fn product(vars: &[usize], doms: &[f64], universe: f64) -> f64 {
+    let mut p = 1.0f64;
+    for &v in vars {
+        let d = doms[v];
+        let d = if d.is_finite() { d } else { universe };
+        p = sat(p * d);
+    }
+    p
+}
+
+/// One head of a compiled rule: its atom, or one choice element.
+struct HeadPart {
+    sig: usize,
+    /// Variables of each head argument.
+    args: Vec<Vec<usize>>,
+    /// Signatures of the positive literals that gate the head: a literal
+    /// over a zero-bound predicate can never hold, so the head derives
+    /// nothing. The body's literals, plus the element's condition.
+    gate: Vec<usize>,
+    /// The counted (undetermined) instantiation variables.
+    free: Vec<usize>,
+}
+
+/// A non-fact rule, compiled once: signature ids, positive literals,
+/// variable sets and [`determined_vars`] (which depends only on the fixed
+/// functional flags) never change between fixpoint steps.
+struct CompiledRule {
+    scope: Scope,
+    /// Signatures of the body's positive literals.
+    body_gate: Vec<usize>,
+    /// The counted variables of the body alone.
+    body_free: Vec<usize>,
+    heads: Vec<HeadPart>,
+    choice: bool,
+}
+
+/// One `#minimize` element, compiled.
+struct CompiledElement {
+    scope: Scope,
+    free: Vec<usize>,
+}
+
+/// A statement as the prediction sees it.
+enum Compiled {
+    /// A ground fact, counted exactly in `Ctx::facts`.
+    Fact,
+    Rule(CompiledRule),
+    Minimize(Vec<CompiledElement>),
+    Show,
+}
+
+impl Compiled {
+    fn new(ctx: &Ctx<'_>, stmt: &Statement, is_fact: bool) -> Self {
+        match stmt {
+            Statement::Rule(_) if is_fact => Compiled::Fact,
+            Statement::Rule(rule) => Compiled::Rule(CompiledRule::new(ctx, rule)),
+            Statement::Minimize { elements, .. } => Compiled::Minimize(
+                elements
+                    .iter()
+                    .map(|e| {
+                        let cond: Vec<&Literal> = e.condition.iter().collect();
+                        let mut vars = BTreeSet::new();
+                        for lit in &e.condition {
+                            literal_vars(lit, &mut vars);
+                        }
+                        e.weight.collect_vars(&mut vars);
+                        for t in &e.terms {
+                            t.collect_vars(&mut vars);
+                        }
+                        let ids = VarIds(vars.iter().cloned().collect());
+                        let det = determined_vars(ctx, &cond);
+                        CompiledElement {
+                            scope: Scope::new(ctx, &cond, &ids),
+                            free: ids.ids(vars.difference(&det)),
+                        }
+                    })
+                    .collect(),
+            ),
+            Statement::Show { .. } => Compiled::Show,
+        }
+    }
+}
+
+impl CompiledRule {
+    fn new(ctx: &Ctx<'_>, rule: &crate::ast::Rule) -> Self {
         let lits = all_positive_literals(rule);
-        let doms = domains(ctx, cur, lits.clone());
+        let mut all = BTreeSet::new();
+        match &rule.head {
+            Head::Atom(a) => a.collect_vars(&mut all),
+            Head::Choice { elements, .. } => {
+                for e in elements {
+                    e.atom.collect_vars(&mut all);
+                }
+            }
+            Head::None => {}
+        }
+        for lit in &lits {
+            literal_vars(lit, &mut all);
+        }
+        let ids = VarIds(all.into_iter().collect());
         let det = determined_vars(ctx, &lits);
+        let gate = |lits: &[&Literal]| -> Vec<usize> {
+            lits.iter()
+                .filter_map(|lit| match lit {
+                    Literal::Pos(a) => Some(ctx.sig(a)),
+                    Literal::Neg(_) | Literal::Cmp(..) => None,
+                })
+                .collect()
+        };
+        let body_lits: Vec<&Literal> = rule.body.iter().collect();
         let mut body_vars = BTreeSet::new();
         for lit in &rule.body {
             literal_vars(lit, &mut body_vars);
         }
-        let body_lits: Vec<&Literal> = rule.body.iter().collect();
-        match &rule.head {
+        let part = |atom: &crate::ast::Atom, vars: BTreeSet<String>, gate: Vec<usize>| HeadPart {
+            sig: ctx.sig(atom),
+            args: atom.args.iter().map(|t| ids.term(t)).collect(),
+            gate,
+            free: ids.ids(vars.difference(&det)),
+        };
+        let heads = match &rule.head {
             Head::Atom(a) => {
                 let mut vars = body_vars.clone();
                 a.collect_vars(&mut vars);
-                let inst = if body_derivable(ctx, cur, &body_lits) {
-                    free_product(&vars, &det, &doms, ctx.universe)
-                } else {
-                    0.0
-                };
-                contribute(ctx, &mut next, a, inst, &doms);
+                vec![part(a, vars, gate(&body_lits))]
             }
-            Head::Choice { elements, .. } => {
-                for e in elements {
+            Head::Choice { elements, .. } => elements
+                .iter()
+                .map(|e| {
                     let mut vars = body_vars.clone();
                     e.atom.collect_vars(&mut vars);
                     let mut lits = body_lits.clone();
@@ -562,103 +756,243 @@ fn step(ctx: &Ctx<'_>, cur: &Bounds) -> Bounds {
                         literal_vars(lit, &mut vars);
                         lits.push(lit);
                     }
-                    let inst = if body_derivable(ctx, cur, &lits) {
-                        free_product(&vars, &det, &doms, ctx.universe)
-                    } else {
-                        0.0
-                    };
-                    contribute(ctx, &mut next, &e.atom, inst, &doms);
+                    part(&e.atom, vars, gate(&lits))
+                })
+                .collect(),
+            Head::None => Vec::new(),
+        };
+        CompiledRule {
+            scope: Scope::new(ctx, &lits, &ids),
+            body_gate: gate(&body_lits),
+            body_free: ids.ids(body_vars.difference(&det)),
+            heads,
+            choice: matches!(rule.head, Head::Choice { .. }),
+        }
+    }
+
+    /// Each head's contribution to the next bounds under `cur`.
+    fn contributions(&self, cur: &Bounds, universe: f64) -> Vec<Contribution> {
+        let doms = self.scope.domains(cur, universe);
+        self.heads
+            .iter()
+            .map(|h| {
+                let inst = if derivable(cur, &h.gate) {
+                    product(&h.free, &doms, universe)
+                } else {
+                    0.0
+                };
+                let mut tuple_bound = 1.0f64;
+                let arg_bounds: Vec<f64> = h
+                    .args
+                    .iter()
+                    .map(|vars| {
+                        let b = product(vars, &doms, universe);
+                        tuple_bound = sat(tuple_bound * b);
+                        b
+                    })
+                    .collect();
+                let atoms = inst.min(tuple_bound);
+                Contribution {
+                    sig: h.sig,
+                    atoms,
+                    args: arg_bounds.into_iter().map(|b| b.min(atoms)).collect(),
                 }
-            }
-            Head::None => {}
-        }
+            })
+            .collect()
     }
-    // Clamp: a position never holds more distinct values than the
-    // universe, and a predicate never more tuples than the product of its
-    // position bounds.
-    for s in 0..ctx.sigs.len() {
-        for a in &mut next.args[s] {
-            *a = a.min(ctx.universe);
-        }
-        let prod = next.args[s].iter().fold(1.0f64, |acc, &a| sat(acc * a));
-        if !next.args[s].is_empty() {
-            next.atoms[s] = next.atoms[s].min(prod);
-        }
-        next.atoms[s] = sat(next.atoms[s]);
-    }
-    next
-}
 
-/// Add one rule head's contribution to the accumulating bounds.
-fn contribute(
-    ctx: &Ctx<'_>,
-    next: &mut Bounds,
-    head: &crate::ast::Atom,
-    instances: f64,
-    doms: &BTreeMap<String, f64>,
-) {
-    let Some(&s) = ctx.index.get(&(head.pred.clone(), head.args.len())) else {
-        return;
-    };
-    let mut tuple_bound = 1.0f64;
-    let mut arg_bounds = Vec::with_capacity(head.args.len());
-    for t in &head.args {
-        let b = term_bound(t, doms, ctx.universe);
-        arg_bounds.push(b);
-        tuple_bound = sat(tuple_bound * b);
-    }
-    let contrib = instances.min(tuple_bound);
-    next.atoms[s] = sat(next.atoms[s] + contrib);
-    for (i, b) in arg_bounds.into_iter().enumerate() {
-        next.args[s][i] = sat(next.args[s][i] + b.min(contrib));
-    }
-}
-
-/// Estimate the ground instances of one (non-fact) rule.
-fn estimate_rule(ctx: &Ctx<'_>, cur: &Bounds, rule: &crate::ast::Rule) -> f64 {
-    let lits = all_positive_literals(rule);
-    let doms = domains(ctx, cur, lits.clone());
-    let det = determined_vars(ctx, &lits);
-    let body_lits: Vec<&Literal> = rule.body.iter().collect();
-    if !body_derivable(ctx, cur, &body_lits) {
-        return 0.0;
-    }
-    let mut vars = BTreeSet::new();
-    for lit in &rule.body {
-        literal_vars(lit, &mut vars);
-    }
-    match &rule.head {
-        Head::Atom(a) => a.collect_vars(&mut vars),
-        Head::None => {}
-        Head::Choice { elements, .. } => {
+    /// The predicted ground instances of this rule under `cur`.
+    fn estimate(&self, cur: &Bounds, universe: f64) -> f64 {
+        if !derivable(cur, &self.body_gate) {
+            return 0.0;
+        }
+        let doms = self.scope.domains(cur, universe);
+        if self.choice {
             // The grounder instantiates each element per solution of
             // body × condition: sum the per-element estimates.
-            let body_inst = free_product(&vars, &det, &doms, ctx.universe);
+            let body_inst = product(&self.body_free, &doms, universe);
             let mut est = 0.0f64;
-            for e in elements {
-                let mut ev = vars.clone();
-                e.atom.collect_vars(&mut ev);
-                for lit in &e.condition {
-                    literal_vars(lit, &mut ev);
-                }
-                est = sat(est + free_product(&ev, &det, &doms, ctx.universe));
+            for h in &self.heads {
+                est = sat(est + product(&h.free, &doms, universe));
             }
             return est.max(body_inst);
         }
+        match self.heads.first() {
+            Some(h) => product(&h.free, &doms, universe),
+            None => product(&self.body_free, &doms, universe),
+        }
     }
-    free_product(&vars, &det, &doms, ctx.universe)
 }
 
-/// A positive literal over a zero-bound predicate can never hold, so any
-/// body containing one grounds to nothing.
-fn body_derivable(ctx: &Ctx<'_>, cur: &Bounds, lits: &[&Literal]) -> bool {
-    lits.iter().all(|lit| match lit {
-        Literal::Pos(a) => ctx
-            .index
-            .get(&(a.pred.clone(), a.args.len()))
-            .is_none_or(|&s| cur.atoms[s] > 0.0),
-        Literal::Neg(_) | Literal::Cmp(..) => true,
-    })
+/// A positive literal over a zero-bound predicate can never hold.
+fn derivable(cur: &Bounds, gate: &[usize]) -> bool {
+    gate.iter().all(|&s| cur.atoms[s] > 0.0)
+}
+
+/// One head's share of the next bounds: instances (capped by the head's
+/// tuple bound) and the per-position value bounds.
+struct Contribution {
+    sig: usize,
+    atoms: f64,
+    args: Vec<f64>,
+}
+
+/// A signature whose bounds moved in one step, with its new bounds.
+struct Change {
+    sig: usize,
+    atoms: f64,
+    args: Vec<f64>,
+}
+
+/// The monotone fixpoint over compiled statements, evaluated
+/// incrementally. Each rule's head contributions are cached, and a rule is
+/// recomputed only when a signature it reads changed in the previous step;
+/// a signature's bounds are re-summed only when one of its contributions
+/// was recomputed. A re-sum adds the signature's contributions in
+/// statement order, exactly as a full step would, so every `f64` — and the
+/// prediction — equals a full recompute bit for bit.
+struct Fixpoint<'c> {
+    stmts: &'c [Compiled],
+    facts: &'c Bounds,
+    universe: f64,
+    /// Statements reading each signature.
+    readers: Vec<Vec<usize>>,
+    /// `(statement, head)` contributing to each signature, in statement
+    /// order.
+    writers: Vec<Vec<(usize, usize)>>,
+    cache: Vec<Vec<Contribution>>,
+    /// Statements to recompute in the next step.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    /// Signatures to re-sum in the next step.
+    stale: Vec<usize>,
+    is_stale: Vec<bool>,
+}
+
+impl<'c> Fixpoint<'c> {
+    /// A fixpoint whose first step evaluates everything.
+    fn new(ctx: &'c Ctx<'_>, stmts: &'c [Compiled]) -> Self {
+        let nsigs = ctx.sigs.len();
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); nsigs];
+        let mut writers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nsigs];
+        let mut dirty = Vec::new();
+        for (si, stmt) in stmts.iter().enumerate() {
+            if let Compiled::Rule(rule) = stmt {
+                dirty.push(si);
+                for s in rule.scope.reads() {
+                    if readers[s].last() != Some(&si) {
+                        readers[s].push(si);
+                    }
+                }
+                for (h, part) in rule.heads.iter().enumerate() {
+                    writers[part.sig].push((si, h));
+                }
+            }
+        }
+        Fixpoint {
+            stmts,
+            facts: &ctx.facts,
+            universe: ctx.universe,
+            readers,
+            writers,
+            cache: stmts.iter().map(|_| Vec::new()).collect(),
+            is_dirty: stmts
+                .iter()
+                .map(|s| matches!(s, Compiled::Rule(_)))
+                .collect(),
+            dirty,
+            stale: (0..nsigs).collect(),
+            is_stale: vec![true; nsigs],
+        }
+    }
+
+    fn mark_stale(&mut self, s: usize) {
+        if !std::mem::replace(&mut self.is_stale[s], true) {
+            self.stale.push(s);
+        }
+    }
+
+    /// Signature `s` changed: its readers recompute in the next step.
+    fn mark_changed(&mut self, s: usize) {
+        for &si in &self.readers[s] {
+            if !std::mem::replace(&mut self.is_dirty[si], true) {
+                self.dirty.push(si);
+            }
+        }
+    }
+
+    /// One monotone step: every bound becomes its facts plus the sum of
+    /// the rule head contributions under `cur`. Returns the signatures
+    /// whose bounds differ from `cur`, with their new bounds.
+    fn step(&mut self, cur: &Bounds) -> Vec<Change> {
+        for si in std::mem::take(&mut self.dirty) {
+            self.is_dirty[si] = false;
+            let Compiled::Rule(rule) = &self.stmts[si] else {
+                unreachable!("only rules are scheduled");
+            };
+            self.cache[si] = rule.contributions(cur, self.universe);
+            for h in 0..self.cache[si].len() {
+                self.mark_stale(self.cache[si][h].sig);
+            }
+        }
+        let mut changes = Vec::new();
+        for s in std::mem::take(&mut self.stale) {
+            self.is_stale[s] = false;
+            let mut atoms = self.facts.atoms[s];
+            let mut args = self.facts.args[s].clone();
+            for &(si, h) in &self.writers[s] {
+                let c = &self.cache[si][h];
+                atoms = sat(atoms + c.atoms);
+                for (a, b) in args.iter_mut().zip(&c.args) {
+                    *a = sat(*a + b);
+                }
+            }
+            // Clamp: a position never holds more distinct values than the
+            // universe, and a predicate never more tuples than the product
+            // of its position bounds.
+            for a in &mut args {
+                *a = a.min(self.universe);
+            }
+            let prod = args.iter().fold(1.0f64, |acc, &a| sat(acc * a));
+            if !args.is_empty() {
+                atoms = atoms.min(prod);
+            }
+            atoms = sat(atoms);
+            if atoms != cur.atoms[s] || args != cur.args[s] {
+                changes.push(Change {
+                    sig: s,
+                    atoms,
+                    args,
+                });
+            }
+        }
+        changes
+    }
+
+    /// Move `cur` to the bounds of a step.
+    fn apply(&mut self, cur: &mut Bounds, changes: Vec<Change>) {
+        for c in changes {
+            cur.atoms[c.sig] = c.atoms;
+            cur.args[c.sig] = c.args;
+            self.mark_changed(c.sig);
+        }
+    }
+
+    /// Saturate every signature a step was still moving, at `arity`
+    /// positions' worth of universe, instead of taking its step.
+    fn saturate(&mut self, ctx: &Ctx<'_>, cur: &mut Bounds, moving: Vec<Change>) {
+        for c in moving {
+            let s = c.sig;
+            let arity = ctx.sigs[s].1;
+            cur.atoms[s] = sat(ctx.universe.powi(arity.max(1) as i32));
+            for a in &mut cur.args[s] {
+                *a = ctx.universe;
+            }
+            self.mark_changed(s);
+            // Its next sum is not its saturated value: re-sum it.
+            self.mark_stale(s);
+        }
+    }
 }
 
 /// Variables that do not multiply the instantiation count because each
@@ -719,9 +1053,7 @@ fn determined_vars(ctx: &Ctx<'_>, literals: &[&Literal]) -> BTreeSet<String> {
                     }
                 }
                 Literal::Pos(a) => {
-                    let Some(&s) = ctx.index.get(&(a.pred.clone(), a.args.len())) else {
-                        continue;
-                    };
+                    let s = ctx.sig(a);
                     for (j, t) in a.args.iter().enumerate() {
                         if !ctx.functional[s][j] {
                             continue;
@@ -749,81 +1081,6 @@ fn determined_vars(ctx: &Ctx<'_>, literals: &[&Literal]) -> BTreeSet<String> {
     }
 }
 
-/// [`product_over`] restricted to the non-determined variables.
-fn free_product(
-    vars: &BTreeSet<String>,
-    det: &BTreeSet<String>,
-    doms: &BTreeMap<String, f64>,
-    universe: f64,
-) -> f64 {
-    let free: BTreeSet<String> = vars.difference(det).cloned().collect();
-    product_over(&free, doms, universe)
-}
-
-/// Domain bound per variable from the positive literals: the minimum
-/// bound over the positions a variable occurs in, refined by `V = expr`
-/// bindings.
-fn domains<'l>(
-    ctx: &Ctx<'_>,
-    cur: &Bounds,
-    literals: impl IntoIterator<Item = &'l Literal> + Clone,
-) -> BTreeMap<String, f64> {
-    let mut doms: BTreeMap<String, f64> = BTreeMap::new();
-    for lit in literals.clone() {
-        if let Literal::Pos(a) = lit {
-            let Some(&s) = ctx.index.get(&(a.pred.clone(), a.args.len())) else {
-                continue;
-            };
-            for (i, t) in a.args.iter().enumerate() {
-                if let Term::Var(v) = t {
-                    let b = cur.args[s][i];
-                    let e = doms.entry(v.clone()).or_insert(f64::INFINITY);
-                    *e = e.min(b);
-                }
-            }
-        }
-    }
-    // `V = expr` bindings: the bound of `V` is at most the number of
-    // distinct values of `expr`. A couple of passes settle chains.
-    for _ in 0..2 {
-        for lit in literals.clone() {
-            let Literal::Cmp(CmpOp::Eq, l, r) = lit else {
-                continue;
-            };
-            for (v, other) in [(l, r), (r, l)] {
-                if let Term::Var(name) = v {
-                    let b = term_bound(other, &doms, ctx.universe);
-                    let e = doms.entry(name.clone()).or_insert(f64::INFINITY);
-                    *e = e.min(b);
-                }
-            }
-        }
-    }
-    doms
-}
-
-/// Distinct-value bound for a term under the variable domains: ground
-/// terms are single values, a composite term has at most the product of
-/// its variables' domains.
-fn term_bound(t: &Term, doms: &BTreeMap<String, f64>, universe: f64) -> f64 {
-    if t.is_ground() {
-        return 1.0;
-    }
-    let mut vars = BTreeSet::new();
-    t.collect_vars(&mut vars);
-    product_over(&vars, doms, universe)
-}
-
-fn product_over(vars: &BTreeSet<String>, doms: &BTreeMap<String, f64>, universe: f64) -> f64 {
-    let mut p = 1.0f64;
-    for v in vars {
-        let d = doms.get(v).copied().unwrap_or(f64::INFINITY);
-        let d = if d.is_finite() { d } else { universe };
-        p = sat(p * d);
-    }
-    p
-}
-
 fn literal_vars(lit: &Literal, out: &mut BTreeSet<String>) {
     match lit {
         Literal::Pos(a) | Literal::Neg(a) => a.collect_vars(out),
@@ -846,10 +1103,10 @@ fn all_positive_literals(rule: &crate::ast::Rule) -> Vec<&Literal> {
     lits
 }
 
-fn collect_ground_subterms(stmt: &Statement, out: &mut BTreeSet<String>) {
-    fn term(t: &Term, out: &mut BTreeSet<String>) {
+fn collect_ground_subterms<'p>(stmt: &'p Statement, out: &mut HashSet<&'p Term>) {
+    fn term<'p>(t: &'p Term, out: &mut HashSet<&'p Term>) {
         if t.is_ground() {
-            out.insert(format!("{t:?}"));
+            out.insert(t);
         }
         match t {
             Term::Func(_, args) => {
@@ -864,12 +1121,12 @@ fn collect_ground_subterms(stmt: &Statement, out: &mut BTreeSet<String>) {
             _ => {}
         }
     }
-    fn atom(a: &crate::ast::Atom, out: &mut BTreeSet<String>) {
+    fn atom<'p>(a: &'p crate::ast::Atom, out: &mut HashSet<&'p Term>) {
         for t in &a.args {
             term(t, out);
         }
     }
-    fn lit(l: &Literal, out: &mut BTreeSet<String>) {
+    fn lit<'p>(l: &'p Literal, out: &mut HashSet<&'p Term>) {
         match l {
             Literal::Pos(a) | Literal::Neg(a) => atom(a, out),
             Literal::Cmp(_, x, y) => {

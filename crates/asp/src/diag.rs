@@ -71,6 +71,46 @@ impl Span {
     }
 }
 
+/// Byte offsets of every line start in one source text, built in one pass
+/// so that each [`Span`] costs a binary search instead of a rescan of the
+/// source prefix ([`Span::new`] stays the one-off constructor).
+pub(crate) struct LineIndex {
+    /// Offset of the first byte of each line; `starts[0] == 0`.
+    starts: Vec<usize>,
+    len: usize,
+}
+
+impl LineIndex {
+    pub(crate) fn new(src: &str) -> Self {
+        let mut starts = vec![0];
+        starts.extend(
+            src.bytes()
+                .enumerate()
+                .filter(|&(_, b)| b == b'\n')
+                .map(|(i, _)| i + 1),
+        );
+        LineIndex {
+            starts,
+            len: src.len(),
+        }
+    }
+
+    /// The span over `offset .. offset + len`; equal to
+    /// [`Span::new`]`(src, offset, len)` on the indexed source.
+    pub(crate) fn span(&self, offset: usize, len: usize) -> Span {
+        let offset = offset.min(self.len);
+        // Line starts at or before `offset`: one per newline before it, plus
+        // the first line.
+        let line = self.starts.partition_point(|&s| s <= offset);
+        Span {
+            offset,
+            len,
+            line,
+            column: offset - self.starts[line - 1] + 1,
+        }
+    }
+}
+
 impl fmt::Display for Span {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "line {}, column {}", self.line, self.column)

@@ -17,6 +17,7 @@
 use std::num::NonZeroUsize;
 use std::sync::Once;
 
+use crate::analysis::{predict_sizes, SizePrediction};
 use crate::ast::{Atom, Program};
 use crate::error::AspError;
 use crate::program::GroundProgram;
@@ -161,25 +162,37 @@ impl Grounder {
     /// * [`AspError::BadArithmetic`] for invalid arithmetic,
     /// * [`AspError::GroundingBudget`] if the instance budget is exceeded.
     pub fn ground(&self, program: &Program) -> Result<GroundProgram, AspError> {
+        self.ground_predicted(program, None)
+    }
+
+    /// [`Grounder::ground`] with the size prediction of `program` already
+    /// in hand (the lint pass computes one anyway), so the thread-count
+    /// decision does not predict it again. A sliced grounding predicts its
+    /// own, smaller program.
+    pub(crate) fn ground_predicted(
+        &self,
+        program: &Program,
+        prediction: Option<&SizePrediction>,
+    ) -> Result<GroundProgram, AspError> {
         let sliced;
-        let program = if self.slicing {
+        let (program, prediction) = if self.slicing {
             let roots: Vec<String> = self.assumable.iter().map(|(p, _)| p.clone()).collect();
             let slice = crate::analysis::slice_program(program, &roots);
             if slice.dropped.is_empty() {
-                program
+                (program, prediction)
             } else {
                 sliced = slice.apply(program);
-                &sliced
+                (&sliced, None)
             }
         } else {
-            program
+            (program, prediction)
         };
         crate::seminaive::ground(
             program,
             &crate::seminaive::Config {
                 max_instances: self.max_instances,
                 assumable: &self.assumable,
-                threads: self.effective_threads(program),
+                threads: self.effective_threads(program, prediction),
                 keep_unpossible_neg: false,
             },
         )
@@ -189,13 +202,17 @@ impl Grounder {
     /// is clamped to the machine's parallelism — oversubscribing the
     /// CPU-bound instantiation shards buys nothing but scheduler thrash —
     /// and drops to one when [`predict_sizes`](crate::analysis::predict_sizes)
-    /// puts the grounding below the spawn-overhead floor.
-    fn effective_threads(&self, program: &Program) -> usize {
+    /// (or the given prediction of `program`) puts the grounding below the
+    /// spawn-overhead floor.
+    fn effective_threads(&self, program: &Program, prediction: Option<&SizePrediction>) -> usize {
         let requested = self.threads.unwrap_or_else(default_threads);
         let cores = available_parallelism();
         let threads = requested.min(cores);
-        if threads > 1 && crate::analysis::predict_sizes(program).total < PAR_SPAWN_FLOOR {
-            return 1;
+        if threads > 1 {
+            let total = prediction.map_or_else(|| predict_sizes(program).total, |p| p.total);
+            if total < PAR_SPAWN_FLOOR {
+                return 1;
+            }
         }
         threads
     }
@@ -219,7 +236,7 @@ impl Grounder {
             &crate::seminaive::Config {
                 max_instances: self.max_instances,
                 assumable: &self.assumable,
-                threads: self.effective_threads(program),
+                threads: self.effective_threads(program, None),
                 keep_unpossible_neg: true,
             },
         )

@@ -36,7 +36,7 @@ use crate::ground::Grounder;
 use crate::parser::{parse_program_spanned, OccRole, SpannedProgram};
 use crate::program::{AtomId, GroundHead, GroundProgram};
 use crate::solve::Lit;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Lint a program from source text.
 ///
@@ -121,12 +121,23 @@ impl PredFacts {
 /// inside a constraint body: the constraint can never fire), A008
 /// (negation-only use of an undefined predicate is vacuously true).
 fn undefined_predicates(sp: &SpannedProgram, facts: &PredFacts, diags: &mut Vec<Diagnostic>) {
+    let positively_used: HashSet<&str> = sp
+        .occurrences
+        .iter()
+        .filter(|o| matches!(o.role, OccRole::Pos | OccRole::Show))
+        .map(|o| o.pred.as_str())
+        .collect();
+    let names = Suggester::new(&facts.defined);
+    let mut suggestions: HashMap<&str, Option<String>> = HashMap::new();
     let mut neg_only_reported: BTreeSet<&str> = BTreeSet::new();
     for occ in &sp.occurrences {
         if occ.role == OccRole::Def || facts.defined.contains(&occ.pred) {
             continue;
         }
-        let suggestion = did_you_mean(&occ.pred, &facts.defined);
+        let suggestion = suggestions
+            .entry(&occ.pred)
+            .or_insert_with(|| names.did_you_mean(&occ.pred))
+            .clone();
         match occ.role {
             OccRole::Pos if in_constraint(&sp.program, occ.stmt) => {
                 let mut d = Diagnostic::warning(
@@ -160,11 +171,9 @@ fn undefined_predicates(sp: &SpannedProgram, facts: &PredFacts, diags: &mut Vec<
                 // Only when the predicate is used *exclusively* under
                 // negation (otherwise the positive-use warning covers it),
                 // and once per predicate.
-                let positively_used = sp
-                    .occurrences
-                    .iter()
-                    .any(|o| o.pred == occ.pred && matches!(o.role, OccRole::Pos | OccRole::Show));
-                if positively_used || !neg_only_reported.insert(&occ.pred) {
+                if positively_used.contains(occ.pred.as_str())
+                    || !neg_only_reported.insert(&occ.pred)
+                {
                     continue;
                 }
                 let mut d = Diagnostic::info(
@@ -478,7 +487,7 @@ fn wfm_lints(
     if prediction.total > WFM_LINT_BUDGET {
         return;
     }
-    let Ok(g) = Grounder::new().ground(&sp.program) else {
+    let Ok(g) = Grounder::new().ground_predicted(&sp.program, Some(prediction)) else {
         return;
     };
     let wfm = well_founded(&g);
@@ -899,32 +908,102 @@ fn rule_span_with_pos_edge(sp: &SpannedProgram, comp: &[String]) -> Option<crate
     None
 }
 
-/// Levenshtein edit distance with a cutoff of `max + 1`.
-fn edit_distance(a: &str, b: &str) -> usize {
-    let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = usize::from(ca != cb);
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
+/// Largest edit distance a did-you-mean suggestion may be away.
+const SUGGEST_DISTANCE: usize = 2;
+
+/// Band width of the edit-distance rows: the cells within
+/// [`SUGGEST_DISTANCE`] of the diagonal.
+const BAND: usize = 2 * SUGGEST_DISTANCE + 1;
+
+/// Did-you-mean lookup over the defined predicate names.
+///
+/// The names sit in a trie that a query walks depth-first, carrying one
+/// Levenshtein row per trie node. Only the cells within
+/// [`SUGGEST_DISTANCE`] of the diagonal are kept (every other cell
+/// exceeds the cutoff anyway), and a subtree is dropped once its whole row
+/// does: a query visits the names within reach of it, not all of them.
+struct Suggester<'a> {
+    nodes: Vec<TrieNode<'a>>,
 }
 
-/// The closest defined predicate within edit distance 2, as a
-/// "did you mean" suggestion.
-fn did_you_mean(pred: &str, defined: &BTreeSet<String>) -> Option<String> {
-    defined
-        .iter()
-        .filter(|cand| cand.as_str() != pred)
-        .map(|cand| (edit_distance(pred, cand), cand))
-        .filter(|(d, _)| *d <= 2)
-        .min()
-        .map(|(_, cand)| format!("did you mean `{cand}`?"))
+#[derive(Default)]
+struct TrieNode<'a> {
+    children: Vec<(char, usize)>,
+    name: Option<&'a str>,
+}
+
+/// One banded row: `band[k]` is the distance between the trie prefix of
+/// length `i` and the query prefix of length `i + k - SUGGEST_DISTANCE`,
+/// capped at `SUGGEST_DISTANCE + 1`.
+type Band = [usize; BAND];
+
+impl<'a> Suggester<'a> {
+    fn new(names: &'a BTreeSet<String>) -> Self {
+        let mut nodes = vec![TrieNode::default()];
+        for name in names {
+            let mut at = 0;
+            for c in name.chars() {
+                at = match nodes[at].children.iter().find(|&&(k, _)| k == c) {
+                    Some(&(_, child)) => child,
+                    None => {
+                        nodes.push(TrieNode::default());
+                        let child = nodes.len() - 1;
+                        nodes[at].children.push((c, child));
+                        child
+                    }
+                };
+            }
+            nodes[at].name = Some(name);
+        }
+        Suggester { nodes }
+    }
+
+    /// The closest other defined name within [`SUGGEST_DISTANCE`] edits
+    /// (ties go to the lexicographically smallest), as a suggestion.
+    fn did_you_mean(&self, pred: &str) -> Option<String> {
+        const FAR: usize = SUGGEST_DISTANCE + 1;
+        let query: Vec<char> = pred.chars().collect();
+        let m = query.len();
+        // The query prefix length a band cell stands for at depth `i`.
+        let col = |i: usize, k: usize| (i + k).checked_sub(SUGGEST_DISTANCE).filter(|&j| j <= m);
+        let mut root: Band = [FAR; BAND];
+        for (k, cell) in root.iter_mut().enumerate() {
+            if let Some(j) = col(0, k) {
+                *cell = j.min(FAR);
+            }
+        }
+        let mut best: Option<(usize, &str)> = None;
+        let mut stack = vec![(0usize, 0usize, root)];
+        while let Some((node, i, band)) = stack.pop() {
+            let node = &self.nodes[node];
+            if let (Some(name), Some(k)) = (node.name, (m + SUGGEST_DISTANCE).checked_sub(i)) {
+                let d = band.get(k).copied().unwrap_or(FAR);
+                if d < FAR && name != pred && best.is_none_or(|b| (d, name) < b) {
+                    best = Some((d, name));
+                }
+            }
+            for &(c, child) in &node.children {
+                let mut next: Band = [FAR; BAND];
+                for k in 0..BAND {
+                    let Some(j) = col(i + 1, k) else { continue };
+                    next[k] = if j == 0 {
+                        (i + 1).min(FAR)
+                    } else {
+                        let diag = band[k] + usize::from(c != query[j - 1]);
+                        let up = band.get(k + 1).map_or(FAR, |d| d + 1);
+                        let left = k.checked_sub(1).map_or(FAR, |l| next[l] + 1);
+                        diag.min(up).min(left).min(FAR)
+                    };
+                }
+                // Row minima never decrease with depth: once every cell is
+                // past the cutoff, so is every name below.
+                if next.iter().any(|&d| d < FAR) {
+                    stack.push((child, i + 1, next));
+                }
+            }
+        }
+        best.map(|(_, cand)| format!("did you mean `{cand}`?"))
+    }
 }
 
 fn quote_list(items: &[&str]) -> String {
@@ -1215,5 +1294,50 @@ mod tests {
         let mut sorted = offsets.clone();
         sorted.sort_unstable();
         assert_eq!(offsets, sorted);
+    }
+
+    /// Full-matrix Levenshtein distance: the oracle for the banded trie walk.
+    fn levenshtein(a: &str, b: &str) -> usize {
+        let (a, b): (Vec<char>, Vec<char>) = (a.chars().collect(), b.chars().collect());
+        let mut prev: Vec<usize> = (0..=b.len()).collect();
+        for (i, ca) in a.iter().enumerate() {
+            let mut cur = vec![i + 1; b.len() + 1];
+            for (j, cb) in b.iter().enumerate() {
+                cur[j + 1] = (prev[j] + usize::from(ca != cb))
+                    .min(prev[j + 1] + 1)
+                    .min(cur[j] + 1);
+            }
+            prev = cur;
+        }
+        prev[b.len()]
+    }
+
+    #[test]
+    fn suggestions_match_a_full_scan_of_the_defined_names() {
+        // Names over a three-letter alphabet collide often: ties,
+        // prefixes of each other, and every distance up to the cutoff.
+        let mut state = 0x2545_f491_u64;
+        let mut name = |max_len: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let len = (state >> 33) % (max_len + 1);
+            (0..len)
+                .map(|i| ['a', 'b', 'é'][((state >> (8 + 2 * i)) % 3) as usize])
+                .collect::<String>()
+        };
+        let defined: BTreeSet<String> = (0..300).map(|_| name(7)).collect();
+        let names = Suggester::new(&defined);
+        for _ in 0..2_000 {
+            let pred = name(9);
+            let want = defined
+                .iter()
+                .filter(|cand| cand.as_str() != pred)
+                .map(|cand| (levenshtein(&pred, cand), cand))
+                .filter(|(d, _)| *d <= SUGGEST_DISTANCE)
+                .min()
+                .map(|(_, cand)| format!("did you mean `{cand}`?"));
+            assert_eq!(names.did_you_mean(&pred), want, "query `{pred}`");
+        }
     }
 }

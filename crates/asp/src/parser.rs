@@ -16,7 +16,7 @@ use crate::ast::{
     ArithOp, Atom, ChoiceElement, CmpOp, Head, Literal, MinimizeElement, Program, Rule, Statement,
     Term,
 };
-use crate::diag::Span;
+use crate::diag::{LineIndex, Span};
 use crate::error::AspError;
 use crate::lexer::{err_at, tokenize, Token, TokenKind};
 
@@ -49,6 +49,7 @@ fn parse_spanned_inner(src: &str, check_safety: bool) -> Result<SpannedProgram, 
     let tokens = tokenize(src)?;
     let mut p = Parser {
         src,
+        lines: LineIndex::new(src),
         tokens,
         pos: 0,
         check_safety,
@@ -118,6 +119,7 @@ pub enum OccRole {
 
 struct Parser<'a> {
     src: &'a str,
+    lines: LineIndex,
     tokens: Vec<Token>,
     pos: usize,
     check_safety: bool,
@@ -175,7 +177,7 @@ impl<'a> Parser<'a> {
     /// Span of one token.
     fn tok_span(&self, idx: usize) -> Span {
         let t = &self.tokens[idx.min(self.tokens.len() - 1)];
-        Span::new(self.src, t.offset, t.len)
+        self.lines.span(t.offset, t.len)
     }
 
     /// Span from the start of token `start_idx` to the end of the last
@@ -188,11 +190,8 @@ impl<'a> Parser<'a> {
             .max(start_idx)
             .min(self.tokens.len() - 1);
         let last = &self.tokens[last_idx];
-        Span::new(
-            self.src,
-            start,
-            (last.offset + last.len).saturating_sub(start),
-        )
+        self.lines
+            .span(start, (last.offset + last.len).saturating_sub(start))
     }
 
     /// Queue a predicate occurrence of the statement being parsed.
@@ -592,7 +591,9 @@ fn expand_intervals(rule: Rule) -> Result<Vec<Rule>, String> {
                 let lo = bounds[0].eval().map_err(|e| e.to_string())?;
                 let hi = bounds[1].eval().map_err(|e| e.to_string())?;
                 match (lo, hi) {
-                    (Term::Int(l), Term::Int(h)) if l <= h && (h - l) <= 100_000 => {
+                    (Term::Int(l), Term::Int(h))
+                        if l <= h && h.checked_sub(l).is_some_and(|w| w <= 100_000) =>
+                    {
                         (l..=h).map(Term::Int).collect()
                     }
                     (l, h) => return Err(format!("invalid interval {l}..{h}")),
@@ -915,5 +916,40 @@ mod tests {
         let sp = parse_program_spanned("p(X) :- not q(X).").unwrap();
         assert_eq!(sp.program.statements.len(), 1);
         assert!(parse_program("p(X) :- not q(X).").is_err());
+    }
+
+    /// One statement or separator of a random multi-line source: rules
+    /// and facts, comments, blank lines, CRLF endings, and string
+    /// literals spanning raw newlines.
+    fn arb_piece() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let name = || (0..3usize).prop_map(|i| ["p", "qq", "tank_level"][i].to_owned());
+        prop_oneof![
+            (name(), 0..40i64).prop_map(|(p, n)| format!("{p}({n}).")),
+            (name(), name()).prop_map(|(h, b)| format!("{h}(X) :- {b}(X), not {h}(X).")),
+            name().prop_map(|p| format!("label({p}, \"two\nlines\").")),
+            name().prop_map(|p| format!("{p}(\"a\r\n\n\nb\", 1..3).")),
+            name().prop_map(|p| format!("#show {p}/1.")),
+            name().prop_map(|p| format!("{{ {p}(X) : {p}(X) }} 1 :- {p}(1).")),
+            Just("% a comment: with ( tokens ).\n".to_owned()),
+            Just("\n".to_owned()),
+            Just("\r\n".to_owned()),
+            Just("  \t".to_owned()),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn line_indexed_spans_equal_span_new(
+            pieces in proptest::collection::vec(arb_piece(), 1..40)
+        ) {
+            let src = pieces.join(" ");
+            let sp = parse_program_spanned(&src).expect("generated sources parse");
+            for span in sp.statement_spans.iter().chain(sp.occurrences.iter().map(|o| &o.span)) {
+                proptest::prop_assert_eq!(*span, Span::new(&src, span.offset, span.len));
+            }
+        }
     }
 }

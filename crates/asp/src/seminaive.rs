@@ -85,9 +85,9 @@ struct CAtom {
     sig: Sig,
     pats: Vec<Pat>,
     /// The exact atom when every argument is ground and arithmetic-free.
-    /// Session extension uses it to replace a windowed delta join with a
-    /// single arena lookup — the common case once accumulated slice deltas
-    /// are all ground rules.
+    /// The delta-round [`Triggers`] fire a place reading it only when this
+    /// atom enters the window — the common case in temporal unrollings and
+    /// accumulated slice deltas, whose rules are all ground.
     ground: Option<Atom>,
 }
 
@@ -557,11 +557,6 @@ impl PossibleSet {
         self.index.contains_key(atom)
     }
 
-    /// The arena id of an exact atom, if it is possible.
-    fn arena_id(&self, atom: &Atom) -> Option<u32> {
-        self.index.get(atom).copied()
-    }
-
     fn atom(&self, id: u32) -> &Atom {
         &self.atoms[id as usize]
     }
@@ -580,29 +575,6 @@ impl PossibleSet {
             .get(&(sig.0, sig.1, pos))
             .and_then(|m| m.get(val))
             .map_or(&[], Vec::as_slice)
-    }
-}
-
-/// Can a delta-windowed join at `place` produce anything? Empty windows
-/// never can; a fully ground read literal only can when its exact atom was
-/// interned inside the window — one arena lookup instead of a join over
-/// every new atom of the predicate.
-fn place_hits_window(
-    possible: &PossibleSet,
-    rule: &CRule,
-    place: Place,
-    sig: Sig,
-    lo: u32,
-    hi: u32,
-) -> bool {
-    if window(possible.candidates(sig), lo, hi).is_empty() {
-        return false;
-    }
-    match &rule.read_atom(place).ground {
-        Some(atom) => possible
-            .arena_id(atom)
-            .is_some_and(|id| (lo..hi).contains(&id)),
-        None => true,
     }
 }
 
@@ -885,36 +857,115 @@ fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(),
             }
         }
         // Delta variants: one per recursive positive literal place.
-        let places: Vec<(usize, Place)> = rules
-            .iter()
-            .flat_map(|&ri| {
-                crules[ri]
-                    .reads
-                    .iter()
-                    .copied()
-                    .filter(|(_, sig)| comp_of[node_of[sig]] == c)
-                    .map(move |(place, _)| (ri, place))
-            })
-            .collect();
-        if places.is_empty() {
-            continue;
-        }
-        let mut lo = comp_start;
-        loop {
-            let hi = possible.len();
-            if lo == hi {
-                break;
+        let mut triggers = Triggers::default();
+        for &ri in rules {
+            for &(place, sig) in &crules[ri].reads {
+                if comp_of[node_of[&sig]] == c {
+                    triggers.push(ri, &crules[ri], place, sig);
+                }
             }
-            for &(ri, place) in &places {
-                derive_heads(&crules[ri], possible, Some((place, (lo, hi))), &mut buf)?;
+        }
+        if !triggers.places.is_empty() {
+            delta_rounds(&[(crules, &triggers)], possible, comp_start)?;
+        }
+    }
+    Ok(())
+}
+
+/// The delta places of a rule set, in firing order, indexed by what can
+/// fire them. A place joins its read literal against a window of newly
+/// interned atoms, so it can derive something only when the window holds
+/// an atom of its signature — and, when the read literal is ground, only
+/// when the window holds that exact atom.
+#[derive(Default)]
+struct Triggers {
+    /// `(rule index, place)` in firing order.
+    places: Vec<(usize, Place)>,
+    /// Places whose read literal is not ground, by signature.
+    by_sig: HashMap<Sig, Vec<u32>>,
+    /// Places whose read literal is ground, by that atom.
+    by_atom: HashMap<Atom, Vec<u32>>,
+    /// The signatures of the `by_atom` keys.
+    ground_sigs: HashSet<Sig>,
+    /// Rules `0..covered` of the indexed rule list have all their reads
+    /// indexed (see [`Triggers::cover`]).
+    covered: usize,
+}
+
+impl Triggers {
+    /// Append the place `place` (reading `sig`) of rule `ri`.
+    fn push(&mut self, ri: usize, rule: &CRule, place: Place, sig: Sig) {
+        let id = self.places.len() as u32;
+        self.places.push((ri, place));
+        match &rule.read_atom(place).ground {
+            Some(atom) => {
+                self.ground_sigs.insert(sig);
+                self.by_atom.entry(atom.clone()).or_default().push(id);
+            }
+            None => self.by_sig.entry(sig).or_default().push(id),
+        }
+    }
+
+    /// Index every read place of `rules[self.covered..]`.
+    fn cover(&mut self, rules: &[CRule]) {
+        for (ri, rule) in rules.iter().enumerate().skip(self.covered) {
+            for &(place, sig) in &rule.reads {
+                self.push(ri, rule, place, sig);
+            }
+        }
+        self.covered = rules.len();
+    }
+
+    /// The places the window `[lo, hi)` can fire, ascending (firing order).
+    fn hits(&self, possible: &PossibleSet, lo: u32, hi: u32, out: &mut Vec<u32>) {
+        out.clear();
+        for (&sig, places) in &self.by_sig {
+            if !window(possible.candidates(sig), lo, hi).is_empty() {
+                out.extend_from_slice(places);
+            }
+        }
+        for &sig in &self.ground_sigs {
+            for &id in window(possible.candidates(sig), lo, hi) {
+                if let Some(places) = self.by_atom.get(possible.atom(id)) {
+                    out.extend_from_slice(places);
+                }
+            }
+        }
+        out.sort_unstable();
+    }
+}
+
+/// Semi-naive delta rounds over the atoms interned from arena id `lo` on.
+/// Each round fixes the window of atoms the previous round added and fires
+/// the places the trigger indexes report for it, group by group, in firing
+/// order; atoms derived during a round land after the window and seed the
+/// next one. The rounds end when one adds nothing. Places left out derive
+/// nothing from the window, so the arena comes out exactly as if every
+/// place had fired.
+fn delta_rounds(
+    groups: &[(&[CRule], &Triggers)],
+    possible: &mut PossibleSet,
+    mut lo: u32,
+) -> Result<(), AspError> {
+    let mut buf: Vec<(Sig, Atom)> = Vec::new();
+    let mut hits: Vec<u32> = Vec::new();
+    loop {
+        let hi = possible.len();
+        if lo == hi {
+            return Ok(());
+        }
+        for &(rules, triggers) in groups {
+            triggers.hits(possible, lo, hi, &mut hits);
+            for &p in &hits {
+                let (ri, place) = triggers.places[p as usize];
+                derive_heads(&rules[ri], possible, Some((place, (lo, hi))), &mut buf)?;
                 for (sig, a) in buf.drain(..) {
                     possible.insert(sig, a);
                 }
             }
-            lo = hi;
         }
+        lo = hi;
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1269,6 +1320,9 @@ pub(crate) struct Session {
     crules: Vec<CRule>,
     cmins: Vec<(i64, Vec<CMinElement>)>,
     possible: PossibleSet,
+    /// Delta places of `crules`, indexed on the first extension (one-shot
+    /// grounding never needs them).
+    triggers: Triggers,
     seen: HashSet<GroundRule>,
     pub(crate) out: GroundProgram,
     bounded_choice: bool,
@@ -1335,6 +1389,7 @@ impl Session {
             crules,
             cmins,
             possible,
+            triggers: Triggers::default(),
             seen,
             out,
             bounded_choice,
@@ -1425,25 +1480,14 @@ impl Session {
                 self.possible.insert(sig, a);
             }
         }
-        let mut lo = possible_low;
-        loop {
-            let hi = self.possible.len();
-            if lo == hi {
-                break;
-            }
-            for rule in self.crules.iter().chain(new_crules.iter()) {
-                for &(place, sig) in &rule.reads {
-                    if !place_hits_window(&self.possible, rule, place, sig, lo, hi) {
-                        continue;
-                    }
-                    derive_heads(rule, &self.possible, Some((place, (lo, hi))), &mut buf)?;
-                    for (s, a) in buf.drain(..) {
-                        self.possible.insert(s, a);
-                    }
-                }
-            }
-            lo = hi;
-        }
+        self.triggers.cover(&self.crules);
+        let mut new_triggers = Triggers::default();
+        new_triggers.cover(&new_crules);
+        delta_rounds(
+            &[(&self.crules, &self.triggers), (&new_crules, &new_triggers)],
+            &mut self.possible,
+            possible_low,
+        )?;
 
         // Phase 2 (delta): new rules instantiate fully; old rules re-join
         // only through windows over the atoms this extension added. The
@@ -1454,6 +1498,7 @@ impl Session {
                 ref assumable,
                 ref crules,
                 ref possible,
+                ref triggers,
                 ref mut out,
                 ref mut seen,
                 max_instances,
@@ -1487,27 +1532,24 @@ impl Session {
                 emit_all(rule, out, seen)?;
             }
             if hi > possible_low {
-                for rule in crules {
-                    // Body-literal deltas re-join through one window each;
-                    // an element-condition delta falls back to a full
-                    // re-instantiation (deduped), since `emit_rule` grounds
-                    // elements from the body frame.
-                    let mut body_deltas: Vec<usize> = Vec::new();
-                    let mut elem_hit = false;
-                    for &(place, sig) in &rule.reads {
-                        if !place_hits_window(possible, rule, place, sig, possible_low, hi) {
-                            continue;
-                        }
-                        match place {
-                            Place::Body(i) => body_deltas.push(i),
-                            Place::Elem(..) => elem_hit = true,
-                        }
-                    }
-                    if elem_hit {
+                // Body-literal deltas re-join through one window each; an
+                // element-condition delta falls back to a full
+                // re-instantiation (deduped), since `emit_rule` grounds
+                // elements from the body frame. The hits come in firing
+                // order, so each rule's places are contiguous.
+                let mut hits = Vec::new();
+                triggers.hits(possible, possible_low, hi, &mut hits);
+                for group in hits.chunk_by(|&a, &b| {
+                    triggers.places[a as usize].0 == triggers.places[b as usize].0
+                }) {
+                    let rule = &crules[triggers.places[group[0] as usize].0];
+                    let places = group.iter().map(|&p| triggers.places[p as usize].1);
+                    if places.clone().any(|place| matches!(place, Place::Elem(..))) {
                         emit_all(rule, out, seen)?;
                         continue;
                     }
-                    for i in body_deltas {
+                    for place in places {
+                        let Place::Body(i) = place else { continue };
                         let mut frame = Frame::new(rule.n_slots);
                         join(
                             possible,

@@ -12,8 +12,13 @@
 //!   the oracle's answer sets, whose stability check runs that closure;
 //! * **tightness certificate** — predicate-level tightness must imply the
 //!   ground certificate, and the certificate must match what the solver
-//!   reports.
+//!   reports;
+//! * **size prediction** — the incremental fixpoint of
+//!   [`predict_sizes`](cpsrisk_asp::predict_sizes) must equal the full
+//!   recompute in `support/size_oracle.rs`, every `f64` bit for bit.
 
+#[path = "support/size_oracle.rs"]
+mod size_oracle;
 mod support;
 
 use proptest::prelude::*;
@@ -157,5 +162,44 @@ proptest! {
         }
         // The solver carries exactly the ground certificate.
         prop_assert_eq!(Solver::new(&g).tight(), ground_cert, "program:\n{}", src);
+    }
+
+    #[test]
+    fn size_prediction_matches_the_full_recompute(src in arb_program()) {
+        let p = parse(&src);
+        let fast = cpsrisk_asp::predict_sizes(&p);
+        let oracle = size_oracle::predict_sizes(&p);
+        prop_assert!(
+            size_oracle::same(&fast, &oracle),
+            "incremental {:?}\nfull recompute {:?}\nprogram:\n{}", fast, oracle, src
+        );
+    }
+}
+
+/// A time-capped counter keeps growing past the fixpoint's step limit, so
+/// the prediction force-saturates whatever still moves. Around a cap of 63
+/// the counter itself settles on the last step while the predicates
+/// reading it still move; the extra constants keep their saturated bound
+/// (the universe) apart from the bound their next step would give.
+#[test]
+fn size_prediction_matches_the_full_recompute_when_cut_short() {
+    for cap in 56..=70 {
+        for readers in [
+            "",
+            "after(T) :- holds(T).",
+            "after(T) :- holds(T). late(T) :- after(T).",
+        ] {
+            let src = format!(
+                "c(a). c(b). c(d). time(0..{cap}). holds(0). \
+                 holds(T) :- holds(S), time(T), T = S + 1. {readers}"
+            );
+            let p = parse(&src);
+            let fast = cpsrisk_asp::predict_sizes(&p);
+            let oracle = size_oracle::predict_sizes(&p);
+            assert!(
+                size_oracle::same(&fast, &oracle),
+                "incremental {fast:?}\nfull recompute {oracle:?}\nprogram:\n{src}"
+            );
+        }
     }
 }

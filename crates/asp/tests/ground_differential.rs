@@ -4,7 +4,12 @@
 //! arithmetic `=` binding, choice heads with conditions, and `#minimize`.
 //!
 //! The semi-naive vs naive-oracle proptests over the same generator live
-//! next to the oracle, in the crate's `ground::naive` unit tests.
+//! next to the oracle, in the crate's `ground::naive` unit tests. The same
+//! generator also pins the incremental size prediction (which picks the
+//! grounder's thread count) to its full-recompute oracle.
+
+#[path = "support/size_oracle.rs"]
+mod size_oracle;
 
 use proptest::prelude::*;
 
@@ -89,5 +94,16 @@ proptest! {
                 .expect("grounds");
             assert_identical(&single, &multi, &format!("threads=1 vs {threads}"));
         }
+    }
+
+    #[test]
+    fn size_prediction_matches_the_full_recompute(src in arb_program()) {
+        let p = parse(&src);
+        let fast = cpsrisk_asp::predict_sizes(&p);
+        let oracle = size_oracle::predict_sizes(&p);
+        prop_assert!(
+            size_oracle::same(&fast, &oracle),
+            "incremental {:?}\nfull recompute {:?}\nprogram:\n{}", fast, oracle, src
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Stress tests: classic combinatorial encodings through the full
 //! parse → ground → solve pipeline, with known solution counts.
 
+use cpsrisk_asp::lint::lint_source;
 use cpsrisk_asp::{
     Atom, Grounder, Head, Literal, Program, Rule, SolveOptions, Solver, Statement, Term,
 };
@@ -126,8 +127,7 @@ fn wide_choice_with_budgeted_enumeration_cap() {
 fn long_predicate_chain_grounds_on_a_small_stack() {
     // p0(a). p{i}(X) :- p{i-1}(X). — 50,000 predicates, one SCC each, so
     // a recursive SCC pass nests 50,000 frames deep. Built from
-    // statements, since parsing a long chain is superlinear; one thread
-    // skips the size prediction, which is too.
+    // statements; one thread keeps the instantiation sequential.
     const N: usize = 50_000;
     let x = || vec![Term::var("X")];
     let fact = Rule::fact(Atom::new("p0", vec![Term::sym("a")]));
@@ -152,4 +152,31 @@ fn long_predicate_chain_grounds_on_a_small_stack() {
     assert_eq!(ground.atom_count(), N);
     let last = Atom::new(format!("p{}", N - 1), vec![Term::sym("a")]);
     assert!(ground.lookup(&last).is_some(), "the chain reaches its end");
+}
+
+/// Lint one generated program of `n` lines and return the codes of its
+/// diagnostics.
+fn lint_codes(n: usize, line: impl Fn(usize) -> String) -> Vec<String> {
+    let src: String = (0..n).map(|i| line(i) + "\n").collect();
+    lint_source(&src).into_iter().map(|d| d.code).collect()
+}
+
+#[test]
+fn hostile_programs_lint_in_linear_time() {
+    const N: usize = 20_000;
+    // One undefined predicate negated on every line: a single A008 with
+    // its suggestion (`q` is two edits from `r0`).
+    let neg = lint_source(
+        &(0..N)
+            .map(|i| format!("r{i} :- not q.\n"))
+            .collect::<String>(),
+    );
+    assert_eq!(neg.len(), 1, "{:?}", &neg[..neg.len().min(3)]);
+    assert_eq!(neg[0].code, "A008");
+    assert_eq!(neg[0].suggestion.as_deref(), Some("did you mean `r0`?"));
+    // A distinct undefined predicate on every line: one A001 each, every
+    // one of them looked up against 20,000 defined names.
+    let pos = lint_codes(N, |i| format!("r{i} :- q{i}."));
+    assert_eq!(pos.len(), N);
+    assert!(pos.iter().all(|c| c == "A001"));
 }
