@@ -10,22 +10,55 @@
 //! never certainly derived, so nondeterminism surfaces as `Undefined`
 //! rather than as unsoundness.
 //!
-//! Each half-step is a least-model computation over a reduct, reusing the
-//! semi-naive worklist scheme of
-//! [`check::least_model_of_reduct`](crate::check::least_model_of_reduct):
-//! CSR positive-occurrence lists, per-rule missing counters, and a
-//! derivation stack — every body literal is visited O(1) times per
-//! half-step, and the alternation converges in at most `atom_count`
-//! rounds (two or three in practice).
-//!
 //! [`well_founded_with`] is the assumption-aware conditional variant: the
 //! assumed literals are pinned before the fixpoint, so the result
 //! approximates the stable models *satisfying the assumptions*. When the
 //! conditional WFM is total and consistent, its true set **is** the unique
 //! answer set under those assumptions — the static fast path the EPA
 //! scenario sweeps use to answer verdict queries without search.
+//!
+//! # One kernel, restricted to a region
+//!
+//! The fixpoint runs over a *region*: a set of atoms whose complement is
+//! closed backward, so that every rule defining an atom outside the region
+//! reads only atoms outside it. Only the rules that define region atoms
+//! take part; atoms outside keep the 3-valued values they already have.
+//! Each half-step is a least-model computation over a reduct, reusing the
+//! semi-naive worklist scheme of
+//! [`check::least_model_of_reduct`](crate::check::least_model_of_reduct):
+//! CSR positive-occurrence lists, per-rule missing counters, and a
+//! derivation stack — every body literal of a region rule is visited O(1)
+//! times per half-step, and the alternation converges in at most
+//! `region + 1` rounds (two or three in practice).
+//!
+//! [`well_founded_with`] is the case where every atom is in the region.
+//! [`ConditionalWfm`] is the resident form for many queries against one
+//! program: it builds the occurrence and reader indexes once, solves the
+//! whole program under a *base* assumption set, and answers each query
+//! [`under`](ConditionalWfm::under) its own assumptions from there:
+//!
+//! * the **roots** are the atoms whose assumption status differs from the
+//!   base;
+//! * the **region** is their forward closure through positive and negative
+//!   body occurrences to rule heads;
+//! * the kernel runs over the region, starting from the base model outside
+//!   it;
+//! * only the constraints and cardinality bounds that read a region atom
+//!   are checked again; the others keep their base verdict.
+//!
+//! This is exact because the well-founded semantics is relevant. The
+//! complement of a forward-closed set is closed backward, and the
+//! assumptions agree with the base on it, so the alternating fixpoint
+//! restricted to the complement is the base's, step for step. Starting the
+//! region's iteration from the base values outside it then reaches the
+//! same least fixpoint: the start lies below it, and the alternation is
+//! monotone. The answer is the truth vector, counts and inconsistency
+//! verdict of `well_founded_with(program, assumptions)`, at the cost of the
+//! rules that define the region.
 
-use crate::program::{AtomId, CardConstraint, GroundHead, GroundProgram};
+use std::borrow::Borrow;
+
+use crate::program::{AtomId, CardConstraint, GroundHead, GroundProgram, GroundRule};
 use crate::solve::Lit;
 
 /// Three-valued truth under the well-founded semantics.
@@ -126,6 +159,336 @@ impl WfmResult {
     }
 }
 
+/// Compressed adjacency lists: the entries of key `k` are
+/// `items[off[k]..off[k + 1]]`.
+#[derive(Debug)]
+struct Csr {
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Csr {
+    /// Lists over `keys` keys from the `(key, item)` pairs that `pairs`
+    /// yields (it is called twice: once to count, once to fill). Each key
+    /// lists its items in the order they were yielded.
+    fn new<I: Iterator<Item = (usize, u32)>>(keys: usize, pairs: impl Fn() -> I) -> Self {
+        let mut off = vec![0u32; keys + 1];
+        for (k, _) in pairs() {
+            off[k + 1] += 1;
+        }
+        for k in 0..keys {
+            off[k + 1] += off[k];
+        }
+        let mut items = vec![0u32; off[keys] as usize];
+        let mut cursor = off.clone();
+        for (k, item) in pairs() {
+            items[cursor[k] as usize] = item;
+            cursor[k] += 1;
+        }
+        Csr { off, items }
+    }
+
+    fn get(&self, key: usize) -> &[u32] {
+        &self.items[self.off[key] as usize..self.off[key + 1] as usize]
+    }
+}
+
+/// The head a rule derives; `None` for an integrity constraint.
+fn head(r: &GroundRule) -> Option<AtomId> {
+    match r.head {
+        GroundHead::Atom(h) | GroundHead::Choice(h) => Some(h),
+        GroundHead::None => None,
+    }
+}
+
+/// Every atom a cardinality constraint reads: its body, its elements and
+/// their guards.
+fn card_atoms(c: &CardConstraint) -> impl Iterator<Item = AtomId> + '_ {
+    c.pos
+        .iter()
+        .chain(&c.neg)
+        .copied()
+        .chain(c.elements.iter().flat_map(|e| {
+            std::iter::once(e.atom).chain(e.guard_pos.iter().chain(&e.guard_neg).copied())
+        }))
+}
+
+/// The positive body occurrences of every atom in the rules that derive a
+/// head: the worklist index of each half-step.
+fn positive_occurrences(program: &GroundProgram) -> Csr {
+    Csr::new(program.atom_count(), || {
+        program
+            .rules
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| head(r).is_some())
+            .flat_map(|(ri, r)| r.pos.iter().map(move |p| (p.index(), ri as u32)))
+    })
+}
+
+/// The assumption status of every atom. Later assumptions on the same atom
+/// win, and a directly contradictory pair is remembered.
+#[derive(Debug)]
+struct Pins {
+    assumed_true: Vec<bool>,
+    assumed_false: Vec<bool>,
+    contradictory: bool,
+}
+
+impl Pins {
+    fn new(n_atoms: usize, assumptions: &[Lit]) -> Self {
+        let mut assumed_true = vec![false; n_atoms];
+        let mut assumed_false = vec![false; n_atoms];
+        let mut contradictory = false;
+        for l in assumptions {
+            let i = l.atom.index();
+            if l.positive {
+                contradictory |= assumed_false[i];
+                assumed_true[i] = true;
+                assumed_false[i] = false;
+            } else {
+                contradictory |= assumed_true[i];
+                assumed_false[i] = true;
+                assumed_true[i] = false;
+            }
+        }
+        Pins {
+            assumed_true,
+            assumed_false,
+            contradictory,
+        }
+    }
+
+    /// Does atom `i` have the same status under both pin sets?
+    fn same(&self, other: &Pins, i: usize) -> bool {
+        self.assumed_true[i] == other.assumed_true[i]
+            && self.assumed_false[i] == other.assumed_false[i]
+    }
+}
+
+/// The alternating fixpoint over `region`, a set of atoms whose complement
+/// is closed under the rules that define it. `rules` are exactly the rules
+/// whose heads lie in `region`. Atoms outside the region keep the values
+/// `certain` and `possible` already hold, which must be the fixpoint of the
+/// complement; on return both vectors hold the fixpoint on the region too.
+///
+/// T_0 = the assumed-true atoms; P = Γ_over(T); T' = Γ_under(P). The
+/// under-approximation grows monotonically, so the loop terminates in at
+/// most `region.len() + 1` rounds.
+fn alternate(
+    program: &GroundProgram,
+    occ: &Csr,
+    pins: &Pins,
+    region: &[u32],
+    rules: &[u32],
+    certain: &mut Vec<bool>,
+    possible: &mut [bool],
+) {
+    for &a in region {
+        certain[a as usize] = pins.assumed_true[a as usize];
+    }
+    let mut missing = vec![0u32; program.rules.len()];
+    let mut stack: Vec<u32> = Vec::new();
+    // Positive body atoms outside the region hold their settled value in
+    // each half-step's output; with no atom outside, all of them are
+    // missing at the start.
+    let whole = region.len() == certain.len();
+    // One monotone half-step over the region: the least set closed under
+    // its rules, where `certain_mode` selects the underestimate (choice
+    // heads never fire; `not n` holds iff n is outside `opposite`, the
+    // current possible set) or the overestimate (choice heads fire; `not
+    // n` holds iff n is outside `opposite`, the current certain set).
+    // Assumed-true atoms always join; assumed-false atoms never fire as
+    // heads in the overestimate — in the underestimate they still derive,
+    // so a forced assumed-false atom is caught as an inconsistency
+    // afterwards. Atoms outside the region are read, never written. Returns
+    // the number of region atoms derived.
+    let mut half_step = |certain_mode: bool, opposite: &[bool], out: &mut [bool]| {
+        for &a in region {
+            out[a as usize] = false;
+        }
+        for &ri in rules {
+            let pos = &program.rules[ri as usize].pos;
+            missing[ri as usize] = if whole {
+                pos.len() as u32
+            } else {
+                pos.iter().filter(|p| !out[p.index()]).count() as u32
+            };
+        }
+        stack.clear();
+        let mut derived = 0usize;
+        for &a in region {
+            if pins.assumed_true[a as usize] {
+                out[a as usize] = true;
+                stack.push(a);
+            }
+        }
+        let fire = |ri: usize, out: &mut [bool], stack: &mut Vec<u32>| {
+            let r = &program.rules[ri];
+            let h = match r.head {
+                GroundHead::Atom(h) => h,
+                GroundHead::Choice(h) if !certain_mode => h,
+                _ => return,
+            };
+            if !certain_mode && pins.assumed_false[h.index()] {
+                return;
+            }
+            if r.neg.iter().any(|n| opposite[n.index()]) {
+                return;
+            }
+            if !out[h.index()] {
+                out[h.index()] = true;
+                stack.push(h.0);
+            }
+        };
+        for &ri in rules {
+            if missing[ri as usize] == 0 {
+                fire(ri as usize, out, &mut stack);
+            }
+        }
+        while let Some(a) = stack.pop() {
+            derived += 1;
+            for &ri in occ.get(a as usize) {
+                let m = &mut missing[ri as usize];
+                *m -= 1;
+                if *m == 0 {
+                    fire(ri as usize, out, &mut stack);
+                }
+            }
+        }
+        derived
+    };
+    // The certain set only grows, so it is stable once a round derives no
+    // more region atoms than the last.
+    let mut held = region.iter().filter(|&&a| certain[a as usize]).count();
+    let mut next = certain.clone();
+    loop {
+        half_step(false, certain, possible);
+        let derived = half_step(true, possible, &mut next);
+        if derived == held {
+            break;
+        }
+        held = derived;
+        std::mem::swap(certain, &mut next);
+    }
+}
+
+/// None of `atoms` is marked in `region`.
+fn outside(region: &[bool], mut atoms: impl Iterator<Item = AtomId>) -> bool {
+    atoms.all(|x| !region[x.index()])
+}
+
+/// A body is certainly satisfied: its positives are certainly true and its
+/// negatives certainly false.
+fn certainly(pos: &[AtomId], neg: &[AtomId], certain: &[bool], possible: &[bool]) -> bool {
+    pos.iter().all(|p| certain[p.index()]) && neg.iter().all(|n| !possible[n.index()])
+}
+
+/// A cardinality constraint the certain part alone already refutes.
+fn card_violated(c: &CardConstraint, certain: &[bool], possible: &[bool]) -> bool {
+    card_refuted(
+        c,
+        &|pos: &[AtomId], neg: &[AtomId]| certainly(pos, neg, certain, possible),
+        |id| (certain[id.index()], possible[id.index()]),
+    )
+}
+
+/// Write the verdicts of the `region` atoms into `wfm`, keeping its counts.
+fn settle(region: &[u32], certain: &[bool], possible: &[bool], wfm: &mut WfmResult) {
+    for &a in region {
+        let a = a as usize;
+        let t = if certain[a] {
+            Truth::True
+        } else if possible[a] {
+            Truth::Undefined
+        } else {
+            Truth::False
+        };
+        match std::mem::replace(&mut wfm.truth[a], t) {
+            Truth::True => wfm.true_count -= 1,
+            Truth::False => wfm.false_count -= 1,
+            Truth::Undefined => {}
+        }
+        match t {
+            Truth::True => wfm.true_count += 1,
+            Truth::False => wfm.false_count += 1,
+            Truth::Undefined => {}
+        }
+    }
+}
+
+/// Everything that refutes the assumptions of a solved program, by index.
+#[derive(Debug)]
+struct Refutations {
+    /// Assumed-false atoms the certain derivation forces true.
+    forced: Vec<u32>,
+    /// Integrity constraints whose body is certainly satisfied.
+    constraints: Vec<u32>,
+    /// Cardinality constraints the certain part refutes.
+    cards: Vec<u32>,
+}
+
+impl Refutations {
+    fn of(program: &GroundProgram, pins: &Pins, certain: &[bool], possible: &[bool]) -> Self {
+        Refutations {
+            forced: (0..program.atom_count())
+                .filter(|&a| pins.assumed_false[a] && certain[a])
+                .map(|a| a as u32)
+                .collect(),
+            constraints: (0..program.rules.len())
+                .filter(|&ri| {
+                    let r = &program.rules[ri];
+                    head(r).is_none() && certainly(&r.pos, &r.neg, certain, possible)
+                })
+                .map(|ri| ri as u32)
+                .collect(),
+            cards: (0..program.cards.len())
+                .filter(|&ci| card_violated(&program.cards[ci], certain, possible))
+                .map(|ci| ci as u32)
+                .collect(),
+        }
+    }
+
+    fn any(&self) -> bool {
+        !(self.forced.is_empty() && self.constraints.is_empty() && self.cards.is_empty())
+    }
+}
+
+/// The kernel with every atom in the region: the fixpoint vectors, the
+/// model, and what refutes it.
+fn solve_all(
+    program: &GroundProgram,
+    occ: &Csr,
+    pins: &Pins,
+) -> (Vec<bool>, Vec<bool>, WfmResult, Refutations) {
+    let n_atoms = program.atom_count();
+    let region: Vec<u32> = (0..n_atoms as u32).collect();
+    let rules: Vec<u32> = (0..program.rules.len() as u32)
+        .filter(|&ri| head(&program.rules[ri as usize]).is_some())
+        .collect();
+    let mut certain = vec![false; n_atoms];
+    let mut possible = vec![false; n_atoms];
+    alternate(
+        program,
+        occ,
+        pins,
+        &region,
+        &rules,
+        &mut certain,
+        &mut possible,
+    );
+    let mut wfm = WfmResult {
+        truth: vec![Truth::Undefined; n_atoms],
+        true_count: 0,
+        false_count: 0,
+        inconsistent: false,
+    };
+    settle(&region, &certain, &possible, &mut wfm);
+    let refuted = Refutations::of(program, pins, &certain, &possible);
+    wfm.inconsistent = pins.contradictory || refuted.any();
+    (certain, possible, wfm, refuted)
+}
+
 /// The unconditional well-founded model: no atoms pinned, choice atoms and
 /// assumables free.
 #[must_use]
@@ -140,148 +503,195 @@ pub fn well_founded(program: &GroundProgram) -> WfmResult {
 /// contradicts a constraint, a cardinality bound, or an assumed-false atom
 /// (no such model exists). Later assumptions on the same atom win, and a
 /// directly contradictory pair marks the result inconsistent.
+///
+/// Each call indexes and solves the whole program; many queries against one
+/// program are cheaper through [`ConditionalWfm`].
 #[must_use]
 pub fn well_founded_with(program: &GroundProgram, assumptions: &[Lit]) -> WfmResult {
-    let n_atoms = program.atom_count();
-    let rules = &program.rules;
+    let pins = Pins::new(program.atom_count(), assumptions);
+    solve_all(program, &positive_occurrences(program), &pins).2
+}
 
-    // CSR positive-occurrence lists, shared by every half-step.
-    let mut off = vec![0u32; n_atoms + 1];
-    for r in rules {
-        for &p in &r.pos {
-            off[p.index() + 1] += 1;
-        }
-    }
-    for i in 0..n_atoms {
-        off[i + 1] += off[i];
-    }
-    let mut occ = vec![0u32; off[n_atoms] as usize];
-    let mut cursor = off.clone();
-    for (ri, r) in rules.iter().enumerate() {
-        for &p in &r.pos {
-            occ[cursor[p.index()] as usize] = ri as u32;
-            cursor[p.index()] += 1;
+/// The conditional well-founded model of one program, resident for many
+/// queries: the indexes are built and the model under a *base* assumption
+/// set is solved once, and [`under`](Self::under) recomputes only the
+/// forward cone of the atoms whose assumptions differ from the base (see
+/// the [module docs](self)).
+///
+/// `P` is how the program is held: a reference, or an owner such as an
+/// `Arc<GroundProgram>` when the model lives next to the program.
+#[derive(Debug)]
+pub struct ConditionalWfm<P> {
+    program: P,
+    /// Positive body occurrences in the rules that derive a head.
+    occ: Csr,
+    /// Per atom, the rules whose head it is.
+    defs: Csr,
+    /// Per atom, the heads of the rules that read it, positively or not.
+    readers: Csr,
+    /// Per atom, the integrity constraints that read it.
+    constraints: Csr,
+    /// Per atom, the cardinality constraints that read it.
+    cards: Csr,
+    /// The base assumptions: their status per atom, and the atoms they name.
+    pins: Pins,
+    assumed: Vec<u32>,
+    /// The base fixpoint.
+    certain: Vec<bool>,
+    possible: Vec<bool>,
+    base: WfmResult,
+    refuted: Refutations,
+}
+
+impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
+    /// Index `program` and solve it under the `base` assumptions.
+    #[must_use]
+    pub fn new(program: P, base: &[Lit]) -> Self {
+        let g: &GroundProgram = program.borrow();
+        let n_atoms = g.atom_count();
+        let occ = positive_occurrences(g);
+        let pins = Pins::new(n_atoms, base);
+        let (certain, possible, base_wfm, refuted) = solve_all(g, &occ, &pins);
+        let defs = Csr::new(n_atoms, || {
+            g.rules
+                .iter()
+                .enumerate()
+                .filter_map(|(ri, r)| head(r).map(|h| (h.index(), ri as u32)))
+        });
+        let readers = Csr::new(n_atoms, || {
+            g.rules
+                .iter()
+                .filter_map(|r| head(r).map(|h| (r, h)))
+                .flat_map(|(r, h)| r.pos.iter().chain(&r.neg).map(move |x| (x.index(), h.0)))
+        });
+        let constraints = Csr::new(n_atoms, || {
+            g.rules
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| head(r).is_none())
+                .flat_map(|(ri, r)| {
+                    r.pos
+                        .iter()
+                        .chain(&r.neg)
+                        .map(move |x| (x.index(), ri as u32))
+                })
+        });
+        let cards = Csr::new(n_atoms, || {
+            g.cards
+                .iter()
+                .enumerate()
+                .flat_map(|(ci, c)| card_atoms(c).map(move |x| (x.index(), ci as u32)))
+        });
+        let assumed = base.iter().map(|l| l.atom.0).collect();
+        ConditionalWfm {
+            program,
+            occ,
+            defs,
+            readers,
+            constraints,
+            cards,
+            pins,
+            assumed,
+            certain,
+            possible,
+            base: base_wfm,
+            refuted,
         }
     }
 
-    let mut assumed_true = vec![false; n_atoms];
-    let mut assumed_false = vec![false; n_atoms];
-    let mut contradictory = false;
-    for l in assumptions {
-        let i = l.atom.index();
-        if l.positive {
-            contradictory |= assumed_false[i];
-            assumed_true[i] = true;
-            assumed_false[i] = false;
-        } else {
-            contradictory |= assumed_true[i];
-            assumed_false[i] = true;
-            assumed_true[i] = false;
-        }
+    /// The well-founded model under the base assumptions.
+    #[must_use]
+    pub fn base(&self) -> &WfmResult {
+        &self.base
     }
 
-    // One monotone half-step: the least set closed under the rules, where
-    // `certain` selects the underestimate (choice heads never fire; `not
-    // n` holds iff n is outside `opposite`, the current possible set) or
-    // the overestimate (choice heads fire; `not n` holds iff n is outside
-    // `opposite`, the current certain set). Assumed-true atoms always
-    // join; assumed-false atoms never fire as heads in the overestimate —
-    // in the underestimate they still derive, so a forced assumed-false
-    // atom is caught as an inconsistency afterwards.
-    let gamma = |certain: bool, opposite: &[bool]| -> Vec<bool> {
-        let mut derived = vec![false; n_atoms];
-        let mut missing: Vec<u32> = rules.iter().map(|r| r.pos.len() as u32).collect();
-        let mut stack: Vec<u32> = Vec::new();
-        let push = |a: usize, derived: &mut Vec<bool>, stack: &mut Vec<u32>| {
-            if !derived[a] {
-                derived[a] = true;
-                stack.push(a as u32);
-            }
-        };
-        for (a, &t) in assumed_true.iter().enumerate() {
-            if t {
-                push(a, &mut derived, &mut stack);
+    /// The conditional well-founded model under `assumptions` — the same
+    /// truth vector, counts and inconsistency verdict as
+    /// [`well_founded_with`]`(program, assumptions)` for any assumption
+    /// set. Its cost is that of the rules defining the forward cone of the
+    /// atoms whose status differs from the base, plus copying the base
+    /// model.
+    #[must_use]
+    pub fn under(&self, assumptions: &[Lit]) -> WfmResult {
+        let g: &GroundProgram = self.program.borrow();
+        let n_atoms = g.atom_count();
+        let pins = Pins::new(n_atoms, assumptions);
+        let mut wfm = self.base.clone();
+        // Roots: only an atom one of the two sets names can differ.
+        let mut in_region = vec![false; n_atoms];
+        let mut region: Vec<u32> = Vec::new();
+        for a in assumptions
+            .iter()
+            .map(|l| l.atom.0)
+            .chain(self.assumed.iter().copied())
+        {
+            if !in_region[a as usize] && !pins.same(&self.pins, a as usize) {
+                in_region[a as usize] = true;
+                region.push(a);
             }
         }
-        let fire = |ri: usize, derived: &mut Vec<bool>, stack: &mut Vec<u32>| {
-            let r = &rules[ri];
-            let h = match r.head {
-                GroundHead::Atom(h) => h,
-                GroundHead::Choice(h) if !certain => h,
-                _ => return,
-            };
-            if !certain && assumed_false[h.index()] {
-                return;
-            }
-            if r.neg.iter().any(|n| opposite[n.index()]) {
-                return;
-            }
-            push(h.index(), derived, stack);
-        };
-        for ri in (0..rules.len()).filter(|&ri| missing[ri] == 0) {
-            fire(ri, &mut derived, &mut stack);
+        if region.is_empty() {
+            wfm.inconsistent = pins.contradictory || self.refuted.any();
+            return wfm;
         }
-        while let Some(a) = stack.pop() {
-            for i in off[a as usize]..off[a as usize + 1] {
-                let ri = occ[i as usize] as usize;
-                missing[ri] -= 1;
-                if missing[ri] == 0 {
-                    fire(ri, &mut derived, &mut stack);
+        // The forward closure through every body occurrence.
+        let mut i = 0;
+        while let Some(&a) = region.get(i) {
+            for &h in self.readers.get(a as usize) {
+                if !in_region[h as usize] {
+                    in_region[h as usize] = true;
+                    region.push(h);
                 }
             }
+            i += 1;
         }
-        derived
-    };
+        let rules: Vec<u32> = region
+            .iter()
+            .flat_map(|&a| self.defs.get(a as usize))
+            .copied()
+            .collect();
+        let mut certain = self.certain.clone();
+        let mut possible = self.possible.clone();
+        alternate(
+            g,
+            &self.occ,
+            &pins,
+            &region,
+            &rules,
+            &mut certain,
+            &mut possible,
+        );
+        settle(&region, &certain, &possible, &mut wfm);
 
-    // Alternate: T_0 = assumed-true; P = Γ_over(T); T' = Γ_under(P); the
-    // under-approximation grows monotonically, so the loop terminates in
-    // at most `n_atoms + 1` rounds.
-    let mut certain = assumed_true.clone();
-    let mut possible;
-    loop {
-        possible = gamma(false, &certain);
-        let next = gamma(true, &possible);
-        if next == certain {
-            break;
-        }
-        certain = next;
-    }
-
-    let mut truth = vec![Truth::Undefined; n_atoms];
-    let mut true_count = 0;
-    let mut false_count = 0;
-    for i in 0..n_atoms {
-        if certain[i] {
-            truth[i] = Truth::True;
-            true_count += 1;
-        } else if !possible[i] {
-            truth[i] = Truth::False;
-            false_count += 1;
-        }
-    }
-
-    // An assumed-false atom the certain derivation forces true means no
-    // stable model satisfies the assumptions.
-    let mut inconsistent = contradictory || (0..n_atoms).any(|i| assumed_false[i] && certain[i]);
-    // A constraint whose body is certainly satisfied (positives certainly
-    // true, negatives certainly false) rules out every stable model.
-    let certainly = |pos: &[AtomId], neg: &[AtomId]| {
-        pos.iter().all(|p| certain[p.index()]) && neg.iter().all(|n| !possible[n.index()])
-    };
-    inconsistent |= rules
-        .iter()
-        .any(|r| matches!(r.head, GroundHead::None) && certainly(&r.pos, &r.neg));
-    inconsistent |= program.cards.iter().any(|c| {
-        card_refuted(c, &certainly, |id| {
-            (certain[id.index()], possible[id.index()])
-        })
-    });
-
-    WfmResult {
-        truth,
-        true_count,
-        false_count,
-        inconsistent,
+        // Refutations: what reads no region atom keeps its base verdict;
+        // the rest is checked again.
+        let (certain, possible) = (&certain[..], &possible[..]);
+        let forced = self.refuted.forced.iter().any(|&a| !in_region[a as usize])
+            || region
+                .iter()
+                .any(|&a| pins.assumed_false[a as usize] && certain[a as usize]);
+        let constraint = self.refuted.constraints.iter().any(|&ri| {
+            let r = &g.rules[ri as usize];
+            outside(&in_region, r.pos.iter().chain(&r.neg).copied())
+        }) || region.iter().any(|&a| {
+            self.constraints.get(a as usize).iter().any(|&ri| {
+                let r = &g.rules[ri as usize];
+                certainly(&r.pos, &r.neg, certain, possible)
+            })
+        });
+        let card = self
+            .refuted
+            .cards
+            .iter()
+            .any(|&ci| outside(&in_region, card_atoms(&g.cards[ci as usize])))
+            || region.iter().any(|&a| {
+                self.cards
+                    .get(a as usize)
+                    .iter()
+                    .any(|&ci| card_violated(&g.cards[ci as usize], certain, possible))
+            });
+        wfm.inconsistent = pins.contradictory || forced || constraint || card;
+        wfm
     }
 }
 
@@ -414,6 +824,69 @@ mod tests {
         assert!(well_founded_with(&g, &[Lit::neg(p)]).inconsistent);
         // So is a directly contradictory assumption pair.
         assert!(well_founded_with(&g, &[Lit::pos(p), Lit::neg(p)]).inconsistent);
+    }
+
+    /// `under` against the all-atoms kernel: truth vector, counts and
+    /// inconsistency verdict.
+    fn assert_under_matches(g: &GroundProgram, base: &[Lit], query: &[Lit]) {
+        let got = ConditionalWfm::new(g, base).under(query);
+        let want = well_founded_with(g, query);
+        assert_eq!(got.truth, want.truth, "base {base:?}, query {query:?}");
+        assert_eq!(
+            (got.true_count, got.false_count, got.inconsistent),
+            (want.true_count, want.false_count, want.inconsistent),
+            "base {base:?}, query {query:?}"
+        );
+    }
+
+    #[test]
+    fn resident_queries_equal_the_full_computation() {
+        // Two independent cones, a constraint, a bounded choice and an
+        // even loop: flipping `x` must leave `y`'s side at its base value.
+        let g = ground(
+            "{ x }. { y }. a :- x. b :- a, not c. c :- not b. \
+             d :- y. e :- not d. :- a, e. 1 { p; q } 1 :- d.",
+        );
+        let id = |name: &str| g.atoms().find(|(_, a)| a.to_string() == name).unwrap().0;
+        let (x, y, e) = (id("x"), id("y"), id("e"));
+        let sets: Vec<Vec<Lit>> = vec![
+            vec![],
+            vec![Lit::pos(x)],
+            vec![Lit::neg(x)],
+            vec![Lit::pos(x), Lit::neg(y)],
+            vec![Lit::pos(y), Lit::neg(x)],
+            vec![Lit::pos(x), Lit::neg(x)],
+            vec![Lit::neg(e)],
+            vec![Lit::pos(x), Lit::pos(x)],
+        ];
+        for base in &sets {
+            for query in &sets {
+                assert_under_matches(&g, base, query);
+            }
+        }
+    }
+
+    #[test]
+    fn resident_queries_recheck_refutations_in_the_region_only() {
+        // The base violates `:- p.`; a query that pins `p` false repairs it,
+        // one that only touches `r` keeps the base verdict.
+        let g = ground("{ p }. { r }. s :- r. :- p. :- s, not p.");
+        let id = |name: &str| g.atoms().find(|(_, a)| a.to_string() == name).unwrap().0;
+        let (p, r) = (id("p"), id("r"));
+        let base = [Lit::pos(p)];
+        let cond = ConditionalWfm::new(&g, &base);
+        assert!(cond.base().inconsistent);
+        assert!(cond.under(&[Lit::pos(p), Lit::pos(r)]).inconsistent);
+        assert!(!cond.under(&[Lit::neg(p)]).inconsistent);
+        assert!(cond.under(&[Lit::neg(p), Lit::pos(r)]).inconsistent);
+        for query in [
+            vec![Lit::pos(p), Lit::pos(r)],
+            vec![Lit::neg(p)],
+            vec![Lit::neg(p), Lit::pos(r)],
+            vec![Lit::neg(p), Lit::neg(r)],
+        ] {
+            assert_under_matches(&g, &base, &query);
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod solve;
 
 pub use analysis::{
     analyze_dependencies, ground_tight, predict_sizes, simplify, simplify_with, slice_program,
-    well_founded, well_founded_with, SimplifyResult, WfmResult,
+    well_founded, well_founded_with, ConditionalWfm, SimplifyResult, WfmResult,
 };
 pub use ast::{Atom, ChoiceElement, Head, Literal, Program, Rule, Statement, Term};
 pub use builder::ProgramBuilder;

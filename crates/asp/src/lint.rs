@@ -28,7 +28,7 @@
 use crate::analysis::deps::{analyze_dependencies, dependency_edges, tarjan_scc};
 use crate::analysis::simplify::simplify_with;
 use crate::analysis::size::{predict_sizes, SizePrediction, EXPLOSION_THRESHOLD};
-use crate::analysis::wfm::{well_founded, well_founded_with, WfmResult};
+use crate::analysis::wfm::{well_founded, ConditionalWfm, WfmResult};
 use crate::ast::{Head, Literal, Program, Rule, Statement};
 use crate::diag::Diagnostic;
 use crate::error::AspError;
@@ -678,11 +678,17 @@ fn cone_is_isolated(p: &GroundProgram, adj: &[Vec<u32>], c: AtomId, verdict: &[b
 /// Route 2 of the A013 check: pin `c` true and then false; if both
 /// conditional well-founded models are consistent and decide every verdict
 /// atom to the same value, every stable model — with or without `c` —
-/// agrees on the whole verdict.
-fn conditional_verdicts_fixed(g: &GroundProgram, c: AtomId, verdict: &[bool]) -> bool {
+/// agrees on the whole verdict. Both pins are answered by `cond`, the
+/// resident model of the lint pass, which recomputes only the atoms
+/// downstream of `c`.
+fn conditional_verdicts_fixed(
+    cond: &ConditionalWfm<&GroundProgram>,
+    c: AtomId,
+    verdict: &[bool],
+) -> bool {
     use crate::analysis::wfm::Truth;
-    let on = well_founded_with(g, &[Lit::pos(c)]);
-    let off = well_founded_with(g, &[Lit::neg(c)]);
+    let on = cond.under(&[Lit::pos(c)]);
+    let off = cond.under(&[Lit::neg(c)]);
     if on.inconsistent || off.inconsistent {
         return false;
     }
@@ -739,6 +745,8 @@ fn irrelevant_choice_predicates(
         }
     }
     let mut probes = 0usize;
+    // Built at the first probe, with no base assumptions.
+    let mut cond: Option<ConditionalWfm<&GroundProgram>> = None;
     'groups: for ((pred, arity), atoms) in &groups {
         let surviving: Vec<AtomId> = atoms
             .iter()
@@ -757,7 +765,8 @@ fn irrelevant_choice_predicates(
                 continue 'groups; // out of budget: cannot certify the group
             }
             probes += 1;
-            if !conditional_verdicts_fixed(g, c, &verdict_orig) {
+            let cond = cond.get_or_insert_with(|| ConditionalWfm::new(g, &[]));
+            if !conditional_verdicts_fixed(cond, c, &verdict_orig) {
                 continue 'groups;
             }
         }

@@ -12,12 +12,18 @@
 //! * the conditional WFM keeps the same bounds under arbitrary assumption
 //!   sets, including contradictory ones.
 //!
+//! A resident [`ConditionalWfm`], which recomputes only the forward cone
+//! of the assumptions that differ from its base, must give exactly the
+//! model the from-scratch computation in `support/wfm_oracle.rs` gives.
+//!
 //! A fourth suite pins [`Solver::brave`] / [`Solver::cautious`] (which
 //! seed from the WFM and terminate early on its bounds) to the
 //! union/intersection of the oracle's answer sets, over programs with
 //! choices and assumable atoms.
 
 mod support;
+#[path = "support/wfm_oracle.rs"]
+mod wfm_oracle;
 
 use std::collections::BTreeSet;
 
@@ -25,8 +31,8 @@ use proptest::prelude::*;
 
 use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::{
-    simplify_with, well_founded, well_founded_with, GroundProgram, Grounder, Lit, Program,
-    SolveOptions, Solver,
+    simplify_with, well_founded, well_founded_with, ConditionalWfm, GroundProgram, Grounder, Lit,
+    Program, SolveOptions, Solver,
 };
 
 /// A random program over atoms a0..a{n-1}: facts, normal rules, choices,
@@ -49,6 +55,36 @@ fn arb_program(n_atoms: usize) -> impl Strategy<Value = String> {
             .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
     ];
     prop::collection::vec(rule, 1..10).prop_map(|rules| rules.join("\n"))
+}
+
+/// [`arb_program`] plus bounded choice rules with conditional elements and
+/// bodies, which ground to cardinality constraints.
+fn arb_bounded_program(n_atoms: usize) -> impl Strategy<Value = String> {
+    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
+    let element = move || {
+        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+            0 => a,
+            1 => format!("{a} : {g}"),
+            _ => format!("{a} : not {g}"),
+        })
+    };
+    let bounded = (
+        0u32..3,
+        prop::collection::vec(element(), 1..4),
+        0u32..3,
+        any::<bool>(),
+        atom(),
+    )
+        .prop_map(|(lower, elements, extra, has_body, body)| {
+            let rule = format!("{lower} {{ {} }} {}", elements.join("; "), lower + extra);
+            if has_body {
+                format!("{rule} :- {body}.")
+            } else {
+                format!("{rule}.")
+            }
+        });
+    (arb_program(n_atoms), prop::collection::vec(bounded, 0..3))
+        .prop_map(|(program, bounded)| format!("{program}\n{}", bounded.join("\n")))
 }
 
 /// Ground with a random subset of the atom universe marked assumable, so
@@ -196,6 +232,45 @@ proptest! {
                     "conditional WFM-false entered a model, query {:?}:\n{}", set, src
                 );
             }
+        }
+    }
+
+    /// A resident conditional WFM answers every query set — near its base,
+    /// far from it, with repeated atoms and contradictory pairs — with the
+    /// from-scratch model: the same truth vector, counts and inconsistency
+    /// verdict. So does `well_founded_with`, the kernel's all-atoms case.
+    #[test]
+    fn conditional_wfm_matches_the_from_scratch_oracle(
+        src in arb_bounded_program(7),
+        assumable in prop::collection::btree_set(0usize..7, 0..3),
+        base in prop::collection::vec((0usize..7, any::<bool>()), 0..5),
+        queries in prop::collection::vec(
+            (prop::collection::vec((0usize..7, any::<bool>()), 0..5), any::<bool>(), any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let assumable: Vec<usize> = assumable.into_iter().collect();
+        let g = ground_with_assumables(&src, &assumable);
+        let base = lits(&g, &base);
+        let cond = ConditionalWfm::new(&g, &base);
+        let oracle = wfm_oracle::well_founded_with(&g, &base);
+        let diff = wfm_oracle::same(cond.base(), &oracle);
+        prop_assert!(diff.is_none(), "base {:?}: {:?}, program:\n{}", base, diff, src);
+        for (set, from_base, contradict) in &queries {
+            // Half the queries perturb the base, half replace it.
+            let mut q = if *from_base { base.clone() } else { Vec::new() };
+            q.extend(lits(&g, set));
+            if *contradict {
+                if let Some(&l) = q.first() {
+                    q.push(Lit { atom: l.atom, positive: !l.positive });
+                    q.push(l);
+                }
+            }
+            let want = wfm_oracle::well_founded_with(&g, &q);
+            let diff = wfm_oracle::same(&cond.under(&q), &want);
+            prop_assert!(diff.is_none(), "base {:?}, query {:?}: {:?}, program:\n{}", base, q, diff, src);
+            let diff = wfm_oracle::same(&well_founded_with(&g, &q), &want);
+            prop_assert!(diff.is_none(), "query {:?}: {:?}, program:\n{}", q, diff, src);
         }
     }
 

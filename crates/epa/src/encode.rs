@@ -430,24 +430,15 @@ fn scenario_of_model(model: &cpsrisk_asp::Model) -> Scenario {
         .collect()
 }
 
+/// The scenario outcome a stable model of the assumable program encodes
+/// for `scenario`: its true `affected/2` and `violated/1` atoms.
 pub(crate) fn outcome_from_model(
     scenario: Scenario,
     model: &cpsrisk_asp::Model,
 ) -> ScenarioOutcome {
-    outcome_from_atoms(scenario, model.atoms.iter())
-}
-
-/// Build a [`ScenarioOutcome`] from any stream of true atoms — shared by
-/// the model-based form above and the static (well-founded) verdict path
-/// of a [`Session`],
-/// which reads atoms off a ground program instead of a solved model.
-pub(crate) fn outcome_from_atoms<'a>(
-    scenario: Scenario,
-    atoms: impl Iterator<Item = &'a cpsrisk_asp::Atom>,
-) -> ScenarioOutcome {
     let mut effective_modes: BTreeSet<(String, String)> = BTreeSet::new();
     let mut violated: BTreeSet<String> = BTreeSet::new();
-    for a in atoms {
+    for a in &model.atoms {
         match a.pred.as_str() {
             "affected" => {
                 if let (Some(c), Some(m)) = (a.args.first(), a.args.get(1)) {

@@ -26,6 +26,14 @@ pub enum EpaError {
         /// The query's targeted requirement id.
         requirement: String,
     },
+    /// A sweep query panicked; the sweep caught the panic in that query's
+    /// slot and went on.
+    QueryPanicked {
+        /// The query's index in the sweep's input.
+        index: usize,
+        /// The panic's message.
+        message: String,
+    },
 }
 
 impl fmt::Display for EpaError {
@@ -51,6 +59,9 @@ impl fmt::Display for EpaError {
                 "margin query on `{requirement}` from scenario {scenario}: \
                  the session was built without an attacker budget"
             ),
+            EpaError::QueryPanicked { index, message } => {
+                write!(f, "sweep query {index} panicked: {message}")
+            }
         }
     }
 }

@@ -17,8 +17,15 @@
 //! input length. The output is therefore **bit-identical to the
 //! sequential sweep at any thread count, batch size and window**, with no
 //! unsafe code and no per-slot locks.
+//!
+//! A panic inside one item stays in that item: the pool catches it, hands
+//! its message to the caller in the item's slot, and the worker rebuilds
+//! its state before its next item. One bad query therefore fails alone
+//! instead of ending a long sweep.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -142,8 +149,9 @@ struct PoolState<T, R> {
     in_flight: usize,
     /// The input stream is dry; workers exit once `jobs` drains.
     exhausted: bool,
-    /// A worker panicked: its batch never finishes, so the producer stops
-    /// waiting and the scope re-raises the panic.
+    /// A worker panicked outside an item (rebuilding its state): its
+    /// batch never finishes, so the producer stops waiting and the scope
+    /// re-raises the panic.
     aborted: bool,
 }
 
@@ -183,6 +191,18 @@ impl<T, R> Drop for AbortOnPanic<'_, T, R> {
     }
 }
 
+/// The message a panic payload carries (`panic!` with a literal or with a
+/// formatted string).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with a non-string payload".to_owned()
+    }
+}
+
 /// Run `f` over `stream` on a pool of [`SweepOptions::threads`] workers:
 /// the calling thread cuts the stream into [`SweepOptions::batch`]-sized
 /// batches on one shared queue, holding at most
@@ -190,7 +210,12 @@ impl<T, R> Drop for AbortOnPanic<'_, T, R> {
 /// result to `emit` in input order with its global index. Each worker
 /// calls `init` once and threads that state through every batch it runs.
 /// Returns the scheduler stats; `stats.peak_in_flight` is the largest
-/// window actually materialized. A panic in `f` ends the run and is
+/// window actually materialized.
+///
+/// A panic in `f` is caught: `emit` receives `Err` with the panic's
+/// message in that item's slot, and the worker replaces its state with a
+/// fresh `init()` before its next item, since the panic may have left the
+/// old one half-updated. A panic in `init` itself ends the run and is
 /// re-raised on the calling thread.
 ///
 /// `f` must be a pure function of the item for the output to be
@@ -209,7 +234,7 @@ where
     S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
-    E: FnMut(usize, R),
+    E: FnMut(usize, Result<R, String>),
 {
     let threads = opts.threads.max(1);
     let cap = opts.max_in_flight.max(1);
@@ -219,7 +244,7 @@ where
     let start = Instant::now();
     let mut states: Vec<S> = std::iter::repeat_with(&init).take(threads).collect();
 
-    let state = Mutex::new(PoolState::<T, R> {
+    let state = Mutex::new(PoolState::<T, Result<R, String>> {
         jobs: VecDeque::new(),
         done: BTreeMap::new(),
         next_emit: 0,
@@ -240,7 +265,7 @@ where
         for state_w in &mut states {
             let state = &state;
             let (work_ready, progress) = (&work_ready, &progress);
-            let f = &f;
+            let (init, f) = (&init, &f);
             handles.push(scope.spawn(move || {
                 let _abort = AbortOnPanic { state, progress };
                 let mut done = 0usize;
@@ -262,7 +287,15 @@ where
                         return (done, active);
                     };
                     let t0 = Instant::now();
-                    let results: Vec<R> = items.iter().map(|item| f(state_w, item)).collect();
+                    let results: Vec<Result<R, String>> = items
+                        .iter()
+                        .map(|item| {
+                            catch_unwind(AssertUnwindSafe(|| f(state_w, item))).map_err(|payload| {
+                                *state_w = init();
+                                panic_message(payload.as_ref())
+                            })
+                        })
+                        .collect();
                     active += t0.elapsed();
                     done += items.len();
                     let mut st = state.lock().expect("pool state poisoned");
@@ -352,7 +385,7 @@ mod tests {
             opts,
             || (),
             |(), x| f(x),
-            |i, r| out.push((i, r)),
+            |i, r| out.push((i, r.expect("no item panics"))),
         );
         (out, stats)
     }
@@ -431,16 +464,66 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_item_ends_the_run_instead_of_hanging_it() {
+    fn a_panicking_item_fails_alone_and_its_worker_recovers() {
+        // Each worker's state is the items it ran since its last `init`;
+        // item 7 panics after marking its state, and an item that finds a
+        // marked state answers wrongly, so every other item answering
+        // right shows the worker was rebuilt.
+        let items: Vec<u32> = (0..40).collect();
+        for threads in [1, 2] {
+            for window in [4, 40] {
+                let opts = SweepOptions::with_threads(threads)
+                    .batch(2)
+                    .max_in_flight(window);
+                let mut out = Vec::new();
+                let stats = run_pool(
+                    items.iter().copied(),
+                    &opts,
+                    Vec::new,
+                    |seen: &mut Vec<u32>, &x| {
+                        seen.push(x);
+                        assert_ne!(x, 7, "item 7 fails");
+                        if seen.contains(&7) {
+                            u32::MAX
+                        } else {
+                            x
+                        }
+                    },
+                    |i, r| out.push((i, r)),
+                );
+                let tag = format!("threads={threads} window={window}");
+                assert_eq!(out.len(), items.len(), "{tag}");
+                for (slot, (i, r)) in out.into_iter().enumerate() {
+                    assert_eq!(slot, i, "{tag}");
+                    if i == 7 {
+                        let message = r.expect_err("item 7 panicked");
+                        assert!(message.contains("item 7 fails"), "{tag}: {message}");
+                    } else {
+                        assert_eq!(r, Ok(i as u32), "{tag}");
+                    }
+                }
+                assert_eq!(stats.processed.iter().sum::<usize>(), items.len(), "{tag}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_rebuild_ends_the_run_instead_of_hanging_it() {
+        // Item 7 panics, and rebuilding the worker's state panics too: the
+        // worker is lost, so the run must end, not wait for its batch.
         let items: Vec<u32> = (0..40).collect();
         for window in [4, 40] {
             let opts = SweepOptions::with_threads(2).batch(2).max_in_flight(window);
-            let run = std::panic::catch_unwind(|| {
-                collect(&items, &opts, |&x| {
-                    assert_ne!(x, 7, "item 7 fails");
-                    x
-                })
-            });
+            let inits = AtomicUsize::new(0);
+            let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                run_pool(
+                    items.iter().copied(),
+                    &opts,
+                    || assert!(inits.fetch_add(1, Ordering::SeqCst) < 2, "rebuild fails"),
+                    |(), &x| assert_ne!(x, 7, "item 7 fails"),
+                    |_, _| {},
+                )
+            }));
             assert!(run.is_err(), "window={window}");
         }
     }

@@ -1,0 +1,48 @@
+//! `Session::decide_statically`, which answers each outcome query from a
+//! resident conditional well-founded model that recomputes only the
+//! forward cone of the query's faults, against the same model computed
+//! from scratch for every scenario.
+
+#[path = "support/static_oracle.rs"]
+mod static_oracle;
+#[path = "../../asp/tests/support/wfm_oracle.rs"]
+mod wfm_oracle;
+
+use cpsrisk_epa::workload::catalog_problem;
+use cpsrisk_epa::{EpaProblem, ScenarioSpace, Session};
+
+/// Every scenario of at most `max_faults` faults is decided statically,
+/// with the from-scratch outcome.
+fn assert_static_outcomes_match(problem: &EpaProblem, max_faults: usize, label: &str) {
+    let session = Session::new(problem, None).expect("the problem grounds");
+    let mut scenarios = 0usize;
+    for scenario in ScenarioSpace::new(problem, max_faults).iter() {
+        let want = static_oracle::outcome(session.ground(), problem, &scenario);
+        assert!(want.is_some(), "{label}: the oracle leaves {scenario} open");
+        assert_eq!(
+            session.decide_statically(&scenario),
+            want,
+            "{label}: scenario {scenario}"
+        );
+        scenarios += 1;
+    }
+    assert!(scenarios > 1, "{label}: the space has faulty scenarios");
+}
+
+#[test]
+fn static_outcomes_match_the_from_scratch_wfm_on_catalog_plants() {
+    for seed in [0xC47A, 1, 2] {
+        let problem = catalog_problem(34, 4, seed);
+        assert_static_outcomes_match(&problem, 2, &format!("catalog_problem(34, 4, {seed:#x})"));
+    }
+}
+
+/// The first plant of the `sweep` benchmark: 9,454 scenarios. Slow in a
+/// debug build; `ci.sh` runs it in release with `--ignored`.
+#[test]
+#[ignore = "catalog scale; run in release with --ignored"]
+fn static_outcomes_match_the_from_scratch_wfm_on_the_sweep_plant() {
+    let problem = catalog_problem(120, 17, 0x5dda_d83b_4e87_4069);
+    assert_eq!(ScenarioSpace::new(&problem, 2).scenario_count(), 9454);
+    assert_static_outcomes_match(&problem, 2, "catalog_problem(120, 17, 0x5ddad83b4e874069)");
+}
