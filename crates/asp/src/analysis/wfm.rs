@@ -630,10 +630,6 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
                 region.push(a);
             }
         }
-        if region.is_empty() {
-            wfm.inconsistent = pins.contradictory || self.refuted.any();
-            return wfm;
-        }
         // The forward closure through every body occurrence.
         let mut i = 0;
         while let Some(&a) = region.get(i) {
