@@ -32,10 +32,12 @@ cargo test -q
 # The independent certificate checker's unit + mutation suite must pass
 # on its own (proof replay, model audits, corrupted-proof rejection).
 cargo test -q -p cpsrisk-asp check
-# Catalog-scale equality of the static outcome path: every scenario of the
+# Catalog-scale equality of the static outcome path (every scenario of the
 # first sweep benchmark plant, region-restricted conditional WFM against
-# the from-scratch oracle. Too slow for a debug build, so it is ignored
-# there and runs here in release.
+# the from-scratch oracle) and the certified refutation of the `solve`
+# benchmark's adversarial file (n=33), checked by the independent checker.
+# Too slow for a debug build, so they are ignored there and run here in
+# release.
 cargo test --release -q -p cpsrisk-epa -- --ignored
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check

@@ -28,15 +28,21 @@
 //! - integrity constraints become body nogoods with no head.
 //!
 //! Cardinality bounds and (for non-tight programs) the unfounded-set
-//! backstop run as dedicated propagators at each watch fixpoint, producing
-//! materialized *antecedent* nogoods so conflict analysis can resolve
-//! through their inferences like any other reason.
+//! backstop run as dedicated propagators at each watch fixpoint.
+//! Cardinality bounds are counter-based: every assignment and backjump
+//! updates per-card counts of held and out elements and of the body's
+//! status through an atom-to-slot index, so a dequeued card whose counts
+//! show no tight or violated bound costs O(1). A propagation event stores
+//! one *witness* (the body literals plus the held or out literals) in the
+//! trail-scoped explanation store, and every literal it forces points at
+//! that witness; conflict analysis resolves through it like any other
+//! reason, and a backjump truncates the store with the trail.
 
 use std::collections::{HashMap, HashSet};
 
-use super::{Lit, Model, SolveOptions, Solver, Val};
+use super::{Lit, SolveOptions, Solver, Val};
 use crate::error::AspError;
-use crate::program::{AtomId, GroundHead, GroundProgram};
+use crate::program::{AtomId, CardConstraint, GroundHead, GroundProgram};
 use crate::proof::{ProofLog, ProofStep};
 
 /// Complement of a truth value (`Unknown` is not a valid input).
@@ -89,9 +95,114 @@ pub(super) enum Reason {
     Assumption,
     /// Forced by the indexed nogood — resolution uses its literals.
     Nogood(u32),
-    /// Forced by a materialized antecedent in the per-call arena
-    /// (cardinality and unfounded-set inferences).
+    /// Forced by a shared witness in the explanation store (cardinality
+    /// and unfounded-set inferences): the witness's literals explain it.
     Ante(u32),
+    /// Forced false by a tight upper bound: the witness's literals plus
+    /// the guard literals (none for an unguarded element) of the forced
+    /// card element (global index).
+    Guarded(u32, u32),
+}
+
+/// Where an atom occurs in a cardinality constraint. A literal slot
+/// carries the atom value under which the literal holds.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// A body literal.
+    Body(Val),
+    /// The atom of element `e` (global element index).
+    Atom(u32),
+    /// A guard literal of element `e`.
+    Guard(u32, Val),
+}
+
+/// One occurrence of an atom in the cardinality constraint `card`.
+#[derive(Debug, Clone, Copy)]
+struct CardOcc {
+    card: u32,
+    slot: Slot,
+}
+
+/// The status of one card element under the current assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ElemStatus {
+    /// Atom true and every guard literal holds.
+    Held,
+    /// Atom false, or some guard literal fails.
+    Out,
+    /// Atom unassigned and every guard literal holds: a tight bound
+    /// decides it.
+    Forcible,
+    /// Anything else (a guard literal still unassigned).
+    Open,
+}
+
+/// Per-element counters behind [`ElemStatus`].
+#[derive(Debug, Clone, Copy)]
+struct ElemCount {
+    /// The element atom's value.
+    atom: Val,
+    /// Guard literals that fail.
+    guard_false: u32,
+    /// Guard literals still unassigned.
+    guard_unknown: u32,
+}
+
+impl ElemCount {
+    fn status(self) -> ElemStatus {
+        if self.atom == Val::False || self.guard_false > 0 {
+            ElemStatus::Out
+        } else if self.guard_unknown > 0 {
+            ElemStatus::Open
+        } else if self.atom == Val::True {
+            ElemStatus::Held
+        } else {
+            ElemStatus::Forcible
+        }
+    }
+}
+
+/// Per-card counters, kept equal to what a full rescan would count.
+/// Body literals and guard literals count per occurrence.
+#[derive(Debug, Clone, Copy, Default)]
+struct CardCount {
+    /// Body literals that fail.
+    body_false: u32,
+    /// Body literals still unassigned.
+    body_unknown: u32,
+    /// Elements held.
+    held: u32,
+    /// Elements out.
+    out: u32,
+    /// Elements forcible.
+    forcible: u32,
+}
+
+impl CardCount {
+    fn add(&mut self, s: ElemStatus, delta: i32) {
+        let slot = match s {
+            ElemStatus::Held => &mut self.held,
+            ElemStatus::Out => &mut self.out,
+            ElemStatus::Forcible => &mut self.forcible,
+            ElemStatus::Open => return,
+        };
+        *slot = slot.wrapping_add_signed(delta);
+    }
+
+    /// Whether a rescan of `c` would infer or refute anything: the body
+    /// can still hold with at most one literal open, and a bound is
+    /// violated, or is tight with an element left to force.
+    fn event(self, c: &CardConstraint) -> bool {
+        if self.body_false > 0 || self.body_unknown > 1 {
+            return false;
+        }
+        let max_possible = c.elements.len() as u32 - self.out;
+        let violated = self.held > c.upper || max_possible < c.lower;
+        violated
+            || (self.body_unknown == 0
+                && self.forcible > 0
+                && (self.held == c.upper || max_possible == c.lower))
+    }
 }
 
 /// One literal of an exported learned nogood. The `bool` is the stored
@@ -148,7 +259,7 @@ pub(super) struct Cdcl {
     /// Number of atom variables (`val[..n_atoms]` is the atom assignment).
     pub(super) n_atoms: usize,
     /// Atoms plus body variables.
-    n_vars: usize,
+    pub(super) n_vars: usize,
     /// Current assignment, indexed by variable.
     pub(super) val: Vec<Val>,
     /// Decision level of each assigned variable.
@@ -184,14 +295,42 @@ pub(super) struct Cdcl {
     root_unsat: bool,
     /// `watches[code]`: nogood indices watching that literal.
     watches: Vec<Vec<u32>>,
-    /// Per atom: cardinality constraints mentioning it.
-    card_occ: Vec<Vec<u32>>,
+    /// Per atom `a`: its card occurrences are
+    /// `card_occ[card_occ_start[a]..card_occ_start[a + 1]]`, by card.
+    card_occ_start: Vec<u32>,
+    card_occ: Vec<CardOcc>,
+    /// Per card: counters under the current assignment.
+    card_count: Vec<CardCount>,
+    /// Per card element (all cards' elements, in order): counters.
+    elem_count: Vec<ElemCount>,
+    /// Both counter arrays under the empty assignment (per-call reset).
+    card_count_init: Vec<CardCount>,
+    elem_count_init: Vec<ElemCount>,
+    /// Per card: index of its first element in `elem_count`.
+    elem_start: Vec<u32>,
+    /// Per element `e`: its guard literals (satisfied form, sorted) are
+    /// `guard_lits[guard_start[e]..guard_start[e + 1]]`.
+    guard_start: Vec<u32>,
+    guard_lits: Vec<u32>,
     /// Per card: queued for rescan.
     card_dirty: Vec<bool>,
     /// Queue of dirty cards.
     card_queue: Vec<u32>,
-    /// Per-call arena of materialized antecedent nogoods (codes).
-    antes: Vec<Vec<u32>>,
+    /// Trail-scoped explanation store: witness `w` is
+    /// `ante_lits[antes[w].0..antes[w].1]`. Every witness forces at least
+    /// one literal still on the trail, so the store never outgrows it.
+    antes: Vec<(u32, u32)>,
+    ante_lits: Vec<u32>,
+    /// Number of witnesses at the start of each decision level.
+    ante_lim: Vec<u32>,
+    /// Reusable buffer for the explanation conflict analysis resolves.
+    explain_buf: Vec<u32>,
+    /// Most witnesses the store has held at once, and witnesses created,
+    /// over the solver's lifetime.
+    #[cfg(test)]
+    pub(super) ante_peak: usize,
+    #[cfg(test)]
+    pub(super) ante_created: usize,
     /// EVSIDS activity per variable.
     activity: Vec<f64>,
     /// Current activity increment (grows by 1/0.95 per conflict).
@@ -231,7 +370,7 @@ impl Cdcl {
         let mut defined = vec![false; n_atoms];
         let mut unconditional = vec![false; n_atoms];
         let mut supports: Vec<Vec<u32>> = vec![Vec::new(); n_atoms];
-        let mut head_forward: HashSet<(u32, u32)> = HashSet::new();
+        let mut head_forward: Vec<(u32, u32)> = Vec::new();
         let mut statics: Vec<Vec<u32>> = Vec::new();
 
         for r in &g.rules {
@@ -278,7 +417,7 @@ impl Cdcl {
                         supports[h.index()].push(beta);
                     }
                     if normal {
-                        head_forward.insert((h.0, beta));
+                        head_forward.push((h.0, beta));
                     }
                 }
             }
@@ -303,7 +442,10 @@ impl Cdcl {
                 statics.push(vec![code(beta, Val::True), code(n, Val::True)]);
             }
         }
-        // Forward inference for normal heads: {(h,F),(β,T)}.
+        // Forward inference for normal heads: {(h,F),(β,T)}, in a fixed
+        // order so the search is the same run to run.
+        head_forward.sort_unstable();
+        head_forward.dedup();
         for &(h, beta) in &head_forward {
             statics.push(vec![code(h, Val::False), code(beta, Val::True)]);
         }
@@ -343,23 +485,59 @@ impl Cdcl {
             });
         }
 
-        // Cardinality occurrence lists over every atom a card can react to.
-        let mut card_occ: Vec<Vec<u32>> = vec![Vec::new(); n_atoms];
+        // Cardinality occurrences of every atom a card can react to, and
+        // the counters of the empty assignment.
+        let mut occ_of: Vec<Vec<CardOcc>> = vec![Vec::new(); n_atoms];
+        let mut card_count_init: Vec<CardCount> = Vec::with_capacity(g.cards.len());
+        let mut elem_count_init: Vec<ElemCount> = Vec::new();
+        let mut elem_start: Vec<u32> = Vec::with_capacity(g.cards.len());
+        let mut guard_start: Vec<u32> = vec![0];
+        let mut guard_lits: Vec<u32> = Vec::new();
         for (ci, c) in g.cards.iter().enumerate() {
-            let mut mentioned: HashSet<u32> = HashSet::new();
-            for &p in c.pos.iter().chain(c.neg.iter()) {
-                mentioned.insert(p.0);
+            let card = ci as u32;
+            let mut occ = |a: AtomId, slot: Slot| occ_of[a.index()].push(CardOcc { card, slot });
+            for &p in &c.pos {
+                occ(p, Slot::Body(Val::True));
             }
+            for &n in &c.neg {
+                occ(n, Slot::Body(Val::False));
+            }
+            elem_start.push(elem_count_init.len() as u32);
+            let mut count = CardCount {
+                body_unknown: (c.pos.len() + c.neg.len()) as u32,
+                ..CardCount::default()
+            };
             for e in &c.elements {
-                mentioned.insert(e.atom.0);
-                for &gp in e.guard_pos.iter().chain(e.guard_neg.iter()) {
-                    mentioned.insert(gp.0);
+                let ei = elem_count_init.len() as u32;
+                occ(e.atom, Slot::Atom(ei));
+                for &p in &e.guard_pos {
+                    occ(p, Slot::Guard(ei, Val::True));
                 }
+                for &n in &e.guard_neg {
+                    occ(n, Slot::Guard(ei, Val::False));
+                }
+                let ec = ElemCount {
+                    atom: Val::Unknown,
+                    guard_false: 0,
+                    guard_unknown: (e.guard_pos.len() + e.guard_neg.len()) as u32,
+                };
+                count.add(ec.status(), 1);
+                elem_count_init.push(ec);
+                let first = guard_lits.len();
+                guard_lits.extend(e.guard_pos.iter().map(|&p| code(p.0, Val::True)));
+                guard_lits.extend(e.guard_neg.iter().map(|&n| code(n.0, Val::False)));
+                guard_lits[first..].sort_unstable();
+                guard_start.push(guard_lits.len() as u32);
             }
-            for a in mentioned {
-                card_occ[a as usize].push(ci as u32);
-            }
+            card_count_init.push(count);
         }
+        let mut card_occ_start: Vec<u32> = Vec::with_capacity(n_atoms + 1);
+        let mut card_occ: Vec<CardOcc> = Vec::new();
+        for list in occ_of {
+            card_occ_start.push(card_occ.len() as u32);
+            card_occ.extend(list);
+        }
+        card_occ_start.push(card_occ.len() as u32);
 
         Cdcl {
             n_atoms,
@@ -379,10 +557,25 @@ impl Cdcl {
             units,
             root_unsat,
             watches,
+            card_occ_start,
             card_occ,
+            card_count: card_count_init.clone(),
+            elem_count: elem_count_init.clone(),
+            card_count_init,
+            elem_count_init,
+            elem_start,
+            guard_start,
+            guard_lits,
             card_dirty: vec![false; g.cards.len()],
             card_queue: Vec::new(),
             antes: Vec::new(),
+            ante_lits: Vec::new(),
+            ante_lim: Vec::new(),
+            explain_buf: Vec::new(),
+            #[cfg(test)]
+            ante_peak: 0,
+            #[cfg(test)]
+            ante_created: 0,
             activity: vec![0.0; n_vars],
             var_inc: 1.0,
             is_choice,
@@ -426,12 +619,114 @@ impl Cdcl {
         self.lim.clear();
         self.flipped.clear();
         self.antes.clear();
+        self.ante_lits.clear();
+        self.ante_lim.clear();
+        self.card_count.clone_from(&self.card_count_init);
+        self.elem_count.clone_from(&self.elem_count_init);
         self.card_dirty.clear();
         self.card_dirty.resize(n_cards, true);
         self.card_queue.clear();
         self.card_queue.extend(0..n_cards as u32);
         self.conflicts_since_restart = 0;
         self.restart_seq = 1;
+    }
+
+    /// Move the counters of every card mentioning atom `var` across its
+    /// assignment to `v` (`assign`) or its undoing from `v`; an
+    /// assignment also queues each such card not yet queued, in card
+    /// order.
+    fn card_update(&mut self, var: u32, v: Val, assign: bool) {
+        let step: i32 = if assign { 1 } else { -1 };
+        let (from, to) = (
+            self.card_occ_start[var as usize] as usize,
+            self.card_occ_start[var as usize + 1] as usize,
+        );
+        for &CardOcc { card, slot } in &self.card_occ[from..to] {
+            let cc = &mut self.card_count[card as usize];
+            match slot {
+                Slot::Body(holds) => {
+                    cc.body_unknown = cc.body_unknown.wrapping_add_signed(-step);
+                    if v != holds {
+                        cc.body_false = cc.body_false.wrapping_add_signed(step);
+                    }
+                }
+                Slot::Atom(e) | Slot::Guard(e, _) => {
+                    let ec = &mut self.elem_count[e as usize];
+                    let before = ec.status();
+                    if let Slot::Guard(_, holds) = slot {
+                        ec.guard_unknown = ec.guard_unknown.wrapping_add_signed(-step);
+                        if v != holds {
+                            ec.guard_false = ec.guard_false.wrapping_add_signed(step);
+                        }
+                    } else {
+                        ec.atom = if assign { v } else { Val::Unknown };
+                    }
+                    let after = ec.status();
+                    if before != after {
+                        cc.add(before, -1);
+                        cc.add(after, 1);
+                    }
+                }
+            }
+            if assign && !self.card_dirty[card as usize] {
+                self.card_dirty[card as usize] = true;
+                self.card_queue.push(card);
+            }
+        }
+    }
+
+    /// Store a witness at the current decision level; returns its index.
+    fn push_witness(&mut self, lits: &[u32]) -> u32 {
+        let start = self.ante_lits.len() as u32;
+        self.ante_lits.extend_from_slice(lits);
+        self.antes.push((start, self.ante_lits.len() as u32));
+        #[cfg(test)]
+        {
+            self.ante_peak = self.ante_peak.max(self.antes.len());
+            self.ante_created += 1;
+        }
+        (self.antes.len() - 1) as u32
+    }
+
+    /// The literals of witness `w`.
+    fn witness(&self, w: u32) -> &[u32] {
+        let (from, to) = self.antes[w as usize];
+        &self.ante_lits[from as usize..to as usize]
+    }
+
+    /// The guard literals of card element `e`.
+    fn guard(&self, e: u32) -> &[u32] {
+        &self.guard_lits
+            [self.guard_start[e as usize] as usize..self.guard_start[e as usize + 1] as usize]
+    }
+
+    /// Append the explanation of a witness-backed reason to `out`, in
+    /// ascending code order (a guarded witness merges in the guard; a
+    /// literal in both appears twice, which resolution ignores).
+    fn explain_into(&self, reason: Reason, out: &mut Vec<u32>) {
+        match reason {
+            Reason::Ante(w) => out.extend_from_slice(self.witness(w)),
+            Reason::Guarded(w, e) => {
+                let (mut a, mut b) = (
+                    self.witness(w).iter().peekable(),
+                    self.guard(e).iter().peekable(),
+                );
+                while let (Some(&&x), Some(&&y)) = (a.peek(), b.peek()) {
+                    if x <= y {
+                        out.push(x);
+                        a.next();
+                    } else {
+                        out.push(y);
+                        b.next();
+                    }
+                }
+                out.extend(a);
+                out.extend(b);
+            }
+            Reason::Decision | Reason::Static | Reason::Assumption | Reason::Nogood(_) => {
+                unreachable!("not a witness-backed reason")
+            }
+        }
     }
 }
 
@@ -762,7 +1057,8 @@ impl Solver<'_> {
     }
 
     /// Assign a variable, recording level, reason and assumption
-    /// dependency, and mark affected cardinality constraints dirty.
+    /// dependency, and update and queue the cardinality constraints that
+    /// mention it.
     fn cd_assign(&mut self, var: u32, v: Val, reason: Reason) {
         debug_assert_eq!(self.cdcl.val[var as usize], Val::Unknown);
         let dep = if self.cdcl.lim.is_empty() {
@@ -775,10 +1071,17 @@ impl Solver<'_> {
                         .iter()
                         .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
                 }
-                Reason::Ante(ai) => {
+                Reason::Ante(w) => {
                     let cd = &self.cdcl;
-                    cd.antes[ai as usize]
+                    cd.witness(w)
                         .iter()
+                        .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
+                }
+                Reason::Guarded(w, e) => {
+                    let cd = &self.cdcl;
+                    cd.witness(w)
+                        .iter()
+                        .chain(cd.guard(e))
                         .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
                 }
                 Reason::Decision | Reason::Static => false,
@@ -799,13 +1102,7 @@ impl Solver<'_> {
             }
         }
         if (var as usize) < self.cdcl.n_atoms {
-            let cards: Vec<u32> = self.cdcl.card_occ[var as usize].clone();
-            for ci in cards {
-                if !self.cdcl.card_dirty[ci as usize] {
-                    self.cdcl.card_dirty[ci as usize] = true;
-                    self.cdcl.card_queue.push(ci);
-                }
-            }
+            self.cdcl.card_update(var, v, true);
         }
     }
 
@@ -900,190 +1197,175 @@ impl Solver<'_> {
         None
     }
 
-    /// Rescan one cardinality constraint, forcing or failing with
-    /// materialized antecedent nogoods so 1UIP can resolve through them.
-    #[allow(clippy::too_many_lines)]
+    /// Propagate one dequeued cardinality constraint. Its counters decide
+    /// in O(1) whether a bound is tight or violated; only then is the card
+    /// scanned, once, for the event's witness, which every literal the
+    /// event forces shares. A violation returns the conflict nogood.
     fn propagate_card(&mut self, ci: usize) -> Option<Vec<u32>> {
-        let c = self.g.cards[ci].clone();
-        let v = |s: &Self, a: AtomId| s.cdcl.val[a.index()];
-        let mut body_false = false;
-        let mut body_unknowns = 0usize;
-        let mut body_unknown: Option<u32> = None; // satisfied-form code
-        let mut body_sat_lits: Vec<u32> = Vec::new();
-        for &p in &c.pos {
-            match v(self, p) {
-                Val::False => body_false = true,
-                Val::Unknown => {
-                    body_unknowns += 1;
-                    body_unknown = Some(code(p.0, Val::True));
-                }
-                Val::True => body_sat_lits.push(code(p.0, Val::True)),
-            }
-        }
-        for &n in &c.neg {
-            match v(self, n) {
-                Val::True => body_false = true,
-                Val::Unknown => {
-                    body_unknowns += 1;
-                    body_unknown = Some(code(n.0, Val::False));
-                }
-                Val::False => body_sat_lits.push(code(n.0, Val::False)),
-            }
-        }
-        if body_false {
+        let g = self.g;
+        let c = &g.cards[ci];
+        let count = self.cdcl.card_count[ci];
+        if !count.event(c) {
             return None;
         }
-        let mut held = 0u32;
-        let mut held_witness: Vec<u32> = Vec::new();
-        let mut out_witness: Vec<u32> = Vec::new();
-        let mut open: Vec<&crate::program::CardElement> = Vec::new();
-        for e in &c.elements {
-            let guard_false_lit = e
-                .guard_pos
+        let first_elem = self.cdcl.elem_start[ci];
+        let v = |s: &Self, a: AtomId| s.cdcl.val[a.index()];
+        debug_assert_eq!(
+            count.body_unknown as usize,
+            c.pos
                 .iter()
-                .find(|&&p| v(self, p) == Val::False)
-                .map(|&p| code(p.0, Val::False))
-                .or_else(|| {
-                    e.guard_neg
-                        .iter()
-                        .find(|&&n| v(self, n) == Val::True)
-                        .map(|&n| code(n.0, Val::True))
-                });
-            let guard_true = e.guard_pos.iter().all(|&p| v(self, p) == Val::True)
-                && e.guard_neg.iter().all(|&n| v(self, n) == Val::False);
-            match v(self, e.atom) {
-                Val::True if guard_true => {
-                    held += 1;
-                    held_witness.push(code(e.atom.0, Val::True));
-                    held_witness.extend(e.guard_pos.iter().map(|&p| code(p.0, Val::True)));
-                    held_witness.extend(e.guard_neg.iter().map(|&n| code(n.0, Val::False)));
-                }
-                Val::False => out_witness.push(code(e.atom.0, Val::False)),
-                _ => {
-                    if let Some(l) = guard_false_lit {
-                        out_witness.push(l);
-                    } else {
-                        open.push(e);
-                    }
+                .chain(&c.neg)
+                .filter(|&&a| v(self, a) == Val::Unknown)
+                .count()
+        );
+        // The satisfied body literals and the open one, if any.
+        let mut body_sat_lits: Vec<u32> = Vec::new();
+        let mut body_unknown: Option<u32> = None;
+        for (&a, holds) in c
+            .pos
+            .iter()
+            .map(|p| (p, Val::True))
+            .chain(c.neg.iter().map(|n| (n, Val::False)))
+        {
+            match v(self, a) {
+                Val::Unknown => body_unknown = Some(code(a.0, holds)),
+                x => {
+                    debug_assert_eq!(x, holds, "a failed body literal stops the event");
+                    body_sat_lits.push(code(a.0, holds));
                 }
             }
         }
-        let max_possible = held + open.len() as u32;
-        let violated_surely = held > c.upper || max_possible < c.lower;
-        if body_unknowns == 0 {
-            if violated_surely {
-                // Conflict: body satisfied and the bound provably violated.
-                let mut ng = body_sat_lits;
-                if held > c.upper {
-                    ng.extend(held_witness);
-                } else {
-                    ng.extend(out_witness);
-                    // For a lower-bound violation every open element stayed
-                    // open; no extra literals needed — the out-witness lits
-                    // plus the body justify max_possible < lower.
+        let mut held_witness: Vec<u32> = Vec::new();
+        let mut out_witness: Vec<u32> = Vec::new();
+        let mut forcible: Vec<u32> = Vec::new();
+        for (k, e) in c.elements.iter().enumerate() {
+            let ei = first_elem + k as u32;
+            debug_assert_eq!(
+                self.cdcl.elem_count[ei as usize].status(),
+                self.scanned_status(e),
+                "card element counters out of step with the assignment"
+            );
+            match self.cdcl.elem_count[ei as usize].status() {
+                ElemStatus::Held => {
+                    held_witness.push(code(e.atom.0, Val::True));
+                    held_witness.extend_from_slice(self.cdcl.guard(ei));
                 }
-                ng.sort_unstable();
-                ng.dedup();
-                if self.proof.is_some() {
-                    self.plog(ProofStep::Card {
-                        card: ci as u32,
-                        lits: ng.clone(),
-                    });
+                ElemStatus::Out => {
+                    // The atom's falsity, else the first failing guard
+                    // literal.
+                    let lit = if v(self, e.atom) == Val::False {
+                        code(e.atom.0, Val::False)
+                    } else if let Some(&p) = e.guard_pos.iter().find(|&&p| v(self, p) == Val::False)
+                    {
+                        code(p.0, Val::False)
+                    } else {
+                        let n = e.guard_neg.iter().find(|&&n| v(self, n) == Val::True);
+                        code(
+                            n.expect("an out element has a failing literal").0,
+                            Val::True,
+                        )
+                    };
+                    out_witness.push(lit);
                 }
-                return Some(ng);
+                ElemStatus::Forcible => forcible.push(ei),
+                ElemStatus::Open => {}
             }
-            if held == c.upper {
-                // No further element may become held: falsify guard-true
-                // open atoms. The forced element's guard literals join the
-                // antecedent — "atom true" alone does not make the element
-                // held, and without them the nogood would overreach.
-                let forced: Vec<(AtomId, Vec<u32>)> = open
-                    .iter()
-                    .filter(|e| {
-                        e.guard_pos.iter().all(|&p| v(self, p) == Val::True)
-                            && e.guard_neg.iter().all(|&n| v(self, n) == Val::False)
-                    })
-                    .map(|e| {
-                        let mut guard: Vec<u32> =
-                            e.guard_pos.iter().map(|&p| code(p.0, Val::True)).collect();
-                        guard.extend(e.guard_neg.iter().map(|&n| code(n.0, Val::False)));
-                        (e.atom, guard)
-                    })
-                    .collect();
-                for (a, guard) in forced {
-                    if self.cdcl.val[a.index()] == Val::Unknown {
-                        let mut ante = body_sat_lits.clone();
-                        ante.extend(held_witness.iter().copied());
-                        ante.extend(guard);
-                        ante.push(code(a.0, Val::True));
-                        ante.sort_unstable();
-                        ante.dedup();
-                        if self.proof.is_some() {
-                            self.plog(ProofStep::Card {
-                                card: ci as u32,
-                                lits: ante.clone(),
-                            });
-                        }
-                        let ai = self.cdcl.antes.len() as u32;
-                        self.cdcl.antes.push(ante);
-                        self.cd_assign(a.0, Val::False, Reason::Ante(ai));
-                    }
-                }
-            } else if max_possible == c.lower {
-                // Every open element must be held.
-                let forced: Vec<AtomId> = open
-                    .iter()
-                    .filter(|e| {
-                        e.guard_pos.iter().all(|&p| v(self, p) == Val::True)
-                            && e.guard_neg.iter().all(|&n| v(self, n) == Val::False)
-                    })
-                    .map(|e| e.atom)
-                    .collect();
-                for a in forced {
-                    if self.cdcl.val[a.index()] == Val::Unknown {
-                        let mut ante = body_sat_lits.clone();
-                        ante.extend(out_witness.iter().copied());
-                        ante.push(code(a.0, Val::False));
-                        ante.sort_unstable();
-                        ante.dedup();
-                        if self.proof.is_some() {
-                            self.plog(ProofStep::Card {
-                                card: ci as u32,
-                                lits: ante.clone(),
-                            });
-                        }
-                        let ai = self.cdcl.antes.len() as u32;
-                        self.cdcl.antes.push(ante);
-                        self.cd_assign(a.0, Val::True, Reason::Ante(ai));
-                    }
-                }
+        }
+        let max_possible = c.elements.len() as u32 - count.out;
+        let over = count.held > c.upper;
+        let violated = over || max_possible < c.lower;
+        let mut witness = body_sat_lits;
+        if violated {
+            // Body satisfied (but for `body_unknown`) and the bound
+            // provably violated: the held literals explain an upper-bound
+            // violation, the out literals a lower-bound one.
+            witness.extend(if over { held_witness } else { out_witness });
+            witness.sort_unstable();
+            witness.dedup();
+            let Some(unk) = body_unknown else {
+                self.log_card(ci, &witness, &[]);
+                return Some(witness);
+            };
+            // The body must be falsified.
+            self.log_card(ci, &witness, &[unk]);
+            let w = self.cdcl.push_witness(&witness);
+            self.cd_assign(code_var(unk), negate(code_val(unk)), Reason::Ante(w));
+            return None;
+        }
+        debug_assert!(body_unknown.is_none() && !forcible.is_empty());
+        // A tight upper bound falsifies every forcible element; the forced
+        // element's guard joins its explanation — "atom true" alone does
+        // not make the element held. A tight lower bound makes every
+        // forcible element true.
+        let tight_upper = count.held == c.upper;
+        witness.extend(if tight_upper {
+            held_witness
+        } else {
+            out_witness
+        });
+        witness.sort_unstable();
+        witness.dedup();
+        let mut shared: Option<u32> = None;
+        for ei in forcible {
+            let a = c.elements[(ei - first_elem) as usize].atom;
+            // An atom counted in two elements is forced once.
+            if self.cdcl.val[a.index()] != Val::Unknown {
+                continue;
             }
-        } else if body_unknowns == 1 && violated_surely {
-            // Bound already violated: the body must be falsified.
-            let unk = body_unknown.expect("one unknown");
-            let uv = self.cdcl.val[code_var(unk) as usize];
-            if uv == Val::Unknown {
-                let mut ante = body_sat_lits;
-                if held > c.upper {
-                    ante.extend(held_witness);
-                } else {
-                    ante.extend(out_witness);
-                }
-                ante.push(unk);
-                ante.sort_unstable();
-                ante.dedup();
+            let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(&witness));
+            if tight_upper {
                 if self.proof.is_some() {
-                    self.plog(ProofStep::Card {
-                        card: ci as u32,
-                        lits: ante.clone(),
-                    });
+                    let mut extra = self.cdcl.guard(ei).to_vec();
+                    extra.push(code(a.0, Val::True));
+                    self.log_card(ci, &witness, &extra);
                 }
-                let ai = self.cdcl.antes.len() as u32;
-                self.cdcl.antes.push(ante);
-                self.cd_assign(code_var(unk), negate(code_val(unk)), Reason::Ante(ai));
+                self.cd_assign(a.0, Val::False, Reason::Guarded(w, ei));
+            } else {
+                self.log_card(ci, &witness, &[code(a.0, Val::False)]);
+                self.cd_assign(a.0, Val::True, Reason::Ante(w));
             }
         }
         None
+    }
+
+    /// An element's status read off the assignment (the counters' oracle
+    /// in debug builds).
+    fn scanned_status(&self, e: &crate::program::CardElement) -> ElemStatus {
+        let v = |a: &AtomId| self.cdcl.val[a.index()];
+        let lits = e
+            .guard_pos
+            .iter()
+            .map(|p| (v(p), Val::True))
+            .chain(e.guard_neg.iter().map(|n| (v(n), Val::False)));
+        let mut guard_true = true;
+        for (x, holds) in lits {
+            if x == negate(holds) {
+                return ElemStatus::Out;
+            }
+            guard_true &= x == holds;
+        }
+        match v(&e.atom) {
+            Val::False => ElemStatus::Out,
+            _ if !guard_true => ElemStatus::Open,
+            Val::True => ElemStatus::Held,
+            Val::Unknown => ElemStatus::Forcible,
+        }
+    }
+
+    /// Log one cardinality inference (`witness` plus `extra`, sorted and
+    /// deduplicated) when a proof is being recorded.
+    fn log_card(&mut self, ci: usize, witness: &[u32], extra: &[u32]) {
+        if self.proof.is_none() {
+            return;
+        }
+        let mut lits = witness.to_vec();
+        lits.extend_from_slice(extra);
+        lits.sort_unstable();
+        lits.dedup();
+        self.plog(ProofStep::Card {
+            card: ci as u32,
+            lits,
+        });
     }
 
     /// The assumption and decision literals of the current state as codes —
@@ -1125,11 +1407,12 @@ impl Solver<'_> {
                 }
             }
         }
-        let mut prefix: Option<Vec<u32>> = None;
+        // The prefix, and its witness once an atom is forced.
+        let mut prefix: Option<(Vec<u32>, Option<u32>)> = None;
         for i in (0..n).filter(|&i| !in_closure[i]) {
             match self.cdcl.val[i] {
                 Val::True => {
-                    let mut ng = prefix.unwrap_or_else(|| self.prefix_codes());
+                    let mut ng = prefix.map_or_else(|| self.prefix_codes(), |(p, _)| p);
                     ng.push(code(i as u32, Val::True));
                     if self.proof.is_some() {
                         self.plog(ProofStep::Unfounded(ng.clone()));
@@ -1137,20 +1420,19 @@ impl Solver<'_> {
                     return Some(ng);
                 }
                 Val::Unknown => {
-                    let p = prefix.get_or_insert_with(|| self.prefix_codes()).clone();
-                    let mut ante = p;
-                    // As a nogood the antecedent carries the *satisfied*
-                    // form of the inference target — `(i, True)` is what no
-                    // stable model under this prefix can hold (conflict
-                    // analysis only filters by variable, so the polarity
-                    // must be the semantically sound one).
-                    ante.push(code(i as u32, Val::True));
+                    let (p, shared) = prefix.get_or_insert_with(|| (self.prefix_codes(), None));
+                    // As a nogood the inference carries the *satisfied*
+                    // form of its target — `(i, True)` is what no stable
+                    // model under this prefix can hold. The witness is the
+                    // prefix alone: conflict analysis skips the target's
+                    // own variable.
                     if self.proof.is_some() {
-                        self.plog(ProofStep::Unfounded(ante.clone()));
+                        let mut ng = p.clone();
+                        ng.push(code(i as u32, Val::True));
+                        self.plog(ProofStep::Unfounded(ng));
                     }
-                    let ai = self.cdcl.antes.len() as u32;
-                    self.cdcl.antes.push(ante);
-                    self.cd_assign(i as u32, Val::False, Reason::Ante(ai));
+                    let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(p));
+                    self.cd_assign(i as u32, Val::False, Reason::Ante(w));
                 }
                 Val::False => {}
             }
@@ -1161,10 +1443,12 @@ impl Solver<'_> {
     /// Open a new decision level.
     fn new_level(&mut self, flip: bool) {
         self.cdcl.lim.push(self.cdcl.trail.len());
+        self.cdcl.ante_lim.push(self.cdcl.antes.len() as u32);
         self.cdcl.flipped.push(flip);
     }
 
-    /// Undo every assignment above decision level `to`, saving phases.
+    /// Undo every assignment above decision level `to`, saving phases and
+    /// dropping the witnesses of the undone levels.
     fn backjump(&mut self, to: usize) {
         let cd = &mut self.cdcl;
         let keep = if to == 0 && cd.lim.is_empty() {
@@ -1174,11 +1458,20 @@ impl Solver<'_> {
         };
         while cd.trail.len() > keep {
             let v = cd.trail.pop().expect("trail len checked") as usize;
+            if v < cd.n_atoms {
+                cd.card_update(v as u32, cd.val[v], false);
+            }
             cd.saved[v] = cd.val[v];
             cd.val[v] = Val::Unknown;
             cd.reason[v] = Reason::Decision;
             cd.dep[v] = false;
         }
+        if let Some(&w) = cd.ante_lim.get(to) {
+            cd.antes.truncate(w as usize);
+            cd.ante_lits
+                .truncate(cd.antes.last().map_or(0, |&(_, end)| end as usize));
+        }
+        cd.ante_lim.truncate(to);
         cd.lim.truncate(to);
         cd.flipped.truncate(to);
         // A literal may have been asserted and not yet propagated; never
@@ -1299,21 +1592,25 @@ impl Solver<'_> {
             self.cdcl.seen[x as usize] = false;
             counter -= 1;
             let reason = self.cdcl.reason[x as usize];
-            let ante: Vec<u32> = match reason {
+            let mut ante = std::mem::take(&mut self.cdcl.explain_buf);
+            ante.clear();
+            match reason {
                 Reason::Nogood(ni) => {
-                    self.cdcl.ngs[ni as usize].activity += 1.0;
-                    self.cdcl.ngs[ni as usize].lits.clone()
+                    let ng = &mut self.cdcl.ngs[ni as usize];
+                    ng.activity += 1.0;
+                    ante.extend_from_slice(&ng.lits);
                 }
-                Reason::Ante(ai) => self.cdcl.antes[ai as usize].clone(),
+                Reason::Ante(_) | Reason::Guarded(..) => self.cdcl.explain_into(reason, &mut ante),
                 Reason::Decision | Reason::Static | Reason::Assumption => {
                     unreachable!("current-level non-UIP literal must have an antecedent")
                 }
-            };
+            }
             for &c in &ante {
                 if code_var(c) != x {
                     classify(self, c, &mut learned, &mut to_clear, &mut counter);
                 }
             }
+            self.cdcl.explain_buf = ante;
         };
 
         // EVSIDS bumps: every variable that participated in the analysis.
@@ -1531,13 +1828,14 @@ impl Solver<'_> {
     /// The CDCL search loop: propagate, branch by EVSIDS with phase saving,
     /// analyze conflicts to 1UIP with Luby restarts; switch to
     /// chronological flips once enumeration needs to move past a model.
-    /// `on_model` returns `false` to stop the search early; `prune`
-    /// returning `true` abandons the current branch (branch-and-bound).
-    /// Returns whether the search space was exhausted.
+    /// `on_model` receives each stable model's true atoms and returns
+    /// `false` to stop the search early; `prune` returning `true` abandons
+    /// the current branch (branch-and-bound). Returns whether the search
+    /// space was exhausted.
     pub(super) fn search(
         &mut self,
         opts: &SolveOptions,
-        on_model: &mut dyn FnMut(Model) -> bool,
+        on_model: &mut dyn FnMut(&Self, HashSet<AtomId>) -> bool,
         prune: &mut dyn FnMut(&Self) -> bool,
     ) -> Result<bool, AspError> {
         loop {
@@ -1569,17 +1867,17 @@ impl Solver<'_> {
                     self.cd_assign(v, phase, Reason::Decision);
                 }
                 None => {
-                    if let Some(model) = self.check_candidate() {
+                    if let Some(ids) = self.check_candidate() {
                         if self.certify_call && self.proof.is_some() {
                             let atoms: Vec<u32> = (0..self.cdcl.n_atoms as u32)
                                 .filter(|&a| self.cdcl.val[a as usize] == Val::True)
                                 .collect();
                             self.plog(ProofStep::Model {
-                                cost: model.cost.clone(),
+                                cost: self.model_cost(&ids),
                                 atoms,
                             });
                         }
-                        if !on_model(model) {
+                        if !on_model(self, ids) {
                             return Ok(false);
                         }
                         if !self.flip_deepest() {

@@ -317,13 +317,14 @@ impl<'a> Solver<'a> {
         self.proof.take()
     }
 
-    /// Number of branching decisions made so far.
+    /// Number of branching decisions made during the last call.
     #[must_use]
     pub fn decisions(&self) -> u64 {
         self.decision_count
     }
 
-    /// Number of assignments propagated so far (including decisions).
+    /// Number of assignments propagated during the last call (including
+    /// decisions).
     #[must_use]
     pub fn propagations(&self) -> u64 {
         self.propagation_count
@@ -438,27 +439,11 @@ impl<'a> Solver<'a> {
         assumptions: &[Lit],
         opts: &SolveOptions,
     ) -> Result<SolveResult, AspError> {
-        if opts.certify {
-            self.begin_certified_call(assumptions);
-        } else {
-            self.certify_call = false;
-        }
         let mut models = Vec::new();
-        let exhausted = if self.prepare(assumptions) {
-            self.search(
-                opts,
-                &mut |m| {
-                    models.push(m);
-                    opts.max_models == 0 || models.len() < opts.max_models
-                },
-                &mut |_| false,
-            )?
-        } else {
-            true // assumptions contradict each other: empty search space
-        };
-        if self.certify_call && exhausted && models.is_empty() {
-            self.plog(crate::proof::ProofStep::Unsat);
-        }
+        let exhausted = self.solve_call(assumptions, opts, &mut |s, ids| {
+            models.push(s.build_model(ids));
+            opts.max_models == 0 || models.len() < opts.max_models
+        })?;
         Ok(SolveResult {
             models,
             exhausted,
@@ -467,6 +452,62 @@ impl<'a> Solver<'a> {
             conflicts: self.conflict_count,
             restarts: self.restart_count,
         })
+    }
+
+    /// Whether a stable model exists under the assumptions: the search of
+    /// [`Solver::solve_with_assumptions`] stopped at the first model, whose
+    /// candidate passes the same independent stability check, but no
+    /// [`Model`] is built. The per-call counters and the proof steps (with
+    /// [`SolveOptions::certify`]) are those of that call with
+    /// `max_models = 1`.
+    ///
+    /// # Errors
+    ///
+    /// [`AspError::SolveBudget`] if the search budget is exceeded.
+    pub fn has_model_with_assumptions(
+        &mut self,
+        assumptions: &[Lit],
+        opts: &SolveOptions,
+    ) -> Result<bool, AspError> {
+        let mut found = false;
+        self.solve_call(assumptions, opts, &mut |_, _| {
+            found = true;
+            false
+        })?;
+        Ok(found)
+    }
+
+    /// One solve call: begin the proof scope, pin the assumptions, search
+    /// with `on_model`, and log the unsat verdict of an exhausted search
+    /// that found nothing. Returns whether the search was exhausted.
+    fn solve_call(
+        &mut self,
+        assumptions: &[Lit],
+        opts: &SolveOptions,
+        on_model: &mut dyn FnMut(&Self, HashSet<AtomId>) -> bool,
+    ) -> Result<bool, AspError> {
+        if opts.certify {
+            self.begin_certified_call(assumptions);
+        } else {
+            self.certify_call = false;
+        }
+        let mut found = false;
+        let exhausted = if self.prepare(assumptions) {
+            self.search(
+                opts,
+                &mut |s, ids| {
+                    found = true;
+                    on_model(s, ids)
+                },
+                &mut |_| false,
+            )?
+        } else {
+            true // assumptions contradict each other: empty search space
+        };
+        if self.certify_call && exhausted && !found {
+            self.plog(crate::proof::ProofStep::Unsat);
+        }
+        Ok(exhausted)
     }
 
     /// Find one optimal model w.r.t. the program's `#minimize` statements
@@ -510,8 +551,8 @@ impl<'a> Solver<'a> {
             let mut found = None;
             self.search(
                 opts,
-                &mut |m| {
-                    found = Some(m);
+                &mut |s, ids| {
+                    found = Some(s.build_model(ids));
                     false
                 },
                 &mut |_| false,
@@ -532,7 +573,8 @@ impl<'a> Solver<'a> {
         let incumbent = std::cell::Cell::new(None::<i64>);
         self.search(
             opts,
-            &mut |m| {
+            &mut |s, ids| {
+                let m = s.build_model(ids);
                 let better = match &best {
                     None => true,
                     Some(b) => cost_vec(&m) < cost_vec(b),
@@ -606,9 +648,9 @@ impl<'a> Solver<'a> {
         let mut models_seen = 0usize;
         self.search(
             opts,
-            &mut |m| {
+            &mut |_, ids| {
                 models_seen += 1;
-                for id in m.ids() {
+                for id in ids {
                     if !in_some[id.index()] {
                         in_some[id.index()] = true;
                         marked += 1;
@@ -643,11 +685,11 @@ impl<'a> Solver<'a> {
         let mut models_seen = 0usize;
         self.search(
             opts,
-            &mut |m| {
+            &mut |_, ids| {
                 models_seen += 1;
                 match &mut candidates {
-                    None => candidates = Some(m.ids().iter().copied().collect()),
-                    Some(c) => c.retain(|id| m.ids().contains(id)),
+                    None => candidates = Some(ids.into_iter().collect()),
+                    Some(c) => c.retain(|id| ids.contains(id)),
                 }
                 candidates.as_ref().expect("just set").len() > floor
                     && (opts.max_models == 0 || models_seen < opts.max_models)
@@ -680,15 +722,11 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    /// Verify a complete assignment with the independent stability check
-    /// and build the [`Model`] when it passes.
-    fn check_candidate(&self) -> Option<Model> {
+    /// Verify a complete assignment with the independent stability check;
+    /// its true atoms when it passes.
+    fn check_candidate(&self) -> Option<HashSet<AtomId>> {
         let candidate = self.candidate_set();
-        if check::is_stable_model(self.g, &candidate) {
-            Some(self.build_model(candidate))
-        } else {
-            None
-        }
+        check::is_stable_model(self.g, &candidate).then_some(candidate)
     }
 
     fn build_model(&self, ids: HashSet<AtomId>) -> Model {
@@ -710,8 +748,18 @@ impl<'a> Solver<'a> {
                 shown.push(self.g.atom(id).clone());
             }
         }
-        let cost = self
-            .g
+        Model {
+            atoms,
+            shown,
+            cost: self.model_cost(&ids),
+            ids,
+            keys,
+        }
+    }
+
+    /// Objective values of a model per `#minimize` priority.
+    fn model_cost(&self, ids: &HashSet<AtomId>) -> Vec<(i64, i64)> {
+        self.g
             .minimize
             .iter()
             .map(|(prio, lits)| {
@@ -727,14 +775,7 @@ impl<'a> Solver<'a> {
                 }
                 (*prio, total)
             })
-            .collect();
-        Model {
-            atoms,
-            shown,
-            cost,
-            ids,
-            keys,
-        }
+            .collect()
     }
 
     /// Budget check: decisions **plus conflicts**

@@ -412,6 +412,55 @@ fn restarts_fire_under_a_tight_interval() {
 }
 
 #[test]
+fn explanation_store_stays_within_the_trail_while_refuting_pigeonhole() {
+    // Six pigeons, five holes: every pigeon takes exactly one hole and
+    // every hole at most one pigeon, so the refutation resolves through
+    // cardinality inferences throughout. Each witness in the store forces
+    // a literal still on the trail, so the store never holds more
+    // witnesses than there are variables, however many the search makes.
+    let src = "pigeon(1..6). hole(1..5). \
+               1 { in(P, H) : hole(H) } 1 :- pigeon(P). \
+               { in(P, H) : pigeon(P) } 1 :- hole(H).";
+    let g = Grounder::new().ground(&parse(src).unwrap()).unwrap();
+    let mut s = Solver::new(&g);
+    let r = s.enumerate(&SolveOptions::default()).unwrap();
+    assert!(
+        r.models.is_empty() && r.exhausted,
+        "6 pigeons do not fit 5 holes"
+    );
+    let n_vars = s.cdcl.n_vars;
+    assert!(
+        s.cdcl.ante_peak <= n_vars,
+        "store peaked at {} witnesses over {n_vars} variables",
+        s.cdcl.ante_peak
+    );
+    assert!(
+        s.cdcl.ante_created > n_vars,
+        "the refutation makes more witnesses ({}) than the bound",
+        s.cdcl.ante_created
+    );
+}
+
+#[test]
+fn a_guarded_explanation_keeps_the_guard() {
+    // Deciding a, then b, fills the bound, which falsifies c through its
+    // guard a; `not c` then derives g1 and g2 and the constraint fails.
+    // The learned nogood must keep the guard, {a, b}: without it, {b}
+    // would be learned and the model {b, c} (a false, so c does not
+    // count) lost.
+    let src = "{ a; b; c }. \
+               0 { c : a; b } 1. \
+               g1 :- not c. g2 :- not c. \
+               :- b, not c, g1, g2.";
+    let models = model_strings(&solve_all(src));
+    assert_eq!(
+        models,
+        vec!["a c", "a g1 g2", "b c", "c", "g1 g2"],
+        "every subset of a, b, c with b -> c and not all three"
+    );
+}
+
+#[test]
 fn phase_saving_records_the_last_unassigned_value() {
     // Full enumeration of { a; b } flips every decision at least once, so
     // the saved phases end on the values of the last unassignments — and

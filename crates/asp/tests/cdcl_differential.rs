@@ -21,8 +21,9 @@ use cpsrisk_asp::{GroundProgram, Grounder, Lit, Program, SolveOptions, Solver};
 
 /// A random *search-heavy* program over atoms a0..a{n-1}: alongside
 /// facts, rules, and constraints it generates **bounded** cardinality
-/// choices (`L { .. } U.`), which ground to `CardConstraint`s and force
-/// the counter-propagation path the generic suite rarely reaches.
+/// choices (`L { .. } U.`, some with conditional elements and a body),
+/// which ground to `CardConstraint`s and force the counter-propagation
+/// path the generic suite rarely reaches.
 fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
     let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
     let body = move |max: usize| {
@@ -42,12 +43,48 @@ fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
             format!("{lo} {{ {} }} {hi}.", atoms.join("; "))
         },
     );
+    // Conditional elements (`a : b`, `a : not b`) and rule bodies reach
+    // the card's guard and body counters. A guarded element's guard and
+    // atom are also free choices: guards are then decided during search,
+    // and an element atom true outside its guard makes a tight bound's
+    // explanation wrong unless it carries the guard.
+    let element = move || {
+        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+            0 => (a, None),
+            1 => (format!("{a} : {g}"), Some(format!("{a}; {g}"))),
+            _ => (format!("{a} : not {g}"), Some(format!("{a}; {g}"))),
+        })
+    };
+    let guarded_choice = (
+        prop::collection::vec(element(), 1..5),
+        0usize..3,
+        0usize..3,
+        any::<bool>(),
+        body(3),
+    )
+        .prop_map(|(elements, lo, extra, has_body, body)| {
+            let (elements, guards): (Vec<String>, Vec<Option<String>>) =
+                elements.into_iter().unzip();
+            let guards: Vec<String> = guards.into_iter().flatten().collect();
+            let rule = format!("{lo} {{ {} }} {}", elements.join("; "), lo + extra);
+            let rule = if has_body {
+                format!("{rule} :- {body}.")
+            } else {
+                format!("{rule}.")
+            };
+            if guards.is_empty() {
+                rule
+            } else {
+                format!("{{ {} }}.\n{rule}", guards.join("; "))
+            }
+        });
     let rule = prop_oneof![
         atom().prop_map(|h| format!("{h}.")),
         (atom(), body(4)).prop_map(|(h, b)| format!("{h} :- {b}.")),
         body(3).prop_map(|b| format!(":- {b}.")),
         bounded_choice.clone(),
         bounded_choice,
+        guarded_choice,
         prop::collection::vec(atom(), 1..4)
             .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
     ];
@@ -197,6 +234,28 @@ proptest! {
                 "query {} (restart_hard={}), program:\n{}", k, restart_hard, src
             );
             prop_assert!(got.exhausted, "exhausted flag, query {}, program:\n{}", k, src);
+        }
+    }
+
+    /// The model-free existence query on one reused solver agrees with
+    /// the oracle on every query of an assumption stream.
+    #[test]
+    fn existence_queries_on_a_reused_solver_match_the_reference(
+        src in arb_search_program(6),
+        sets in arb_assumption_sets(6),
+    ) {
+        let g = ground(&src);
+        let opts = SolveOptions { max_models: 1, ..SolveOptions::default() };
+        let mut reused = Solver::new(&g);
+        for (k, set) in sets.iter().enumerate() {
+            let assumptions = lits(&g, set);
+            let got = reused
+                .has_model_with_assumptions(&assumptions, &opts)
+                .expect("within budget");
+            prop_assert_eq!(
+                got, !support::rendered(&g, &assumptions).is_empty(),
+                "query {}, program:\n{}", k, src
+            );
         }
     }
 

@@ -5,7 +5,9 @@
 //! certificate the engine emits must survive the independent checker
 //! ([`check_proof`]), which shares no solver code. The program family is
 //! the search-heavy generator of `cdcl_differential.rs`: bounded
-//! cardinality choices, negation-heavy rules, constraints, and
+//! cardinality choices (with conditional elements and bodies, so
+//! certificates carry card steps over guards and bodies), negation-heavy
+//! rules, constraints, and
 //! `#minimize` objectives; the assumption-stream property additionally
 //! exercises multi-shot certificates with learned-nogood retention
 //! across calls (contradictory pins included).
@@ -16,7 +18,8 @@ use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::{check_proof, GroundProgram, Grounder, Lit, Program, SolveOptions, Solver};
 
 /// A random search-heavy program over atoms a0..a{n-1} — the same family
-/// the CDCL differential suite stresses the engine with.
+/// the CDCL differential suite stresses the engine with, guarded and
+/// bodied cardinality choices included.
 fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
     let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
     let body = move |max: usize| {
@@ -36,12 +39,48 @@ fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
             format!("{lo} {{ {} }} {hi}.", atoms.join("; "))
         },
     );
+    // Conditional elements (`a : b`, `a : not b`) and rule bodies reach
+    // the card's guard and body counters. A guarded element's guard and
+    // atom are also free choices: guards are then decided during search,
+    // and an element atom true outside its guard makes a tight bound's
+    // explanation wrong unless it carries the guard.
+    let element = move || {
+        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+            0 => (a, None),
+            1 => (format!("{a} : {g}"), Some(format!("{a}; {g}"))),
+            _ => (format!("{a} : not {g}"), Some(format!("{a}; {g}"))),
+        })
+    };
+    let guarded_choice = (
+        prop::collection::vec(element(), 1..5),
+        0usize..3,
+        0usize..3,
+        any::<bool>(),
+        body(3),
+    )
+        .prop_map(|(elements, lo, extra, has_body, body)| {
+            let (elements, guards): (Vec<String>, Vec<Option<String>>) =
+                elements.into_iter().unzip();
+            let guards: Vec<String> = guards.into_iter().flatten().collect();
+            let rule = format!("{lo} {{ {} }} {}", elements.join("; "), lo + extra);
+            let rule = if has_body {
+                format!("{rule} :- {body}.")
+            } else {
+                format!("{rule}.")
+            };
+            if guards.is_empty() {
+                rule
+            } else {
+                format!("{{ {} }}.\n{rule}", guards.join("; "))
+            }
+        });
     let rule = prop_oneof![
         atom().prop_map(|h| format!("{h}.")),
         (atom(), body(4)).prop_map(|(h, b)| format!("{h} :- {b}.")),
         body(3).prop_map(|b| format!(":- {b}.")),
         bounded_choice.clone(),
         bounded_choice,
+        guarded_choice,
         prop::collection::vec(atom(), 1..4)
             .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
     ];

@@ -735,6 +735,31 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "benchmark scale (about 20 s to check in release); run in release with --ignored"]
+    fn benchmark_adversarial_refutation_is_certified() {
+        // The `solve` benchmark's search-bound file: about ten thousand
+        // conflicts, most resolving through cardinality inferences, all of
+        // which the certificate carries as card steps for the checker.
+        let n = 33;
+        let program = adversarial_problem(n, adversarial_needed(n) - 1);
+        let ground = cpsrisk_asp::Grounder::new().ground(&program).unwrap();
+        let mut solver = Solver::new(&ground);
+        let certified = solver
+            .enumerate(&cpsrisk_asp::SolveOptions {
+                certify: true,
+                ..cpsrisk_asp::SolveOptions::default()
+            })
+            .unwrap();
+        assert!(
+            certified.models.is_empty() && certified.exhausted,
+            "UNSAT one below the covering number"
+        );
+        let proof = solver.take_proof().expect("certified call logs a proof");
+        let report = cpsrisk_asp::check_proof(&ground, &proof).expect("certificate checks");
+        assert_eq!(report.unsats, 1, "the refutation is audited");
+    }
+
+    #[test]
     fn temporal_tank_problem_grounds_tight_and_the_wfm_decides_it() {
         // The deterministic unrolled dynamics need no search: the ground
         // program is tight and its well-founded model is total and equal

@@ -1,7 +1,10 @@
 //! Byte-mutation fuzzing of certificate reading and checking.
 //!
 //! The corpus is the certificate `cpsrisk solve --certify` writes for each
-//! shipped `examples/*.lp` program. Each case mutates one of them —
+//! shipped `examples/*.lp` program, plus the UNSAT certificate of the
+//! adversarial covering program `adversarial_problem(9, 2)`, whose bounded
+//! choice puts cardinality (`card`) steps in it. Each case mutates one of
+//! them —
 //! overwritten, inserted and deleted bytes, proof keywords and extreme
 //! numbers spliced in, truncation — and runs the text through
 //! [`ProofLog::from_text`] and, when it parses, through [`check_proof`]
@@ -20,10 +23,11 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use cpsrisk::asp::proof::DEFAULT_TEXT_CAP;
+use cpsrisk::asp::proof::{ProofStep, DEFAULT_TEXT_CAP};
 use cpsrisk::asp::{
     check_proof, AspError, GroundProgram, Grounder, ProofLog, SolveOptions, Solver,
 };
+use cpsrisk::epa::workload::adversarial_problem;
 
 /// Seeds of cases that once failed, replayed on every run.
 const REGRESSION_SEEDS: &[u64] = &[];
@@ -39,11 +43,14 @@ struct Certified {
 /// The corpus, built once per test binary.
 fn corpus() -> &'static [Certified] {
     static CORPUS: OnceLock<Vec<Certified>> = OnceLock::new();
-    CORPUS.get_or_init(certify_examples)
+    CORPUS.get_or_init(|| {
+        let mut corpus = certify_examples();
+        corpus.push(certify(&adversarial_problem(9, 2).to_string()));
+        corpus
+    })
 }
 
-/// Solve each example as `cpsrisk solve --certify` does and keep its
-/// certificate text, embedded program source included.
+/// Read each example and certify it.
 fn certify_examples() -> Vec<Certified> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples");
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
@@ -59,33 +66,38 @@ fn certify_examples() -> Vec<Certified> {
     );
     paths
         .iter()
-        .map(|path| {
-            let src = std::fs::read_to_string(path).expect("readable example");
-            let program = cpsrisk::asp::parse(&src).expect("examples parse");
-            let ground = Grounder::new().ground(&program).expect("examples ground");
-            let opts = SolveOptions {
-                certify: true,
-                ..SolveOptions::default()
-            };
-            let mut solver = Solver::new(&ground);
-            if ground.minimize.is_empty() {
-                solver.enumerate(&opts).expect("examples solve");
-            } else {
-                solver.optimize(&opts).expect("examples solve");
-            }
-            let log = solver.take_proof().expect("a certified solve logs a proof");
-            let text = log
-                .to_text(Some(&src), DEFAULT_TEXT_CAP)
-                .expect("under the cap");
-            drop(solver);
-            let steps_at = text.find(&src).expect("the source is embedded") + src.len();
-            Certified {
-                ground,
-                text,
-                steps_at,
-            }
-        })
+        .map(|path| certify(&std::fs::read_to_string(path).expect("readable example")))
         .collect()
+}
+
+/// Solve a program as `cpsrisk solve --certify` does and keep its
+/// certificate text, embedded program source included.
+fn certify(src: &str) -> Certified {
+    let program = cpsrisk::asp::parse(src).expect("corpus programs parse");
+    let ground = Grounder::new()
+        .ground(&program)
+        .expect("corpus programs ground");
+    let opts = SolveOptions {
+        certify: true,
+        ..SolveOptions::default()
+    };
+    let mut solver = Solver::new(&ground);
+    if ground.minimize.is_empty() {
+        solver.enumerate(&opts).expect("corpus programs solve");
+    } else {
+        solver.optimize(&opts).expect("corpus programs solve");
+    }
+    let log = solver.take_proof().expect("a certified solve logs a proof");
+    let text = log
+        .to_text(Some(src), DEFAULT_TEXT_CAP)
+        .expect("under the cap");
+    drop(solver);
+    let steps_at = text.find(src).expect("the source is embedded") + src.len();
+    Certified {
+        ground,
+        text,
+        steps_at,
+    }
 }
 
 /// SplitMix64: the case's own RNG, so a seed alone replays a case.
@@ -195,10 +207,17 @@ fn check(ground: &GroundProgram, text: &str) -> Result<(), String> {
 
 #[test]
 fn unmutated_certificates_check() {
+    let mut card_steps = 0;
     for c in corpus() {
         let (_, log) = ProofLog::from_text(&c.text).expect("a written certificate reads back");
         check_proof(&c.ground, &log).expect("a written certificate checks");
+        card_steps += log
+            .steps
+            .iter()
+            .filter(|s| matches!(s, ProofStep::Card { .. }))
+            .count();
     }
+    assert!(card_steps > 0, "the corpus has cardinality steps to mutate");
 }
 
 #[test]
