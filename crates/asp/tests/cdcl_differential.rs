@@ -19,90 +19,6 @@ use proptest::prelude::*;
 use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::{GroundProgram, Grounder, Lit, Program, SolveOptions, Solver};
 
-/// A random *search-heavy* program over atoms a0..a{n-1}: alongside
-/// facts, rules, and constraints it generates **bounded** cardinality
-/// choices (`L { .. } U.`, some with conditional elements and a body),
-/// which ground to `CardConstraint`s and force the counter-propagation
-/// path the generic suite rarely reaches.
-fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
-    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
-    let body = move |max: usize| {
-        prop::collection::vec((atom(), any::<bool>()), 1..max).prop_map(|lits| {
-            lits.into_iter()
-                .map(|(a, neg)| if neg { format!("not {a}") } else { a })
-                .collect::<Vec<_>>()
-                .join(", ")
-        })
-    };
-    let bounded_choice = (prop::collection::vec(atom(), 2..5), 0usize..3, 0usize..3).prop_map(
-        |(mut atoms, lo, extra)| {
-            atoms.sort();
-            atoms.dedup();
-            let lo = lo.min(atoms.len());
-            let hi = (lo + extra).min(atoms.len());
-            format!("{lo} {{ {} }} {hi}.", atoms.join("; "))
-        },
-    );
-    // Conditional elements (`a : b`, `a : not b`) and rule bodies reach
-    // the card's guard and body counters. A guarded element's guard and
-    // atom are also free choices: guards are then decided during search,
-    // and an element atom true outside its guard makes a tight bound's
-    // explanation wrong unless it carries the guard.
-    let element = move || {
-        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
-            0 => (a, None),
-            1 => (format!("{a} : {g}"), Some(format!("{a}; {g}"))),
-            _ => (format!("{a} : not {g}"), Some(format!("{a}; {g}"))),
-        })
-    };
-    let guarded_choice = (
-        prop::collection::vec(element(), 1..5),
-        0usize..3,
-        0usize..3,
-        any::<bool>(),
-        body(3),
-    )
-        .prop_map(|(elements, lo, extra, has_body, body)| {
-            let (elements, guards): (Vec<String>, Vec<Option<String>>) =
-                elements.into_iter().unzip();
-            let guards: Vec<String> = guards.into_iter().flatten().collect();
-            let rule = format!("{lo} {{ {} }} {}", elements.join("; "), lo + extra);
-            let rule = if has_body {
-                format!("{rule} :- {body}.")
-            } else {
-                format!("{rule}.")
-            };
-            if guards.is_empty() {
-                rule
-            } else {
-                format!("{{ {} }}.\n{rule}", guards.join("; "))
-            }
-        });
-    let rule = prop_oneof![
-        atom().prop_map(|h| format!("{h}.")),
-        (atom(), body(4)).prop_map(|(h, b)| format!("{h} :- {b}.")),
-        body(3).prop_map(|b| format!(":- {b}.")),
-        bounded_choice.clone(),
-        bounded_choice,
-        guarded_choice,
-        prop::collection::vec(atom(), 1..4)
-            .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
-    ];
-    let minimize = prop::collection::vec((atom(), 1i64..5), 0..3).prop_map(|elems| {
-        if elems.is_empty() {
-            String::new()
-        } else {
-            let parts: Vec<String> = elems
-                .into_iter()
-                .map(|(a, w)| format!("{w},{a} : {a}"))
-                .collect();
-            format!("#minimize {{ {} }}.", parts.join("; "))
-        }
-    });
-    (prop::collection::vec(rule, 2..10), minimize)
-        .prop_map(|(rules, min)| format!("{}\n{min}", rules.join("\n")))
-}
-
 fn ground(src: &str) -> GroundProgram {
     let program: Program = src.parse().expect("generated programs parse");
     Grounder::new()
@@ -152,7 +68,7 @@ proptest! {
     /// exhausted.
     #[test]
     fn cdcl_enumerates_identical_answer_sets_on_card_heavy_programs(
-        src in arb_search_program(7),
+        src in support::arb_search_program(7),
     ) {
         let g = ground(&src);
         let (cdcl, exhausted) = canonical(&mut Solver::new(&g), &SolveOptions::default());
@@ -165,7 +81,7 @@ proptest! {
     /// saving, and learned-unit replay. Enumeration must be unchanged.
     #[test]
     fn cdcl_with_restart_interval_one_matches_the_reference(
-        src in arb_search_program(7),
+        src in support::arb_search_program(7),
     ) {
         let g = ground(&src);
         let opts = SolveOptions::default();
@@ -182,7 +98,7 @@ proptest! {
     /// as the oracle.
     #[test]
     fn cdcl_forced_closure_mode_matches_the_reference(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
         entry in 0usize..6,
     ) {
         let src = format!("{src}\nl0 :- a{entry}. l0 :- l1. l1 :- l0.");
@@ -202,7 +118,7 @@ proptest! {
     /// every query in the stream.
     #[test]
     fn reused_cdcl_solver_with_retained_nogoods_matches_fresh_reference(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
         sets in arb_assumption_sets(6),
         restart_hard in any::<bool>(),
     ) {
@@ -241,7 +157,7 @@ proptest! {
     /// the oracle on every query of an assumption stream.
     #[test]
     fn existence_queries_on_a_reused_solver_match_the_reference(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
         sets in arb_assumption_sets(6),
     ) {
         let g = ground(&src);
@@ -263,7 +179,7 @@ proptest! {
     /// unsatisfiability), including under a one-conflict restart interval.
     #[test]
     fn cdcl_optimizer_finds_the_reference_optimum(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
         restart_hard in any::<bool>(),
     ) {
         let g = ground(&src);

@@ -4,100 +4,20 @@
 //! may not change a single verdict, model, or optimal cost — and every
 //! certificate the engine emits must survive the independent checker
 //! ([`check_proof`]), which shares no solver code. The program family is
-//! the search-heavy generator of `cdcl_differential.rs`: bounded
-//! cardinality choices (with conditional elements and bodies, so
-//! certificates carry card steps over guards and bodies), negation-heavy
-//! rules, constraints, and
+//! `support::arb_search_program`, the search-heavy generator the CDCL
+//! differential suite also uses: bounded cardinality choices (with
+//! conditional elements and bodies, so certificates carry card steps over
+//! guards and bodies), negation-heavy rules, constraints, and
 //! `#minimize` objectives; the assumption-stream property additionally
 //! exercises multi-shot certificates with learned-nogood retention
 //! across calls (contradictory pins included).
+
+mod support;
 
 use proptest::prelude::*;
 
 use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::{check_proof, GroundProgram, Grounder, Lit, Program, SolveOptions, Solver};
-
-/// A random search-heavy program over atoms a0..a{n-1} — the same family
-/// the CDCL differential suite stresses the engine with, guarded and
-/// bodied cardinality choices included.
-fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
-    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
-    let body = move |max: usize| {
-        prop::collection::vec((atom(), any::<bool>()), 1..max).prop_map(|lits| {
-            lits.into_iter()
-                .map(|(a, neg)| if neg { format!("not {a}") } else { a })
-                .collect::<Vec<_>>()
-                .join(", ")
-        })
-    };
-    let bounded_choice = (prop::collection::vec(atom(), 2..5), 0usize..3, 0usize..3).prop_map(
-        |(mut atoms, lo, extra)| {
-            atoms.sort();
-            atoms.dedup();
-            let lo = lo.min(atoms.len());
-            let hi = (lo + extra).min(atoms.len());
-            format!("{lo} {{ {} }} {hi}.", atoms.join("; "))
-        },
-    );
-    // Conditional elements (`a : b`, `a : not b`) and rule bodies reach
-    // the card's guard and body counters. A guarded element's guard and
-    // atom are also free choices: guards are then decided during search,
-    // and an element atom true outside its guard makes a tight bound's
-    // explanation wrong unless it carries the guard.
-    let element = move || {
-        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
-            0 => (a, None),
-            1 => (format!("{a} : {g}"), Some(format!("{a}; {g}"))),
-            _ => (format!("{a} : not {g}"), Some(format!("{a}; {g}"))),
-        })
-    };
-    let guarded_choice = (
-        prop::collection::vec(element(), 1..5),
-        0usize..3,
-        0usize..3,
-        any::<bool>(),
-        body(3),
-    )
-        .prop_map(|(elements, lo, extra, has_body, body)| {
-            let (elements, guards): (Vec<String>, Vec<Option<String>>) =
-                elements.into_iter().unzip();
-            let guards: Vec<String> = guards.into_iter().flatten().collect();
-            let rule = format!("{lo} {{ {} }} {}", elements.join("; "), lo + extra);
-            let rule = if has_body {
-                format!("{rule} :- {body}.")
-            } else {
-                format!("{rule}.")
-            };
-            if guards.is_empty() {
-                rule
-            } else {
-                format!("{{ {} }}.\n{rule}", guards.join("; "))
-            }
-        });
-    let rule = prop_oneof![
-        atom().prop_map(|h| format!("{h}.")),
-        (atom(), body(4)).prop_map(|(h, b)| format!("{h} :- {b}.")),
-        body(3).prop_map(|b| format!(":- {b}.")),
-        bounded_choice.clone(),
-        bounded_choice,
-        guarded_choice,
-        prop::collection::vec(atom(), 1..4)
-            .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
-    ];
-    let minimize = prop::collection::vec((atom(), 1i64..5), 0..3).prop_map(|elems| {
-        if elems.is_empty() {
-            String::new()
-        } else {
-            let parts: Vec<String> = elems
-                .into_iter()
-                .map(|(a, w)| format!("{w},{a} : {a}"))
-                .collect();
-            format!("#minimize {{ {} }}.", parts.join("; "))
-        }
-    });
-    (prop::collection::vec(rule, 2..10), minimize)
-        .prop_map(|(rules, min)| format!("{}\n{min}", rules.join("\n")))
-}
 
 fn ground(src: &str) -> GroundProgram {
     let program: Program = src.parse().expect("generated programs parse");
@@ -155,7 +75,7 @@ proptest! {
     /// independent checker.
     #[test]
     fn certified_enumeration_matches_uncertified_and_checks(
-        src in arb_search_program(7),
+        src in support::arb_search_program(7),
     ) {
         let g = ground(&src);
         let plain = Solver::new(&g)
@@ -175,7 +95,7 @@ proptest! {
     /// with recomputed costs included — passes the checker.
     #[test]
     fn certified_optimizer_matches_uncertified_and_checks(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
     ) {
         let g = ground(&src);
         let plain = Solver::new(&g)
@@ -206,7 +126,7 @@ proptest! {
     /// `call` section per query.
     #[test]
     fn certified_assumption_streams_with_retention_check(
-        src in arb_search_program(6),
+        src in support::arb_search_program(6),
         sets in arb_assumption_sets(6),
     ) {
         let g = ground(&src);

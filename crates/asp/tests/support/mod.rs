@@ -15,6 +15,10 @@
 //! with the CDCL engine it judges. Its cost is `2^|guess|` reduct
 //! computations, so the suites keep their generators small; the
 //! brute-force suite pins the oracle itself to full-subset enumeration.
+//!
+//! The module also holds the one copy of the search-heavy program
+//! generator ([`arb_search_program`]) the CDCL and certification suites
+//! both draw from.
 
 // Each suite compiles its own copy of this module and uses a subset of it.
 #![allow(dead_code)]
@@ -24,6 +28,7 @@ use std::collections::{BTreeSet, HashSet};
 use cpsrisk_asp::check;
 use cpsrisk_asp::program::GroundHead;
 use cpsrisk_asp::{AtomId, GroundProgram, Lit};
+use proptest::prelude::*;
 
 /// One answer set as the oracle reports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,4 +149,89 @@ pub fn optimum(g: &GroundProgram, assumptions: &[Lit]) -> Option<Vec<(i64, i64)>
             let values = |c: &[(i64, i64)]| c.iter().map(|&(_, v)| v).collect::<Vec<_>>();
             values(a).cmp(&values(b))
         })
+}
+
+/// A random *search-heavy* program over atoms a0..a{n-1}, the family the
+/// CDCL and certification differential suites share: alongside facts,
+/// rules, constraints and `#minimize` objectives it generates **bounded**
+/// cardinality choices (`L { .. } U.`, some with conditional elements and
+/// a body), which ground to `CardConstraint`s and force the
+/// counter-propagation path the generic suite rarely reaches.
+pub fn arb_search_program(n_atoms: usize) -> impl Strategy<Value = String> {
+    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
+    let body = move |max: usize| {
+        prop::collection::vec((atom(), any::<bool>()), 1..max).prop_map(|lits| {
+            lits.into_iter()
+                .map(|(a, neg)| if neg { format!("not {a}") } else { a })
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+    };
+    let bounded_choice = (prop::collection::vec(atom(), 2..5), 0usize..3, 0usize..3).prop_map(
+        |(mut atoms, lo, extra)| {
+            atoms.sort();
+            atoms.dedup();
+            let lo = lo.min(atoms.len());
+            let hi = (lo + extra).min(atoms.len());
+            format!("{lo} {{ {} }} {hi}.", atoms.join("; "))
+        },
+    );
+    // Conditional elements (`a : b`, `a : not b`) and rule bodies reach
+    // the card's guard and body counters. A guarded element's guard and
+    // atom are also free choices: guards are then decided during search,
+    // and an element atom true outside its guard makes a tight bound's
+    // explanation wrong unless it carries the guard.
+    let element = move || {
+        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+            0 => (a, None),
+            1 => (format!("{a} : {g}"), Some(format!("{a}; {g}"))),
+            _ => (format!("{a} : not {g}"), Some(format!("{a}; {g}"))),
+        })
+    };
+    let guarded_choice = (
+        prop::collection::vec(element(), 1..5),
+        0usize..3,
+        0usize..3,
+        any::<bool>(),
+        body(3),
+    )
+        .prop_map(|(elements, lo, extra, has_body, body)| {
+            let (elements, guards): (Vec<String>, Vec<Option<String>>) =
+                elements.into_iter().unzip();
+            let guards: Vec<String> = guards.into_iter().flatten().collect();
+            let rule = format!("{lo} {{ {} }} {}", elements.join("; "), lo + extra);
+            let rule = if has_body {
+                format!("{rule} :- {body}.")
+            } else {
+                format!("{rule}.")
+            };
+            if guards.is_empty() {
+                rule
+            } else {
+                format!("{{ {} }}.\n{rule}", guards.join("; "))
+            }
+        });
+    let rule = prop_oneof![
+        atom().prop_map(|h| format!("{h}.")),
+        (atom(), body(4)).prop_map(|(h, b)| format!("{h} :- {b}.")),
+        body(3).prop_map(|b| format!(":- {b}.")),
+        bounded_choice.clone(),
+        bounded_choice,
+        guarded_choice,
+        prop::collection::vec(atom(), 1..4)
+            .prop_map(|atoms| format!("{{ {} }}.", atoms.join("; "))),
+    ];
+    let minimize = prop::collection::vec((atom(), 1i64..5), 0..3).prop_map(|elems| {
+        if elems.is_empty() {
+            String::new()
+        } else {
+            let parts: Vec<String> = elems
+                .into_iter()
+                .map(|(a, w)| format!("{w},{a} : {a}"))
+                .collect();
+            format!("#minimize {{ {} }}.", parts.join("; "))
+        }
+    });
+    (prop::collection::vec(rule, 2..10), minimize)
+        .prop_map(|(rules, min)| format!("{}\n{min}", rules.join("\n")))
 }

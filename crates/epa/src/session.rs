@@ -360,13 +360,9 @@ impl Session {
                     });
                 };
                 let assumptions = program.assumptions(scenario, Some(requirement));
-                if !certify {
-                    return Ok(Answer::Margin(
-                        solver.has_model_with_assumptions(&assumptions, &opts)?,
-                    ));
-                }
-                let result = solver.solve_with_assumptions(&assumptions, &opts)?;
-                Ok(Answer::Margin(!result.models.is_empty()))
+                Ok(Answer::Margin(
+                    solver.has_model_with_assumptions(&assumptions, &opts)?,
+                ))
             }
         }
     }
