@@ -39,6 +39,10 @@ cargo test -q -p cpsrisk-asp check
 # Too slow for a debug build, so they are ignored there and run here in
 # release.
 cargo test --release -q -p cpsrisk-epa -- --ignored
+# Release depth of the CDCL differential suite: 20,000 card-heavy programs
+# against the oracle, deep enough to reach a conflict explained through a
+# cardinality element's guard.
+cargo test --release -q -p cpsrisk-asp -- --ignored
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps

@@ -61,6 +61,15 @@ fn lits(g: &GroundProgram, set: &[(usize, bool)]) -> Vec<Lit> {
         .collect()
 }
 
+/// Bounded cardinality choices: the oracle's answer sets, space exhausted.
+fn card_heavy_program_matches(src: &str) -> Result<(), TestCaseError> {
+    let g = ground(src);
+    let (cdcl, exhausted) = canonical(&mut Solver::new(&g), &SolveOptions::default());
+    prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
+    prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -70,10 +79,7 @@ proptest! {
     fn cdcl_enumerates_identical_answer_sets_on_card_heavy_programs(
         src in support::arb_search_program(7),
     ) {
-        let g = ground(&src);
-        let (cdcl, exhausted) = canonical(&mut Solver::new(&g), &SolveOptions::default());
-        prop_assert_eq!(&cdcl, &support::rendered(&g, &[]), "program:\n{}", src);
-        prop_assert!(exhausted, "exhausted flag, program:\n{}", src);
+        card_heavy_program_matches(&src)?;
     }
 
     /// A one-conflict Luby interval restarts on *every* conflict before
@@ -193,5 +199,28 @@ proptest! {
             best.map(|m| m.cost), support::optimum(&g, &[]),
             "optimal cost, program:\n{}", src
         );
+    }
+}
+
+/// The card-heavy comparison at release depth. A conflict whose
+/// explanation runs through the guard of a cardinality element is rare in
+/// these programs: with the guard literals dropped from such explanations,
+/// the 96 cases above all pass, and the first failing case of this stream
+/// is case 1,206. The test keeps the name of the one above, so it draws the
+/// same stream of programs and carries it on to 20,000 (about 4 s in
+/// release).
+mod depth {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        #[ignore = "release depth; run in release with --ignored"]
+        fn cdcl_enumerates_identical_answer_sets_on_card_heavy_programs(
+            src in support::arb_search_program(7),
+        ) {
+            card_heavy_program_matches(&src)?;
+        }
     }
 }

@@ -3,15 +3,19 @@
 use cpsrisk_epa::cegar::{refine_hazards, ConcreteOracle};
 use cpsrisk_epa::encode::analyze_exhaustive;
 use cpsrisk_epa::sensitivity::{sensitivity_sweep, SensitivityFinding};
-use cpsrisk_epa::{minimal_hazards, EpaProblem, ScenarioOutcome, TopologyAnalysis};
+use cpsrisk_epa::{
+    minimal_hazards, EpaProblem, ModeSet, ScenarioOutcome, TopologyAnalysis, Vocabulary,
+};
 use cpsrisk_mitigation::{
     best_under_budget, consolidation_plan, AttackScenario, Coverage, MitigationCandidate,
     MitigationProblem, Phase, Selection,
 };
+use cpsrisk_model::SystemModel;
 use cpsrisk_qr::Qual;
 use cpsrisk_risk::ora;
 use serde::{Deserialize, Serialize};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::error::CoreError;
 
@@ -196,7 +200,10 @@ impl Assessment {
         }
 
         // Step 6: qualitative risk rating per hazard.
-        let mut hazards: Vec<RatedHazard> = hazard_outcomes.iter().map(|o| self.rate(o)).collect();
+        let mut criticality = Criticality::new(&self.problem.model);
+        let mut hazards: Vec<RatedHazard> = (hazard_outcomes.iter())
+            .map(|o| self.rate(o, &mut criticality))
+            .collect();
         hazards.sort_by(|a, b| {
             b.risk
                 .cmp(&a.risk)
@@ -205,7 +212,7 @@ impl Assessment {
         });
 
         // Step 7: mitigation strategy over the minimal hazards.
-        let mitigation_problem = self.mitigation_problem(&minimal_hazards);
+        let mitigation_problem = self.mitigation_problem(&minimal_hazards, &mut criticality);
         let budget = self.budget.unwrap_or_else(|| {
             let periods = mitigation_problem.periods;
             (mitigation_problem.candidates.iter())
@@ -246,13 +253,8 @@ impl Assessment {
 
     /// Rate a hazard: LM joins component criticality with fault severity;
     /// LEF is the meet of the active faults' likelihoods.
-    fn rate(&self, outcome: &ScenarioOutcome) -> RatedHazard {
-        let mut lm = Qual::VeryLow;
-        for (component, _) in &outcome.effective_modes {
-            if let Some(ann) = self.problem.model.annotation(component) {
-                lm = lm.join(ann.criticality);
-            }
-        }
+    fn rate(&self, outcome: &ScenarioOutcome, criticality: &mut Criticality<'_>) -> RatedHazard {
+        let mut lm = criticality.worst(&outcome.effective_modes);
         let mut lef = Qual::VeryHigh;
         for fault in outcome.scenario.iter() {
             if let Some(m) = self.problem.mutation(fault) {
@@ -274,7 +276,11 @@ impl Assessment {
     /// Build the step-7 optimization problem from the minimal hazards.
     /// Loss units scale exponentially with the risk band (one order of
     /// magnitude per category).
-    fn mitigation_problem(&self, minimal_hazards: &[ScenarioOutcome]) -> MitigationProblem {
+    fn mitigation_problem(
+        &self,
+        minimal_hazards: &[ScenarioOutcome],
+        criticality: &mut Criticality<'_>,
+    ) -> MitigationProblem {
         let candidates: Vec<MitigationCandidate> = self
             .problem
             .mitigations
@@ -291,7 +297,7 @@ impl Assessment {
             .iter()
             .enumerate()
             .map(|(i, h)| {
-                let rated = self.rate(h);
+                let rated = self.rate(h, criticality);
                 AttackScenario {
                     id: format!("h{}", i + 1),
                     faults: h.scenario.iter().map(str::to_owned).collect(),
@@ -306,6 +312,38 @@ impl Assessment {
             coverage: Coverage::Any,
             periods: 1,
         }
+    }
+}
+
+/// The model's criticality annotations tabulated by the component ids of
+/// the vocabulary the rated outcomes are over, so step 6 reads a hazard's
+/// components by id. The table is rebuilt when an outcome comes with
+/// another vocabulary.
+struct Criticality<'m> {
+    model: &'m SystemModel,
+    table: Option<(Arc<Vocabulary>, Vec<Qual>)>,
+}
+
+impl<'m> Criticality<'m> {
+    fn new(model: &'m SystemModel) -> Self {
+        Criticality { model, table: None }
+    }
+
+    /// The worst criticality among the components of `modes`; an
+    /// unannotated component counts as [`Qual::VeryLow`], the join's unit.
+    fn worst(&mut self, modes: &ModeSet) -> Qual {
+        let vocab = modes.vocabulary();
+        if !(self.table.as_ref()).is_some_and(|(v, _)| Arc::ptr_eq(v, vocab)) {
+            let by_id = (0..vocab.component_count() as u32)
+                .map(|c| {
+                    (self.model.annotation(vocab.component(c)))
+                        .map_or(Qual::VeryLow, |a| a.criticality)
+                })
+                .collect();
+            self.table = Some((Arc::clone(vocab), by_id));
+        }
+        let (_, by_id) = self.table.as_ref().expect("tabulated above");
+        (modes.component_ids()).fold(Qual::VeryLow, |lm, c| lm.join(by_id[c as usize]))
     }
 }
 

@@ -88,7 +88,7 @@ impl CegarResult {
         let mut counts: BTreeMap<String, usize> = BTreeMap::new();
         for (outcome, _) in &self.spurious {
             for (c, _) in &outcome.effective_modes {
-                *counts.entry(c.clone()).or_insert(0) += 1;
+                *counts.entry(c.to_owned()).or_insert(0) += 1;
             }
         }
         let mut out: Vec<(String, usize)> = counts.into_iter().collect();
@@ -108,16 +108,16 @@ pub fn refine_hazards(hazards: &[ScenarioOutcome], oracle: &dyn ConcreteOracle) 
     let mut spurious = Vec::new();
     let mut oracle_calls = 0usize;
     for h in hazards {
-        let mut kept = BTreeSet::new();
+        let mut kept = h.violated.clone();
         let mut refuted = BTreeSet::new();
-        for r in &h.violated {
+        kept.retain(|r| {
             oracle_calls += 1;
-            if oracle.confirms(h, r) {
-                kept.insert(r.clone());
-            } else {
-                refuted.insert(r.clone());
+            let confirmed = oracle.confirms(h, r);
+            if !confirmed {
+                refuted.insert(r.to_owned());
             }
-        }
+            confirmed
+        });
         if !refuted.is_empty() {
             spurious.push((h.clone(), refuted));
         }
@@ -174,11 +174,7 @@ mod tests {
         let result = refine_hazards(&hazards, &oracle);
         assert_eq!(result.confirmed.len(), 1);
         assert_eq!(
-            result.confirmed[0]
-                .violated
-                .iter()
-                .cloned()
-                .collect::<Vec<_>>(),
+            result.confirmed[0].violated.iter().collect::<Vec<_>>(),
             vec!["r1"]
         );
         assert_eq!(result.spurious.len(), 1);

@@ -10,7 +10,6 @@
 use cpsrisk_asp::builder::pos;
 use cpsrisk_asp::{Grounder, Program, ProgramBuilder, SolveOptions, Solver, Term};
 use cpsrisk_model::export::export_facts;
-use std::collections::BTreeSet;
 
 use crate::error::EpaError;
 use crate::parallel::SweepOptions;
@@ -430,33 +429,27 @@ fn scenario_of_model(model: &cpsrisk_asp::Model) -> Scenario {
         .collect()
 }
 
-/// The scenario outcome a stable model of the assumable program encodes
-/// for `scenario`: its true `affected/2` and `violated/1` atoms.
+/// The scenario outcome a stable model of an encoding encodes for
+/// `scenario`: its true `affected/2` and `violated/1` atoms, by name, over a
+/// vocabulary of their own. A [`Session`] reads its models through its own
+/// vocabulary instead.
 pub(crate) fn outcome_from_model(
     scenario: Scenario,
     model: &cpsrisk_asp::Model,
 ) -> ScenarioOutcome {
-    let mut effective_modes: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut violated: BTreeSet<String> = BTreeSet::new();
+    let mut effective_modes = Vec::new();
+    let mut violated = Vec::new();
     for a in &model.atoms {
-        match a.pred.as_str() {
-            "affected" => {
-                if let (Some(c), Some(m)) = (a.args.first(), a.args.get(1)) {
-                    effective_modes.insert((c.to_string(), m.to_string()));
-                }
-            }
-            "violated" => {
-                if let Some(r) = a.args.first() {
-                    violated.insert(r.to_string());
-                }
-            }
+        match (a.pred.as_str(), a.args.as_slice()) {
+            ("affected", [c, m, ..]) => effective_modes.push((c.to_string(), m.to_string())),
+            ("violated", [r, ..]) => violated.push(r.to_string()),
             _ => {}
         }
     }
     ScenarioOutcome {
         scenario,
-        effective_modes,
-        violated,
+        effective_modes: effective_modes.into_iter().collect(),
+        violated: violated.into_iter().collect(),
     }
 }
 

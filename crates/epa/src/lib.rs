@@ -32,6 +32,8 @@
 //!   at the abstract level by consulting a concrete oracle, never dropping
 //!   a real hazard,
 //! * [`sensitivity`] — modeling-decision sensitivity analysis (§II-A),
+//! * [`vocab`] — one per-problem vocabulary of interned names, and the
+//!   compact id sets an outcome holds over it,
 //! * [`parallel`] — the sweep scheduler: one memory-bounded worker pool
 //!   with deterministic (input-order) results,
 //! * [`workload`] — parametric benchmark problem generators.
@@ -53,6 +55,7 @@ pub mod scenario;
 pub mod sensitivity;
 pub mod session;
 pub mod topology;
+pub mod vocab;
 pub mod workload;
 
 pub use attack_path::{shortest_attack_paths, AttackPath};
@@ -72,6 +75,7 @@ pub use session::{Answer, CertifySummary, Query, Session, Solvers};
 #[doc(hidden)]
 pub use session::{CatalogAnalysis, CatalogAnswer, CatalogQuery};
 pub use topology::TopologyAnalysis;
+pub use vocab::{IdKind, IdSet, ModeIds, ModeSet, RequirementIds, RequirementSet, Vocabulary};
 pub use workload::{
     catalog_margin_budget, catalog_problem, catalog_queries, catalog_requirements_ranked,
     catalog_zone_count, temporal_tank_base, temporal_tank_min_violating, temporal_tank_problem,

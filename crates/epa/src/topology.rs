@@ -17,27 +17,115 @@
 //! 4. a requirement is violated when one of its DNF groups has all pairs
 //!    effective.
 
-use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use cpsrisk_model::Layer;
 
 use crate::problem::EpaProblem;
 use crate::scenario::{Scenario, ScenarioOutcome, ScenarioSpace};
+use crate::vocab::{ModeSet, RequirementSet, Vocabulary};
 
 /// The fault-mode name treated as attacker control.
 pub const COMPROMISED: &str = "compromised";
 
 /// Direct topology-level analysis over an [`EpaProblem`].
+///
+/// [`new`](Self::new) interns every pair a scenario can make effective
+/// (each mutation's `(component, mode)`, and `(c, compromised)` for each
+/// active non-physical element) into one [`Vocabulary`], and compiles the
+/// propagation rules to pair ids, so [`evaluate`](Self::evaluate) works on
+/// bits.
 #[derive(Debug, Clone)]
 pub struct TopologyAnalysis<'a> {
     problem: &'a EpaProblem,
+    vocab: Arc<Vocabulary>,
+    /// Per mutation, in problem order: its fault id, its pair, and whether
+    /// the active mitigations block it.
+    direct: Vec<(&'a str, u32, bool)>,
+    /// Per component id: the pairs a compromise of the component makes
+    /// effective on its propagation successors.
+    spread: Vec<Vec<u32>>,
+    /// Per pair id: the pair's component id when its mode is
+    /// [`COMPROMISED`].
+    compromises: Vec<Option<u32>>,
+    /// Per requirement: its id and its DNF groups as pair ids. A group
+    /// naming a pair no scenario can make effective never holds and is left
+    /// out.
+    requirements: Vec<(u32, Vec<Vec<u32>>)>,
 }
 
 impl<'a> TopologyAnalysis<'a> {
     /// Create an analysis over a problem.
     #[must_use]
     pub fn new(problem: &'a EpaProblem) -> Self {
-        TopologyAnalysis { problem }
+        let p = problem;
+        // Lateral movement reaches active, non-physical elements.
+        let enterable = |id: &str| {
+            p.model
+                .element(id)
+                .is_some_and(|e| e.kind.is_active() && e.kind.layer() != Layer::Physical)
+        };
+        let lateral = p
+            .model
+            .elements()
+            .filter(|e| enterable(&e.id))
+            .map(|e| (e.id.as_str(), COMPROMISED));
+        let vocab = Arc::new(Vocabulary::new(
+            (p.mutations.iter())
+                .map(|m| (m.component.as_str(), m.mode.as_str()))
+                .chain(lateral),
+            p.requirements.iter().map(|r| r.id.as_str()),
+            p.mutations.iter().map(|m| m.id.as_str()),
+        ));
+        let pair = |c: &str, m: &str| vocab.pair_id(c, m);
+        let interned = |c: &str, m: &str| pair(c, m).expect("every possible pair is interned");
+
+        let direct = (p.mutations.iter())
+            .map(|m| {
+                let id = interned(&m.component, &m.mode);
+                (m.id.as_str(), id, p.fault_blocked(&m.id))
+            })
+            .collect();
+        let compromised = vocab.mode_id(COMPROMISED);
+        let compromises: Vec<Option<u32>> = (0..vocab.pair_count() as u32)
+            .map(|id| {
+                let (c, m) = vocab.pair(id);
+                (Some(m) == compromised).then_some(c)
+            })
+            .collect();
+        let mut spread = vec![Vec::new(); vocab.component_count()];
+        for c in compromises.iter().flatten() {
+            let out: &mut Vec<u32> = &mut spread[*c as usize];
+            for next in p.model.propagation_neighbors(vocab.component(*c)) {
+                if enterable(next) {
+                    out.push(interned(next, COMPROMISED));
+                }
+                // Induce any candidate fault mode on direct successors.
+                out.extend(
+                    (p.mutations.iter())
+                        .filter(|m| m.component == next)
+                        .map(|m| interned(&m.component, &m.mode)),
+                );
+            }
+            out.sort_unstable();
+            out.dedup();
+        }
+        let requirements = (p.requirements.iter())
+            .map(|r| {
+                let groups = (r.violated_when.iter())
+                    .filter_map(|group| group.iter().map(|(c, m)| pair(c, m)).collect())
+                    .collect();
+                (vocab.requirement_id(&r.id).expect("interned"), groups)
+            })
+            .collect();
+        TopologyAnalysis {
+            problem,
+            vocab,
+            direct,
+            spread,
+            compromises,
+            requirements,
+        }
     }
 
     /// Evaluate one scenario: compute effective worst-case modes and the
@@ -45,68 +133,46 @@ impl<'a> TopologyAnalysis<'a> {
     /// ignored even if listed in the scenario.
     #[must_use]
     pub fn evaluate(&self, scenario: &Scenario) -> ScenarioOutcome {
-        let p = self.problem;
-        let mut effective: BTreeSet<(String, String)> = BTreeSet::new();
+        let mut effective = vec![0u64; self.vocab.pair_count().div_ceil(64)];
+        // Components whose compromise has not spread yet.
+        let mut compromised = Vec::new();
 
         // 1. Directly activated, unblocked faults.
-        for m in &p.mutations {
-            if scenario.contains(&m.id) && !p.fault_blocked(&m.id) {
-                effective.insert((m.component.clone(), m.mode.clone()));
+        for &(fault, id, blocked) in &self.direct {
+            if !blocked && scenario.contains(fault) {
+                self.add(&mut effective, &mut compromised, id);
             }
         }
 
-        // 2+3. Fixpoint: compromise spread + mode induction.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            let compromised: Vec<String> = effective
-                .iter()
-                .filter(|(_, m)| m == COMPROMISED)
-                .map(|(c, _)| c.clone())
-                .collect();
-            for c in &compromised {
-                for next in p.model.propagation_neighbors(c) {
-                    // Lateral movement to non-physical components.
-                    let is_physical = p
-                        .model
-                        .element(next)
-                        .is_some_and(|e| e.kind.layer() == Layer::Physical);
-                    if !is_physical
-                        && p.model.element(next).is_some_and(|e| e.kind.is_active())
-                        && effective.insert((next.to_owned(), COMPROMISED.to_owned()))
-                    {
-                        changed = true;
-                    }
-                    // Induce any candidate fault mode on direct successors.
-                    for m in &p.mutations {
-                        if m.component == next
-                            && effective.insert((m.component.clone(), m.mode.clone()))
-                        {
-                            changed = true;
-                        }
-                    }
-                }
+        // 2+3. Fixpoint: compromise spread + mode induction, one visit per
+        // compromised component.
+        while let Some(c) = compromised.pop() {
+            for &id in &self.spread[c as usize] {
+                self.add(&mut effective, &mut compromised, id);
             }
         }
 
         // 4. DNF requirement check.
-        let violated: BTreeSet<String> = p
-            .requirements
-            .iter()
-            .filter(|r| {
-                r.violated_when.iter().any(|group| {
-                    group
-                        .iter()
-                        .all(|(c, m)| effective.contains(&(c.clone(), m.clone())))
-                })
+        let violated = (self.requirements.iter())
+            .filter(|(_, groups)| {
+                groups
+                    .iter()
+                    .any(|group| group.iter().all(|&id| has(&effective, id)))
             })
-            .map(|r| r.id.clone())
-            .collect();
-
+            .map(|&(id, _)| id);
         ScenarioOutcome {
             scenario: scenario.clone(),
-            effective_modes: effective,
-            violated,
+            violated: RequirementSet::from_ids(&self.vocab, violated),
+            effective_modes: ModeSet::from_bits(&self.vocab, effective.into_boxed_slice()),
+        }
+    }
+
+    /// Make pair `id` effective; a newly compromised component joins
+    /// `compromised`.
+    fn add(&self, effective: &mut [u64], compromised: &mut Vec<u32>, id: u32) {
+        if !has(effective, id) {
+            effective[id as usize / 64] |= 1 << (id % 64);
+            compromised.extend(self.compromises[id as usize]);
         }
     }
 
@@ -136,6 +202,11 @@ impl<'a> TopologyAnalysis<'a> {
     pub fn minimal_hazards(&self, max_faults: usize) -> Vec<ScenarioOutcome> {
         crate::scenario::minimal_hazards(&self.evaluate_all(max_faults))
     }
+}
+
+/// Is bit `id` set?
+fn has(bits: &[u64], id: u32) -> bool {
+    bits[id as usize / 64] & (1 << (id % 64)) != 0
 }
 
 #[cfg(test)]
@@ -210,10 +281,7 @@ mod tests {
         let p = problem();
         let out =
             TopologyAnalysis::new(&p).evaluate(&Scenario::of(&["f_valve_closed", "f_hmi_mute"]));
-        assert_eq!(
-            out.violated.iter().cloned().collect::<Vec<_>>(),
-            vec!["r1", "r2"]
-        );
+        assert_eq!(out.violated.iter().collect::<Vec<_>>(), vec!["r1", "r2"]);
     }
 
     #[test]

@@ -64,9 +64,11 @@ pub fn outcome(
             _ => {}
         }
     }
+    // Built from bare names: the sets get a vocabulary of their own, and
+    // compare with the session's by name.
     Some(ScenarioOutcome {
         scenario: scenario.clone(),
-        effective_modes,
-        violated,
+        effective_modes: effective_modes.into_iter().collect(),
+        violated: violated.into_iter().collect(),
     })
 }
