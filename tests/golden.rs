@@ -1,13 +1,18 @@
 //! Byte-level golden output: the case study's assessment reports on both
-//! back-ends, and a sample of catalog outcomes from both engines, against
-//! text committed under `tests/golden/`. A change of representation of the
-//! answer types must leave every JSON document, `Display` line and `Debug`
-//! line exactly as it was.
+//! back-ends, a sample of catalog outcomes from both engines, and four
+//! ground programs, against text committed under `tests/golden/`. A change
+//! of representation of the answer types must leave every JSON document,
+//! `Display` line and `Debug` line exactly as it was, and a change inside
+//! the grounder must leave every atom id and every rule where it was: the
+//! atom order fixes the CDCL search.
 
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use cpsrisk::asp::program::{AtomId, GroundHead};
+use cpsrisk::asp::{parse, GroundProgram, Grounder};
 use cpsrisk::casestudy::water_tank_problem;
+use cpsrisk::epa::workload::temporal_tank_problem;
 use cpsrisk::epa::{catalog_problem, Query, ScenarioOutcome, ScenarioSpace, Session};
 use cpsrisk::epa::{SweepOptions, TopologyAnalysis};
 use cpsrisk::hierarchy::{coarse_water_tank_problem, PlantOracle};
@@ -113,5 +118,131 @@ fn catalog_outcomes_are_byte_identical() {
     assert_eq!(
         render_outcomes(&direct),
         include_str!("golden/catalog_outcomes_direct.txt")
+    );
+}
+
+/// A ground program in id order: every atom with its id, then rules,
+/// cardinality constraints, minimize literals, shows and assumable atoms,
+/// each naming atoms by id.
+fn render_ground(g: &GroundProgram) -> String {
+    fn ids(list: &[AtomId]) -> String {
+        let ids: Vec<String> = list.iter().map(|a| a.0.to_string()).collect();
+        ids.join(" ")
+    }
+    fn body(pos: &[AtomId], neg: &[AtomId]) -> String {
+        match (pos.is_empty(), neg.is_empty()) {
+            (true, true) => String::new(),
+            (false, true) => format!(" :- {}", ids(pos)),
+            (true, false) => format!(" :- not {}", ids(neg)),
+            (false, false) => format!(" :- {}, not {}", ids(pos), ids(neg)),
+        }
+    }
+    let mut text = String::new();
+    for (id, atom) in g.atoms() {
+        writeln!(text, "atom {} {atom}", id.0).unwrap();
+    }
+    for r in &g.rules {
+        let head = match r.head {
+            GroundHead::Atom(h) => h.0.to_string(),
+            GroundHead::Choice(h) => format!("{{{}}}", h.0),
+            GroundHead::None => "#false".to_owned(),
+        };
+        writeln!(text, "rule {head}{}", body(&r.pos, &r.neg)).unwrap();
+    }
+    for c in &g.cards {
+        write!(
+            text,
+            "card {}..{}{}",
+            c.lower,
+            c.upper,
+            body(&c.pos, &c.neg)
+        )
+        .unwrap();
+        for e in &c.elements {
+            write!(text, " ; {}{}", e.atom.0, body(&e.guard_pos, &e.guard_neg)).unwrap();
+        }
+        text.push('\n');
+    }
+    for (prio, lits) in &g.minimize {
+        for l in lits {
+            let tuple: Vec<String> = l.tuple.iter().map(ToString::to_string).collect();
+            writeln!(
+                text,
+                "minimize {}@{prio},{}{}",
+                l.weight,
+                tuple.join(","),
+                body(&l.pos, &l.neg)
+            )
+            .unwrap();
+        }
+    }
+    for (pred, arity) in &g.shows {
+        writeln!(text, "show {pred}/{arity}").unwrap();
+    }
+    writeln!(text, "assumable {}", ids(&g.assumable)).unwrap();
+    text
+}
+
+fn ground_file(path: &str) -> GroundProgram {
+    let src = std::fs::read_to_string(path).expect("the example program exists");
+    Grounder::new()
+        .ground(&parse(&src).expect("the example program parses"))
+        .expect("the example program grounds")
+}
+
+/// Compound, string and negative-integer terms, a bounded choice with a
+/// negated condition, two `#minimize` priorities and assumable facts.
+const TERMS_PROGRAM: &str = r#"
+item(a). item(b). item("two words"). cost(a, 3). cost(b, -2). cost("two words", 7).
+pair(f(X, N)) :- cost(X, N).
+nest(g(c, 1)). nest(g(c, -1)).
+deep(h(P, G)) :- pair(P), nest(G).
+banned(X) :- cost(X, N), N < 0.
+1 { pick(X) : item(X), not banned(X) } 2.
+flag(a). flag(b).
+on(X) :- flag(X), pick(X).
+:- on(a), on(b).
+#minimize { N@1,X : pick(X), cost(X, N) }.
+#minimize { 1@2,P : deep(P) }.
+#show pick/1.
+"#;
+
+#[test]
+fn ground_programs_are_byte_identical() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    assert_eq!(
+        render_ground(&ground_file(&format!("{root}/../../examples/listing1.lp"))),
+        include_str!("golden/ground_listing1.txt"),
+        "examples/listing1.lp"
+    );
+    assert_eq!(
+        render_ground(&ground_file(&format!(
+            "{root}/../../examples/water_tank.lp"
+        ))),
+        include_str!("golden/ground_water_tank.txt"),
+        "examples/water_tank.lp"
+    );
+    let temporal = Grounder::new()
+        .ground(&temporal_tank_problem(8))
+        .expect("the temporal tank program grounds");
+    assert_eq!(
+        render_ground(&temporal),
+        include_str!("golden/ground_temporal_tank_8.txt"),
+        "temporal_tank_problem(8)"
+    );
+    let session = Session::new(&catalog_problem(34, 4, 0xC47A), None).unwrap();
+    assert_eq!(
+        render_ground(session.ground()),
+        include_str!("golden/ground_catalog_outcome.txt"),
+        "the outcome program of catalog_problem(34, 4, 0xC47A)"
+    );
+    let terms = Grounder::new()
+        .assumable("flag", 1)
+        .ground(&parse(TERMS_PROGRAM).unwrap())
+        .unwrap();
+    assert_eq!(
+        render_ground(&terms),
+        include_str!("golden/ground_terms.txt"),
+        "compound, string and negative terms"
     );
 }
