@@ -27,6 +27,15 @@ if [ "$(grep -c . <<<"$scopes")" -ne 1 ] || ! grep -q '^crates/epa/src/parallel.
     exit 1
 fi
 
+# The grounder and the solver run on one thread: the sweep pool above is
+# the crate graph's only parallelism.
+asp_threads=$(grep -rnE 'thread::(scope|spawn)' crates/asp/src || true)
+if [ -n "$asp_threads" ]; then
+    echo "ci.sh: crates/asp/src must not spawn threads:" >&2
+    echo "$asp_threads" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 # The independent certificate checker's unit + mutation suite must pass

@@ -8,16 +8,12 @@
 //! evaluated during instantiation.
 //!
 //! The engine is semi-naive (`crate::seminaive`): stratified delta
-//! evaluation over the predicate dependency graph, multi-argument hash
-//! indexes, slot-based substitutions, and `CPSRISK_THREADS`-parallel
-//! instantiation. The test build also carries a naive global re-join
-//! fixpoint (`naive`), the grounding oracle the semi-naive engine is
-//! differentially tested against.
+//! evaluation over the predicate dependency graph, hash-consed ground terms
+//! with dense ids, multi-argument hash indexes and slot-based
+//! substitutions, on one thread. The test build also carries a naive
+//! global re-join fixpoint (`naive`), the grounding oracle the semi-naive
+//! engine is differentially tested against.
 
-use std::num::NonZeroUsize;
-use std::sync::Once;
-
-use crate::analysis::{predict_sizes, SizePrediction};
 use crate::ast::{Atom, Program};
 use crate::error::AspError;
 use crate::program::GroundProgram;
@@ -40,9 +36,6 @@ pub struct Grounder {
     /// cannot influence a `#show`n predicate, a constraint, a `#minimize`
     /// statement, or an assumable signature are dropped up front.
     slicing: bool,
-    /// Worker threads for semi-naive instantiation; `None` resolves
-    /// through [`default_threads`].
-    threads: Option<usize>,
 }
 
 impl Default for Grounder {
@@ -51,55 +44,9 @@ impl Default for Grounder {
             max_instances: 2_000_000,
             assumable: Vec::new(),
             slicing: false,
-            threads: None,
         }
     }
 }
-
-/// Worker-thread default shared by grounding and EPA sweeps: the
-/// `CPSRISK_THREADS` environment variable if set to a positive integer,
-/// else the machine's available parallelism. A malformed value (e.g.
-/// `CPSRISK_THREADS=abc` or `0`) falls back to the machine default and
-/// emits a one-time stderr warning naming the rejected value.
-#[must_use]
-pub fn default_threads() -> usize {
-    match parse_threads(std::env::var("CPSRISK_THREADS").ok().as_deref()) {
-        Ok(Some(t)) => t,
-        Ok(None) => available_parallelism(),
-        Err(raw) => {
-            static WARN: Once = Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "cpsrisk: ignoring CPSRISK_THREADS={raw:?} (expected a \
-                     positive integer); using available parallelism"
-                );
-            });
-            available_parallelism()
-        }
-    }
-}
-
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-}
-
-/// Interpret a raw `CPSRISK_THREADS` value: `Ok(None)` when unset,
-/// `Ok(Some(t))` for a positive integer, `Err(raw)` for anything else
-/// (the caller warns and falls back).
-fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(t) if t > 0 => Ok(Some(t)),
-            _ => Err(v.to_owned()),
-        },
-    }
-}
-
-/// Predicted grounding sizes below this instantiate sequentially: sharding
-/// a few thousand instances across workers costs more in thread spawns and
-/// cache transfer than the instantiation itself.
-const PAR_SPAWN_FLOOR: f64 = 10_000.0;
 
 impl Grounder {
     /// A grounder with default limits.
@@ -115,15 +62,6 @@ impl Grounder {
             max_instances,
             ..Grounder::default()
         }
-    }
-
-    /// Pin the number of worker threads for semi-naive instantiation
-    /// (overriding `CPSRISK_THREADS`). The ground program is identical for
-    /// every thread count; `1` forces a fully sequential run.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
     }
 
     /// Mark a predicate signature as *assumable*: every **fact** of that
@@ -162,59 +100,27 @@ impl Grounder {
     /// * [`AspError::BadArithmetic`] for invalid arithmetic,
     /// * [`AspError::GroundingBudget`] if the instance budget is exceeded.
     pub fn ground(&self, program: &Program) -> Result<GroundProgram, AspError> {
-        self.ground_predicted(program, None)
-    }
-
-    /// [`Grounder::ground`] with the size prediction of `program` already
-    /// in hand (the lint pass computes one anyway), so the thread-count
-    /// decision does not predict it again. A sliced grounding predicts its
-    /// own, smaller program.
-    pub(crate) fn ground_predicted(
-        &self,
-        program: &Program,
-        prediction: Option<&SizePrediction>,
-    ) -> Result<GroundProgram, AspError> {
         let sliced;
-        let (program, prediction) = if self.slicing {
+        let program = if self.slicing {
             let roots: Vec<String> = self.assumable.iter().map(|(p, _)| p.clone()).collect();
             let slice = crate::analysis::slice_program(program, &roots);
             if slice.dropped.is_empty() {
-                (program, prediction)
+                program
             } else {
                 sliced = slice.apply(program);
-                (&sliced, None)
+                &sliced
             }
         } else {
-            (program, prediction)
+            program
         };
         crate::seminaive::ground(
             program,
             &crate::seminaive::Config {
                 max_instances: self.max_instances,
                 assumable: &self.assumable,
-                threads: self.effective_threads(program, prediction),
                 keep_unpossible_neg: false,
             },
         )
-    }
-
-    /// Resolve the worker-thread count for `program`. The configured count
-    /// is clamped to the machine's parallelism — oversubscribing the
-    /// CPU-bound instantiation shards buys nothing but scheduler thrash —
-    /// and drops to one when [`predict_sizes`](crate::analysis::predict_sizes)
-    /// (or the given prediction of `program`) puts the grounding below the
-    /// spawn-overhead floor.
-    fn effective_threads(&self, program: &Program, prediction: Option<&SizePrediction>) -> usize {
-        let requested = self.threads.unwrap_or_else(default_threads);
-        let cores = available_parallelism();
-        let threads = requested.min(cores);
-        if threads > 1 {
-            let total = prediction.map_or_else(|| predict_sizes(program).total, |p| p.total);
-            if total < PAR_SPAWN_FLOOR {
-                return 1;
-            }
-        }
-        threads
     }
 
     /// Ground a program into a resident [`GroundSession`] that can later be
@@ -236,7 +142,6 @@ impl Grounder {
             &crate::seminaive::Config {
                 max_instances: self.max_instances,
                 assumable: &self.assumable,
-                threads: self.effective_threads(program, None),
                 keep_unpossible_neg: true,
             },
         )
@@ -296,19 +201,6 @@ mod tests {
 
     fn ground_src(src: &str) -> GroundProgram {
         Grounder::new().ground(&parse(src).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn from_env_rejects_malformed_thread_counts() {
-        assert_eq!(parse_threads(None), Ok(None));
-        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_threads(Some(" 2 ")), Ok(Some(2)));
-        // Malformed values are surfaced (the one-time warning names them),
-        // never silently swallowed.
-        assert_eq!(parse_threads(Some("abc")), Err("abc".to_owned()));
-        assert_eq!(parse_threads(Some("0")), Err("0".to_owned()));
-        assert_eq!(parse_threads(Some("-3")), Err("-3".to_owned()));
-        assert_eq!(parse_threads(Some("")), Err(String::new()));
     }
 
     #[test]

@@ -609,12 +609,14 @@ fn unify_term(p: &Term, g: &Term, theta: &mut Subst) -> Result<bool, AspError> {
 #[cfg(test)]
 mod tests {
     //! The semi-naive engine ([`Grounder::new`]: stratified delta
-    //! evaluation, multi-argument indexes, slot substitutions, parallel
-    //! instantiation) against this oracle: identical ground programs —
+    //! evaluation, interned ground terms, multi-argument indexes, slot
+    //! substitutions) against this oracle: identical ground programs —
     //! the same atoms, rules (modulo order), cardinality constraints,
     //! minimize literals, shows, and assumables — on randomly generated
     //! non-ground programs covering joins, recursion, negation, arithmetic
-    //! `=` binding, choice heads with conditions, and `#minimize`.
+    //! `=` binding, choice heads with conditions, `#minimize`, compound
+    //! terms (nested, built in heads, matched and compared in bodies),
+    //! quoted strings and negative integers.
 
     use proptest::prelude::*;
 
@@ -623,18 +625,27 @@ mod tests {
 
     /// One random statement drawn from safe templates over a small universe:
     /// unary facts `u{i}`, binary facts `b{i}` (constant × integer), derived
-    /// predicates `d{i}`, an integer-valued `v`, a recursive `e/2`, and a
-    /// choosable `pick`.
+    /// predicates `d{i}`, an integer-valued `v`, a recursive `e/2`, a
+    /// choosable `pick`, and compound terms: `h(g(c, n))` facts and `w/1`
+    /// atoms over `f(X, N)` and `f(X, g(c, n))`. Constants include a quoted
+    /// string, and fact integers may be negative.
     fn arb_statement() -> impl Strategy<Value = String> {
-        let con = || (0..4usize).prop_map(|i| format!("c{i}"));
+        let con = || {
+            (0..5usize).prop_map(|i| match i {
+                4 => "\"q r\"".to_owned(),
+                i => format!("c{i}"),
+            })
+        };
         let num = || 1..=4i64;
+        // Fact arguments may be negative.
+        let arg = || -2..=4i64;
         let u = || (0..2usize).prop_map(|i| format!("u{i}"));
         let b = || (0..2usize).prop_map(|i| format!("b{i}"));
         let d = || (0..2usize).prop_map(|i| format!("d{i}"));
         prop_oneof![
             // Facts.
             (u(), con()).prop_map(|(p, c)| format!("{p}({c}).")),
-            (b(), con(), num()).prop_map(|(p, c, n)| format!("{p}({c},{n}).")),
+            (b(), con(), arg()).prop_map(|(p, c, n)| format!("{p}({c},{n}).")),
             // Copy and join rules; the join variable sits in argument 2 of the
             // binary predicate, exercising the non-first-argument indexes.
             (d(), u()).prop_map(|(h, p)| format!("{h}(X) :- {p}(X).")),
@@ -663,6 +674,14 @@ mod tests {
             // Minimize, with weights and priorities.
             (b(),).prop_map(|(q,)| format!("#minimize {{ N,X : {q}(X,N), pick(X) }}.")),
             (d(), 1..=3i64).prop_map(|(p, w)| format!("#minimize {{ {w}@2,X : {p}(X) }}.")),
+            // Compound terms: nested ground facts, compounds built in heads and
+            // matched (and compared) in bodies.
+            (con(), arg()).prop_map(|(c, n)| format!("h(g({c},{n})).")),
+            (b(),).prop_map(|(q,)| format!("w(f(X,N)) :- {q}(X,N).")),
+            (u(),).prop_map(|(p,)| format!("w(f(X,G)) :- {p}(X), h(G).")),
+            (d(), num()).prop_map(|(h, n)| format!("{h}(X) :- w(f(X,N)), N < {n}.")),
+            (d(), u()).prop_map(|(h, p)| format!("{h}(X) :- {p}(X), w(f(X,g(Y,N))), N != Y.")),
+            (u(),).prop_map(|(p,)| format!("{{ pick(X) : w(f(X,G)), {p}(X) }} 1.")),
         ]
     }
 

@@ -81,7 +81,7 @@ pub use builder::ProgramBuilder;
 pub use check::{check_proof, CheckError, CheckReport};
 pub use diag::{Diagnostic, Severity, Span};
 pub use error::AspError;
-pub use ground::{default_threads, ExtendStats, GroundSession, Grounder};
+pub use ground::{ExtendStats, GroundSession, Grounder};
 pub use parser::{parse_program_spanned, SpannedProgram};
 pub use program::{AtomId, GroundProgram};
 pub use proof::{ProofLog, ProofStep};

@@ -487,7 +487,7 @@ fn wfm_lints(
     if prediction.total > WFM_LINT_BUDGET {
         return;
     }
-    let Ok(g) = Grounder::new().ground_predicted(&sp.program, Some(prediction)) else {
+    let Ok(g) = Grounder::new().ground(&sp.program) else {
         return;
     };
     let wfm = well_founded(&g);

@@ -5,10 +5,12 @@
 //! the [solver](crate::solve).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
 
 use crate::ast::{Atom, Term};
+use crate::intern::IdTable;
 
 /// Dense identifier of an interned ground atom.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -89,12 +91,21 @@ pub struct MinimizeLit {
     pub neg: Vec<AtomId>,
 }
 
+/// The index of a program's atoms: ids only, compared against the atom
+/// list, so each atom is stored once. Atoms carry the program's names, so
+/// they hash with std's keyed hasher.
+#[derive(Debug, Clone, Default)]
+struct AtomIndex {
+    hasher: RandomState,
+    table: IdTable,
+}
+
 /// A complete ground program.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GroundProgram {
     atoms: Vec<Atom>,
     #[serde(skip)]
-    index: HashMap<Atom, AtomId>,
+    index: AtomIndex,
     /// Ground rules.
     pub rules: Vec<GroundRule>,
     /// Cardinality constraints from bounded choice rules.
@@ -124,19 +135,23 @@ impl GroundProgram {
     /// Debug-asserts that the atom is ground.
     pub fn intern(&mut self, atom: Atom) -> AtomId {
         debug_assert!(atom.is_ground(), "interning non-ground atom {atom}");
-        if let Some(&id) = self.index.get(&atom) {
+        let hash = self.index.hasher.hash_one(&atom);
+        if let Some(id) = self.find(&atom, hash) {
             return id;
         }
-        let id = AtomId(self.atoms.len() as u32);
-        self.index.insert(atom.clone(), id);
         self.atoms.push(atom);
-        id
+        AtomId(self.index.table.push(hash))
     }
 
     /// Look up an already-interned atom.
     #[must_use]
     pub fn lookup(&self, atom: &Atom) -> Option<AtomId> {
-        self.index.get(atom).copied()
+        self.find(atom, self.index.hasher.hash_one(atom))
+    }
+
+    fn find(&self, atom: &Atom, hash: u64) -> Option<AtomId> {
+        let id = (self.index.table).find(hash, |id| self.atoms[id as usize] == *atom)?;
+        Some(AtomId(id))
     }
 
     /// The atom for an id.
@@ -173,12 +188,9 @@ impl GroundProgram {
 
     /// Rebuild the internal index (needed after deserialization).
     pub fn rebuild_index(&mut self) {
-        self.index = self
-            .atoms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.clone(), AtomId(i as u32)))
-            .collect();
+        let hasher = &self.index.hasher;
+        let hashes = self.atoms.iter().map(|a| hasher.hash_one(a)).collect();
+        self.index.table = IdTable::from_hashes(hashes);
     }
 }
 
@@ -241,6 +253,24 @@ mod tests {
     }
 
     #[test]
+    fn interning_many_atoms_keeps_first_ids() {
+        let mut g = GroundProgram::new();
+        let atom = |i: i64| Atom::new("p", vec![Term::Int(i), Term::sym(format!("c{}", i % 7))]);
+        for i in 0..1000 {
+            assert_eq!(g.intern(atom(i)), AtomId(i as u32));
+        }
+        for i in 0..1000 {
+            assert_eq!(g.intern(atom(i)), AtomId(i as u32));
+            assert_eq!(g.lookup(&atom(i)), Some(AtomId(i as u32)));
+        }
+        assert_eq!(g.lookup(&atom(1000)), None);
+        let mut copy: GroundProgram = g.clone();
+        copy.rebuild_index();
+        assert_eq!(copy.lookup(&atom(999)), Some(AtomId(999)));
+        assert_eq!(g.atom_count(), 1000);
+    }
+
+    #[test]
     fn show_projection_filters() {
         let mut g = GroundProgram::new();
         let p = g.intern(Atom::new("p", vec![Term::Int(1)]));
@@ -256,7 +286,7 @@ mod tests {
         let mut g = GroundProgram::new();
         let a = Atom::prop("x");
         let id = g.intern(a.clone());
-        g.index.clear();
+        g.index = AtomIndex::default();
         assert_eq!(g.lookup(&a), None);
         g.rebuild_index();
         assert_eq!(g.lookup(&a), Some(id));

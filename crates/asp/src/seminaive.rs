@@ -1,4 +1,4 @@
-//! Semi-naive, index-joined, parallel grounding engine.
+//! Semi-naive, index-joined grounding engine over interned ground terms.
 //!
 //! The one production grounding engine behind
 //! [`Grounder`](crate::ground::Grounder). The test build pins it to the
@@ -14,24 +14,30 @@
 //!   round. The possible-atom arena is append-only with ascending ids, so a
 //!   delta is just an id window sliced out of a candidate list by binary
 //!   search; duplicate derivations are absorbed by insert-time dedup.
+//! * **Interned ground terms.** A hash-consing
+//!   [`TermStore`](crate::intern::TermStore) gives every distinct ground
+//!   term a dense `TermId`; a compound term is its functor with the ids of
+//!   its arguments. A possible atom is a `[predicate, args…]` tuple of ids
+//!   in one flat arena. Term equality is id equality, and binding a
+//!   variable, undoing it or copying a substitution moves `u32`s.
 //! * **Multi-argument hash indexes.** Join plans register the argument
 //!   position they probe with per `(pred, arity, position)`; the
-//!   [`PossibleSet`] maintains exactly those indexes incrementally on
-//!   insert, so any bound argument — not just the first — narrows a scan.
+//!   [`PossibleSet`] maintains exactly those indexes, keyed by term id,
+//!   incrementally on insert, so any bound argument — not just the first —
+//!   narrows a scan.
 //! * **Slot substitutions.** Rules are compiled once: variables become
-//!   dense slots, substitutions become a `Vec<Option<Term>>` with
-//!   trail-based undo, and the `String`-keyed `BTreeMap` clones of a
-//!   naive join disappear from the hot path.
-//! * **Parallel instantiation.** Phase-2 top-level joins run across
-//!   `std::thread::scope` worker shards (`CPSRISK_THREADS`-controlled);
-//!   emission stays sequential in source-rule order, so the output is
-//!   bit-identical for every thread count.
+//!   dense slots, substitutions become a `Vec<Option<TermId>>` with
+//!   trail-based undo.
+//! * **Emission.** Rules are emitted on one thread in source-rule order. A
+//!   possible atom becomes an [`Atom`] and enters the [`GroundProgram`]
+//!   once, on first use, through a table from possible-atom id to
+//!   [`AtomId`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use crate::ast::{ArithOp, Atom, CmpOp, Head, Literal, Program, Rule, Statement, Term};
 use crate::error::AspError;
-use crate::intern::{SymId, SymbolTable};
+use crate::intern::{IdMap, IdSet, SymId, TermId, TermStore, Tuples};
 use crate::program::{
     AtomId, CardConstraint, CardElement, GroundHead, GroundProgram, GroundRule, MinimizeLit,
 };
@@ -42,8 +48,6 @@ pub(crate) struct Config<'a> {
     pub max_instances: usize,
     /// Predicate signatures whose facts become assumable atoms.
     pub assumable: &'a [(String, usize)],
-    /// Worker threads for Phase-2 instantiation.
-    pub threads: usize,
     /// Keep negative body literals over atoms that are not (yet) possible,
     /// interning the atom instead of dropping the literal. One-shot
     /// grounding drops them (they are trivially true); a [`Session`] must
@@ -52,12 +56,13 @@ pub(crate) struct Config<'a> {
     pub keep_unpossible_neg: bool,
 }
 
-/// Phase-2 parallelism is only worth its spawn cost on real programs.
-const PAR_MIN_RULES: usize = 4;
-const PAR_MIN_ATOMS: u32 = 256;
-
 /// A predicate signature: interned name + arity.
 type Sig = (SymId, u32);
+
+/// The signature of a `[predicate, args…]` atom key.
+fn sig_of(key: &[u32]) -> Sig {
+    (SymId(key[0]), key.len() as u32 - 1)
+}
 
 // ---------------------------------------------------------------------------
 // Compiled patterns: variables as dense slots, predicates as interned sigs.
@@ -66,12 +71,12 @@ type Sig = (SymId, u32);
 /// A compiled term pattern.
 #[derive(Debug, Clone)]
 enum Pat {
-    /// Fully ground, arithmetic-free subterm: compared with `==`.
-    Ground(Term),
+    /// Fully ground, arithmetic-free subterm: compared by id.
+    Ground(TermId),
     /// Variable slot.
     Var(u32),
     /// Compound with a variable or arithmetic inside.
-    Func(String, Vec<Pat>),
+    Func(SymId, Vec<Pat>),
     /// Arithmetic subterm: evaluated, never structurally unified.
     BinOp(ArithOp, Box<Pat>, Box<Pat>),
 }
@@ -79,16 +84,14 @@ enum Pat {
 /// A compiled atom pattern.
 #[derive(Debug, Clone)]
 struct CAtom {
-    /// Predicate name (for constructing ground atoms).
-    pred: String,
     /// Interned signature (for index lookups).
     sig: Sig,
     pats: Vec<Pat>,
-    /// The exact atom when every argument is ground and arithmetic-free.
+    /// The exact atom key when every argument is ground and arithmetic-free.
     /// The delta-round [`Triggers`] fire a place reading it only when this
     /// atom enters the window — the common case in temporal unrollings and
     /// accumulated slice deltas, whose rules are all ground.
-    ground: Option<Atom>,
+    ground: Option<Box<[u32]>>,
 }
 
 /// A compiled body literal.
@@ -179,49 +182,54 @@ fn has_binop(t: &Term) -> bool {
     }
 }
 
-fn compile_term(t: &Term, vars: &mut Vars) -> Pat {
+fn compile_term(t: &Term, vars: &mut Vars, store: &mut TermStore) -> Pat {
     if t.is_ground() && !has_binop(t) {
-        return Pat::Ground(t.clone());
+        return Pat::Ground(store.intern(t));
     }
     match t {
         Term::Var(v) => Pat::Var(vars.slot(v)),
         Term::Func(f, args) => Pat::Func(
-            f.clone(),
-            args.iter().map(|a| compile_term(a, vars)).collect(),
+            store.syms.intern(f),
+            args.iter().map(|a| compile_term(a, vars, store)).collect(),
         ),
         Term::BinOp(op, a, b) => Pat::BinOp(
             *op,
-            Box::new(compile_term(a, vars)),
-            Box::new(compile_term(b, vars)),
+            Box::new(compile_term(a, vars, store)),
+            Box::new(compile_term(b, vars, store)),
         ),
         // Int/Const/Str are ground and arithmetic-free: handled above.
         Term::Int(_) | Term::Const(_) | Term::Str(_) => unreachable!("ground scalar"),
     }
 }
 
-fn compile_atom(a: &Atom, vars: &mut Vars, syms: &mut SymbolTable) -> CAtom {
-    let pats: Vec<Pat> = a.args.iter().map(|t| compile_term(t, vars)).collect();
-    CAtom {
-        pred: a.pred.clone(),
-        sig: (syms.intern(&a.pred), a.args.len() as u32),
-        ground: pats
-            .iter()
-            .all(|p| matches!(p, Pat::Ground(_)))
-            .then(|| a.clone()),
-        pats,
-    }
+fn compile_atom(a: &Atom, vars: &mut Vars, store: &mut TermStore) -> CAtom {
+    let pats: Vec<Pat> = a
+        .args
+        .iter()
+        .map(|t| compile_term(t, vars, store))
+        .collect();
+    let sig = (store.syms.intern(&a.pred), a.args.len() as u32);
+    let ground = std::iter::once(Some(sig.0 .0))
+        .chain(pats.iter().map(|p| match p {
+            Pat::Ground(t) => Some(t.0),
+            _ => None,
+        }))
+        .collect();
+    CAtom { sig, pats, ground }
 }
 
-fn compile_lit(l: &Literal, vars: &mut Vars, syms: &mut SymbolTable) -> CLit {
+fn compile_lit(l: &Literal, vars: &mut Vars, store: &mut TermStore) -> CLit {
     match l {
         Literal::Pos(a) => CLit::Pos {
-            atom: compile_atom(a, vars, syms),
+            atom: compile_atom(a, vars, store),
             probe: None,
         },
-        Literal::Neg(a) => CLit::Neg(compile_atom(a, vars, syms)),
-        Literal::Cmp(op, lhs, rhs) => {
-            CLit::Cmp(*op, compile_term(lhs, vars), compile_term(rhs, vars))
-        }
+        Literal::Neg(a) => CLit::Neg(compile_atom(a, vars, store)),
+        Literal::Cmp(op, lhs, rhs) => CLit::Cmp(
+            *op,
+            compile_term(lhs, vars, store),
+            compile_term(rhs, vars, store),
+        ),
     }
 }
 
@@ -328,11 +336,10 @@ fn plan(mut remaining: Vec<CLit>, bound: &mut HashSet<u32>) -> Vec<CLit> {
         }
         if let Some((_, i)) = best {
             let mut lit = remaining.remove(i);
+            // A ground atom is looked up whole; it needs no probe.
             if let CLit::Pos { atom, probe } = &mut lit {
-                *probe = atom
-                    .pats
-                    .iter()
-                    .position(|p| pat_bound(p, bound))
+                *probe = (atom.pats.iter())
+                    .position(|p| pat_bound(p, bound) && atom.ground.is_none())
                     .map(|p| p as u32);
             }
             lit_slots(&lit, bound);
@@ -345,17 +352,17 @@ fn plan(mut remaining: Vec<CLit>, bound: &mut HashSet<u32>) -> Vec<CLit> {
     out
 }
 
-fn compile_rule(r: &Rule, syms: &mut SymbolTable) -> CRule {
+fn compile_rule(r: &Rule, store: &mut TermStore) -> CRule {
     let mut vars = Vars::default();
     let body_src: Vec<CLit> = r
         .body
         .iter()
-        .map(|l| compile_lit(l, &mut vars, syms))
+        .map(|l| compile_lit(l, &mut vars, store))
         .collect();
     let mut bound: HashSet<u32> = HashSet::new();
     let body_plan = plan(body_src.clone(), &mut bound);
     let head = match &r.head {
-        Head::Atom(a) => CHead::Atom(compile_atom(a, &mut vars, syms)),
+        Head::Atom(a) => CHead::Atom(compile_atom(a, &mut vars, store)),
         Head::None => CHead::None,
         Head::Choice {
             lower,
@@ -370,12 +377,12 @@ fn compile_rule(r: &Rule, syms: &mut SymbolTable) -> CRule {
                     let cond_src: Vec<CLit> = el
                         .condition
                         .iter()
-                        .map(|l| compile_lit(l, &mut vars, syms))
+                        .map(|l| compile_lit(l, &mut vars, store))
                         .collect();
                     let mut eb = bound.clone();
                     let cond_plan = plan(cond_src.clone(), &mut eb);
                     CElement {
-                        atom: compile_atom(&el.atom, &mut vars, syms),
+                        atom: compile_atom(&el.atom, &mut vars, store),
                         cond_plan,
                         cond_src,
                     }
@@ -400,7 +407,7 @@ fn compile_rule(r: &Rule, syms: &mut SymbolTable) -> CRule {
 // ---------------------------------------------------------------------------
 
 struct Frame {
-    slots: Vec<Option<Term>>,
+    slots: Vec<Option<TermId>>,
     trail: Vec<u32>,
 }
 
@@ -416,7 +423,7 @@ impl Frame {
         self.trail.len()
     }
 
-    fn bind(&mut self, slot: u32, t: Term) {
+    fn bind(&mut self, slot: u32, t: TermId) {
         self.slots[slot as usize] = Some(t);
         self.trail.push(slot);
     }
@@ -427,28 +434,51 @@ impl Frame {
         }
         self.trail.truncate(mark);
     }
+
+    /// Load the `i`-th substitution of a [`frames`] snapshot.
+    fn load(&mut self, snapshot: &[Option<TermId>], i: usize) {
+        let n = self.slots.len();
+        self.slots.copy_from_slice(&snapshot[i * n..(i + 1) * n]);
+        self.trail.clear();
+    }
 }
 
 /// Apply the frame to a pattern and evaluate arithmetic — the compiled
 /// equivalent of `apply(t, θ).eval()`.
-fn eval_pat(p: &Pat, frame: &Frame, names: &[String]) -> Result<Term, AspError> {
+fn eval_pat(
+    p: &Pat,
+    frame: &Frame,
+    names: &[String],
+    store: &mut TermStore,
+) -> Result<TermId, AspError> {
     match p {
-        Pat::Ground(t) => Ok(t.clone()),
-        Pat::Var(s) => frame.slots[*s as usize].clone().ok_or_else(|| {
+        Pat::Ground(t) => Ok(*t),
+        Pat::Var(s) => frame.slots[*s as usize].ok_or_else(|| {
             AspError::BadArithmetic(format!("unbound variable {}", names[*s as usize]))
         }),
-        Pat::Func(f, args) => Ok(Term::Func(
-            f.clone(),
-            args.iter()
-                .map(|a| eval_pat(a, frame, names))
-                .collect::<Result<Vec<_>, _>>()?,
-        )),
+        Pat::Func(f, args) => {
+            let from = store.stack.len();
+            for a in args {
+                match eval_pat(a, frame, names, store) {
+                    Ok(t) => store.stack.push(t.0),
+                    Err(e) => {
+                        store.stack.truncate(from);
+                        return Err(e);
+                    }
+                }
+            }
+            Ok(store.func_from(*f, from))
+        }
         Pat::BinOp(op, a, b) => {
-            let a = eval_pat(a, frame, names)?;
-            let b = eval_pat(b, frame, names)?;
-            match (&a, &b) {
-                (Term::Int(x), Term::Int(y)) => Ok(Term::Int(op.apply(*x, *y)?)),
-                _ => Err(AspError::BadArithmetic(format!("{a} {op} {b}"))),
+            let a = eval_pat(a, frame, names, store)?;
+            let b = eval_pat(b, frame, names, store)?;
+            match (store.as_int(a), store.as_int(b)) {
+                (Some(x), Some(y)) => Ok(store.int(op.apply(x, y)?)),
+                _ => Err(AspError::BadArithmetic(format!(
+                    "{} {op} {}",
+                    store.term(a),
+                    store.term(b)
+                ))),
             }
         }
     }
@@ -456,59 +486,71 @@ fn eval_pat(p: &Pat, frame: &Frame, names: &[String]) -> Result<Term, AspError> 
 
 /// Unify a pattern with a ground term, binding slots through the trail.
 /// On mismatch the caller undoes to its mark.
-fn unify_pat(p: &Pat, g: &Term, frame: &mut Frame, names: &[String]) -> Result<bool, AspError> {
+fn unify_pat(
+    p: &Pat,
+    g: TermId,
+    frame: &mut Frame,
+    names: &[String],
+    store: &mut TermStore,
+) -> Result<bool, AspError> {
     match p {
-        Pat::Ground(t) => Ok(t == g),
-        Pat::Var(s) => match &frame.slots[*s as usize] {
+        Pat::Ground(t) => Ok(*t == g),
+        Pat::Var(s) => match frame.slots[*s as usize] {
             Some(b) => Ok(b == g),
             None => {
-                frame.bind(*s, g.clone());
+                frame.bind(*s, g);
                 Ok(true)
             }
         },
-        Pat::Func(f, args) => match g {
-            Term::Func(gf, gargs) if gf == f && gargs.len() == args.len() => {
-                for (pa, ga) in args.iter().zip(gargs) {
-                    if !unify_pat(pa, ga, frame, names)? {
-                        return Ok(false);
-                    }
+        Pat::Func(f, args) => {
+            match store.as_func(g) {
+                Some((gf, gargs)) if gf == *f && gargs.len() == args.len() => {}
+                _ => return Ok(false),
+            }
+            for (i, pa) in args.iter().enumerate() {
+                if !unify_pat(pa, store.func_arg(g, i), frame, names, store)? {
+                    return Ok(false);
                 }
-                Ok(true)
             }
-            _ => Ok(false),
-        },
-        Pat::BinOp(..) => Ok(eval_pat(p, frame, names)? == *g),
+            Ok(true)
+        }
+        Pat::BinOp(..) => Ok(eval_pat(p, frame, names, store)? == g),
     }
 }
 
-/// Fully ground an atom pattern under a frame, evaluating arithmetic.
-fn ground_catom(a: &CAtom, frame: &Frame, names: &[String]) -> Result<Atom, AspError> {
-    let args = a
-        .pats
-        .iter()
-        .map(|p| eval_pat(p, frame, names))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Atom::new(a.pred.clone(), args))
+/// Fully ground an atom pattern under a frame, evaluating arithmetic, and
+/// append its `[predicate, args…]` key to `key`.
+fn atom_key(
+    a: &CAtom,
+    frame: &Frame,
+    names: &[String],
+    store: &mut TermStore,
+    key: &mut Vec<u32>,
+) -> Result<(), AspError> {
+    key.push(a.sig.0 .0);
+    for p in &a.pats {
+        key.push(eval_pat(p, frame, names, store)?.0);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Possible-atom arena with demand-registered multi-argument indexes.
 // ---------------------------------------------------------------------------
 
-/// Append-only arena of possible ground atoms with per-signature candidate
-/// lists and per-`(sig, arg-position)` hash indexes. Candidate lists hold
-/// ascending arena ids, so a semi-naive delta window is a binary-searched
-/// subslice. Index positions are registered up front (from the join plans)
-/// and maintained incrementally, keeping lookups allocation-free and the
-/// whole structure `Sync` for parallel Phase-2 joins.
+/// Append-only arena of possible ground atoms (`[predicate, args…]` keys of
+/// term ids) with per-signature candidate lists and per-`(sig,
+/// arg-position, term)` indexes. Candidate lists hold ascending arena ids,
+/// so a semi-naive delta window is a binary-searched subslice. Index
+/// positions are registered up front (from the join plans) and maintained
+/// incrementally, keeping lookups allocation-free.
 #[derive(Default)]
 struct PossibleSet {
-    atoms: Vec<Atom>,
-    index: HashMap<Atom, u32>,
-    by_sig: HashMap<Sig, Vec<u32>>,
-    by_arg: HashMap<(SymId, u32, u32), HashMap<Term, Vec<u32>>>,
+    atoms: Tuples,
+    by_sig: IdMap<Sig, Vec<u32>>,
+    by_arg: IdMap<(Sig, u32, TermId), Vec<u32>>,
     /// Which argument positions carry an index, per signature.
-    registered: HashMap<Sig, Vec<u32>>,
+    registered: IdMap<Sig, Vec<u32>>,
 }
 
 impl PossibleSet {
@@ -522,47 +564,40 @@ impl PossibleSet {
         // atoms of the signature already exist. Arena ids in `by_sig` are
         // ascending, so the rebuilt `by_arg` lists stay window-sliceable.
         if let Some(ids) = self.by_sig.get(&sig) {
-            let index = self.by_arg.entry((sig.0, sig.1, pos)).or_default();
             for &id in ids {
-                index
-                    .entry(self.atoms[id as usize].args[pos as usize].clone())
-                    .or_default()
-                    .push(id);
+                let arg = TermId(self.atoms.get(id)[1 + pos as usize]);
+                self.by_arg.entry((sig, pos, arg)).or_default().push(id);
             }
         }
     }
 
-    fn insert(&mut self, sig: Sig, atom: Atom) -> bool {
-        if self.index.contains_key(&atom) {
-            return false;
+    fn insert(&mut self, key: &[u32]) {
+        let (id, fresh) = self.atoms.intern(key);
+        if !fresh {
+            return;
         }
-        let id = self.atoms.len() as u32;
+        let sig = sig_of(key);
         if let Some(positions) = self.registered.get(&sig) {
             for &p in positions {
-                self.by_arg
-                    .entry((sig.0, sig.1, p))
-                    .or_default()
-                    .entry(atom.args[p as usize].clone())
-                    .or_default()
-                    .push(id);
+                let arg = TermId(key[1 + p as usize]);
+                self.by_arg.entry((sig, p, arg)).or_default().push(id);
             }
         }
         self.by_sig.entry(sig).or_default().push(id);
-        self.index.insert(atom.clone(), id);
-        self.atoms.push(atom);
-        true
     }
 
-    fn contains(&self, atom: &Atom) -> bool {
-        self.index.contains_key(atom)
+    /// The arena id of an atom key, if the atom is possible.
+    fn find(&self, key: &[u32]) -> Option<u32> {
+        self.atoms.find(key)
     }
 
-    fn atom(&self, id: u32) -> &Atom {
-        &self.atoms[id as usize]
+    /// The `[predicate, args…]` key of an arena id.
+    fn key(&self, id: u32) -> &[u32] {
+        self.atoms.get(id)
     }
 
     fn len(&self) -> u32 {
-        self.atoms.len() as u32
+        self.atoms.len()
     }
 
     fn candidates(&self, sig: Sig) -> &[u32] {
@@ -570,11 +605,8 @@ impl PossibleSet {
     }
 
     /// Candidates narrowed by a ground value at an indexed position.
-    fn candidates_at(&self, sig: Sig, pos: u32, val: &Term) -> &[u32] {
-        self.by_arg
-            .get(&(sig.0, sig.1, pos))
-            .and_then(|m| m.get(val))
-            .map_or(&[], Vec::as_slice)
+    fn candidates_at(&self, sig: Sig, pos: u32, val: TermId) -> &[u32] {
+        self.by_arg.get(&(sig, pos, val)).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -589,32 +621,49 @@ fn window(list: &[u32], lo: u32, hi: u32) -> &[u32] {
 // The join: indexed nested loops over compiled plans.
 // ---------------------------------------------------------------------------
 
+/// What a join reads besides its literals: the possible set and the slot
+/// names of the rule (for error messages).
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    possible: &'a PossibleSet,
+    names: &'a [String],
+}
+
+/// Called once per complete frame of a join.
+type OnFrame<'a> = dyn FnMut(&mut Frame, &mut TermStore) -> Result<(), AspError> + 'a;
+
 /// Join the planned literals from `at` onward against the possible set,
 /// invoking `cb` once per complete frame. `delta` restricts one literal
 /// (by plan index) to an arena-id window — the semi-naive rule variant.
 fn join(
-    possible: &PossibleSet,
+    scope: Scope<'_>,
+    store: &mut TermStore,
     lits: &[CLit],
     at: usize,
     delta: Option<(usize, (u32, u32))>,
     frame: &mut Frame,
-    names: &[String],
-    cb: &mut dyn FnMut(&mut Frame) -> Result<(), AspError>,
+    cb: &mut OnFrame<'_>,
 ) -> Result<(), AspError> {
     let Some(lit) = lits.get(at) else {
-        return cb(frame);
+        return cb(frame, store);
     };
+    let Scope { possible, names } = scope;
     match lit {
         CLit::Pos { atom, probe } => {
-            let base: &[u32] = match probe {
+            let found;
+            let base: &[u32] = match (&atom.ground, probe) {
+                (Some(key), _) => {
+                    found = possible.find(key);
+                    found.as_slice()
+                }
                 // A probe that fails to evaluate (e.g. arithmetic on a
                 // symbol) falls back to the full scan: if no candidate
                 // exists the naive oracle never errors either.
-                Some(p) => match eval_pat(&atom.pats[*p as usize], frame, names) {
-                    Ok(v) => possible.candidates_at(atom.sig, *p, &v),
+                (None, Some(p)) => match eval_pat(&atom.pats[*p as usize], frame, names, store) {
+                    Ok(v) => possible.candidates_at(atom.sig, *p, v),
                     Err(_) => possible.candidates(atom.sig),
                 },
-                None => possible.candidates(atom.sig),
+                (None, None) => possible.candidates(atom.sig),
             };
             let cands = match delta {
                 Some((i, (lo, hi))) if i == at => window(base, lo, hi),
@@ -622,16 +671,16 @@ fn join(
             };
             for &c in cands {
                 let mark = frame.mark();
-                let g = possible.atom(c);
+                let args = &possible.key(c)[1..];
                 let mut ok = true;
-                for (pa, ga) in atom.pats.iter().zip(&g.args) {
-                    if !unify_pat(pa, ga, frame, names)? {
+                for (pa, &ga) in atom.pats.iter().zip(args) {
+                    if !unify_pat(pa, TermId(ga), frame, names, store)? {
                         ok = false;
                         break;
                     }
                 }
                 if ok {
-                    join(possible, lits, at + 1, delta, frame, names, cb)?;
+                    join(scope, store, lits, at + 1, delta, frame, cb)?;
                 }
                 frame.undo_to(mark);
             }
@@ -640,41 +689,54 @@ fn join(
         CLit::Neg(atom) => {
             // Negation is decided at emission; here the atom must merely be
             // ground (arithmetic errors propagate, as in the naive oracle).
-            let _ = ground_catom(atom, frame, names)?;
-            join(possible, lits, at + 1, delta, frame, names, cb)
+            for p in &atom.pats {
+                eval_pat(p, frame, names, store)?;
+            }
+            join(scope, store, lits, at + 1, delta, frame, cb)
         }
         CLit::Cmp(op, l, r) => {
             if *op == CmpOp::Eq {
                 // Binding equality: X = expr (either side).
-                if let Pat::Var(s) = l {
-                    if frame.slots[*s as usize].is_none() {
-                        let v = eval_pat(r, frame, names)?;
-                        let mark = frame.mark();
-                        frame.bind(*s, v);
-                        join(possible, lits, at + 1, delta, frame, names, cb)?;
-                        frame.undo_to(mark);
-                        return Ok(());
-                    }
-                }
-                if let Pat::Var(s) = r {
-                    if frame.slots[*s as usize].is_none() {
-                        let v = eval_pat(l, frame, names)?;
-                        let mark = frame.mark();
-                        frame.bind(*s, v);
-                        join(possible, lits, at + 1, delta, frame, names, cb)?;
-                        frame.undo_to(mark);
-                        return Ok(());
+                for (var, expr) in [(l, r), (r, l)] {
+                    if let Pat::Var(s) = var {
+                        if frame.slots[*s as usize].is_none() {
+                            let v = eval_pat(expr, frame, names, store)?;
+                            let mark = frame.mark();
+                            frame.bind(*s, v);
+                            join(scope, store, lits, at + 1, delta, frame, cb)?;
+                            frame.undo_to(mark);
+                            return Ok(());
+                        }
                     }
                 }
             }
-            let lv = eval_pat(l, frame, names)?;
-            let rv = eval_pat(r, frame, names)?;
-            if op.eval(&lv, &rv) {
-                join(possible, lits, at + 1, delta, frame, names, cb)?;
+            let lv = eval_pat(l, frame, names, store)?;
+            let rv = eval_pat(r, frame, names, store)?;
+            if store.compare(*op, lv, rv) {
+                join(scope, store, lits, at + 1, delta, frame, cb)?;
             }
             Ok(())
         }
     }
+}
+
+/// Every complete substitution of a join of `lits` from `frame`, as one
+/// flat snapshot of `frame.slots.len()` slots per substitution, in join
+/// order; and their number.
+fn frames(
+    scope: Scope<'_>,
+    store: &mut TermStore,
+    lits: &[CLit],
+    frame: &mut Frame,
+) -> Result<(usize, Vec<Option<TermId>>), AspError> {
+    let mut n = 0;
+    let mut snapshot = Vec::new();
+    join(scope, store, lits, 0, None, frame, &mut |fr, _| {
+        n += 1;
+        snapshot.extend_from_slice(&fr.slots);
+        Ok(())
+    })?;
+    Ok((n, snapshot))
 }
 
 // ---------------------------------------------------------------------------
@@ -752,30 +814,59 @@ fn condense(adj: &[Vec<usize>]) -> (Vec<usize>, usize) {
 // Phase 1: stratified semi-naive possible-atom fixpoint.
 // ---------------------------------------------------------------------------
 
+/// Ground an atom pattern under a frame and append it to a head buffer
+/// (its key length, then the key).
+fn push_head(
+    a: &CAtom,
+    frame: &Frame,
+    names: &[String],
+    store: &mut TermStore,
+    buf: &mut Vec<u32>,
+) -> Result<(), AspError> {
+    let at = buf.len();
+    buf.push(0);
+    atom_key(a, frame, names, store, buf)?;
+    buf[at] = (buf.len() - at - 1) as u32;
+    Ok(())
+}
+
+/// Insert every head of a buffer filled by [`push_head`], then clear it.
+fn insert_heads(possible: &mut PossibleSet, buf: &mut Vec<u32>) {
+    let mut at = 0;
+    while at < buf.len() {
+        let len = buf[at] as usize;
+        possible.insert(&buf[at + 1..at + 1 + len]);
+        at += 1 + len;
+    }
+    buf.clear();
+}
+
 /// Evaluate one rule (optionally as the delta variant at `place`) and push
 /// every derivable head atom into `buf`.
 fn derive_heads(
     rule: &CRule,
     possible: &PossibleSet,
+    store: &mut TermStore,
     delta: Option<(Place, (u32, u32))>,
-    buf: &mut Vec<(Sig, Atom)>,
+    buf: &mut Vec<u32>,
 ) -> Result<(), AspError> {
     let body_delta = match delta {
         Some((Place::Body(i), w)) => Some((i, w)),
         _ => None,
     };
     let names = &rule.names;
+    let scope = Scope { possible, names };
     let mut frame = Frame::new(rule.n_slots);
     join(
-        possible,
+        scope,
+        store,
         &rule.body_plan,
         0,
         body_delta,
         &mut frame,
-        names,
-        &mut |fr| {
+        &mut |fr, store| {
             match &rule.head {
-                CHead::Atom(a) => buf.push((a.sig, ground_catom(a, fr, names)?)),
+                CHead::Atom(a) => push_head(a, fr, names, store, buf)?,
                 CHead::None => {}
                 CHead::Choice { elements, .. } => {
                     for (e, el) in elements.iter().enumerate() {
@@ -791,9 +882,8 @@ fn derive_heads(
                             _ => None,
                         };
                         let mark = fr.mark();
-                        join(possible, &el.cond_plan, 0, ed, fr, names, &mut |fr2| {
-                            buf.push((el.atom.sig, ground_catom(&el.atom, fr2, names)?));
-                            Ok(())
+                        join(scope, store, &el.cond_plan, 0, ed, fr, &mut |fr2, store| {
+                            push_head(&el.atom, fr2, names, store, buf)
                         })?;
                         fr.undo_to(mark);
                     }
@@ -805,10 +895,14 @@ fn derive_heads(
 }
 
 /// Compute the possible-atom fixpoint component by component.
-fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(), AspError> {
+fn possible_fixpoint(
+    crules: &[CRule],
+    possible: &mut PossibleSet,
+    store: &mut TermStore,
+) -> Result<(), AspError> {
     // Dense node ids for every signature read or written by a rule.
-    let mut node_of: HashMap<Sig, usize> = HashMap::new();
-    let node = |map: &mut HashMap<Sig, usize>, sig: Sig| -> usize {
+    let mut node_of: IdMap<Sig, usize> = IdMap::default();
+    let node = |map: &mut IdMap<Sig, usize>, sig: Sig| -> usize {
         let n = map.len();
         *map.entry(sig).or_insert(n)
     };
@@ -843,7 +937,7 @@ fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(),
         }
     }
 
-    let mut buf: Vec<(Sig, Atom)> = Vec::new();
+    let mut buf: Vec<u32> = Vec::new();
     for (c, rules) in comp_rules.iter().enumerate() {
         if rules.is_empty() {
             continue;
@@ -851,10 +945,8 @@ fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(),
         let comp_start = possible.len();
         // One full evaluation pass seeds the component.
         for &ri in rules {
-            derive_heads(&crules[ri], possible, None, &mut buf)?;
-            for (sig, a) in buf.drain(..) {
-                possible.insert(sig, a);
-            }
+            derive_heads(&crules[ri], possible, store, None, &mut buf)?;
+            insert_heads(possible, &mut buf);
         }
         // Delta variants: one per recursive positive literal place.
         let mut triggers = Triggers::default();
@@ -866,7 +958,7 @@ fn possible_fixpoint(crules: &[CRule], possible: &mut PossibleSet) -> Result<(),
             }
         }
         if !triggers.places.is_empty() {
-            delta_rounds(&[(crules, &triggers)], possible, comp_start)?;
+            delta_rounds(&[(crules, &triggers)], possible, store, comp_start)?;
         }
     }
     Ok(())
@@ -882,11 +974,11 @@ struct Triggers {
     /// `(rule index, place)` in firing order.
     places: Vec<(usize, Place)>,
     /// Places whose read literal is not ground, by signature.
-    by_sig: HashMap<Sig, Vec<u32>>,
-    /// Places whose read literal is ground, by that atom.
-    by_atom: HashMap<Atom, Vec<u32>>,
+    by_sig: IdMap<Sig, Vec<u32>>,
+    /// Places whose read literal is ground, by that atom's key.
+    by_atom: IdMap<Box<[u32]>, Vec<u32>>,
     /// The signatures of the `by_atom` keys.
-    ground_sigs: HashSet<Sig>,
+    ground_sigs: IdSet<Sig>,
     /// Rules `0..covered` of the indexed rule list have all their reads
     /// indexed (see [`Triggers::cover`]).
     covered: usize,
@@ -898,9 +990,9 @@ impl Triggers {
         let id = self.places.len() as u32;
         self.places.push((ri, place));
         match &rule.read_atom(place).ground {
-            Some(atom) => {
+            Some(key) => {
                 self.ground_sigs.insert(sig);
-                self.by_atom.entry(atom.clone()).or_default().push(id);
+                self.by_atom.entry(key.clone()).or_default().push(id);
             }
             None => self.by_sig.entry(sig).or_default().push(id),
         }
@@ -926,7 +1018,7 @@ impl Triggers {
         }
         for &sig in &self.ground_sigs {
             for &id in window(possible.candidates(sig), lo, hi) {
-                if let Some(places) = self.by_atom.get(possible.atom(id)) {
+                if let Some(places) = self.by_atom.get(possible.key(id)) {
                     out.extend_from_slice(places);
                 }
             }
@@ -945,9 +1037,10 @@ impl Triggers {
 fn delta_rounds(
     groups: &[(&[CRule], &Triggers)],
     possible: &mut PossibleSet,
+    store: &mut TermStore,
     mut lo: u32,
 ) -> Result<(), AspError> {
-    let mut buf: Vec<(Sig, Atom)> = Vec::new();
+    let mut buf: Vec<u32> = Vec::new();
     let mut hits: Vec<u32> = Vec::new();
     loop {
         let hi = possible.len();
@@ -958,10 +1051,14 @@ fn delta_rounds(
             triggers.hits(possible, lo, hi, &mut hits);
             for &p in &hits {
                 let (ri, place) = triggers.places[p as usize];
-                derive_heads(&rules[ri], possible, Some((place, (lo, hi))), &mut buf)?;
-                for (sig, a) in buf.drain(..) {
-                    possible.insert(sig, a);
-                }
+                derive_heads(
+                    &rules[ri],
+                    possible,
+                    store,
+                    Some((place, (lo, hi))),
+                    &mut buf,
+                )?;
+                insert_heads(possible, &mut buf);
             }
         }
         lo = hi;
@@ -969,158 +1066,136 @@ fn delta_rounds(
 }
 
 // ---------------------------------------------------------------------------
-// Phase 2: parallel instantiation, sequential source-order emission.
+// Phase 2: instantiation and source-order emission.
 // ---------------------------------------------------------------------------
 
-type Snapshot = Vec<Option<Term>>;
-
-/// All complete top-level substitutions of a rule, in candidate order.
-fn instances(rule: &CRule, possible: &PossibleSet) -> Result<Vec<Snapshot>, AspError> {
-    let mut out = Vec::new();
-    let mut frame = Frame::new(rule.n_slots);
-    join(
-        possible,
-        &rule.body_plan,
-        0,
-        None,
-        &mut frame,
-        &rule.names,
-        &mut |fr| {
-            out.push(fr.slots.clone());
-            Ok(())
-        },
-    )?;
-    Ok(out)
-}
-
-/// Per-rule instance lists, computed on worker threads when the program is
-/// large enough. Contiguous rule shards keep results indexed by rule, so
-/// the emitted program is identical for every thread count.
-///
-/// # Errors
-///
-/// [`AspError::Internal`] if a worker panicked.
-fn shard_instances(
-    crules: &[CRule],
-    possible: &PossibleSet,
-    threads: usize,
-) -> Result<Vec<Result<Vec<Snapshot>, AspError>>, AspError> {
-    if threads <= 1 || crules.len() < PAR_MIN_RULES || possible.len() < PAR_MIN_ATOMS {
-        return Ok(crules.iter().map(|r| instances(r, possible)).collect());
-    }
-    let chunk = crules.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = crules
-            .chunks(chunk)
-            .map(|shard| {
-                s.spawn(move || {
-                    shard
-                        .iter()
-                        .map(|r| instances(r, possible))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // Join every worker before returning, so no panic is left for the
-        // scope to re-raise.
-        let shards: Vec<_> = handles.into_iter().map(join_worker).collect();
-        let mut out = Vec::with_capacity(crules.len());
-        for shard in shards {
-            out.extend(shard?);
-        }
-        Ok(out)
-    })
-}
-
-/// Join a grounder worker; its panic becomes an [`AspError::Internal`]
-/// instead of unwinding into the caller.
-fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> Result<T, AspError> {
-    handle.join().map_err(|payload| {
-        let msg = (payload.downcast_ref::<&str>().copied())
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("non-string panic payload");
-        AspError::Internal(format!("grounder worker panicked: {msg}"))
-    })
-}
-
-/// Ground the positive/negative atoms of a compiled literal list (in source
-/// order) under a complete frame. Mirrors the naive oracle's `ground_condition`:
-/// `alive` is false when a positive atom is underivable; negative literals
-/// over underivable atoms are trivially true and dropped.
-fn ground_condition(
-    lits: &[CLit],
-    frame: &Frame,
-    names: &[String],
-    possible: &PossibleSet,
+/// What emission reads: the possible set and the session's settings.
+#[derive(Clone, Copy)]
+struct EmitCtx<'a> {
+    possible: &'a PossibleSet,
+    /// Signatures whose facts are emitted as assumable choices.
+    assumable: &'a [Sig],
     keep_unpossible_neg: bool,
-    out: &mut GroundProgram,
-) -> Result<(Vec<AtomId>, Vec<AtomId>, bool), AspError> {
-    let mut pos = Vec::new();
-    let mut neg = Vec::new();
-    for lit in lits {
-        match lit {
-            CLit::Pos { atom, .. } => {
-                let g = ground_catom(atom, frame, names)?;
-                if !possible.contains(&g) {
-                    return Ok((pos, neg, false));
+}
+
+/// Possible atom not yet in the ground program.
+const NO_ATOM: u32 = u32::MAX;
+
+/// What emission writes: the ground program, its rule dedup set, and the
+/// program id of every possible atom emitted so far.
+#[derive(Default)]
+struct Emit {
+    out: GroundProgram,
+    seen: IdSet<GroundRule>,
+    /// `AtomId` of each possible atom, by arena id; [`NO_ATOM`] until the
+    /// atom is first used.
+    atom_ids: Vec<u32>,
+    /// Key of the atom being grounded.
+    key: Vec<u32>,
+}
+
+impl Emit {
+    /// Ground `a` under `frame` into `self.key`; its arena id, if possible.
+    fn ground_key(
+        &mut self,
+        cx: EmitCtx<'_>,
+        a: &CAtom,
+        frame: &Frame,
+        names: &[String],
+        store: &mut TermStore,
+    ) -> Result<Option<u32>, AspError> {
+        self.key.clear();
+        atom_key(a, frame, names, store, &mut self.key)?;
+        Ok(cx.possible.find(&self.key))
+    }
+
+    /// The program id of the atom in `self.key` (at arena id `pid`, if it
+    /// is possible), interning it on first use.
+    fn key_atom(&mut self, cx: EmitCtx<'_>, store: &TermStore, pid: Option<u32>) -> AtomId {
+        let Some(pid) = pid else {
+            return self.out.intern(store.atom(&self.key));
+        };
+        let i = pid as usize;
+        if i >= self.atom_ids.len() {
+            self.atom_ids.resize(cx.possible.len() as usize, NO_ATOM);
+        }
+        if self.atom_ids[i] == NO_ATOM {
+            self.atom_ids[i] = self.out.intern(store.atom(&self.key)).0;
+        }
+        AtomId(self.atom_ids[i])
+    }
+
+    /// Ground the positive/negative atoms of a compiled literal list (in
+    /// source order) under a complete frame. Mirrors the naive oracle's
+    /// `ground_condition`: `alive` is false when a positive atom is
+    /// underivable; negative literals over underivable atoms are trivially
+    /// true and dropped.
+    fn condition(
+        &mut self,
+        cx: EmitCtx<'_>,
+        lits: &[CLit],
+        frame: &Frame,
+        names: &[String],
+        store: &mut TermStore,
+    ) -> Result<(Vec<AtomId>, Vec<AtomId>, bool), AspError> {
+        let mut pos = Vec::new();
+        let mut neg = Vec::new();
+        for lit in lits {
+            match lit {
+                CLit::Pos { atom, .. } => {
+                    let pid = self.ground_key(cx, atom, frame, names, store)?;
+                    if pid.is_none() {
+                        return Ok((pos, neg, false));
+                    }
+                    pos.push(self.key_atom(cx, store, pid));
                 }
-                pos.push(out.intern(g));
-            }
-            CLit::Neg(atom) => {
-                let g = ground_catom(atom, frame, names)?;
-                if keep_unpossible_neg || possible.contains(&g) {
-                    neg.push(out.intern(g));
+                CLit::Neg(atom) => {
+                    let pid = self.ground_key(cx, atom, frame, names, store)?;
+                    if cx.keep_unpossible_neg || pid.is_some() {
+                        neg.push(self.key_atom(cx, store, pid));
+                    }
                 }
-            }
-            CLit::Cmp(op, l, r) => {
-                let lv = eval_pat(l, frame, names)?;
-                let rv = eval_pat(r, frame, names)?;
-                if !op.eval(&lv, &rv) {
-                    return Ok((pos, neg, false));
+                CLit::Cmp(op, l, r) => {
+                    let lv = eval_pat(l, frame, names, store)?;
+                    let rv = eval_pat(r, frame, names, store)?;
+                    if !store.compare(*op, lv, rv) {
+                        return Ok((pos, neg, false));
+                    }
                 }
             }
         }
+        Ok((pos, neg, true))
     }
-    Ok((pos, neg, true))
-}
 
-fn push_rule(out: &mut GroundProgram, seen: &mut HashSet<GroundRule>, rule: GroundRule) -> bool {
-    if seen.insert(rule.clone()) {
-        out.rules.push(rule);
-        return true;
+    fn push_rule(&mut self, rule: GroundRule) -> bool {
+        if self.seen.insert(rule.clone()) {
+            self.out.rules.push(rule);
+            return true;
+        }
+        false
     }
-    false
-}
 
-fn emit_rule(
-    cfg: &Config<'_>,
-    rule: &CRule,
-    frame: &mut Frame,
-    possible: &PossibleSet,
-    out: &mut GroundProgram,
-    seen: &mut HashSet<GroundRule>,
-) -> Result<(), AspError> {
-    let names = &rule.names;
-    let keep = cfg.keep_unpossible_neg;
-    let (body_pos, body_neg, alive) =
-        ground_condition(&rule.body_src, frame, names, possible, keep, out)?;
-    if !alive {
-        return Ok(());
-    }
-    match &rule.head {
-        CHead::Atom(a) => {
-            let ga = ground_catom(a, frame, names)?;
-            let is_assumable = body_pos.is_empty()
-                && body_neg.is_empty()
-                && cfg
-                    .assumable
-                    .iter()
-                    .any(|(p, n)| *p == ga.pred && *n == ga.args.len());
-            let head = out.intern(ga);
-            let inserted = push_rule(
-                out,
-                seen,
-                GroundRule {
+    /// Emit the instance of `rule` under a complete body frame.
+    fn rule(
+        &mut self,
+        cx: EmitCtx<'_>,
+        rule: &CRule,
+        frame: &mut Frame,
+        store: &mut TermStore,
+    ) -> Result<(), AspError> {
+        let names = &rule.names;
+        let (body_pos, body_neg, alive) =
+            self.condition(cx, &rule.body_src, frame, names, store)?;
+        if !alive {
+            return Ok(());
+        }
+        match &rule.head {
+            CHead::Atom(a) => {
+                let pid = self.ground_key(cx, a, frame, names, store)?;
+                let is_assumable =
+                    body_pos.is_empty() && body_neg.is_empty() && cx.assumable.contains(&a.sig);
+                let head = self.key_atom(cx, store, pid);
+                let inserted = self.push_rule(GroundRule {
                     head: if is_assumable {
                         GroundHead::Choice(head)
                     } else {
@@ -1128,83 +1203,105 @@ fn emit_rule(
                     },
                     pos: body_pos,
                     neg: body_neg,
-                },
-            );
-            if inserted && is_assumable {
-                out.assumable.push(head);
+                });
+                if inserted && is_assumable {
+                    self.out.assumable.push(head);
+                }
             }
-        }
-        CHead::None => {
-            push_rule(
-                out,
-                seen,
-                GroundRule {
+            CHead::None => {
+                self.push_rule(GroundRule {
                     head: GroundHead::None,
                     pos: body_pos,
                     neg: body_neg,
-                },
-            );
-        }
-        CHead::Choice {
-            lower,
-            upper,
-            elements,
-        } => {
-            let mut card_elems: Vec<CardElement> = Vec::new();
-            for el in elements {
-                let mut exts: Vec<Snapshot> = Vec::new();
-                let mark = frame.mark();
-                join(possible, &el.cond_plan, 0, None, frame, names, &mut |fr| {
-                    exts.push(fr.slots.clone());
-                    Ok(())
-                })?;
-                frame.undo_to(mark);
-                for sigma in exts {
-                    let f2 = Frame {
-                        slots: sigma,
-                        trail: Vec::new(),
-                    };
-                    let atom = out.intern(ground_catom(&el.atom, &f2, names)?);
-                    let (gpos, gneg, galive) =
-                        ground_condition(&el.cond_src, &f2, names, possible, keep, out)?;
-                    if !galive {
-                        continue;
-                    }
-                    let mut pos = body_pos.clone();
-                    pos.extend(gpos.iter().copied());
-                    let mut neg = body_neg.clone();
-                    neg.extend(gneg.iter().copied());
-                    push_rule(
-                        out,
-                        seen,
-                        GroundRule {
+                });
+            }
+            CHead::Choice {
+                lower,
+                upper,
+                elements,
+            } => {
+                let bounded = lower.is_some() || upper.is_some();
+                let mut card_elems: Vec<CardElement> = Vec::new();
+                let scope = Scope {
+                    possible: cx.possible,
+                    names,
+                };
+                let mut ext = Frame::new(frame.slots.len());
+                for el in elements {
+                    let (n, snapshot) = frames(scope, store, &el.cond_plan, frame)?;
+                    for i in 0..n {
+                        ext.load(&snapshot, i);
+                        let pid = self.ground_key(cx, &el.atom, &ext, names, store)?;
+                        let atom = self.key_atom(cx, store, pid);
+                        let (gpos, gneg, galive) =
+                            self.condition(cx, &el.cond_src, &ext, names, store)?;
+                        if !galive {
+                            continue;
+                        }
+                        let mut pos = body_pos.clone();
+                        pos.extend(gpos.iter().copied());
+                        let mut neg = body_neg.clone();
+                        neg.extend(gneg.iter().copied());
+                        self.push_rule(GroundRule {
                             head: GroundHead::Choice(atom),
                             pos,
                             neg,
-                        },
-                    );
-                    if lower.is_some() || upper.is_some() {
-                        card_elems.push(CardElement {
-                            atom,
-                            guard_pos: gpos,
-                            guard_neg: gneg,
                         });
+                        if bounded {
+                            card_elems.push(CardElement {
+                                atom,
+                                guard_pos: gpos,
+                                guard_neg: gneg,
+                            });
+                        }
                     }
                 }
-            }
-            if lower.is_some() || upper.is_some() {
-                let n = card_elems.len() as u32;
-                out.cards.push(CardConstraint {
-                    pos: body_pos,
-                    neg: body_neg,
-                    elements: card_elems,
-                    lower: lower.unwrap_or(0),
-                    upper: upper.unwrap_or(n),
-                });
+                if bounded {
+                    let n = card_elems.len() as u32;
+                    self.out.cards.push(CardConstraint {
+                        pos: body_pos,
+                        neg: body_neg,
+                        elements: card_elems,
+                        lower: lower.unwrap_or(0),
+                        upper: upper.unwrap_or(n),
+                    });
+                }
             }
         }
+        Ok(())
     }
-    Ok(())
+
+    /// Emit every instance of `rule`: all its body substitutions are
+    /// joined first, then emitted in join order.
+    fn all_instances(
+        &mut self,
+        cx: EmitCtx<'_>,
+        rule: &CRule,
+        store: &mut TermStore,
+        max_instances: usize,
+    ) -> Result<(), AspError> {
+        let scope = Scope {
+            possible: cx.possible,
+            names: &rule.names,
+        };
+        let mut frame = Frame::new(rule.n_slots);
+        let (n, snapshot) = frames(scope, store, &rule.body_plan, &mut frame)?;
+        for i in 0..n {
+            frame.load(&snapshot, i);
+            self.rule(cx, rule, &mut frame, store)?;
+            self.check_budget(max_instances)?;
+        }
+        Ok(())
+    }
+
+    fn check_budget(&self, max_instances: usize) -> Result<(), AspError> {
+        if self.out.rules.len() > max_instances {
+            return Err(AspError::GroundingBudget {
+                limit: max_instances,
+            });
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1215,7 +1312,7 @@ fn emit_rule(
 /// to the naive oracle grounder (same atoms, rules, cards, minimize literals,
 /// shows, and assumables), pinned by differential proptests.
 pub(crate) fn ground(program: &Program, cfg: &Config<'_>) -> Result<GroundProgram, AspError> {
-    Ok(Session::new(program, cfg)?.out)
+    Ok(Session::new(program, cfg)?.emit.out)
 }
 
 /// Statistics of one [`GroundSession::extend`](crate::GroundSession::extend) call.
@@ -1239,7 +1336,7 @@ pub struct ExtendStats {
 
 fn compile_min_elements(
     elements: &[crate::ast::MinimizeElement],
-    syms: &mut SymbolTable,
+    store: &mut TermStore,
 ) -> Vec<CMinElement> {
     elements
         .iter()
@@ -1248,16 +1345,16 @@ fn compile_min_elements(
             let cond_src: Vec<CLit> = el
                 .condition
                 .iter()
-                .map(|l| compile_lit(l, &mut vars, syms))
+                .map(|l| compile_lit(l, &mut vars, store))
                 .collect();
             let mut bound = HashSet::new();
             let cond_plan = plan(cond_src.clone(), &mut bound);
             CMinElement {
-                weight: compile_term(&el.weight, &mut vars),
+                weight: compile_term(&el.weight, &mut vars, store),
                 terms: el
                     .terms
                     .iter()
-                    .map(|t| compile_term(t, &mut vars))
+                    .map(|t| compile_term(t, &mut vars, store))
                     .collect(),
                 cond_plan,
                 cond_src,
@@ -1307,24 +1404,24 @@ fn has_bounded_choice(r: &Rule) -> bool {
     )
 }
 
-/// A resident grounding session: the compiled rule set, symbol table,
+/// A resident grounding session: the compiled rule set, term store,
 /// possible-atom arena, dedup set, and ground program survive across
 /// [`Session::extend`] calls, so a program delta (new time slices of a
 /// temporal unrolling, say) is ground semi-naively against the existing
 /// state instead of from scratch.
 pub(crate) struct Session {
     max_instances: usize,
-    assumable: Vec<(String, usize)>,
     keep_unpossible_neg: bool,
-    syms: SymbolTable,
+    /// Signatures whose facts are emitted as assumable choices.
+    assumable: Vec<Sig>,
+    store: TermStore,
     crules: Vec<CRule>,
     cmins: Vec<(i64, Vec<CMinElement>)>,
     possible: PossibleSet,
     /// Delta places of `crules`, indexed on the first extension (one-shot
     /// grounding never needs them).
     triggers: Triggers,
-    seen: HashSet<GroundRule>,
-    pub(crate) out: GroundProgram,
+    emit: Emit,
     bounded_choice: bool,
 }
 
@@ -1337,17 +1434,20 @@ impl Session {
         for r in &rules {
             r.check_safety()?;
         }
-        let mut syms = SymbolTable::new();
-        let crules: Vec<CRule> = rules.iter().map(|r| compile_rule(r, &mut syms)).collect();
+        let mut store = TermStore::default();
+        let crules: Vec<CRule> = rules.iter().map(|r| compile_rule(r, &mut store)).collect();
         let bounded_choice = rules.iter().any(|r| has_bounded_choice(r));
 
         // Compile #minimize elements up front so their probes register too.
         let mut cmins: Vec<(i64, Vec<CMinElement>)> = Vec::new();
         for stmt in &program.statements {
             if let Statement::Minimize { priority, elements } = stmt {
-                cmins.push((*priority, compile_min_elements(elements, &mut syms)));
+                cmins.push((*priority, compile_min_elements(elements, &mut store)));
             }
         }
+        let assumable: Vec<Sig> = (cfg.assumable.iter())
+            .map(|(pred, arity)| (store.syms.intern(pred), *arity as u32))
+            .collect();
 
         // Register every probe position before the first insert, so the
         // argument indexes are maintained incrementally from the start.
@@ -1355,43 +1455,35 @@ impl Session {
         register_probes(&mut possible, &crules, cmins.iter().map(|(_, g)| g));
 
         // Phase 1: stratified semi-naive possible-atom fixpoint.
-        possible_fixpoint(&crules, &mut possible)?;
+        possible_fixpoint(&crules, &mut possible, &mut store)?;
 
-        // Phase 2: parallel instantiation, sequential source-order emission.
-        let snaps = shard_instances(&crules, &possible, cfg.threads)?;
-        let mut out = GroundProgram::new();
-        let mut seen: HashSet<GroundRule> = HashSet::new();
-        for (rule, snap) in crules.iter().zip(snaps) {
-            let mut frame = Frame::new(rule.n_slots);
-            for slots in snap? {
-                frame.slots = slots;
-                frame.trail.clear();
-                emit_rule(cfg, rule, &mut frame, &possible, &mut out, &mut seen)?;
-                if out.rules.len() > cfg.max_instances {
-                    return Err(AspError::GroundingBudget {
-                        limit: cfg.max_instances,
-                    });
-                }
-            }
+        // Phase 2: instantiation and emission in source-rule order.
+        let mut emit = Emit::default();
+        let cx = EmitCtx {
+            possible: &possible,
+            assumable: &assumable,
+            keep_unpossible_neg: cfg.keep_unpossible_neg,
+        };
+        for rule in &crules {
+            emit.all_instances(cx, rule, &mut store, cfg.max_instances)?;
         }
 
         // Phase 3: projections, then optimization statements.
         for stmt in &program.statements {
             if let Statement::Show { pred, arity } = stmt {
-                out.shows.push((pred.clone(), *arity));
+                emit.out.shows.push((pred.clone(), *arity));
             }
         }
         let mut session = Session {
             max_instances: cfg.max_instances,
-            assumable: cfg.assumable.to_vec(),
             keep_unpossible_neg: cfg.keep_unpossible_neg,
-            syms,
+            assumable,
+            store,
             crules,
             cmins,
             possible,
             triggers: Triggers::default(),
-            seen,
-            out,
+            emit,
             bounded_choice,
         };
         session.recompute_minimize()?;
@@ -1400,7 +1492,7 @@ impl Session {
 
     /// The ground program in its current state.
     pub(crate) fn program(&self) -> &GroundProgram {
-        &self.out
+        &self.emit.out
     }
 
     /// Ground a program delta on top of the session: `revoke` lists atoms
@@ -1423,16 +1515,16 @@ impl Session {
             ));
         }
 
-        // Compile the delta against the session's symbol table and register
+        // Compile the delta against the session's term store and register
         // its probes (with backfill over already-present atoms).
         let new_crules: Vec<CRule> = new_rules
             .iter()
-            .map(|r| compile_rule(r, &mut self.syms))
+            .map(|r| compile_rule(r, &mut self.store))
             .collect();
         let mut new_cmins: Vec<(i64, Vec<CMinElement>)> = Vec::new();
         for stmt in &delta.statements {
             if let Statement::Minimize { priority, elements } = stmt {
-                new_cmins.push((*priority, compile_min_elements(elements, &mut self.syms)));
+                new_cmins.push((*priority, compile_min_elements(elements, &mut self.store)));
             }
         }
         register_probes(
@@ -1444,7 +1536,7 @@ impl Session {
         // Retract the revoked defers before emitting anything new.
         let mut revoked_ids: Vec<AtomId> = Vec::with_capacity(revoke.len());
         for atom in revoke {
-            let Some(id) = self.out.lookup(atom) else {
+            let Some(id) = self.emit.out.lookup(atom) else {
                 return Err(AspError::Internal(format!(
                     "revoked atom `{atom}` is not in the session program"
                 )));
@@ -1454,18 +1546,18 @@ impl Session {
                 pos: Vec::new(),
                 neg: Vec::new(),
             };
-            if !self.seen.remove(&target) {
+            if !self.emit.seen.remove(&target) {
                 return Err(AspError::Internal(format!(
                     "revoked atom `{atom}` has no bare choice rule to retract"
                 )));
             }
-            self.out.rules.retain(|r| *r != target);
-            self.out.assumable.retain(|&a| a != id);
+            self.emit.out.rules.retain(|r| *r != target);
+            self.emit.out.assumable.retain(|&a| a != id);
             revoked_ids.push(id);
         }
 
-        let atom_watermark = self.out.atom_count() as u32;
-        let rules_low = self.out.rules.len();
+        let atom_watermark = self.emit.out.atom_count() as u32;
+        let rules_low = self.emit.out.rules.len();
         let possible_low = self.possible.len();
 
         // Phase 1 (delta): seed with a full pass over the new rules, then
@@ -1473,12 +1565,10 @@ impl Session {
         // the atoms added since `possible_low`. The possible fixpoint
         // ignores negation, so dropping the SCC schedule loses nothing but
         // scheduling quality — and the delta windows keep it cheap.
-        let mut buf: Vec<(Sig, Atom)> = Vec::new();
+        let mut buf: Vec<u32> = Vec::new();
         for rule in &new_crules {
-            derive_heads(rule, &self.possible, None, &mut buf)?;
-            for (sig, a) in buf.drain(..) {
-                self.possible.insert(sig, a);
-            }
+            derive_heads(rule, &self.possible, &mut self.store, None, &mut buf)?;
+            insert_heads(&mut self.possible, &mut buf);
         }
         self.triggers.cover(&self.crules);
         let mut new_triggers = Triggers::default();
@@ -1486,6 +1576,7 @@ impl Session {
         delta_rounds(
             &[(&self.crules, &self.triggers), (&new_crules, &new_triggers)],
             &mut self.possible,
+            &mut self.store,
             possible_low,
         )?;
 
@@ -1499,42 +1590,24 @@ impl Session {
                 ref crules,
                 ref possible,
                 ref triggers,
-                ref mut out,
-                ref mut seen,
+                ref mut store,
+                ref mut emit,
                 max_instances,
                 keep_unpossible_neg,
                 ..
             } = *self;
-            let cfg = Config {
-                max_instances,
+            let cx = EmitCtx {
+                possible,
                 assumable,
-                threads: 1,
                 keep_unpossible_neg,
             };
-            let emit_all = |rule: &CRule,
-                            out: &mut GroundProgram,
-                            seen: &mut HashSet<GroundRule>|
-             -> Result<(), AspError> {
-                let mut frame = Frame::new(rule.n_slots);
-                for slots in instances(rule, possible)? {
-                    frame.slots = slots;
-                    frame.trail.clear();
-                    emit_rule(&cfg, rule, &mut frame, possible, out, seen)?;
-                    if out.rules.len() > max_instances {
-                        return Err(AspError::GroundingBudget {
-                            limit: max_instances,
-                        });
-                    }
-                }
-                Ok(())
-            };
             for rule in &new_crules {
-                emit_all(rule, out, seen)?;
+                emit.all_instances(cx, rule, store, max_instances)?;
             }
             if hi > possible_low {
                 // Body-literal deltas re-join through one window each; an
                 // element-condition delta falls back to a full
-                // re-instantiation (deduped), since `emit_rule` grounds
+                // re-instantiation (deduped), since `Emit::rule` grounds
                 // elements from the body frame. The hits come in firing
                 // order, so each rule's places are contiguous.
                 let mut hits = Vec::new();
@@ -1545,27 +1618,26 @@ impl Session {
                     let rule = &crules[triggers.places[group[0] as usize].0];
                     let places = group.iter().map(|&p| triggers.places[p as usize].1);
                     if places.clone().any(|place| matches!(place, Place::Elem(..))) {
-                        emit_all(rule, out, seen)?;
+                        emit.all_instances(cx, rule, store, max_instances)?;
                         continue;
                     }
+                    let scope = Scope {
+                        possible,
+                        names: &rule.names,
+                    };
                     for place in places {
                         let Place::Body(i) = place else { continue };
                         let mut frame = Frame::new(rule.n_slots);
                         join(
-                            possible,
+                            scope,
+                            store,
                             &rule.body_plan,
                             0,
                             Some((i, (possible_low, hi))),
                             &mut frame,
-                            &rule.names,
-                            &mut |fr| {
-                                emit_rule(&cfg, rule, fr, possible, out, seen)?;
-                                if out.rules.len() > max_instances {
-                                    return Err(AspError::GroundingBudget {
-                                        limit: max_instances,
-                                    });
-                                }
-                                Ok(())
+                            &mut |fr, store| {
+                                emit.rule(cx, rule, fr, store)?;
+                                emit.check_budget(max_instances)
                             },
                         )?;
                     }
@@ -1578,8 +1650,8 @@ impl Session {
         // rebuild order-insensitive; atom ids are already interned).
         for stmt in &delta.statements {
             if let Statement::Show { pred, arity } = stmt {
-                if !self.out.shows.contains(&(pred.clone(), *arity)) {
-                    self.out.shows.push((pred.clone(), *arity));
+                if !self.emit.out.shows.contains(&(pred.clone(), *arity)) {
+                    self.emit.out.shows.push((pred.clone(), *arity));
                 }
             }
         }
@@ -1591,75 +1663,62 @@ impl Session {
         // defer) invalidates that atom's completion nogood — and stale
         // resolvents need not mention the atom, so the caller must drop
         // all learned state, not filter it.
-        let mut dirty = false;
-        for r in &self.out.rules[rules_low..] {
-            let head = match r.head {
-                GroundHead::Atom(h) | GroundHead::Choice(h) => h,
-                GroundHead::None => continue,
-            };
-            if head.0 < atom_watermark && !revoked_ids.contains(&head) {
-                dirty = true;
-                break;
+        let out = &self.emit.out;
+        let dirty = out.rules[rules_low..].iter().any(|r| match r.head {
+            GroundHead::Atom(h) | GroundHead::Choice(h) => {
+                h.0 < atom_watermark && !revoked_ids.contains(&h)
             }
-        }
+            GroundHead::None => false,
+        });
         Ok(ExtendStats {
-            new_atoms: self.out.atom_count() - atom_watermark as usize,
-            new_rules: self.out.rules.len() - rules_low,
+            new_atoms: out.atom_count() - atom_watermark as usize,
+            new_rules: out.rules.len() - rules_low,
             revoked: revoked_ids,
             dirty,
         })
     }
 
-    /// Rebuild `out.minimize` from every compiled minimize statement.
+    /// Rebuild the minimize literals from every compiled minimize statement.
     fn recompute_minimize(&mut self) -> Result<(), AspError> {
         let mut minimize: BTreeMap<i64, Vec<MinimizeLit>> = BTreeMap::new();
         let Session {
+            ref assumable,
             ref cmins,
             ref possible,
-            ref mut out,
+            ref mut store,
+            ref mut emit,
             keep_unpossible_neg,
             ..
         } = *self;
+        let cx = EmitCtx {
+            possible,
+            assumable,
+            keep_unpossible_neg,
+        };
         for (priority, group) in cmins {
             for el in group {
-                let mut found: Vec<Snapshot> = Vec::new();
-                let mut frame = Frame::new(el.n_slots);
-                join(
+                let scope = Scope {
                     possible,
-                    &el.cond_plan,
-                    0,
-                    None,
-                    &mut frame,
-                    &el.names,
-                    &mut |fr| {
-                        found.push(fr.slots.clone());
-                        Ok(())
-                    },
-                )?;
-                for slots in found {
-                    let f = Frame {
-                        slots,
-                        trail: Vec::new(),
-                    };
-                    let w = eval_pat(&el.weight, &f, &el.names)?;
-                    let Term::Int(weight) = w else {
+                    names: &el.names,
+                };
+                let mut frame = Frame::new(el.n_slots);
+                let (n, snapshot) = frames(scope, store, &el.cond_plan, &mut frame)?;
+                for i in 0..n {
+                    frame.load(&snapshot, i);
+                    let w = eval_pat(&el.weight, &frame, &el.names, store)?;
+                    let Some(weight) = store.as_int(w) else {
                         return Err(AspError::BadArithmetic(format!(
-                            "minimize weight `{w}` is not an integer"
+                            "minimize weight `{}` is not an integer",
+                            store.term(w)
                         )));
                     };
-                    let tuple = el
-                        .terms
-                        .iter()
-                        .map(|t| eval_pat(t, &f, &el.names))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let (pos, neg, alive) = ground_condition(
-                        &el.cond_src,
-                        &f,
-                        &el.names,
-                        possible,
-                        keep_unpossible_neg,
-                        out,
-                    )?;
+                    let mut tuple = Vec::with_capacity(el.terms.len());
+                    for t in &el.terms {
+                        let t = eval_pat(t, &frame, &el.names, store)?;
+                        tuple.push(store.term(t));
+                    }
+                    let (pos, neg, alive) =
+                        emit.condition(cx, &el.cond_src, &frame, &el.names, store)?;
                     if alive {
                         minimize.entry(*priority).or_default().push(MinimizeLit {
                             weight,
@@ -1672,7 +1731,7 @@ impl Session {
             }
         }
         // Higher priorities first.
-        out.minimize = minimize.into_iter().rev().collect();
+        emit.out.minimize = minimize.into_iter().rev().collect();
         Ok(())
     }
 }
@@ -1765,26 +1824,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_counts_produce_identical_programs() {
-        // Enough rules and atoms to clear the parallelism guard.
-        let mut src = String::from("n(1..400).\n");
-        for k in 0..6 {
-            src.push_str(&format!("p{k}(X) :- n(X), X > {k}.\n"));
-        }
-        let p = parse(&src).unwrap();
-        let single = Grounder::new().with_threads(1).ground(&p).unwrap();
-        let multi = Grounder::new().with_threads(4).ground(&p).unwrap();
-        assert_eq!(
-            single.atoms().map(|(_, a)| a.clone()).collect::<Vec<_>>(),
-            multi.atoms().map(|(_, a)| a.clone()).collect::<Vec<_>>(),
-        );
-        assert_eq!(single.rules, multi.rules);
-        assert_eq!(single.cards, multi.cards);
-        assert_eq!(single.minimize, multi.minimize);
-        assert_eq!(single.assumable, multi.assumable);
-    }
-
-    #[test]
     fn assumable_facts_match_reference() {
         let p = parse("flag(a). flag(b). on(X) :- flag(X), not off(X). { off(a) }.").unwrap();
         let grounder = Grounder::new().assumable("flag", 1);
@@ -1813,18 +1852,5 @@ mod tests {
             Grounder::with_budget(10).ground(&p),
             Err(AspError::GroundingBudget { limit: 10 })
         ));
-    }
-
-    #[test]
-    fn a_panicking_worker_becomes_an_internal_error() {
-        std::thread::scope(|s| {
-            let ok = join_worker(s.spawn(|| 7));
-            assert!(matches!(ok, Ok(7)));
-            let failed = join_worker(s.spawn(|| -> u32 { panic!("boom") }));
-            let Err(AspError::Internal(msg)) = failed else {
-                panic!("expected an internal error, got {failed:?}");
-            };
-            assert!(msg.contains("boom"), "{msg}");
-        });
     }
 }

@@ -1,12 +1,13 @@
-//! Determinism of the semi-naive grounder: single-thread and multi-thread
-//! instantiation must produce *bit-identical* ground programs on randomly
-//! generated non-ground programs covering joins, recursion, negation,
-//! arithmetic `=` binding, choice heads with conditions, and `#minimize`.
+//! Determinism of the semi-naive grounder: grounding the same program
+//! twice must produce *bit-identical* ground programs (atom ids included)
+//! on randomly generated non-ground programs covering joins, recursion,
+//! negation, arithmetic `=` binding, choice heads with conditions,
+//! `#minimize`, compound terms, strings and negative integers.
 //!
 //! The semi-naive vs naive-oracle proptests over the same generator live
 //! next to the oracle, in the crate's `ground::naive` unit tests. The same
-//! generator also pins the incremental size prediction (which picks the
-//! grounder's thread count) to its full-recompute oracle.
+//! generator also pins the incremental size prediction (which gates the
+//! lint pass's grounding) to its full-recompute oracle.
 
 #[path = "support/size_oracle.rs"]
 mod size_oracle;
@@ -17,18 +18,27 @@ use cpsrisk_asp::{GroundProgram, Grounder, Program};
 
 /// One random statement drawn from safe templates over a small universe:
 /// unary facts `u{i}`, binary facts `b{i}` (constant × integer), derived
-/// predicates `d{i}`, an integer-valued `v`, a recursive `e/2`, and a
-/// choosable `pick`.
+/// predicates `d{i}`, an integer-valued `v`, a recursive `e/2`, a
+/// choosable `pick`, and compound terms: `h(g(c, n))` facts and `w/1`
+/// atoms over `f(X, N)` and `f(X, g(c, n))`. Constants include a quoted
+/// string, and fact integers may be negative.
 fn arb_statement() -> impl Strategy<Value = String> {
-    let con = || (0..4usize).prop_map(|i| format!("c{i}"));
+    let con = || {
+        (0..5usize).prop_map(|i| match i {
+            4 => "\"q r\"".to_owned(),
+            i => format!("c{i}"),
+        })
+    };
     let num = || 1..=4i64;
+    // Fact arguments may be negative.
+    let arg = || -2..=4i64;
     let u = || (0..2usize).prop_map(|i| format!("u{i}"));
     let b = || (0..2usize).prop_map(|i| format!("b{i}"));
     let d = || (0..2usize).prop_map(|i| format!("d{i}"));
     prop_oneof![
         // Facts.
         (u(), con()).prop_map(|(p, c)| format!("{p}({c}).")),
-        (b(), con(), num()).prop_map(|(p, c, n)| format!("{p}({c},{n}).")),
+        (b(), con(), arg()).prop_map(|(p, c, n)| format!("{p}({c},{n}).")),
         // Copy and join rules; the join variable sits in argument 2 of the
         // binary predicate, exercising the non-first-argument indexes.
         (d(), u()).prop_map(|(h, p)| format!("{h}(X) :- {p}(X).")),
@@ -56,6 +66,14 @@ fn arb_statement() -> impl Strategy<Value = String> {
         // Minimize, with weights and priorities.
         (b(),).prop_map(|(q,)| format!("#minimize {{ N,X : {q}(X,N), pick(X) }}.")),
         (d(), 1..=3i64).prop_map(|(p, w)| format!("#minimize {{ {w}@2,X : {p}(X) }}.")),
+        // Compound terms: nested ground facts, compounds built in heads and
+        // matched (and compared) in bodies.
+        (con(), arg()).prop_map(|(c, n)| format!("h(g({c},{n})).")),
+        (b(),).prop_map(|(q,)| format!("w(f(X,N)) :- {q}(X,N).")),
+        (u(),).prop_map(|(p,)| format!("w(f(X,G)) :- {p}(X), h(G).")),
+        (d(), num()).prop_map(|(h, n)| format!("{h}(X) :- w(f(X,N)), N < {n}.")),
+        (d(), u()).prop_map(|(h, p)| format!("{h}(X) :- {p}(X), w(f(X,g(Y,N))), N != Y.")),
+        (u(),).prop_map(|(p,)| format!("{{ pick(X) : w(f(X,G)), {p}(X) }} 1.")),
     ]
 }
 
@@ -68,7 +86,7 @@ fn parse(src: &str) -> Program {
 }
 
 /// Exact structural equality (atom ids included) — the determinism bar for
-/// thread-count variations of the same engine.
+/// two runs of the same engine.
 fn assert_identical(a: &GroundProgram, b: &GroundProgram, label: &str) {
     let atoms_a: Vec<_> = a.atoms().map(|(_, at)| at.clone()).collect();
     let atoms_b: Vec<_> = b.atoms().map(|(_, at)| at.clone()).collect();
@@ -84,16 +102,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn thread_counts_are_bit_identical(src in arb_program()) {
+    fn repeated_groundings_are_bit_identical(src in arb_program()) {
+        // Every hash map of the grounder is built afresh per run, and std's
+        // keyed maps draw a new seed each time: output that depended on
+        // iteration order would differ between the two runs.
         let p = parse(&src);
-        let single = Grounder::new().with_threads(1).ground(&p).expect("grounds");
-        for threads in [2, 4] {
-            let multi = Grounder::new()
-                .with_threads(threads)
-                .ground(&p)
-                .expect("grounds");
-            assert_identical(&single, &multi, &format!("threads=1 vs {threads}"));
-        }
+        let first = Grounder::new().ground(&p).expect("grounds");
+        let second = Grounder::new().ground(&p).expect("grounds");
+        assert_identical(&first, &second, "two runs");
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn wide_choice_with_budgeted_enumeration_cap() {
 fn long_predicate_chain_grounds_on_a_small_stack() {
     // p0(a). p{i}(X) :- p{i-1}(X). — 50,000 predicates, one SCC each, so
     // a recursive SCC pass nests 50,000 frames deep. Built from
-    // statements; one thread keeps the instantiation sequential.
+    // statements.
     const N: usize = 50_000;
     let x = || vec![Term::var("X")];
     let fact = Rule::fact(Atom::new("p0", vec![Term::sym("a")]));
@@ -144,7 +144,7 @@ fn long_predicate_chain_grounds_on_a_small_stack() {
     // A 2 MiB stack, the default for spawned threads.
     let ground = std::thread::Builder::new()
         .stack_size(2 << 20)
-        .spawn(move || Grounder::new().with_threads(1).ground(&program))
+        .spawn(move || Grounder::new().ground(&program))
         .expect("spawns")
         .join()
         .expect("grounding thread finishes")

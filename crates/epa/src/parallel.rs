@@ -25,8 +25,9 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, Once};
 use std::time::{Duration, Instant};
 
 /// Default number of consecutive items per batch.
@@ -75,13 +76,46 @@ impl SweepOptions {
         self
     }
 
-    /// Thread count from [`cpsrisk_asp::default_threads`]: the
-    /// `CPSRISK_THREADS` environment variable if set to a positive
-    /// integer, else the machine's available parallelism. A malformed
-    /// value warns once on stderr.
+    /// Thread count from the `CPSRISK_THREADS` environment variable if
+    /// set to a positive integer, else the machine's available
+    /// parallelism. A malformed value (e.g. `CPSRISK_THREADS=abc` or `0`)
+    /// falls back to the machine default and warns once on stderr, naming
+    /// the rejected value.
     #[must_use]
     pub fn from_env() -> Self {
-        SweepOptions::with_threads(cpsrisk_asp::default_threads())
+        SweepOptions::with_threads(default_threads())
+    }
+}
+
+/// The sweep pool's default size: see [`SweepOptions::from_env`].
+fn default_threads() -> usize {
+    let available = || std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    match parse_threads(std::env::var("CPSRISK_THREADS").ok().as_deref()) {
+        Ok(Some(t)) => t,
+        Ok(None) => available(),
+        Err(raw) => {
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "cpsrisk: ignoring CPSRISK_THREADS={raw:?} (expected a \
+                     positive integer); using available parallelism"
+                );
+            });
+            available()
+        }
+    }
+}
+
+/// Interpret a raw `CPSRISK_THREADS` value: `Ok(None)` when unset,
+/// `Ok(Some(t))` for a positive integer, `Err(raw)` for anything else
+/// (the caller warns and falls back).
+fn parse_threads(raw: Option<&str>) -> Result<Option<usize>, String> {
+    match raw {
+        None => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(t) if t > 0 => Ok(Some(t)),
+            _ => Err(v.to_owned()),
+        },
     }
 }
 
@@ -371,6 +405,19 @@ mod tests {
     use crate::workload::chain_problem;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn from_env_rejects_malformed_thread_counts() {
+        assert_eq!(parse_threads(None), Ok(None));
+        assert_eq!(parse_threads(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_threads(Some(" 2 ")), Ok(Some(2)));
+        // Malformed values are surfaced (the one-time warning names them),
+        // never silently swallowed.
+        assert_eq!(parse_threads(Some("abc")), Err("abc".to_owned()));
+        assert_eq!(parse_threads(Some("0")), Err("0".to_owned()));
+        assert_eq!(parse_threads(Some("-3")), Err("-3".to_owned()));
+        assert_eq!(parse_threads(Some("")), Err(String::new()));
+    }
 
     /// Run the pool over `items`, collecting `(index, result)` pairs in
     /// emission order.
