@@ -83,7 +83,7 @@ impl PossibleSet {
 }
 
 /// Ground `program` with the naive engine under `grounder`'s instance
-/// budget and assumable signatures (threads and slicing do not apply).
+/// budget and assumable signatures (slicing does not apply).
 pub(crate) fn ground(grounder: &Grounder, program: &Program) -> Result<GroundProgram, AspError> {
     let rules: Vec<&Rule> = program.rules().collect();
     for r in &rules {

@@ -24,7 +24,8 @@
 //!   position they probe with per `(pred, arity, position)`; the
 //!   [`PossibleSet`] maintains exactly those indexes, keyed by term id,
 //!   incrementally on insert, so any bound argument — not just the first —
-//!   narrows a scan.
+//!   narrows a scan. A literal whose atom is fully ground needs no index:
+//!   it is one exact lookup in the arena.
 //! * **Slot substitutions.** Rules are compiled once: variables become
 //!   dense slots, substitutions become a `Vec<Option<TermId>>` with
 //!   trail-based undo.
