@@ -862,6 +862,38 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "benchmark scale (about 1 s in release); run in release with --ignored"]
+    fn benchmark_margin_stream_certificate_is_pinned() {
+        // The first `sweep` benchmark plant's 148 margin queries, every one
+        // certified on one proof-logging solver. The margin program is
+        // non-tight, so the certificate carries unfounded-set inferences
+        // and stability refutations: its size pins the search and the
+        // backstop step for step.
+        let p = catalog_problem(120, 17, 0xc47a);
+        let budget = catalog_margin_budget(17);
+        let ranked = catalog_requirements_ranked(&p, budget);
+        let space = ScenarioSpace::new(&p, 2);
+        let queries: Vec<Query> = catalog_queries(&space, &ranked, 64)
+            .filter(|q| matches!(q, Query::Margin { .. }))
+            .collect();
+        assert_eq!(queries.len(), 148);
+        let session = Session::new(&p, Some(budget)).unwrap();
+        let (answers, summary) = session
+            .sweep_certified(&queries, &SweepOptions::with_threads(1), 1.0)
+            .unwrap();
+        assert_eq!(answers.len(), 148);
+        assert_eq!(
+            summary,
+            CertifySummary {
+                checked: 148,
+                proof_steps: 34_625,
+                models_audited: 141,
+                unsats: 7,
+            }
+        );
+    }
+
+    #[test]
     fn incremental_sweep_equals_fresh_per_scenario_path() {
         let p = chain_problem(3);
         let scenarios: Vec<Scenario> = ScenarioSpace::new(&p, usize::MAX).iter().collect();

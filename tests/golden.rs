@@ -246,3 +246,30 @@ fn ground_programs_are_byte_identical() {
         "compound, string and negative terms"
     );
 }
+
+/// The certificate `cpsrisk solve --certify` writes for the water-tank
+/// program. The program is non-tight (some of its atoms lie on positive
+/// loops), and the certificate pins the whole search: every completion
+/// axiom, well-founded fact, inference and model, in order.
+#[test]
+fn water_tank_certificate_is_byte_identical() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "cpsrisk_golden_water_tank_{}.proof",
+        std::process::id()
+    ));
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_cpsrisk"))
+        .args(["solve", &format!("{root}/../../examples/water_tank.lp")])
+        .arg("--certify")
+        .arg(&out)
+        .output()
+        .expect("cpsrisk runs");
+    assert!(
+        status.status.success(),
+        "{}",
+        String::from_utf8_lossy(&status.stderr)
+    );
+    let text = std::fs::read_to_string(&out).expect("the certificate was written");
+    std::fs::remove_file(&out).ok();
+    assert_eq!(text, include_str!("golden/certificate_water_tank.txt"));
+}
