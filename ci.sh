@@ -36,6 +36,16 @@ if [ -n "$asp_threads" ]; then
     exit 1
 fi
 
+# The stability audit and the proof checker share no code with the engine
+# they check: outside its tests, check.rs names nothing from the solver.
+check_solve=$(awk '/^#\[cfg\(test\)\]/ { exit } { print FNR ": " $0 }' crates/asp/src/check.rs |
+    grep -vE '^[0-9]+: *//' | grep -E 'solve::|\bSolver\b|cdcl' || true)
+if [ -n "$check_solve" ]; then
+    echo "ci.sh: crates/asp/src/check.rs must not use the solver outside its tests:" >&2
+    echo "$check_solve" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 # The independent certificate checker's unit + mutation suite must pass

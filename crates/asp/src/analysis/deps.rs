@@ -7,14 +7,15 @@
 //!   A program with no predicate-level positive loop is tight however it
 //!   grounds, but the converse fails — `holds(F, T+1) :- holds(F, T)` is
 //!   predicate-recursive yet every unrolling is acyclic.
-//! * **Atom level** ([`ground_tight`]): exact on the ground program. This
-//!   is the certificate [`Solver`](crate::solve::Solver) consumes to skip
-//!   the unfounded-set closure (Fages' theorem).
+//! * **Atom level** ([`unfounded_cone`], [`ground_tight`]): exact on the
+//!   ground program. The cone is what [`Solver`](crate::solve::Solver)
+//!   restricts its unfounded-set closure to; an empty cone is the
+//!   tightness certificate that lets it skip the closure (Fages' theorem).
 
 use std::collections::{BTreeSet, HashMap};
 
 use crate::ast::{Head, Literal, Program, Statement};
-use crate::program::{GroundHead, GroundProgram};
+use crate::program::{AtomId, GroundHead, GroundProgram};
 
 /// Every `head -> body` predicate dependency, with negation marking.
 /// Choice-element conditions count as body dependencies of the element.
@@ -235,40 +236,67 @@ pub fn analyze_dependencies(program: &Program) -> DepAnalysis {
 
 /// Is the ground program *tight* — is the atom-level positive dependency
 /// graph (rule head to positive body atoms, over normal and choice rules)
-/// acyclic?
+/// acyclic? Exactly when its [`unfounded_cone`] is empty.
 ///
 /// On a tight program every supported model is stable (Fages' theorem),
 /// so the solver's incremental support accounting reaches exactly the
 /// unfounded-set fixpoint and the closure can be skipped.
 #[must_use]
 pub fn ground_tight(g: &GroundProgram) -> bool {
+    unfounded_cone(g).is_empty()
+}
+
+/// The *unfounded cone* of a ground program, in ascending id order: every
+/// atom on a cycle of the positive dependency graph, and every atom
+/// positively derived from one (over normal and choice rules).
+///
+/// Only these atoms can belong to an unfounded set that support alone does
+/// not refute: an atom outside the cone rests, through its positive
+/// bodies, on atoms outside the cone, down to bodies with no positive
+/// atom. Kahn's algorithm on the body-to-head edges drains exactly the
+/// atoms outside the cone.
+#[must_use]
+pub fn unfounded_cone(g: &GroundProgram) -> Vec<AtomId> {
     let n = g.atom_count();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // CSR of the body-to-head edges, one per positive body occurrence.
+    let mut start = vec![0u32; n + 1];
     let mut indeg = vec![0u32; n];
-    for r in &g.rules {
-        let h = match r.head {
-            GroundHead::Atom(h) | GroundHead::Choice(h) => h,
-            GroundHead::None => continue,
-        };
-        for &p in &r.pos {
-            adj[h.index()].push(p.0);
-            indeg[p.index()] += 1;
+    let heads = || {
+        g.rules.iter().filter_map(|r| match r.head {
+            GroundHead::Atom(h) | GroundHead::Choice(h) => Some((h, &r.pos)),
+            GroundHead::None => None,
+        })
+    };
+    for (h, pos) in heads() {
+        for &p in pos {
+            start[p.index() + 1] += 1;
+            indeg[h.index()] += 1;
         }
     }
-    // Kahn's algorithm: the graph is acyclic iff every node drains.
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut succ = vec![0u32; start[n] as usize];
+    for (h, pos) in heads() {
+        for &p in pos {
+            succ[fill[p.index()] as usize] = h.0;
+            fill[p.index()] += 1;
+        }
+    }
     let mut queue: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
-    let mut drained = 0usize;
     while let Some(v) = queue.pop() {
-        drained += 1;
-        for &w in &adj[v as usize] {
-            let w = w as usize;
-            indeg[w] -= 1;
-            if indeg[w] == 0 {
-                queue.push(w as u32);
+        for &w in &succ[start[v as usize] as usize..start[v as usize + 1] as usize] {
+            indeg[w as usize] -= 1;
+            if indeg[w as usize] == 0 {
+                queue.push(w);
             }
         }
     }
-    drained == n
+    (0..n as u32)
+        .filter(|&i| indeg[i as usize] > 0)
+        .map(AtomId)
+        .collect()
 }
 
 #[cfg(test)]
@@ -354,5 +382,21 @@ mod tests {
             .ground(&parse("{ a }. { a } :- a.").unwrap())
             .unwrap();
         assert!(!ground_tight(&choice));
+    }
+
+    #[test]
+    fn the_cone_is_the_loops_and_what_they_derive() {
+        let g = Grounder::new()
+            .ground(&parse("{ x }. a :- x. a :- b. b :- a. c :- b. d :- x. e :- d, c.").unwrap())
+            .unwrap();
+        let names: Vec<String> = unfounded_cone(&g)
+            .into_iter()
+            .map(|id| g.atom(id).to_string())
+            .collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(sorted, ["a", "b", "c", "e"], "x and d rest on no loop");
+        let ids: Vec<AtomId> = unfounded_cone(&g);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending ids");
     }
 }

@@ -5,10 +5,12 @@
 //!
 //! * [`deps`] — the predicate dependency graph, SCC stratification,
 //!   positive-loop detection, and tightness classification. The ground
-//!   certificate [`deps::ground_tight`] is what lets
-//!   [`Solver`](crate::solve::Solver) skip the unfounded-set closure
-//!   (Fages' theorem: on tight programs, supported models are stable
-//!   models).
+//!   [`deps::unfounded_cone`] (the atoms on positive loops and everything
+//!   positively derived from them) is the only part of the program
+//!   [`Solver`](crate::solve::Solver) runs its unfounded-set closure over;
+//!   an empty cone is the certificate [`deps::ground_tight`] that lets it
+//!   skip the closure (Fages' theorem: on tight programs, supported models
+//!   are stable models).
 //! * [`size`] — grounding-size prediction by abstract interpretation:
 //!   per-predicate domain-size bounds propagated through rule bodies
 //!   (shared variables join, so each variable is counted once) down to a
@@ -32,7 +34,7 @@ pub mod size;
 pub mod slice;
 pub mod wfm;
 
-pub use deps::{analyze_dependencies, ground_tight, DepAnalysis};
+pub use deps::{analyze_dependencies, ground_tight, unfounded_cone, DepAnalysis};
 pub use simplify::{simplify, simplify_with, SimplifyResult};
 pub use size::{predict_sizes, PredBound, RuleEstimate, SizePrediction, EXPLOSION_THRESHOLD};
 pub use slice::{slice_program, Slice};

@@ -1,12 +1,16 @@
 //! Independent answer-set and proof verification.
 //!
-//! [`is_stable_model`] implements the textbook definition directly: build
+//! [`StabilityAudit`] implements the textbook definition directly: build
 //! the Gelfond–Lifschitz reduct of the program w.r.t. a candidate
-//! interpretation, compute its least model by naive TP iteration, and
-//! compare. Choice-supported atoms are self-justified when their support
-//! body holds. The solver calls this on every complete assignment, so the
-//! engine's correctness rests on this small, obviously-correct function
-//! rather than on the propagation machinery.
+//! interpretation, compute its least model by worklist chaining (per rule,
+//! count the positive body atoms not yet derived; a rule fires when the
+//! count reaches zero), and compare. Choice-supported atoms are
+//! self-justified when their support body holds. The audit indexes its
+//! program once and then checks any number of candidates; the solver runs
+//! it on every complete assignment, so the engine's correctness rests on
+//! this small, obviously-correct audit rather than on the propagation
+//! machinery. [`is_stable_model`] and [`least_model_of_reduct`] are its
+//! one-shot forms over atom sets.
 //!
 //! [`check_proof`] extends the same philosophy to whole solver runs: it
 //! replays a [`ProofLog`] emitted under
@@ -31,138 +35,214 @@ use crate::proof::{lit_code, lit_positive, lit_var, ProofLog, ProofStep};
 
 /// Is `candidate` (the set of true atoms) a stable model of `program`?
 ///
-/// Checks, in order: integrity constraints, cardinality bounds, and the
-/// reduct least-model condition (including support for choice atoms).
+/// A one-shot [`StabilityAudit::is_stable`]; a candidate naming an atom
+/// outside the program is not a model.
 #[must_use]
 pub fn is_stable_model(program: &GroundProgram, candidate: &HashSet<AtomId>) -> bool {
-    // 1. Integrity constraints: no satisfied constraint body.
-    for r in &program.rules {
-        if matches!(r.head, GroundHead::None) && body_satisfied(&r.pos, &r.neg, candidate) {
-            return false;
-        }
-    }
-    // 2. Cardinality bounds.
-    for c in &program.cards {
-        if !card_satisfied(c, candidate) {
-            return false;
-        }
-    }
-    // 3. Reduct least model == candidate.
-    least_model_of_reduct(program, candidate)
-        .map(|lm| lm == *candidate)
-        .unwrap_or(false)
+    dense(program, candidate).is_some_and(|truth| StabilityAudit::new(program).is_stable(&truth))
 }
 
 /// Compute the least model of the reduct w.r.t. `candidate`.
 ///
-/// Returns `None` if a choice atom in the candidate has no satisfied
-/// support (it could never be derived).
-///
-/// The least model is the TP fixpoint of the reduct; it is computed here
-/// by standard worklist chaining (per rule, count the positive body atoms
-/// not yet derived; a rule fires when the count reaches zero), which
-/// visits every rule-body literal O(1) times instead of once per naive
-/// iteration round.
+/// Returns `None` if a candidate atom is not derived — a chosen atom with
+/// no satisfied support, or an atom outside the program. A one-shot
+/// [`StabilityAudit::least_model`].
 #[must_use]
 pub fn least_model_of_reduct(
     program: &GroundProgram,
     candidate: &HashSet<AtomId>,
 ) -> Option<HashSet<AtomId>> {
-    let n_atoms = program.atom_count();
-    let rules = &program.rules;
+    let truth = dense(program, candidate)?;
+    let mut audit = StabilityAudit::new(program);
+    let model = audit.least_model(&truth)?;
+    Some(
+        (0..model.len() as u32)
+            .filter(|&a| model[a as usize])
+            .map(AtomId)
+            .collect(),
+    )
+}
 
-    // Positive-occurrence lists in compressed (CSR) form: two flat arrays
-    // instead of one Vec per atom, cheap to rebuild per call.
-    let mut off = vec![0u32; n_atoms + 1];
-    for r in rules {
-        for &p in &r.pos {
-            off[p.index() + 1] += 1;
+/// An atom set as a truth vector over the program's atoms; `None` when it
+/// names an atom outside the program.
+fn dense(program: &GroundProgram, set: &HashSet<AtomId>) -> Option<Vec<bool>> {
+    let mut truth = vec![false; program.atom_count()];
+    for a in set {
+        *truth.get_mut(a.index())? = true;
+    }
+    Some(truth)
+}
+
+/// A rule body count that marks a rule the reduct drops.
+const DROPPED: u32 = u32::MAX;
+
+/// The stability audit of one ground program: its index is built once,
+/// and each [`is_stable`](Self::is_stable) call checks one candidate, a
+/// dense truth vector indexed by atom id, reusing the audit's buffers.
+#[derive(Debug)]
+pub struct StabilityAudit<'a> {
+    program: &'a GroundProgram,
+    /// Positive-occurrence lists in compressed (CSR) form: the rules
+    /// reading atom `a` positively are `occ[off[a]..off[a + 1]]`, once per
+    /// occurrence.
+    off: Vec<u32>,
+    occ: Vec<u32>,
+    /// Per rule: positive body atoms not yet derived, or [`DROPPED`].
+    missing: Vec<u32>,
+    /// The least model of the last candidate's reduct.
+    derived: Vec<bool>,
+    /// Derived atoms whose occurrences are still to be visited.
+    stack: Vec<u32>,
+}
+
+impl<'a> StabilityAudit<'a> {
+    /// Index `program` for auditing.
+    #[must_use]
+    pub fn new(program: &'a GroundProgram) -> Self {
+        let n_atoms = program.atom_count();
+        let mut off = vec![0u32; n_atoms + 1];
+        for r in &program.rules {
+            for &p in &r.pos {
+                off[p.index() + 1] += 1;
+            }
+        }
+        for i in 0..n_atoms {
+            off[i + 1] += off[i];
+        }
+        let mut occ = vec![0u32; off[n_atoms] as usize];
+        let mut cursor = off.clone();
+        for (ri, r) in program.rules.iter().enumerate() {
+            for &p in &r.pos {
+                occ[cursor[p.index()] as usize] = ri as u32;
+                cursor[p.index()] += 1;
+            }
+        }
+        StabilityAudit {
+            program,
+            off,
+            occ,
+            missing: vec![0; program.rules.len()],
+            derived: vec![false; n_atoms],
+            stack: Vec::new(),
         }
     }
-    for i in 0..n_atoms {
-        off[i + 1] += off[i];
-    }
-    let mut occ = vec![0u32; off[n_atoms] as usize];
-    let mut cursor = off.clone();
-    for (ri, r) in rules.iter().enumerate() {
-        for &p in &r.pos {
-            occ[cursor[p.index()] as usize] = ri as u32;
-            cursor[p.index()] += 1;
+
+    /// Is `truth` (one entry per atom, by id) a stable model?
+    ///
+    /// Checks, in order: integrity constraints, cardinality bounds, and the
+    /// reduct least-model condition (including support for choice atoms).
+    ///
+    /// # Panics
+    ///
+    /// If `truth` does not have one entry per atom of the program.
+    pub fn is_stable(&mut self, truth: &[bool]) -> bool {
+        assert_eq!(truth.len(), self.derived.len(), "one truth value per atom");
+        let holds = |a: AtomId| truth[a.index()];
+        // 1. Integrity constraints: no satisfied constraint body.
+        for r in &self.program.rules {
+            if matches!(r.head, GroundHead::None) && body_holds(&r.pos, &r.neg, holds) {
+                return false;
+            }
         }
+        // 2. Cardinality bounds.
+        if !self.program.cards.iter().all(|c| card_holds(c, holds)) {
+            return false;
+        }
+        // 3. Reduct least model == candidate.
+        self.derive(truth);
+        self.derived == truth
     }
 
-    // Reduct: rules with a negative literal contradicted by the candidate
-    // are dropped; remaining negative literals are deleted.
-    let dropped: Vec<bool> = rules
-        .iter()
-        .map(|r| r.neg.iter().any(|n| candidate.contains(n)))
-        .collect();
+    /// The least model of the reduct w.r.t. `truth` (one entry per atom,
+    /// by id), or `None` if a true atom is not derived (a chosen atom
+    /// with no satisfied support).
+    ///
+    /// # Panics
+    ///
+    /// If `truth` does not have one entry per atom of the program.
+    pub fn least_model(&mut self, truth: &[bool]) -> Option<&[bool]> {
+        assert_eq!(truth.len(), self.derived.len(), "one truth value per atom");
+        self.derive(truth);
+        let covered = truth.iter().zip(&self.derived).all(|(&t, &d)| d || !t);
+        covered.then_some(self.derived.as_slice())
+    }
 
-    let mut missing: Vec<u32> = rules.iter().map(|r| r.pos.len() as u32).collect();
-    let mut in_model = vec![false; n_atoms];
-    let mut derived: HashSet<AtomId> = HashSet::new();
-    let mut stack: Vec<u32> = Vec::new();
-
-    let fire = |ri: usize,
-                in_model: &mut Vec<bool>,
-                derived: &mut HashSet<AtomId>,
-                stack: &mut Vec<u32>| {
-        if dropped[ri] {
-            return;
-        }
-        let h = match rules[ri].head {
-            GroundHead::Atom(h) => h,
-            // A chosen atom is self-justified iff it is in the candidate
-            // and its support body holds in the reduct.
-            GroundHead::Choice(h) if candidate.contains(&h) => h,
-            _ => return,
+    /// Compute the reduct's least model into `derived`.
+    fn derive(&mut self, truth: &[bool]) {
+        let rules = &self.program.rules;
+        self.derived.fill(false);
+        self.stack.clear();
+        let StabilityAudit {
+            off,
+            occ,
+            missing,
+            derived,
+            stack,
+            ..
+        } = self;
+        // A rule fires once its positive body is derived. The reduct drops
+        // a rule with a negative literal the candidate contradicts and
+        // deletes the remaining negative literals.
+        let fire = |ri: usize, derived: &mut [bool], stack: &mut Vec<u32>| {
+            let h = match rules[ri].head {
+                GroundHead::Atom(h) => h,
+                // A chosen atom is self-justified iff it is in the
+                // candidate and its support body holds in the reduct.
+                GroundHead::Choice(h) if truth[h.index()] => h,
+                _ => return,
+            };
+            if !derived[h.index()] {
+                derived[h.index()] = true;
+                stack.push(h.0);
+            }
         };
-        if !in_model[h.index()] {
-            in_model[h.index()] = true;
-            derived.insert(h);
-            stack.push(h.0);
-        }
-    };
-
-    for (ri, &need) in missing.iter().enumerate() {
-        if need == 0 {
-            fire(ri, &mut in_model, &mut derived, &mut stack);
-        }
-    }
-    while let Some(a) = stack.pop() {
-        for i in off[a as usize]..off[a as usize + 1] {
-            let ri = occ[i as usize] as usize;
-            missing[ri] -= 1;
+        for (ri, r) in rules.iter().enumerate() {
+            missing[ri] = if r.neg.iter().any(|n| truth[n.index()]) {
+                DROPPED
+            } else {
+                r.pos.len() as u32
+            };
             if missing[ri] == 0 {
-                fire(ri, &mut in_model, &mut derived, &mut stack);
+                fire(ri, derived, stack);
+            }
+        }
+        while let Some(a) = stack.pop() {
+            for &ri in &occ[off[a as usize] as usize..off[a as usize + 1] as usize] {
+                let ri = ri as usize;
+                if missing[ri] == DROPPED {
+                    continue;
+                }
+                missing[ri] -= 1;
+                if missing[ri] == 0 {
+                    fire(ri, derived, stack);
+                }
             }
         }
     }
-
-    // Every candidate atom must be derivable.
-    if candidate.iter().all(|a| derived.contains(a)) {
-        Some(derived)
-    } else {
-        None
-    }
 }
 
-fn body_satisfied(pos: &[AtomId], neg: &[AtomId], m: &HashSet<AtomId>) -> bool {
-    pos.iter().all(|p| m.contains(p)) && neg.iter().all(|n| !m.contains(n))
+/// Does a body hold under `holds`?
+fn body_holds(pos: &[AtomId], neg: &[AtomId], holds: impl Fn(AtomId) -> bool) -> bool {
+    pos.iter().all(|&p| holds(p)) && neg.iter().all(|&n| !holds(n))
 }
 
-/// Evaluate a cardinality constraint against a complete interpretation.
-#[must_use]
-pub fn card_satisfied(c: &CardConstraint, m: &HashSet<AtomId>) -> bool {
-    if !body_satisfied(&c.pos, &c.neg, m) {
+/// Is a cardinality constraint satisfied under `holds`?
+fn card_holds(c: &CardConstraint, holds: impl Fn(AtomId) -> bool + Copy) -> bool {
+    if !body_holds(&c.pos, &c.neg, holds) {
         return true; // bounds only apply when the body holds
     }
     let held = c
         .elements
         .iter()
-        .filter(|e| m.contains(&e.atom) && body_satisfied(&e.guard_pos, &e.guard_neg, m))
+        .filter(|e| holds(e.atom) && body_holds(&e.guard_pos, &e.guard_neg, holds))
         .count() as u32;
     c.lower <= held && held <= c.upper
+}
+
+/// Evaluate a cardinality constraint against a complete interpretation.
+#[must_use]
+pub fn card_satisfied(c: &CardConstraint, m: &HashSet<AtomId>) -> bool {
+    card_holds(c, |a| m.contains(&a))
 }
 
 // ---------------------------------------------------------------------------
@@ -405,6 +485,9 @@ pub fn check_proof(program: &GroundProgram, log: &ProofLog) -> Result<CheckRepor
     let n_vars = n_atoms as usize + log.bodies.len();
     let (expected, empty_allowed) = expected_axioms(program, &log.bodies)?;
     let wfm = naive_wfm(program);
+    let mut audit = StabilityAudit::new(program);
+    // The candidate of a model or stability step, one entry per atom.
+    let mut truth: Vec<bool> = Vec::with_capacity(n_atoms as usize);
 
     let mut rep = CheckReport::default();
     let mut eng = Replay::new(n_vars);
@@ -506,11 +589,11 @@ pub fn check_proof(program: &GroundProgram, log: &ProofLog) -> Result<CheckRepor
                         // assignment the solver rejected as unstable.
                         let total = (0..n_atoms as usize).all(|a| eng.val[a].is_some());
                         total && {
-                            let cand: HashSet<AtomId> = (0..n_atoms)
-                                .filter(|&a| eng.val[a as usize] == Some(true))
-                                .map(AtomId)
-                                .collect();
-                            !is_stable_model(program, &cand)
+                            truth.clear();
+                            truth.extend(
+                                eng.val[..n_atoms as usize].iter().map(|&v| v == Some(true)),
+                            );
+                            !audit.is_stable(&truth)
                         }
                     };
                     eng.rollback(mark);
@@ -554,19 +637,22 @@ pub fn check_proof(program: &GroundProgram, log: &ProofLog) -> Result<CheckRepor
                 if atoms.iter().any(|&a| a >= n_atoms) {
                     return Err(CheckError::BadModelAtoms { step: si });
                 }
-                let ids: HashSet<AtomId> = atoms.iter().map(|&a| AtomId(a)).collect();
-                if ids.len() != atoms.len() {
-                    return Err(CheckError::BadModelAtoms { step: si });
+                truth.clear();
+                truth.resize(n_atoms as usize, false);
+                for &a in atoms {
+                    if std::mem::replace(&mut truth[a as usize], true) {
+                        return Err(CheckError::BadModelAtoms { step: si });
+                    }
                 }
                 for &c in asm {
-                    if ids.contains(&AtomId(lit_var(c))) != lit_positive(c) {
+                    if truth[lit_var(c) as usize] != lit_positive(c) {
                         return Err(CheckError::AssumptionViolated { step: si });
                     }
                 }
-                if !is_stable_model(program, &ids) {
+                if !audit.is_stable(&truth) {
                     return Err(CheckError::ModelNotStable { step: si });
                 }
-                let actual = recompute_cost(program, &ids);
+                let actual = recompute_cost(program, &truth);
                 if *cost != actual {
                     return Err(CheckError::CostMismatch {
                         step: si,
@@ -820,7 +906,7 @@ fn derivability_closure(program: &GroundProgram, val: &[Option<bool>]) -> Vec<bo
 
 /// Recompute the `#minimize` cost vector of a model with the statement
 /// semantics: identical `(weight, tuple)` keys count once per priority.
-fn recompute_cost(program: &GroundProgram, ids: &HashSet<AtomId>) -> Vec<(i64, i64)> {
+fn recompute_cost(program: &GroundProgram, truth: &[bool]) -> Vec<(i64, i64)> {
     program
         .minimize
         .iter()
@@ -828,8 +914,7 @@ fn recompute_cost(program: &GroundProgram, ids: &HashSet<AtomId>) -> Vec<(i64, i
             let mut counted: HashSet<(i64, &[Term])> = HashSet::new();
             let mut total = 0i64;
             for l in lits {
-                let holds =
-                    l.pos.iter().all(|p| ids.contains(p)) && l.neg.iter().all(|q| !ids.contains(q));
+                let holds = body_holds(&l.pos, &l.neg, |a| truth[a.index()]);
                 if holds && counted.insert((l.weight, l.tuple.as_slice())) {
                     total += l.weight;
                 }

@@ -19,21 +19,23 @@
 //!    tradition (two-watched-literal propagation over completion nogoods,
 //!    1UIP conflict analysis with backjumping, EVSIDS branching with phase
 //!    saving, Luby restarts, LBD-managed learned database, an
-//!    unfounded-set backstop for non-tight programs, model enumeration,
+//!    unfounded-set backstop restricted to the program's unfounded cone
+//!    (the atoms on positive loops and what they derive), model enumeration,
 //!    branch-and-bound `#minimize` optimization, brave/cautious
 //!    reasoning, and assumption-based multi-shot solving: one ground
 //!    program, many queries via [`Lit`] assumptions, with learned
 //!    conflict nogoods retained across calls),
-//! 4. [`check`](check::is_stable_model) — an *independent* stability
-//!    verifier (reduct + least-model test) used to cross-validate every
-//!    answer set in tests and debug builds,
+//! 4. [`check`](check::StabilityAudit) — an *independent* stability
+//!    audit (reduct + least-model test) that every complete assignment the
+//!    solver reaches must pass before it is reported, and a proof checker
+//!    sharing no code with the solver,
 //! 5. [`lint`](lint::lint_source) — a static-analysis pass producing
 //!    span-carrying [`Diagnostic`]s (undefined predicates with
 //!    did-you-mean hints, arity mismatches, unsafe variables, unreachable
 //!    or duplicate rules, negation cycles — codes `A001`…`A011`),
 //! 6. [`analysis`] — semantic program analysis: stratification and
-//!    tightness classification (the certificate behind the solver's
-//!    tight-program fast path), grounding-size prediction, and sound
+//!    tightness classification (the unfounded cone the solver's backstop
+//!    runs over, empty on tight programs), grounding-size prediction, and sound
 //!    backward slicing consumed by
 //!    [`Grounder::with_slicing`](ground::Grounder::with_slicing).
 //!
@@ -74,7 +76,7 @@ pub mod solve;
 
 pub use analysis::{
     analyze_dependencies, ground_tight, predict_sizes, simplify, simplify_with, slice_program,
-    well_founded, well_founded_with, ConditionalWfm, SimplifyResult, WfmResult,
+    unfounded_cone, well_founded, well_founded_with, ConditionalWfm, SimplifyResult, WfmResult,
 };
 pub use ast::{Atom, ChoiceElement, Head, Literal, Program, Rule, Statement, Term};
 pub use builder::ProgramBuilder;

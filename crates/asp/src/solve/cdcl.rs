@@ -37,6 +37,15 @@
 //! trail-scoped explanation store, and every literal it forces points at
 //! that witness; conflict analysis resolves through it like any other
 //! reason, and a backjump truncates the store with the trail.
+//!
+//! The unfounded-set backstop works on the program's unfounded cone (the
+//! atoms on positive loops and everything positively derived from them),
+//! indexed once in [`Cone`]. A pass computes the can-be-true closure of
+//! the cone with a counter-based worklist over the cone's rules, reading
+//! every atom outside the cone as possible iff it is not false, and
+//! falsifies the cone atoms outside the closure in ascending id order,
+//! all under one prefix witness. Debug builds check every pass against
+//! the naive closure over the whole program.
 
 use std::collections::{HashMap, HashSet};
 
@@ -54,12 +63,13 @@ fn negate(v: Val) -> Val {
     }
 }
 
-/// Fingerprint of a learned nogood, the key of the dedup set.
-fn fingerprint(ng: &[(u32, Val)]) -> u64 {
+/// Fingerprint of a learned nogood given as literal codes, the key of the
+/// dedup set: the hash of its `(var, value == True)` pairs, in order.
+fn fingerprint(codes: &[u32]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    for &(a, v) in ng {
-        (a, v == Val::True).hash(&mut h);
+    for &c in codes {
+        (code_var(c), code_val(c) == Val::True).hash(&mut h);
     }
     h.finish()
 }
@@ -253,6 +263,182 @@ pub(super) struct Nogood {
     activity: f64,
 }
 
+/// A cone rule body count that marks a rule blocked under the current
+/// assignment.
+const BLOCKED: u32 = u32::MAX;
+
+/// The unfounded cone of the program (see
+/// [`unfounded_cone`](crate::analysis::unfounded_cone)), indexed for the
+/// unfounded-set backstop: the cone atoms, the rules whose heads are in
+/// the cone, and which of those rules read each cone atom positively.
+/// Empty on a tight program.
+#[derive(Debug, Default)]
+pub(super) struct Cone {
+    /// The cone atoms, ascending. A cone atom is named by its position
+    /// here.
+    atoms: Vec<u32>,
+    /// Per cone rule: the position of its head.
+    head: Vec<u32>,
+    /// Per cone rule: its positive body atoms inside the cone, counted
+    /// per occurrence.
+    need: Vec<u32>,
+    /// Per cone rule `r`: the literals (satisfied form) that block it are
+    /// `block[block_start[r]..block_start[r + 1]]` — a positive body atom
+    /// outside the cone assigned false, a negative body atom assigned
+    /// true.
+    block_start: Vec<u32>,
+    block: Vec<u32>,
+    /// Per cone atom `k`: the cone rules reading it positively are
+    /// `readers[read_start[k]..read_start[k + 1]]`, once per occurrence.
+    read_start: Vec<u32>,
+    readers: Vec<u32>,
+    /// Scratch of one closure: per cone rule, cone body atoms not yet in
+    /// the closure (or [`BLOCKED`]); per cone atom, whether it is in the
+    /// closure; the atoms whose readers are still to be visited.
+    missing: Vec<u32>,
+    closed: Vec<bool>,
+    stack: Vec<u32>,
+}
+
+impl Cone {
+    /// Compute and index the unfounded cone of `g`.
+    pub(super) fn build(g: &GroundProgram) -> Self {
+        let atoms: Vec<u32> = crate::analysis::unfounded_cone(g)
+            .into_iter()
+            .map(|a| a.0)
+            .collect();
+        if atoms.is_empty() {
+            return Cone::default();
+        }
+        let mut position = vec![u32::MAX; g.atom_count()];
+        for (k, &a) in atoms.iter().enumerate() {
+            position[a as usize] = k as u32;
+        }
+        let (mut head, mut need, mut block_start, mut block) =
+            (Vec::new(), Vec::new(), vec![0u32], Vec::new());
+        // (cone atom, cone rule) per positive occurrence inside the cone.
+        let mut reads: Vec<(u32, u32)> = Vec::new();
+        for r in &g.rules {
+            let (GroundHead::Atom(h) | GroundHead::Choice(h)) = r.head else {
+                continue;
+            };
+            let k = position[h.index()];
+            if k == u32::MAX {
+                continue;
+            }
+            let ri = head.len() as u32;
+            head.push(k);
+            let mut inside = 0u32;
+            for &p in &r.pos {
+                match position[p.index()] {
+                    u32::MAX => block.push(code(p.0, Val::False)),
+                    kp => {
+                        inside += 1;
+                        reads.push((kp, ri));
+                    }
+                }
+            }
+            block.extend(r.neg.iter().map(|&q| code(q.0, Val::True)));
+            need.push(inside);
+            block_start.push(block.len() as u32);
+        }
+        let mut read_start = vec![0u32; atoms.len() + 1];
+        for &(k, _) in &reads {
+            read_start[k as usize + 1] += 1;
+        }
+        for k in 0..atoms.len() {
+            read_start[k + 1] += read_start[k];
+        }
+        let mut fill = read_start.clone();
+        let mut readers = vec![0u32; reads.len()];
+        for (k, ri) in reads {
+            readers[fill[k as usize] as usize] = ri;
+            fill[k as usize] += 1;
+        }
+        Cone {
+            missing: Vec::with_capacity(head.len()),
+            closed: vec![false; atoms.len()],
+            atoms,
+            head,
+            need,
+            block_start,
+            block,
+            read_start,
+            readers,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Whether the cone is empty: the program is tight.
+    pub(super) fn is_empty(&self) -> bool {
+        self.atoms.is_empty()
+    }
+
+    /// The can-be-true closure of the cone under `val`, into `closed`: the
+    /// least set of cone atoms not assigned false that head a rule whose
+    /// negative body atoms are not assigned true and whose positive body
+    /// atoms are either in the set or outside the cone and not assigned
+    /// false.
+    ///
+    /// At a propagation fixpoint an atom outside the cone can be true iff
+    /// it is not false. Its support nogood would have falsified it if
+    /// every one of its bodies failed. A body that has not failed has no
+    /// positive atom false and no negative atom true, and its positive
+    /// atoms lie outside the cone too, so by induction along the acyclic
+    /// positive dependencies outside the cone they can be true as well.
+    fn close(&mut self, val: &[Val]) {
+        let Cone {
+            atoms,
+            head,
+            need,
+            block_start,
+            block,
+            read_start,
+            readers,
+            missing,
+            closed,
+            stack,
+        } = self;
+        closed.fill(false);
+        stack.clear();
+        missing.clear();
+        let add = |k: u32, closed: &mut [bool], stack: &mut Vec<u32>| {
+            if !closed[k as usize] && val[atoms[k as usize] as usize] != Val::False {
+                closed[k as usize] = true;
+                stack.push(k);
+            }
+        };
+        for r in 0..head.len() {
+            let lits = &block[block_start[r] as usize..block_start[r + 1] as usize];
+            let m = if lits
+                .iter()
+                .any(|&c| val[code_var(c) as usize] == code_val(c))
+            {
+                BLOCKED
+            } else {
+                need[r]
+            };
+            missing.push(m);
+            if m == 0 {
+                add(head[r], closed, stack);
+            }
+        }
+        while let Some(k) = stack.pop() {
+            for &r in &readers[read_start[k as usize] as usize..read_start[k as usize + 1] as usize]
+            {
+                let m = &mut missing[r as usize];
+                if *m == BLOCKED {
+                    continue;
+                }
+                *m -= 1;
+                if *m == 0 {
+                    add(head[r as usize], closed, stack);
+                }
+            }
+        }
+    }
+}
+
 /// The CDCL engine state.
 #[derive(Debug)]
 pub(super) struct Cdcl {
@@ -280,6 +466,8 @@ pub(super) struct Cdcl {
     /// (model-enumeration mode — restarts are disabled once any flip
     /// exists, exhaustiveness relies on the flip trail).
     flipped: Vec<bool>,
+    /// Number of `true` entries in `flipped`.
+    flips: usize,
     /// All watched nogoods: statics first, learned from `first_learned`.
     ngs: Vec<Nogood>,
     /// Index of the first learned nogood in `ngs`.
@@ -550,6 +738,7 @@ impl Cdcl {
             qhead: 0,
             lim: Vec::new(),
             flipped: Vec::new(),
+            flips: 0,
             first_learned: ngs.len(),
             ngs,
             learned_units: Vec::new(),
@@ -618,6 +807,7 @@ impl Cdcl {
         self.qhead = 0;
         self.lim.clear();
         self.flipped.clear();
+        self.flips = 0;
         self.antes.clear();
         self.ante_lits.clear();
         self.ante_lim.clear();
@@ -833,8 +1023,7 @@ impl Solver<'_> {
     /// Store a learned nogood (deduplicated): units go to the replay list,
     /// longer nogoods into the watched database.
     fn learn_stored(&mut self, lits: Vec<u32>, lbd: u32) {
-        let pairs: Vec<(u32, Val)> = lits.iter().map(|&c| (code_var(c), code_val(c))).collect();
-        if !self.cdcl.learned_fps.insert(fingerprint(&pairs)) {
+        if !self.cdcl.learned_fps.insert(fingerprint(&lits)) {
             return;
         }
         if lits.len() == 1 {
@@ -989,12 +1178,6 @@ impl Solver<'_> {
                 );
             }
         };
-        #[cfg(debug_assertions)]
-        let fp_of = |codes: &[u32]| {
-            let pairs: Vec<(u32, Val)> =
-                codes.iter().map(|&c| (code_var(c), code_val(c))).collect();
-            fingerprint(&pairs)
-        };
         let mut kept = 0usize;
         for (lits, lbd) in &state.nogoods {
             let Some(codes) = lits.iter().map(&live_code).collect::<Option<Vec<u32>>>() else {
@@ -1006,7 +1189,7 @@ impl Solver<'_> {
             #[cfg(debug_assertions)]
             screen(&codes, self.cdcl.n_vars);
             #[cfg(debug_assertions)]
-            let dup = self.cdcl.learned_fps.contains(&fp_of(&codes));
+            let dup = self.cdcl.learned_fps.contains(&fingerprint(&codes));
             let before = self.cdcl.learned_count();
             self.learn_stored(codes, *lbd);
             let grown = self.cdcl.learned_count() > before;
@@ -1019,7 +1202,7 @@ impl Solver<'_> {
             #[cfg(debug_assertions)]
             screen(&[c], self.cdcl.n_vars);
             #[cfg(debug_assertions)]
-            let dup = self.cdcl.learned_fps.contains(&fp_of(&[c]));
+            let dup = self.cdcl.learned_fps.contains(&fingerprint(&[c]));
             let before = self.cdcl.learned_count();
             self.learn_stored(vec![c], 1);
             let grown = self.cdcl.learned_count() > before;
@@ -1107,7 +1290,8 @@ impl Solver<'_> {
     }
 
     /// Propagate to fixpoint: watched nogoods, then dirty cardinality
-    /// constraints, then (non-tight only) the unfounded backstop. Returns
+    /// constraints, then (non-tight only) the unfounded backstop over the
+    /// cone. Returns
     /// the conflicting nogood's literal codes, or `None` at fixpoint.
     fn cdcl_propagate(&mut self) -> Option<Vec<u32>> {
         loop {
@@ -1126,7 +1310,7 @@ impl Solver<'_> {
                 }
                 continue;
             }
-            if self.tight {
+            if self.cone.is_empty() {
                 return None;
             }
             let before = self.cdcl.trail.len();
@@ -1382,38 +1566,27 @@ impl Solver<'_> {
     /// Unfounded-set backstop for non-tight programs: falsify every atom
     /// outside the can-be-true closure, with the current prefix as the
     /// antecedent (every closure verdict is a sound consequence of it).
+    /// Runs at a propagation fixpoint, where the closure is computed over
+    /// the unfounded cone alone (see [`Cone::close`]); outside the cone
+    /// only false atoms are outside the closure. The cone atoms are
+    /// visited in ascending id order.
     fn unfounded_backstop(&mut self) -> Option<Vec<u32>> {
-        let n = self.cdcl.n_atoms;
-        let mut in_closure = vec![false; n];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for r in &self.g.rules {
-                let h = match r.head {
-                    GroundHead::Atom(h) | GroundHead::Choice(h) => h,
-                    GroundHead::None => continue,
-                };
-                if in_closure[h.index()] || self.cdcl.val[h.index()] == Val::False {
-                    continue;
-                }
-                let body_possible = r
-                    .pos
-                    .iter()
-                    .all(|&p| self.cdcl.val[p.index()] != Val::False && in_closure[p.index()])
-                    && r.neg.iter().all(|&q| self.cdcl.val[q.index()] != Val::True);
-                if body_possible {
-                    in_closure[h.index()] = true;
-                    changed = true;
-                }
-            }
-        }
+        self.cone.close(&self.cdcl.val);
+        debug_assert!(
+            self.cone_closure_matches_program(),
+            "the cone closure differs from the whole program's closure"
+        );
         // The prefix, and its witness once an atom is forced.
         let mut prefix: Option<(Vec<u32>, Option<u32>)> = None;
-        for i in (0..n).filter(|&i| !in_closure[i]) {
-            match self.cdcl.val[i] {
+        for k in 0..self.cone.atoms.len() {
+            if self.cone.closed[k] {
+                continue;
+            }
+            let i = self.cone.atoms[k];
+            match self.cdcl.val[i as usize] {
                 Val::True => {
                     let mut ng = prefix.map_or_else(|| self.prefix_codes(), |(p, _)| p);
-                    ng.push(code(i as u32, Val::True));
+                    ng.push(code(i, Val::True));
                     if self.proof.is_some() {
                         self.plog(ProofStep::Unfounded(ng.clone()));
                     }
@@ -1428,11 +1601,11 @@ impl Solver<'_> {
                     // own variable.
                     if self.proof.is_some() {
                         let mut ng = p.clone();
-                        ng.push(code(i as u32, Val::True));
+                        ng.push(code(i, Val::True));
                         self.plog(ProofStep::Unfounded(ng));
                     }
                     let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(p));
-                    self.cd_assign(i as u32, Val::False, Reason::Ante(w));
+                    self.cd_assign(i, Val::False, Reason::Ante(w));
                 }
                 Val::False => {}
             }
@@ -1440,11 +1613,53 @@ impl Solver<'_> {
         None
     }
 
+    /// The closure over the whole program, by naive fixpoint iteration
+    /// over every rule, equals the cone closure with every atom outside the
+    /// cone in it iff not false (the backstop's oracle in debug builds).
+    fn cone_closure_matches_program(&self) -> bool {
+        let val = &self.cdcl.val;
+        let mut in_closure = vec![false; self.cdcl.n_atoms];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for r in &self.g.rules {
+                let h = match r.head {
+                    GroundHead::Atom(h) | GroundHead::Choice(h) => h,
+                    GroundHead::None => continue,
+                };
+                if in_closure[h.index()] || val[h.index()] == Val::False {
+                    continue;
+                }
+                let body_possible = r
+                    .pos
+                    .iter()
+                    .all(|&p| val[p.index()] != Val::False && in_closure[p.index()])
+                    && r.neg.iter().all(|&q| val[q.index()] != Val::True);
+                if body_possible {
+                    in_closure[h.index()] = true;
+                    changed = true;
+                }
+            }
+        }
+        let mut cone = self.cone.atoms.iter().zip(&self.cone.closed).peekable();
+        (0..self.cdcl.n_atoms).all(|i| {
+            let cone_verdict = match cone.peek() {
+                Some(&(&a, &closed)) if a as usize == i => {
+                    cone.next();
+                    closed
+                }
+                _ => val[i] != Val::False,
+            };
+            cone_verdict == in_closure[i]
+        })
+    }
+
     /// Open a new decision level.
     fn new_level(&mut self, flip: bool) {
         self.cdcl.lim.push(self.cdcl.trail.len());
         self.cdcl.ante_lim.push(self.cdcl.antes.len() as u32);
         self.cdcl.flipped.push(flip);
+        self.cdcl.flips += usize::from(flip);
     }
 
     /// Undo every assignment above decision level `to`, saving phases and
@@ -1473,6 +1688,12 @@ impl Solver<'_> {
         }
         cd.ante_lim.truncate(to);
         cd.lim.truncate(to);
+        if cd.flips > 0 {
+            cd.flips -= cd.flipped[to.min(cd.flipped.len())..]
+                .iter()
+                .filter(|&&f| f)
+                .count();
+        }
         cd.flipped.truncate(to);
         // A literal may have been asserted and not yet propagated; never
         // skip it by advancing qhead past the shortened trail.
@@ -1657,7 +1878,11 @@ impl Solver<'_> {
     /// Whether any decision level is a flip (enumeration mode: restarts off,
     /// movement is chronological).
     fn in_flip_mode(&self) -> bool {
-        self.cdcl.flipped.iter().any(|&f| f)
+        debug_assert_eq!(
+            self.cdcl.flips,
+            self.cdcl.flipped.iter().filter(|&&f| f).count()
+        );
+        self.cdcl.flips > 0
     }
 
     /// Handle a conflict: learn, backjump (or flip in enumeration mode),
@@ -1692,8 +1917,7 @@ impl Solver<'_> {
         self.backjump(bl);
         if lits.len() == 1 {
             let c = lits[0];
-            let pairs = [(code_var(c), code_val(c))];
-            if self.cdcl.learned_fps.insert(fingerprint(&pairs)) {
+            if self.cdcl.learned_fps.insert(fingerprint(&lits)) {
                 if self.proof.is_some() {
                     self.plog(ProofStep::Learned(vec![c]));
                 }
@@ -1721,8 +1945,7 @@ impl Solver<'_> {
             // Always stored (even when a fingerprint collision says a copy
             // may exist): the assertion needs a resolvable reason, and a
             // rare duplicate in the database is sound.
-            let pairs: Vec<(u32, Val)> = lits.iter().map(|&c| (code_var(c), code_val(c))).collect();
-            self.cdcl.learned_fps.insert(fingerprint(&pairs));
+            self.cdcl.learned_fps.insert(fingerprint(&lits));
             let ni = self.add_learned_watched(lits, lbd, false);
             if self.cdcl.val[code_var(uip) as usize] == Val::Unknown {
                 self.cd_assign(code_var(uip), negate(code_val(uip)), Reason::Nogood(ni));
@@ -1828,14 +2051,14 @@ impl Solver<'_> {
     /// The CDCL search loop: propagate, branch by EVSIDS with phase saving,
     /// analyze conflicts to 1UIP with Luby restarts; switch to
     /// chronological flips once enumeration needs to move past a model.
-    /// `on_model` receives each stable model's true atoms and returns
-    /// `false` to stop the search early; `prune` returning `true` abandons
+    /// `on_model` sees the solver at each stable model (its truth values
+    /// in `truth`) and returns `false` to stop the search early; `prune` returning `true` abandons
     /// the current branch (branch-and-bound). Returns whether the search
     /// space was exhausted.
     pub(super) fn search(
         &mut self,
         opts: &SolveOptions,
-        on_model: &mut dyn FnMut(&Self, HashSet<AtomId>) -> bool,
+        on_model: &mut dyn FnMut(&Self) -> bool,
         prune: &mut dyn FnMut(&Self) -> bool,
     ) -> Result<bool, AspError> {
         loop {
@@ -1867,17 +2090,17 @@ impl Solver<'_> {
                     self.cd_assign(v, phase, Reason::Decision);
                 }
                 None => {
-                    if let Some(ids) = self.check_candidate() {
+                    if self.check_candidate() {
                         if self.certify_call && self.proof.is_some() {
                             let atoms: Vec<u32> = (0..self.cdcl.n_atoms as u32)
                                 .filter(|&a| self.cdcl.val[a as usize] == Val::True)
                                 .collect();
                             self.plog(ProofStep::Model {
-                                cost: self.model_cost(&ids),
+                                cost: self.model_cost(),
                                 atoms,
                             });
                         }
-                        if !on_model(self, ids) {
+                        if !on_model(self) {
                             return Ok(false);
                         }
                         if !self.flip_deepest() {

@@ -10,10 +10,12 @@
 //! saving, and Luby-scheduled restarts with LBD-based learned-database
 //! reduction keep the search and the clause store focused. Stability of
 //! non-tight programs is enforced by an unfounded-set backstop at each
-//! propagation fixpoint, and every complete assignment is still verified
-//! with the independent [`check`] module before it is reported, so the
-//! engine's soundness rests on the textbook definition rather than on the
-//! propagation code.
+//! propagation fixpoint, run over the program's unfounded cone alone (the
+//! atoms on positive loops and what they derive), and every complete
+//! assignment is still verified with the independent [`check`] module's
+//! resident [`StabilityAudit`](check::StabilityAudit) before it is
+//! reported, so the engine's soundness rests on the textbook definition
+//! rather than on the propagation code.
 
 mod cdcl;
 
@@ -199,11 +201,16 @@ pub struct SolveResult {
 #[derive(Debug)]
 pub struct Solver<'a> {
     g: &'a GroundProgram,
-    /// Atom-level tightness certificate of the ground program (positive
-    /// dependency graph acyclic — see
-    /// [`analysis::ground_tight`](crate::analysis::ground_tight)); when it
-    /// holds, the unfounded-set backstop is skipped.
-    tight: bool,
+    /// The unfounded cone of the ground program (see
+    /// [`analysis::unfounded_cone`](crate::analysis::unfounded_cone)),
+    /// indexed for the unfounded-set backstop, which runs over it alone.
+    /// Empty when the program is tight; the backstop is then skipped.
+    cone: cdcl::Cone,
+    /// The independent stability audit of the ground program, built at
+    /// the first complete assignment.
+    audit: Option<check::StabilityAudit<'a>>,
+    /// The complete assignment last audited, one truth value per atom.
+    truth: Vec<bool>,
     /// Display form of every atom, rendered once at construction; model
     /// building clones these instead of re-rendering per model.
     display: Vec<String>,
@@ -270,7 +277,9 @@ impl<'a> Solver<'a> {
             .collect();
         Solver {
             g: program,
-            tight: crate::analysis::ground_tight(program),
+            cone: cdcl::Cone::build(program),
+            audit: None,
+            truth: Vec::new(),
             display,
             sorted_ids,
             shown_flags,
@@ -370,13 +379,13 @@ impl<'a> Solver<'a> {
     }
 
     /// Whether this solver holds a tightness certificate for its ground
-    /// program: the atom-level positive dependency graph is acyclic, so
-    /// supported models are stable models (Fages' theorem) and the
-    /// unfounded-set backstop can be skipped — the completion nogoods
-    /// already enforce supportedness.
+    /// program: its unfounded cone is empty, that is, the atom-level
+    /// positive dependency graph is acyclic, so supported models are
+    /// stable models (Fages' theorem) and the unfounded-set backstop can
+    /// be skipped — the completion nogoods already enforce supportedness.
     #[must_use]
     pub fn tight(&self) -> bool {
-        self.tight
+        self.cone.is_empty()
     }
 
     /// Drop every retained learned nogood (e.g. to measure their effect).
@@ -440,8 +449,8 @@ impl<'a> Solver<'a> {
         opts: &SolveOptions,
     ) -> Result<SolveResult, AspError> {
         let mut models = Vec::new();
-        let exhausted = self.solve_call(assumptions, opts, &mut |s, ids| {
-            models.push(s.build_model(ids));
+        let exhausted = self.solve_call(assumptions, opts, &mut |s| {
+            models.push(s.build_model());
             opts.max_models == 0 || models.len() < opts.max_models
         })?;
         Ok(SolveResult {
@@ -470,7 +479,7 @@ impl<'a> Solver<'a> {
         opts: &SolveOptions,
     ) -> Result<bool, AspError> {
         let mut found = false;
-        self.solve_call(assumptions, opts, &mut |_, _| {
+        self.solve_call(assumptions, opts, &mut |_| {
             found = true;
             false
         })?;
@@ -484,7 +493,7 @@ impl<'a> Solver<'a> {
         &mut self,
         assumptions: &[Lit],
         opts: &SolveOptions,
-        on_model: &mut dyn FnMut(&Self, HashSet<AtomId>) -> bool,
+        on_model: &mut dyn FnMut(&Self) -> bool,
     ) -> Result<bool, AspError> {
         if opts.certify {
             self.begin_certified_call(assumptions);
@@ -495,9 +504,9 @@ impl<'a> Solver<'a> {
         let exhausted = if self.prepare(assumptions) {
             self.search(
                 opts,
-                &mut |s, ids| {
+                &mut |s| {
                     found = true;
-                    on_model(s, ids)
+                    on_model(s)
                 },
                 &mut |_| false,
             )?
@@ -551,8 +560,8 @@ impl<'a> Solver<'a> {
             let mut found = None;
             self.search(
                 opts,
-                &mut |s, ids| {
-                    found = Some(s.build_model(ids));
+                &mut |s| {
+                    found = Some(s.build_model());
                     false
                 },
                 &mut |_| false,
@@ -573,8 +582,8 @@ impl<'a> Solver<'a> {
         let incumbent = std::cell::Cell::new(None::<i64>);
         self.search(
             opts,
-            &mut |s, ids| {
-                let m = s.build_model(ids);
+            &mut |s| {
+                let m = s.build_model();
                 let better = match &best {
                     None => true,
                     Some(b) => cost_vec(&m) < cost_vec(b),
@@ -648,11 +657,11 @@ impl<'a> Solver<'a> {
         let mut models_seen = 0usize;
         self.search(
             opts,
-            &mut |_, ids| {
+            &mut |s| {
                 models_seen += 1;
-                for id in ids {
-                    if !in_some[id.index()] {
-                        in_some[id.index()] = true;
+                for (i, &t) in s.truth.iter().enumerate() {
+                    if t && !in_some[i] {
+                        in_some[i] = true;
                         marked += 1;
                     }
                 }
@@ -685,11 +694,11 @@ impl<'a> Solver<'a> {
         let mut models_seen = 0usize;
         self.search(
             opts,
-            &mut |_, ids| {
+            &mut |s| {
                 models_seen += 1;
                 match &mut candidates {
-                    None => candidates = Some(ids.into_iter().collect()),
-                    Some(c) => c.retain(|id| ids.contains(id)),
+                    None => candidates = Some(s.true_atoms().collect()),
+                    Some(c) => c.retain(|id| s.truth[id.index()]),
                 }
                 candidates.as_ref().expect("just set").len() > floor
                     && (opts.max_models == 0 || models_seen < opts.max_models)
@@ -712,36 +721,40 @@ impl<'a> Solver<'a> {
             .collect()
     }
 
-    /// The set of true atoms of the (complete) current assignment.
-    fn candidate_set(&self) -> HashSet<AtomId> {
-        self.cdcl.val[..self.g.atom_count()]
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == Val::True)
-            .map(|(i, _)| AtomId(i as u32))
-            .collect()
+    /// Audit the complete current assignment with the independent
+    /// stability check, leaving its truth values in `truth`.
+    fn check_candidate(&mut self) -> bool {
+        let n = self.g.atom_count();
+        self.truth.clear();
+        self.truth
+            .extend(self.cdcl.val[..n].iter().map(|&v| v == Val::True));
+        let g = self.g;
+        self.audit
+            .get_or_insert_with(|| check::StabilityAudit::new(g))
+            .is_stable(&self.truth)
     }
 
-    /// Verify a complete assignment with the independent stability check;
-    /// its true atoms when it passes.
-    fn check_candidate(&self) -> Option<HashSet<AtomId>> {
-        let candidate = self.candidate_set();
-        check::is_stable_model(self.g, &candidate).then_some(candidate)
+    /// The true atoms of the last audited assignment, ascending.
+    fn true_atoms(&self) -> impl Iterator<Item = AtomId> + '_ {
+        (0..self.truth.len() as u32)
+            .filter(|&a| self.truth[a as usize])
+            .map(AtomId)
     }
 
-    fn build_model(&self, ids: HashSet<AtomId>) -> Model {
+    /// The last audited assignment as a [`Model`].
+    fn build_model(&self) -> Model {
         // Walk the precomputed display order, so the member atoms, their
         // display keys (the binary-search index of `Model::contains`) and
         // the shown projection all come out sorted with no per-model sort
         // or re-rendering.
-        let mut keys = Vec::with_capacity(ids.len());
-        let mut atoms = Vec::with_capacity(ids.len());
+        let mut keys = Vec::new();
+        let mut atoms = Vec::new();
         let mut shown = Vec::new();
         for &ai in &self.sorted_ids {
-            let id = AtomId(ai);
-            if !ids.contains(&id) {
+            if !self.truth[ai as usize] {
                 continue;
             }
+            let id = AtomId(ai);
             keys.push(self.display[ai as usize].clone());
             atoms.push(self.g.atom(id).clone());
             if self.shown_flags[ai as usize] {
@@ -751,14 +764,16 @@ impl<'a> Solver<'a> {
         Model {
             atoms,
             shown,
-            cost: self.model_cost(&ids),
-            ids,
+            cost: self.model_cost(),
+            ids: self.true_atoms().collect(),
             keys,
         }
     }
 
-    /// Objective values of a model per `#minimize` priority.
-    fn model_cost(&self, ids: &HashSet<AtomId>) -> Vec<(i64, i64)> {
+    /// Objective values of the last audited assignment per `#minimize`
+    /// priority.
+    fn model_cost(&self) -> Vec<(i64, i64)> {
+        let holds = |a: &AtomId| self.truth[a.index()];
         self.g
             .minimize
             .iter()
@@ -767,8 +782,7 @@ impl<'a> Solver<'a> {
                 let mut counted: HashSet<(i64, &[crate::ast::Term])> = HashSet::new();
                 let mut total = 0i64;
                 for l in lits {
-                    let holds = l.pos.iter().all(|p| ids.contains(p))
-                        && l.neg.iter().all(|q| !ids.contains(q));
+                    let holds = l.pos.iter().all(holds) && !l.neg.iter().any(holds);
                     if holds && counted.insert((l.weight, l.tuple.as_slice())) {
                         total += l.weight;
                     }

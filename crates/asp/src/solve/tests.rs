@@ -130,6 +130,36 @@ fn non_tight_programs_keep_the_unfounded_closure() {
 }
 
 #[test]
+fn the_backstop_reads_false_entries_outside_the_cone() {
+    // `x` lies outside the cone of the `a`/`b` loop, and `c` is derived
+    // from it. With `x` false the loop's only entry is blocked, so the
+    // backstop falsifies `a`, `b` and `c` before the first decision. A
+    // closure that took `x` for possible would leave them to the search,
+    // which the stability audit would still correct: only the decision
+    // count tells the two apart.
+    let g = Grounder::new()
+        .ground(&parse("{ x }. { y }. a :- x. a :- b. b :- a. c :- b, y.").unwrap())
+        .unwrap();
+    let cone: Vec<String> = crate::analysis::unfounded_cone(&g)
+        .into_iter()
+        .map(|id| g.atom(id).to_string())
+        .collect();
+    assert_eq!(cone.len(), 3, "a, b and c: {cone:?}");
+    let x = g.lookup(&crate::ast::Atom::prop("x")).unwrap();
+    let y = g.lookup(&crate::ast::Atom::prop("y")).unwrap();
+    let mut s = Solver::new(&g);
+    let opts = SolveOptions::default();
+    assert!(s
+        .has_model_with_assumptions(&[Lit::neg(x), Lit::pos(y)], &opts)
+        .unwrap());
+    assert_eq!(s.decisions(), 0, "decided by the backstop alone");
+    let r = s
+        .solve_with_assumptions(&[Lit::neg(x), Lit::pos(y)], &opts)
+        .unwrap();
+    assert_eq!(model_strings(&r.models), vec!["y"]);
+}
+
+#[test]
 fn bounded_choice_respects_bounds() {
     let models = solve_all("item(x). item(y). item(z). 1 { pick(I) : item(I) } 2.");
     // C(3,1) + C(3,2) = 6 models.

@@ -13,6 +13,9 @@
 //! * **tightness certificate** — predicate-level tightness must imply the
 //!   ground certificate, and the certificate must match what the solver
 //!   reports;
+//! * **unfounded cone** — [`unfounded_cone`] must equal a brute-force
+//!   search for the atoms on a positive cycle or reachable from one, and
+//!   the ground certificate must hold exactly when the cone is empty;
 //! * **size prediction** — the incremental fixpoint of
 //!   [`predict_sizes`](cpsrisk_asp::predict_sizes) must equal the full
 //!   recompute in `support/size_oracle.rs`, every `f64` bit for bit.
@@ -23,7 +26,9 @@ mod support;
 
 use proptest::prelude::*;
 
-use cpsrisk_asp::analysis::{analyze_dependencies, ground_tight};
+use cpsrisk_asp::analysis::{analyze_dependencies, ground_tight, unfounded_cone};
+use cpsrisk_asp::program::GroundHead;
+use cpsrisk_asp::AtomId;
 use cpsrisk_asp::{GroundProgram, Grounder, Program, SolveOptions, Solver};
 
 /// Random statements over a small universe mirroring the grounder's
@@ -165,6 +170,14 @@ proptest! {
     }
 
     #[test]
+    fn unfounded_cone_is_every_atom_on_or_after_a_positive_cycle(src in arb_program()) {
+        let g = Grounder::new().ground(&parse(&src)).expect("grounds");
+        let cone = unfounded_cone(&g);
+        prop_assert_eq!(&cone, &brute_force_cone(&g), "program:\n{}", src);
+        prop_assert_eq!(ground_tight(&g), cone.is_empty(), "program:\n{}", src);
+    }
+
+    #[test]
     fn size_prediction_matches_the_full_recompute(src in arb_program()) {
         let p = parse(&src);
         let fast = cpsrisk_asp::predict_sizes(&p);
@@ -202,4 +215,35 @@ fn size_prediction_matches_the_full_recompute_when_cut_short() {
             );
         }
     }
+}
+
+/// The atoms on a cycle of the positive body-to-head graph, or reachable
+/// from one, ascending: a search from each atom, then from the cycles.
+fn brute_force_cone(g: &GroundProgram) -> Vec<AtomId> {
+    let n = g.atom_count();
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for r in &g.rules {
+        if let GroundHead::Atom(h) | GroundHead::Choice(h) = r.head {
+            for p in &r.pos {
+                succ[p.index()].push(h.index());
+            }
+        }
+    }
+    let reach = |from: &[usize]| {
+        let mut seen = vec![false; n];
+        let mut stack: Vec<usize> = from.to_vec();
+        while let Some(v) = stack.pop() {
+            if !seen[v] {
+                seen[v] = true;
+                stack.extend(&succ[v]);
+            }
+        }
+        seen
+    };
+    let on_cycle: Vec<usize> = (0..n).filter(|&v| reach(&succ[v])[v]).collect();
+    let cone = reach(&on_cycle);
+    (0..n as u32)
+        .filter(|&a| cone[a as usize])
+        .map(AtomId)
+        .collect()
 }

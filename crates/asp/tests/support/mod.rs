@@ -6,9 +6,10 @@
 //! depends on `X` only through those atoms, so every stable model `M`
 //! satisfies `M = LM(P^S)` for `S = M ∩ guess`. For each `S` the oracle
 //! therefore takes the least model of the reduct
-//! ([`check::least_model_of_reduct`]), keeps it when its guess atoms are
-//! exactly `S` and [`check::is_stable_model`] accepts it, and filters the
-//! survivors by the assumption literals. `#minimize` costs are recomputed
+//! ([`check::StabilityAudit::least_model`]), keeps it when its guess atoms
+//! are exactly `S` and [`check::StabilityAudit::is_stable`] accepts it,
+//! and filters the survivors by the assumption literals. One audit,
+//! indexed once, serves every subset. `#minimize` costs are recomputed
 //! from [`GroundProgram::minimize`] directly.
 //!
 //! Only the independent `check` module is used: the oracle shares no code
@@ -87,21 +88,24 @@ pub fn models(g: &GroundProgram, assumptions: &[Lit]) -> Vec<OracleModel> {
         "{} guess atoms: too many for the oracle",
         guess.len()
     );
+    let mut audit = check::StabilityAudit::new(g);
+    let mut chosen = vec![false; g.atom_count()];
     let mut out = Vec::new();
     for mask in 0u32..(1u32 << guess.len()) {
-        let chosen: HashSet<AtomId> = guess
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &a)| a)
-            .collect();
-        let Some(lm) = check::least_model_of_reduct(g, &chosen) else {
+        for (i, a) in guess.iter().enumerate() {
+            chosen[a.index()] = mask & (1 << i) != 0;
+        }
+        let Some(lm) = audit.least_model(&chosen).map(<[bool]>::to_vec) else {
             continue;
         };
-        let consistent = guess.iter().all(|a| lm.contains(a) == chosen.contains(a));
-        if !consistent || !check::is_stable_model(g, &lm) {
+        let consistent = guess.iter().all(|a| lm[a.index()] == chosen[a.index()]);
+        if !consistent || !audit.is_stable(&lm) {
             continue;
         }
+        let lm: HashSet<AtomId> = (0..lm.len() as u32)
+            .filter(|&a| lm[a as usize])
+            .map(AtomId)
+            .collect();
         if assumptions
             .iter()
             .all(|l| lm.contains(&l.atom) == l.positive)
