@@ -247,19 +247,14 @@ fn ground_programs_are_byte_identical() {
     );
 }
 
-/// The certificate `cpsrisk solve --certify` writes for the water-tank
-/// program. The program is non-tight (some of its atoms lie on positive
-/// loops), and the certificate pins the whole search: every completion
-/// axiom, well-founded fact, inference and model, in order.
-#[test]
-fn water_tank_certificate_is_byte_identical() {
-    let root = env!("CARGO_MANIFEST_DIR");
+/// The certificate `cpsrisk solve --certify <path>` writes, read back.
+fn certificate_of(path: &str, label: &str) -> String {
     let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!(
-        "cpsrisk_golden_water_tank_{}.proof",
+        "cpsrisk_golden_{label}_{}.proof",
         std::process::id()
     ));
     let status = std::process::Command::new(env!("CARGO_BIN_EXE_cpsrisk"))
-        .args(["solve", &format!("{root}/../../examples/water_tank.lp")])
+        .args(["solve", path])
         .arg("--certify")
         .arg(&out)
         .output()
@@ -271,5 +266,31 @@ fn water_tank_certificate_is_byte_identical() {
     );
     let text = std::fs::read_to_string(&out).expect("the certificate was written");
     std::fs::remove_file(&out).ok();
+    text
+}
+
+/// The certificate `cpsrisk solve --certify` writes for the water-tank
+/// program. The program is non-tight (some of its atoms lie on positive
+/// loops), and the certificate pins the whole search: every completion
+/// axiom, well-founded fact, inference and model, in order.
+#[test]
+fn water_tank_certificate_is_byte_identical() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let text = certificate_of(&format!("{root}/../../examples/water_tank.lp"), "water_tank");
     assert_eq!(text, include_str!("golden/certificate_water_tank.txt"));
+}
+
+/// The certificate of a small program whose search falsifies positive
+/// loops through the unfounded-set backstop. The water-tank search never
+/// takes that step, so this pin is what covers it.
+#[test]
+fn unfounded_loops_certificate_is_byte_identical() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let text = certificate_of(&format!("{root}/../../tests/golden/unfounded_loops.lp"), "unfounded_loops");
+    let golden = include_str!("golden/certificate_unfounded_loops.txt");
+    assert!(
+        golden.lines().any(|l| l.starts_with("unf ")),
+        "the pinned certificate carries unfounded-set steps"
+    );
+    assert_eq!(text, golden);
 }
