@@ -80,11 +80,14 @@ cargo test --offline --manifest-path perfbench/Cargo.toml
 # the generated files, one model of the temporal file, an UNSAT adversarial
 # file, and the horizon probe. The result is the last line of standard
 # output.
-for workload in sweep assess solve; do
+# The sweep runs again on seed 1, so its static verdicts are also gated on
+# plants other than the default seed's.
+for run in "sweep 0xC47A" "assess 0xC47A" "solve 0xC47A" "sweep 1"; do
+    read -r workload seed <<<"$run"
     result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1 --trace 1 | tail -n 1)
+        --workload "$workload" --seed "$seed" --seconds 1 --trace 1 | tail -n 1)
     if ! grep -q '"correct": true' <<<"$result" || ! grep -Eq '"failed": 0[,}]' <<<"$result"; then
-        echo "ci.sh: perfbench $workload smoke run failed its correctness gate: ${result:0:200}" >&2
+        echo "ci.sh: perfbench $workload (seed $seed) smoke run failed its correctness gate: ${result:0:200}" >&2
         exit 1
     fi
 done

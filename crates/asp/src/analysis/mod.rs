@@ -38,4 +38,6 @@ pub use deps::{analyze_dependencies, ground_tight, unfounded_cone, DepAnalysis};
 pub use simplify::{simplify, simplify_with, SimplifyResult};
 pub use size::{predict_sizes, PredBound, RuleEstimate, SizePrediction, EXPLOSION_THRESHOLD};
 pub use slice::{slice_program, Slice};
-pub use wfm::{well_founded, well_founded_with, ConditionalWfm, Truth, WfmResult};
+pub use wfm::{
+    well_founded, well_founded_with, ConditionalWfm, RegionModel, Truth, WfmResult, WfmWorkspace,
+};

@@ -29,13 +29,17 @@
 //! CSR positive-occurrence lists, per-rule missing counters, and a
 //! derivation stack — every body literal of a region rule is visited O(1)
 //! times per half-step, and the alternation converges in at most
-//! `region + 1` rounds (two or three in practice).
+//! `region + 1` rounds. When no rule of the region reads a region atom
+//! negatively, the first round is the fixpoint and the second, confirming
+//! round is skipped: the overestimate then reads the underestimate only
+//! outside the region, where it is settled, so a second round would repeat
+//! the first. Every outcome query of the `sweep` benchmark takes this exit.
 //!
 //! [`well_founded_with`] is the case where every atom is in the region.
 //! [`ConditionalWfm`] is the resident form for many queries against one
 //! program: it builds the occurrence and reader indexes once, solves the
 //! whole program under a *base* assumption set, and answers each query
-//! [`under`](ConditionalWfm::under) its own assumptions from there:
+//! from there:
 //!
 //! * the **roots** are the atoms whose assumption status differs from the
 //!   base;
@@ -53,10 +57,19 @@
 //! region's iteration from the base values outside it then reaches the
 //! same least fixpoint: the start lies below it, and the alternation is
 //! monotone. The answer is the truth vector, counts and inconsistency
-//! verdict of `well_founded_with(program, assumptions)`, at the cost of the
-//! rules that define the region.
+//! verdict of `well_founded_with(program, assumptions)`.
+//!
+//! A query runs in a [`WfmWorkspace`]: the base model's vectors, which the
+//! query overwrites in its region only and the next query restores in that
+//! region only. [`under_changes`](ConditionalWfm::under_changes) takes the
+//! query as its changes to the base assumptions, so finding the roots costs
+//! as much as the changes; with a reused workspace the query then costs the
+//! rules that define the region and nothing in proportion to the program.
+//! [`under`](ConditionalWfm::under) takes any assumption set and runs the
+//! same query on a fresh workspace.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::program::{AtomId, CardConstraint, GroundHead, GroundProgram, GroundRule};
 use crate::solve::Lit;
@@ -226,69 +239,94 @@ fn positive_occurrences(program: &GroundProgram) -> Csr {
     })
 }
 
-/// The assumption status of every atom. Later assumptions on the same atom
-/// win, and a directly contradictory pair is remembered.
-#[derive(Debug)]
-struct Pins {
-    assumed_true: Vec<bool>,
-    assumed_false: Vec<bool>,
-    contradictory: bool,
+/// The assumption status of one atom.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pin {
+    Free,
+    True,
+    False,
 }
 
-impl Pins {
-    fn new(n_atoms: usize, assumptions: &[Lit]) -> Self {
-        let mut assumed_true = vec![false; n_atoms];
-        let mut assumed_false = vec![false; n_atoms];
-        let mut contradictory = false;
-        for l in assumptions {
-            let i = l.atom.index();
-            if l.positive {
-                contradictory |= assumed_false[i];
-                assumed_true[i] = true;
-                assumed_false[i] = false;
-            } else {
-                contradictory |= assumed_true[i];
-                assumed_false[i] = true;
-                assumed_true[i] = false;
-            }
-        }
-        Pins {
-            assumed_true,
-            assumed_false,
-            contradictory,
-        }
-    }
+/// Pin the atom of `l` to its polarity, replacing its pin; returns whether
+/// it was pinned to the opposite polarity before.
+fn pin(pins: &mut [Pin], l: Lit) -> bool {
+    let want = if l.positive { Pin::True } else { Pin::False };
+    let old = std::mem::replace(&mut pins[l.atom.index()], want);
+    old != Pin::Free && old != want
+}
 
-    /// Does atom `i` have the same status under both pin sets?
-    fn same(&self, other: &Pins, i: usize) -> bool {
-        self.assumed_true[i] == other.assumed_true[i]
-            && self.assumed_false[i] == other.assumed_false[i]
+/// The pin of every atom under `assumptions`, where later assumptions on
+/// the same atom win, and the atoms that a directly contradictory pair
+/// names.
+fn pins_of(n_atoms: usize, assumptions: &[Lit]) -> (Vec<Pin>, Vec<u32>) {
+    let mut pins = vec![Pin::Free; n_atoms];
+    let mut contradicted = Vec::new();
+    for &l in assumptions {
+        if pin(&mut pins, l) {
+            contradicted.push(l.atom.0);
+        }
     }
+    (pins, contradicted)
+}
+
+/// The 3-valued verdict of an atom from its membership in the certain and
+/// the possible set.
+fn truth(certain: bool, possible: bool) -> Truth {
+    if certain {
+        Truth::True
+    } else if possible {
+        Truth::Undefined
+    } else {
+        Truth::False
+    }
+}
+
+/// The vectors the kernel works in. Outside the region they hold settled
+/// values, which the kernel reads and never writes.
+#[derive(Debug, Clone)]
+struct Buffers {
+    /// The certain set (the underestimate).
+    certain: Vec<bool>,
+    /// The next certain set; equal to `certain` outside the region.
+    next: Vec<bool>,
+    /// The possible set (the overestimate).
+    possible: Vec<bool>,
+    /// Per rule, how many of its positive body atoms are not derived yet.
+    missing: Vec<u32>,
+    /// Derived atoms whose occurrences are not visited yet.
+    stack: Vec<u32>,
 }
 
 /// The alternating fixpoint over `region`, a set of atoms whose complement
 /// is closed under the rules that define it. `rules` are exactly the rules
 /// whose heads lie in `region`. Atoms outside the region keep the values
-/// `certain` and `possible` already hold, which must be the fixpoint of the
-/// complement; on return both vectors hold the fixpoint on the region too.
+/// the buffers already hold, which must be the fixpoint of the complement;
+/// on return `certain` and `possible` hold the fixpoint on the region too.
 ///
 /// T_0 = the assumed-true atoms; P = Γ_over(T); T' = Γ_under(P). The
 /// under-approximation grows monotonically, so the loop terminates in at
-/// most `region.len() + 1` rounds.
+/// most `region.len() + 1` rounds. `one_round` states that no rule of the
+/// region reads a region atom negatively: the first round is then the
+/// fixpoint (see below).
 fn alternate(
     program: &GroundProgram,
     occ: &Csr,
-    pins: &Pins,
+    pins: &[Pin],
     region: &[u32],
     rules: &[u32],
-    certain: &mut Vec<bool>,
-    possible: &mut [bool],
+    one_round: bool,
+    buffers: &mut Buffers,
 ) {
+    let Buffers {
+        certain,
+        next,
+        possible,
+        missing,
+        stack,
+    } = buffers;
     for &a in region {
-        certain[a as usize] = pins.assumed_true[a as usize];
+        certain[a as usize] = pins[a as usize] == Pin::True;
     }
-    let mut missing = vec![0u32; program.rules.len()];
-    let mut stack: Vec<u32> = Vec::new();
     // Positive body atoms outside the region hold their settled value in
     // each half-step's output; with no atom outside, all of them are
     // missing at the start.
@@ -318,7 +356,7 @@ fn alternate(
         stack.clear();
         let mut derived = 0usize;
         for &a in region {
-            if pins.assumed_true[a as usize] {
+            if pins[a as usize] == Pin::True {
                 out[a as usize] = true;
                 stack.push(a);
             }
@@ -330,7 +368,7 @@ fn alternate(
                 GroundHead::Choice(h) if !certain_mode => h,
                 _ => return,
             };
-            if !certain_mode && pins.assumed_false[h.index()] {
+            if !certain_mode && pins[h.index()] == Pin::False {
                 return;
             }
             if r.neg.iter().any(|n| opposite[n.index()]) {
@@ -343,7 +381,7 @@ fn alternate(
         };
         for &ri in rules {
             if missing[ri as usize] == 0 {
-                fire(ri as usize, out, &mut stack);
+                fire(ri as usize, out, stack);
             }
         }
         while let Some(a) = stack.pop() {
@@ -352,24 +390,39 @@ fn alternate(
                 let m = &mut missing[ri as usize];
                 *m -= 1;
                 if *m == 0 {
-                    fire(ri as usize, out, &mut stack);
+                    fire(ri as usize, out, stack);
                 }
             }
         }
         derived
     };
     // The certain set only grows, so it is stable once a round derives no
-    // more region atoms than the last.
+    // more region atoms than the last. Under `one_round` the overestimate
+    // reads the certain set only outside the region, where it is settled,
+    // so a second round would compute the same possible set and from it the
+    // same certain set: the first round's result is the fixpoint. Debug
+    // builds run the second round anyway and check that it changes nothing.
     let mut held = region.iter().filter(|&&a| certain[a as usize]).count();
-    let mut next = certain.clone();
-    loop {
-        half_step(false, certain, possible);
-        let derived = half_step(true, possible, &mut next);
+    let mut first_possible = 0usize;
+    for round in 0.. {
+        let possible_count = half_step(false, certain, possible);
+        let derived = half_step(true, possible, next);
+        if round == 0 {
+            first_possible = possible_count;
+        } else {
+            debug_assert!(
+                !one_round || (possible_count == first_possible && derived == held),
+                "the round after a one-round exit changed the model"
+            );
+        }
         if derived == held {
             break;
         }
         held = derived;
-        std::mem::swap(certain, &mut next);
+        std::mem::swap(certain, next);
+        if one_round && !cfg!(debug_assertions) {
+            break;
+        }
     }
 }
 
@@ -393,30 +446,6 @@ fn card_violated(c: &CardConstraint, certain: &[bool], possible: &[bool]) -> boo
     )
 }
 
-/// Write the verdicts of the `region` atoms into `wfm`, keeping its counts.
-fn settle(region: &[u32], certain: &[bool], possible: &[bool], wfm: &mut WfmResult) {
-    for &a in region {
-        let a = a as usize;
-        let t = if certain[a] {
-            Truth::True
-        } else if possible[a] {
-            Truth::Undefined
-        } else {
-            Truth::False
-        };
-        match std::mem::replace(&mut wfm.truth[a], t) {
-            Truth::True => wfm.true_count -= 1,
-            Truth::False => wfm.false_count -= 1,
-            Truth::Undefined => {}
-        }
-        match t {
-            Truth::True => wfm.true_count += 1,
-            Truth::False => wfm.false_count += 1,
-            Truth::Undefined => {}
-        }
-    }
-}
-
 /// Everything that refutes the assumptions of a solved program, by index.
 #[derive(Debug)]
 struct Refutations {
@@ -429,10 +458,10 @@ struct Refutations {
 }
 
 impl Refutations {
-    fn of(program: &GroundProgram, pins: &Pins, certain: &[bool], possible: &[bool]) -> Self {
+    fn of(program: &GroundProgram, pins: &[Pin], certain: &[bool], possible: &[bool]) -> Self {
         Refutations {
             forced: (0..program.atom_count())
-                .filter(|&a| pins.assumed_false[a] && certain[a])
+                .filter(|&a| pins[a] == Pin::False && certain[a])
                 .map(|a| a as u32)
                 .collect(),
             constraints: (0..program.rules.len())
@@ -455,38 +484,40 @@ impl Refutations {
 }
 
 /// The kernel with every atom in the region: the fixpoint vectors, the
-/// model, and what refutes it.
+/// model, and what refutes it. `contradictory` states that the assumptions
+/// behind `pins` hold a directly contradictory pair.
 fn solve_all(
     program: &GroundProgram,
     occ: &Csr,
-    pins: &Pins,
-) -> (Vec<bool>, Vec<bool>, WfmResult, Refutations) {
+    pins: &[Pin],
+    contradictory: bool,
+) -> (Buffers, WfmResult, Refutations) {
     let n_atoms = program.atom_count();
     let region: Vec<u32> = (0..n_atoms as u32).collect();
     let rules: Vec<u32> = (0..program.rules.len() as u32)
         .filter(|&ri| head(&program.rules[ri as usize]).is_some())
         .collect();
-    let mut certain = vec![false; n_atoms];
-    let mut possible = vec![false; n_atoms];
-    alternate(
-        program,
-        occ,
-        pins,
-        &region,
-        &rules,
-        &mut certain,
-        &mut possible,
-    );
-    let mut wfm = WfmResult {
-        truth: vec![Truth::Undefined; n_atoms],
-        true_count: 0,
-        false_count: 0,
-        inconsistent: false,
+    let mut buffers = Buffers {
+        certain: vec![false; n_atoms],
+        next: vec![false; n_atoms],
+        possible: vec![false; n_atoms],
+        missing: vec![0; program.rules.len()],
+        stack: Vec::new(),
     };
-    settle(&region, &certain, &possible, &mut wfm);
-    let refuted = Refutations::of(program, pins, &certain, &possible);
-    wfm.inconsistent = pins.contradictory || refuted.any();
-    (certain, possible, wfm, refuted)
+    alternate(program, occ, pins, &region, &rules, false, &mut buffers);
+    let (certain, possible) = (&buffers.certain, &buffers.possible);
+    let truth: Vec<Truth> = (0..n_atoms)
+        .map(|a| truth(certain[a], possible[a]))
+        .collect();
+    let count = |t: Truth| truth.iter().filter(|&&x| x == t).count();
+    let refuted = Refutations::of(program, pins, certain, possible);
+    let wfm = WfmResult {
+        true_count: count(Truth::True),
+        false_count: count(Truth::False),
+        inconsistent: contradictory || refuted.any(),
+        truth,
+    };
+    (buffers, wfm, refuted)
 }
 
 /// The unconditional well-founded model: no atoms pinned, choice atoms and
@@ -508,21 +539,29 @@ pub fn well_founded(program: &GroundProgram) -> WfmResult {
 /// program are cheaper through [`ConditionalWfm`].
 #[must_use]
 pub fn well_founded_with(program: &GroundProgram, assumptions: &[Lit]) -> WfmResult {
-    let pins = Pins::new(program.atom_count(), assumptions);
-    solve_all(program, &positive_occurrences(program), &pins).2
+    let (pins, contradicted) = pins_of(program.atom_count(), assumptions);
+    let occ = positive_occurrences(program);
+    solve_all(program, &occ, &pins, !contradicted.is_empty()).1
 }
 
 /// The conditional well-founded model of one program, resident for many
 /// queries: the indexes are built and the model under a *base* assumption
-/// set is solved once, and [`under`](Self::under) recomputes only the
-/// forward cone of the atoms whose assumptions differ from the base (see
-/// the [module docs](self)).
+/// set is solved once, and each query recomputes only the forward cone of
+/// the atoms whose assumptions differ from the base (see the
+/// [module docs](self)).
+///
+/// [`under`](Self::under) answers any assumption set with a
+/// [`WfmResult`]. [`under_changes`](Self::under_changes) answers a set
+/// given as its changes from the base, in a [`WfmWorkspace`] reused from
+/// query to query, at the cost of the region alone.
 ///
 /// `P` is how the program is held: a reference, or an owner such as an
 /// `Arc<GroundProgram>` when the model lives next to the program.
 #[derive(Debug)]
 pub struct ConditionalWfm<P> {
     program: P,
+    /// Tells this model's workspaces from those of other models.
+    id: u64,
     /// Positive body occurrences in the rules that derive a head.
     occ: Csr,
     /// Per atom, the rules whose head it is.
@@ -533,9 +572,13 @@ pub struct ConditionalWfm<P> {
     constraints: Csr,
     /// Per atom, the cardinality constraints that read it.
     cards: Csr,
-    /// The base assumptions: their status per atom, and the atoms they name.
-    pins: Pins,
+    /// Per atom, whether a rule that derives a head reads it negatively.
+    read_negatively: Vec<bool>,
+    /// The base assumptions: the pin of every atom, the atoms they name,
+    /// and the atoms a directly contradictory pair of them names.
+    pins: Vec<Pin>,
     assumed: Vec<u32>,
+    contradicted: Vec<u32>,
     /// The base fixpoint.
     certain: Vec<bool>,
     possible: Vec<bool>,
@@ -543,15 +586,118 @@ pub struct ConditionalWfm<P> {
     refuted: Refutations,
 }
 
+/// The buffers of [`ConditionalWfm`] queries, reused from query to query:
+/// the base model's pins and fixpoint vectors, region marks and work lists.
+/// A query writes only the entries of its region and of the atoms it pins,
+/// and the next query restores just those, so a query neither allocates
+/// nor clears anything in proportion to the program. Made by
+/// [`ConditionalWfm::workspace`]; it serves only the model that made it.
+#[derive(Debug, Clone)]
+pub struct WfmWorkspace {
+    /// The [`ConditionalWfm`] it serves.
+    owner: u64,
+    /// The pin of every atom: the base's, except at `pinned`.
+    pins: Vec<Pin>,
+    /// The atoms the last query pinned, each once, and their marks.
+    pinned: Vec<u32>,
+    touched: Vec<bool>,
+    /// The last query's region, and its marks.
+    region: Vec<u32>,
+    in_region: Vec<bool>,
+    /// The rules that define the region.
+    rules: Vec<u32>,
+    /// The fixpoint vectors: the base's outside the region.
+    kernel: Buffers,
+    true_count: usize,
+    false_count: usize,
+    inconsistent: bool,
+}
+
+impl WfmWorkspace {
+    /// Pin `a` afresh for this query: free unless the query pins it.
+    fn touch(&mut self, a: u32) {
+        if !self.touched[a as usize] {
+            self.touched[a as usize] = true;
+            self.pinned.push(a);
+            self.pins[a as usize] = Pin::Free;
+        }
+    }
+
+    /// Mark `a` as a region atom.
+    fn enter(&mut self, a: u32) {
+        if !self.in_region[a as usize] {
+            self.in_region[a as usize] = true;
+            self.region.push(a);
+        }
+    }
+}
+
+/// The conditional well-founded model a [`WfmWorkspace`] holds after a
+/// query of [`ConditionalWfm::under_changes`]: the base model outside the
+/// query's region, the query's fixpoint inside it.
+#[derive(Debug, Clone, Copy)]
+pub struct RegionModel<'w> {
+    ws: &'w WfmWorkspace,
+}
+
+impl RegionModel<'_> {
+    /// The 3-valued verdict for one atom.
+    #[must_use]
+    pub fn value(&self, id: AtomId) -> Truth {
+        let k = &self.ws.kernel;
+        truth(k.certain[id.index()], k.possible[id.index()])
+    }
+
+    /// Is the atom certainly in every stable model?
+    #[must_use]
+    pub fn is_true(&self, id: AtomId) -> bool {
+        self.ws.kernel.certain[id.index()]
+    }
+
+    /// The approximation proves that no stable model satisfies the query's
+    /// assumptions (see [`WfmResult::inconsistent`]).
+    #[must_use]
+    pub fn inconsistent(&self) -> bool {
+        self.ws.inconsistent
+    }
+
+    /// Every atom is decided.
+    #[must_use]
+    pub fn total(&self) -> bool {
+        self.ws.true_count + self.ws.false_count == self.ws.pins.len()
+    }
+
+    /// The query's region: every atom whose value can differ from the base
+    /// model's, each once. Outside it the model is the base model.
+    pub fn region(&self) -> impl Iterator<Item = AtomId> + '_ {
+        self.ws.region.iter().map(|&a| AtomId(a))
+    }
+
+    /// The whole model, as [`ConditionalWfm::under`] returns it.
+    #[must_use]
+    pub fn to_result(&self) -> WfmResult {
+        let k = &self.ws.kernel;
+        WfmResult {
+            truth: (k.certain.iter().zip(&k.possible))
+                .map(|(&c, &p)| truth(c, p))
+                .collect(),
+            true_count: self.ws.true_count,
+            false_count: self.ws.false_count,
+            inconsistent: self.ws.inconsistent,
+        }
+    }
+}
+
 impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
     /// Index `program` and solve it under the `base` assumptions.
     #[must_use]
     pub fn new(program: P, base: &[Lit]) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         let g: &GroundProgram = program.borrow();
         let n_atoms = g.atom_count();
         let occ = positive_occurrences(g);
-        let pins = Pins::new(n_atoms, base);
-        let (certain, possible, base_wfm, refuted) = solve_all(g, &occ, &pins);
+        let (pins, contradicted) = pins_of(n_atoms, base);
+        let (kernel, base_wfm, refuted) = solve_all(g, &occ, &pins, !contradicted.is_empty());
         let defs = Csr::new(n_atoms, || {
             g.rules
                 .iter()
@@ -582,18 +728,26 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
                 .enumerate()
                 .flat_map(|(ci, c)| card_atoms(c).map(move |x| (x.index(), ci as u32)))
         });
-        let assumed = base.iter().map(|l| l.atom.0).collect();
+        let mut read_negatively = vec![false; n_atoms];
+        for r in g.rules.iter().filter(|r| head(r).is_some()) {
+            for n in &r.neg {
+                read_negatively[n.index()] = true;
+            }
+        }
         ConditionalWfm {
             program,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             occ,
             defs,
             readers,
             constraints,
             cards,
+            read_negatively,
             pins,
-            assumed,
-            certain,
-            possible,
+            assumed: base.iter().map(|l| l.atom.0).collect(),
+            contradicted,
+            certain: kernel.certain,
+            possible: kernel.possible,
             base: base_wfm,
             refuted,
         }
@@ -605,71 +759,154 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
         &self.base
     }
 
+    /// A workspace for [`under_changes`](Self::under_changes) queries,
+    /// holding the base model. Building it costs O(atoms + rules); each
+    /// sweep worker keeps one.
+    #[must_use]
+    pub fn workspace(&self) -> WfmWorkspace {
+        let n_atoms = self.pins.len();
+        WfmWorkspace {
+            owner: self.id,
+            pins: self.pins.clone(),
+            pinned: Vec::new(),
+            touched: vec![false; n_atoms],
+            region: Vec::new(),
+            in_region: vec![false; n_atoms],
+            rules: Vec::new(),
+            kernel: Buffers {
+                certain: self.certain.clone(),
+                next: self.certain.clone(),
+                possible: self.possible.clone(),
+                missing: vec![0; self.program.borrow().rules.len()],
+                stack: Vec::new(),
+            },
+            true_count: self.base.true_count,
+            false_count: self.base.false_count,
+            inconsistent: self.base.inconsistent,
+        }
+    }
+
     /// The conditional well-founded model under `assumptions` — the same
     /// truth vector, counts and inconsistency verdict as
     /// [`well_founded_with`]`(program, assumptions)` for any assumption
-    /// set. Its cost is that of the rules defining the forward cone of the
-    /// atoms whose status differs from the base, plus copying the base
-    /// model.
+    /// set. It runs the query on a fresh [`WfmWorkspace`], so on top of
+    /// the rules defining the forward cone of the atoms whose status
+    /// differs from the base, it costs O(atoms + rules) to build that
+    /// workspace and to copy the model out.
     #[must_use]
     pub fn under(&self, assumptions: &[Lit]) -> WfmResult {
+        let mut ws = self.workspace();
+        self.query(&mut ws, assumptions, true).to_result()
+    }
+
+    /// The conditional well-founded model under the base assumptions with
+    /// `changes` applied: the base's literals on the atoms `changes` names
+    /// are dropped, and `changes` is added. It is the model
+    /// [`under`](Self::under) gives for that assumption set, computed in
+    /// `ws` at the cost of the rules that define the forward cone of the
+    /// changed atoms: nothing is allocated, copied or cleared in proportion
+    /// to the program once `ws` has grown its work lists.
+    ///
+    /// # Panics
+    ///
+    /// If `ws` was made by another model.
+    pub fn under_changes<'w>(&self, ws: &'w mut WfmWorkspace, changes: &[Lit]) -> RegionModel<'w> {
+        self.query(ws, changes, false)
+    }
+
+    /// Run one query in `ws`: the base pins, with every atom the base
+    /// assumes set free first if `replace`, then `lits` applied.
+    fn query<'w>(&self, ws: &'w mut WfmWorkspace, lits: &[Lit], replace: bool) -> RegionModel<'w> {
+        assert_eq!(
+            ws.owner, self.id,
+            "a workspace serves only the model that made it"
+        );
         let g: &GroundProgram = self.program.borrow();
-        let n_atoms = g.atom_count();
-        let pins = Pins::new(n_atoms, assumptions);
-        let mut wfm = self.base.clone();
-        // Roots: only an atom one of the two sets names can differ.
-        let mut in_region = vec![false; n_atoms];
-        let mut region: Vec<u32> = Vec::new();
-        for a in assumptions
-            .iter()
-            .map(|l| l.atom.0)
-            .chain(self.assumed.iter().copied())
-        {
-            if !in_region[a as usize] && !pins.same(&self.pins, a as usize) {
-                in_region[a as usize] = true;
-                region.push(a);
+        // Restore what the last query wrote: its pins and its region.
+        for &a in &ws.pinned {
+            ws.pins[a as usize] = self.pins[a as usize];
+            ws.touched[a as usize] = false;
+        }
+        ws.pinned.clear();
+        let k = &mut ws.kernel;
+        for &a in &ws.region {
+            let a = a as usize;
+            k.certain[a] = self.certain[a];
+            k.next[a] = self.certain[a];
+            k.possible[a] = self.possible[a];
+            ws.in_region[a] = false;
+        }
+        ws.region.clear();
+
+        // Pins: the base's, with the atoms of this query pinned afresh.
+        if replace {
+            for &a in &self.assumed {
+                ws.touch(a);
             }
         }
-        // The forward closure through every body occurrence.
+        let mut contradictory = false;
+        for &l in lits {
+            ws.touch(l.atom.0);
+            contradictory |= pin(&mut ws.pins, l);
+        }
+        contradictory |= self.contradicted.iter().any(|&a| !ws.touched[a as usize]);
+        // Roots: the atoms pinned otherwise than in the base; the region is
+        // their forward closure through every body occurrence.
+        for i in 0..ws.pinned.len() {
+            let a = ws.pinned[i];
+            if ws.pins[a as usize] != self.pins[a as usize] {
+                ws.enter(a);
+            }
+        }
         let mut i = 0;
-        while let Some(&a) = region.get(i) {
+        while let Some(&a) = ws.region.get(i) {
             for &h in self.readers.get(a as usize) {
-                if !in_region[h as usize] {
-                    in_region[h as usize] = true;
-                    region.push(h);
-                }
+                ws.enter(h);
             }
             i += 1;
         }
-        let rules: Vec<u32> = region
-            .iter()
-            .flat_map(|&a| self.defs.get(a as usize))
-            .copied()
-            .collect();
-        let mut certain = self.certain.clone();
-        let mut possible = self.possible.clone();
+        ws.rules.clear();
+        for &a in &ws.region {
+            ws.rules.extend_from_slice(self.defs.get(a as usize));
+        }
+        let one_round = !ws.region.iter().any(|&a| self.read_negatively[a as usize]);
         alternate(
             g,
             &self.occ,
-            &pins,
-            &region,
-            &rules,
-            &mut certain,
-            &mut possible,
+            &ws.pins,
+            &ws.region,
+            &ws.rules,
+            one_round,
+            &mut ws.kernel,
         );
-        settle(&region, &certain, &possible, &mut wfm);
+
+        // Counts: the base's, moved by the region's changes.
+        let (certain, possible) = (&ws.kernel.certain[..], &ws.kernel.possible[..]);
+        let (mut true_count, mut false_count) = (self.base.true_count, self.base.false_count);
+        for &a in &ws.region {
+            let a = a as usize;
+            match self.base.truth[a] {
+                Truth::True => true_count -= 1,
+                Truth::False => false_count -= 1,
+                Truth::Undefined => {}
+            }
+            match truth(certain[a], possible[a]) {
+                Truth::True => true_count += 1,
+                Truth::False => false_count += 1,
+                Truth::Undefined => {}
+            }
+        }
 
         // Refutations: what reads no region atom keeps its base verdict;
         // the rest is checked again.
-        let (certain, possible) = (&certain[..], &possible[..]);
+        let in_region = &ws.in_region;
         let forced = self.refuted.forced.iter().any(|&a| !in_region[a as usize])
-            || region
-                .iter()
-                .any(|&a| pins.assumed_false[a as usize] && certain[a as usize]);
+            || (ws.region.iter())
+                .any(|&a| ws.pins[a as usize] == Pin::False && certain[a as usize]);
         let constraint = self.refuted.constraints.iter().any(|&ri| {
             let r = &g.rules[ri as usize];
-            outside(&in_region, r.pos.iter().chain(&r.neg).copied())
-        }) || region.iter().any(|&a| {
+            outside(in_region, r.pos.iter().chain(&r.neg).copied())
+        }) || ws.region.iter().any(|&a| {
             self.constraints.get(a as usize).iter().any(|&ri| {
                 let r = &g.rules[ri as usize];
                 certainly(&r.pos, &r.neg, certain, possible)
@@ -679,15 +916,17 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
             .refuted
             .cards
             .iter()
-            .any(|&ci| outside(&in_region, card_atoms(&g.cards[ci as usize])))
-            || region.iter().any(|&a| {
+            .any(|&ci| outside(in_region, card_atoms(&g.cards[ci as usize])))
+            || ws.region.iter().any(|&a| {
                 self.cards
                     .get(a as usize)
                     .iter()
                     .any(|&ci| card_violated(&g.cards[ci as usize], certain, possible))
             });
-        wfm.inconsistent = pins.contradictory || forced || constraint || card;
-        wfm
+        ws.true_count = true_count;
+        ws.false_count = false_count;
+        ws.inconsistent = contradictory || forced || constraint || card;
+        RegionModel { ws }
     }
 }
 
@@ -883,6 +1122,76 @@ mod tests {
         ] {
             assert_under_matches(&g, &base, &query);
         }
+    }
+
+    /// Does `query`'s region in `ws` take the one-round exit?
+    fn one_round(cond: &ConditionalWfm<&GroundProgram>, ws: &WfmWorkspace) -> bool {
+        !ws.region.iter().any(|&a| cond.read_negatively[a as usize])
+    }
+
+    #[test]
+    fn one_round_exit_is_taken_when_no_region_atom_is_read_negatively() {
+        // The root `a` reaches `b` and `c` through positive bodies only; the
+        // negated `d` is read, but lies outside the region.
+        let g = ground("{ a }. { d }. b :- a, not d. c :- b.");
+        let id = |name: &str| g.atoms().find(|(_, x)| x.to_string() == name).unwrap().0;
+        let (a, d) = (id("a"), id("d"));
+        let cond = ConditionalWfm::new(&g, &[Lit::neg(a), Lit::neg(d)]);
+        let mut ws = cond.workspace();
+        for change in [Lit::pos(a), Lit::neg(a), Lit::pos(a)] {
+            let model = cond.under_changes(&mut ws, &[change]);
+            let got = model.to_result();
+            assert!(model.total() && !model.inconsistent());
+            let want = well_founded_with(&g, &[Lit::neg(d), change]);
+            assert_eq!(got.truth, want.truth, "change {change:?}");
+            if change.positive {
+                assert_eq!(ws.region.len(), 3, "a, b and c");
+                assert!(one_round(&cond, &ws), "change {change:?}");
+            } else {
+                assert!(ws.region.is_empty(), "the base's own literal");
+            }
+        }
+        assert_eq!(
+            cond.under_changes(&mut ws, &[Lit::pos(a)]).value(id("c")),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn one_round_exit_is_not_taken_through_a_negated_region_atom() {
+        // Flipping `a` reaches `b` and `c` through negation: the region's
+        // rules read region atoms negatively, so the rounds run until the
+        // certain set stops growing.
+        let g = ground("{ a }. b :- not a. c :- not b.");
+        let a = g.atoms().find(|(_, x)| x.to_string() == "a").unwrap().0;
+        let cond = ConditionalWfm::new(&g, &[]);
+        let mut ws = cond.workspace();
+        for changes in [[Lit::pos(a)], [Lit::neg(a)]] {
+            let model = cond.under_changes(&mut ws, &changes);
+            let got = model.to_result();
+            assert!(model.total() && !model.inconsistent());
+            assert!(!one_round(&cond, &ws), "changes {changes:?}");
+            assert_eq!(ws.region.len(), 3);
+            assert_eq!(got.truth, well_founded_with(&g, &changes).truth);
+        }
+        let value = |changes: &[Lit], name: &str| {
+            let id = g.atoms().find(|(_, x)| x.to_string() == name).unwrap().0;
+            cond.under_changes(&mut cond.workspace(), changes).value(id)
+        };
+        assert_eq!(value(&[Lit::pos(a)], "c"), Truth::True);
+        assert_eq!(value(&[Lit::neg(a)], "c"), Truth::False);
+        assert_eq!(value(&[], "c"), Truth::Undefined, "the base leaves a open");
+    }
+
+    #[test]
+    fn a_workspace_serves_only_its_model() {
+        let g = ground("{ a }. b :- a.");
+        let (one, other) = (ConditionalWfm::new(&g, &[]), ConditionalWfm::new(&g, &[]));
+        let mut ws = one.workspace();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            other.under_changes(&mut ws, &[]);
+        }));
+        assert!(run.is_err());
     }
 
     #[test]

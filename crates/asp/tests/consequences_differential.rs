@@ -14,7 +14,8 @@
 //!
 //! A resident [`ConditionalWfm`], which recomputes only the forward cone
 //! of the assumptions that differ from its base, must give exactly the
-//! model the from-scratch computation in `support/wfm_oracle.rs` gives.
+//! model the from-scratch computation in `support/wfm_oracle.rs` gives —
+//! also when one workspace answers a whole stream of change queries.
 //!
 //! A fourth suite pins [`Solver::brave`] / [`Solver::cautious`] (which
 //! seed from the WFM and terminate early on its bounds) to the
@@ -29,6 +30,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use cpsrisk_asp::analysis::wfm::Truth;
 use cpsrisk_asp::ast::Atom;
 use cpsrisk_asp::{
     simplify_with, well_founded, well_founded_with, ConditionalWfm, GroundProgram, Grounder, Lit,
@@ -133,6 +135,136 @@ fn lits(g: &GroundProgram, set: &[(usize, bool)]) -> Vec<Lit> {
                 .map(|atom| Lit { atom, positive })
         })
         .collect()
+}
+
+/// The assumption set a change query answers: `base` without its literals
+/// on the atoms `changes` names, then `changes`.
+fn with_changes(base: &[Lit], changes: &[Lit]) -> Vec<Lit> {
+    let mut set: Vec<Lit> = (base.iter())
+        .filter(|l| changes.iter().all(|c| c.atom != l.atom))
+        .copied()
+        .collect();
+    set.extend_from_slice(changes);
+    set
+}
+
+/// Change sets as the generators give them: `(atom, polarity)` pairs, and
+/// whether to append a contradictory pair on the first atom.
+type ChangeSets = [(Vec<(usize, bool)>, bool)];
+
+/// One workspace answers every change query of a stream with the
+/// from-scratch model. The queries the oracle refutes (contradictory pairs
+/// among them) run first, so the consistent ones that follow see what they
+/// left behind; the empty change set, whose region is empty, runs among
+/// them.
+fn check_reused_workspace(
+    src: &str,
+    assumable: &[usize],
+    base: &[(usize, bool)],
+    queries: &ChangeSets,
+) -> Result<(), TestCaseError> {
+    let g = ground_with_assumables(src, assumable);
+    let base = lits(&g, base);
+    let cond = ConditionalWfm::new(&g, &base);
+    let mut stream: Vec<(Vec<Lit>, wfm_oracle::OracleWfm)> = queries
+        .iter()
+        .map(|(set, contradict)| {
+            let mut changes = lits(&g, set);
+            if *contradict {
+                if let Some(&l) = changes.first() {
+                    changes.push(Lit {
+                        atom: l.atom,
+                        positive: !l.positive,
+                    });
+                }
+            }
+            let want = wfm_oracle::well_founded_with(&g, &with_changes(&base, &changes));
+            (changes, want)
+        })
+        .collect();
+    stream.push((Vec::new(), wfm_oracle::well_founded_with(&g, &base)));
+    stream.sort_by_key(|(_, want)| !want.inconsistent);
+    let mut ws = cond.workspace();
+    for (changes, want) in &stream {
+        let model = cond.under_changes(&mut ws, changes);
+        let diff = wfm_oracle::same(&model.to_result(), want);
+        prop_assert!(
+            diff.is_none(),
+            "base {:?}, changes {:?}: {:?}, program:\n{}",
+            base,
+            changes,
+            diff,
+            src
+        );
+        for (i, &t) in want.truth.iter().enumerate() {
+            let atom = cpsrisk_asp::AtomId(i as u32);
+            prop_assert_eq!(model.value(atom), t);
+            prop_assert_eq!(model.is_true(atom), t == Truth::True);
+        }
+        prop_assert_eq!(model.inconsistent(), want.inconsistent);
+        prop_assert_eq!(model.total(), !want.truth.contains(&Truth::Undefined));
+        // Outside the region the model is the base model.
+        let region: BTreeSet<u32> = model.region().map(|a| a.0).collect();
+        for i in (0..g.atom_count() as u32).filter(|i| !region.contains(i)) {
+            let atom = cpsrisk_asp::AtomId(i);
+            prop_assert_eq!(model.value(atom), cond.base().value(atom));
+        }
+        if changes.is_empty() {
+            prop_assert!(
+                region.is_empty(),
+                "the base's own query has an empty region"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `(atom, polarity)` change sets, some with a contradictory pair.
+fn arb_change_sets(
+    n_atoms: usize,
+    max: usize,
+) -> impl Strategy<Value = Vec<(Vec<(usize, bool)>, bool)>> {
+    prop::collection::vec(
+        (
+            prop::collection::vec((0..n_atoms, any::<bool>()), 0..4),
+            any::<bool>(),
+        ),
+        1..max,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One reused workspace against the from-scratch oracle.
+    #[test]
+    fn a_reused_workspace_matches_the_from_scratch_oracle(
+        src in arb_bounded_program(7),
+        assumable in prop::collection::btree_set(0usize..7, 0..3),
+        base in prop::collection::vec((0usize..7, any::<bool>()), 0..5),
+        queries in arb_change_sets(7, 8),
+    ) {
+        let assumable: Vec<usize> = assumable.into_iter().collect();
+        check_reused_workspace(&src, &assumable, &base, &queries)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Release depth of the reused-workspace differential: more cases,
+    /// larger programs and longer streams.
+    #[test]
+    #[ignore = "release depth (about a second in release); run with --ignored"]
+    fn a_reused_workspace_matches_the_from_scratch_oracle_at_depth(
+        src in arb_bounded_program(9),
+        assumable in prop::collection::btree_set(0usize..9, 0..4),
+        base in prop::collection::vec((0usize..9, any::<bool>()), 0..7),
+        queries in arb_change_sets(9, 16),
+    ) {
+        let assumable: Vec<usize> = assumable.into_iter().collect();
+        check_reused_workspace(&src, &assumable, &base, &queries)?;
+    }
 }
 
 proptest! {

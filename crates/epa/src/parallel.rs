@@ -12,8 +12,8 @@
 //! The calling thread produces the batches from an iterator, keeping at
 //! most [`SweepOptions::max_in_flight`] items materialized at a time, and
 //! hands the results to the caller in input order with their global
-//! index. Each worker keeps one state (its own solvers) for the whole
-//! run. A materialized sweep is the same run with the window set to the
+//! index. Each worker builds one state (its own solvers) on its own thread
+//! when it takes its first batch, and keeps it for the whole run. A materialized sweep is the same run with the window set to the
 //! input length. The output is therefore **bit-identical to the
 //! sequential sweep at any thread count, batch size and window**, with no
 //! unsafe code and no per-slot locks.
@@ -21,7 +21,8 @@
 //! A panic inside one item stays in that item: the pool catches it, hands
 //! its message to the caller in the item's slot, and the worker rebuilds
 //! its state before its next item. One bad query therefore fails alone
-//! instead of ending a long sweep.
+//! instead of ending a long sweep. A panic while building a state ends the
+//! run, and the caller's thread panics with the same payload.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -183,7 +184,7 @@ struct PoolState<T, R> {
     in_flight: usize,
     /// The input stream is dry; workers exit once `jobs` drains.
     exhausted: bool,
-    /// A worker panicked outside an item (rebuilding its state): its
+    /// A worker panicked outside an item (building its state): its
     /// batch never finishes, so the producer stops waiting and the scope
     /// re-raises the panic.
     aborted: bool,
@@ -242,15 +243,16 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// batches on one shared queue, holding at most
 /// [`SweepOptions::max_in_flight`] items at any moment, and hands every
 /// result to `emit` in input order with its global index. Each worker
-/// calls `init` once and threads that state through every batch it runs.
-/// Returns the scheduler stats; `stats.peak_in_flight` is the largest
-/// window actually materialized.
+/// calls `init` on its own thread before its first item, and threads that
+/// state through every batch it runs; a worker that gets no batch never
+/// calls it. Returns the scheduler stats; `stats.peak_in_flight` is the
+/// largest window actually materialized.
 ///
 /// A panic in `f` is caught: `emit` receives `Err` with the panic's
 /// message in that item's slot, and the worker replaces its state with a
 /// fresh `init()` before its next item, since the panic may have left the
 /// old one half-updated. A panic in `init` itself ends the run and is
-/// re-raised on the calling thread.
+/// re-raised on the calling thread with its payload.
 ///
 /// `f` must be a pure function of the item for the output to be
 /// schedule-independent (solver reuse qualifies: reused solving is pinned
@@ -265,7 +267,6 @@ pub(crate) fn run_pool<T, R, S, I, F, E>(
 where
     T: Send,
     R: Send,
-    S: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> R + Sync,
     E: FnMut(usize, Result<R, String>),
@@ -276,7 +277,6 @@ where
     // admitted.
     let batch_size = opts.batch.clamp(1, cap);
     let start = Instant::now();
-    let mut states: Vec<S> = std::iter::repeat_with(&init).take(threads).collect();
 
     let state = Mutex::new(PoolState::<T, Result<R, String>> {
         jobs: VecDeque::new(),
@@ -296,12 +296,15 @@ where
     let mut stream = stream.fuse();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
-        for state_w in &mut states {
+        for _ in 0..threads {
             let state = &state;
             let (work_ready, progress) = (&work_ready, &progress);
             let (init, f) = (&init, &f);
             handles.push(scope.spawn(move || {
                 let _abort = AbortOnPanic { state, progress };
+                // Built before the worker's first item; a panic there is
+                // not caught.
+                let mut worker: Option<S> = None;
                 let mut done = 0usize;
                 let mut active = Duration::ZERO;
                 loop {
@@ -324,8 +327,9 @@ where
                     let results: Vec<Result<R, String>> = items
                         .iter()
                         .map(|item| {
-                            catch_unwind(AssertUnwindSafe(|| f(state_w, item))).map_err(|payload| {
-                                *state_w = init();
+                            let s = worker.get_or_insert_with(init);
+                            catch_unwind(AssertUnwindSafe(|| f(s, item))).map_err(|payload| {
+                                *s = init();
                                 panic_message(payload.as_ref())
                             })
                         })
@@ -379,10 +383,18 @@ where
                 }
             }
         }
+        let mut panicked = None;
         for (w, h) in handles.into_iter().enumerate() {
-            let (done, active) = h.join().expect("pool worker panicked");
-            processed[w] = done;
-            busy[w] = active;
+            match h.join() {
+                Ok((done, active)) => {
+                    processed[w] = done;
+                    busy[w] = active;
+                }
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
         }
     });
 
@@ -557,22 +569,83 @@ mod tests {
     #[test]
     fn a_panicking_rebuild_ends_the_run_instead_of_hanging_it() {
         // Item 7 panics, and rebuilding the worker's state panics too: the
-        // worker is lost, so the run must end, not wait for its batch.
+        // worker is lost, so the run must end, not wait for its batch. A
+        // worker builds its first state on its own thread, so a build on a
+        // thread that has built before is a rebuild.
         let items: Vec<u32> = (0..40).collect();
         for window in [4, 40] {
             let opts = SweepOptions::with_threads(2).batch(2).max_in_flight(window);
-            let inits = AtomicUsize::new(0);
+            let built = Mutex::new(HashSet::new());
             let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 run_pool(
                     items.iter().copied(),
                     &opts,
-                    || assert!(inits.fetch_add(1, Ordering::SeqCst) < 2, "rebuild fails"),
+                    || {
+                        let first = (built.lock().unwrap()).insert(std::thread::current().id());
+                        assert!(first, "rebuild fails");
+                    },
                     |(), &x| assert_ne!(x, 7, "item 7 fails"),
                     |_, _| {},
                 )
             }));
-            assert!(run.is_err(), "window={window}");
+            let payload = run.expect_err("the run ends");
+            assert_eq!(
+                panic_message(payload.as_ref()),
+                "rebuild fails",
+                "window={window}"
+            );
         }
+    }
+
+    #[test]
+    fn a_panicking_first_build_ends_the_run_and_re_raises_its_panic() {
+        // Every worker's state fails to build: no item can run, so the run
+        // must end, and the caller sees the build's own panic.
+        let items: Vec<u32> = (0..40).collect();
+        for threads in [1, 2] {
+            for window in [4, 40] {
+                let opts = SweepOptions::with_threads(threads)
+                    .batch(2)
+                    .max_in_flight(window);
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    run_pool(
+                        items.iter().copied(),
+                        &opts,
+                        || -> () { panic!("state build fails") },
+                        |(), &x| x,
+                        |_, _| {},
+                    )
+                }));
+                let payload = run.expect_err("the run ends");
+                assert_eq!(
+                    panic_message(payload.as_ref()),
+                    "state build fails",
+                    "threads={threads} window={window}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_builds_its_state_on_its_own_thread_once() {
+        let items: Vec<u32> = (0..64).collect();
+        let caller = std::thread::current().id();
+        let builds = Mutex::new(Vec::new());
+        let opts = SweepOptions::with_threads(2).batch(4);
+        let mut out = Vec::new();
+        run_pool(
+            items.iter().copied(),
+            &opts,
+            || builds.lock().unwrap().push(std::thread::current().id()),
+            |(), &x| x,
+            |i, r| out.push((i, r.expect("no item panics"))),
+        );
+        assert_eq!(out.len(), items.len());
+        let builds = builds.into_inner().unwrap();
+        assert!(!builds.is_empty() && builds.len() <= 2, "{builds:?}");
+        assert!(!builds.contains(&caller), "a state was built on the caller");
+        let distinct: HashSet<_> = builds.iter().collect();
+        assert_eq!(distinct.len(), builds.len(), "one build per worker");
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //!   the [`EncodeMode::Assumable`] program. Every toggle is pinned, so the
 //!   conditional well-founded model usually decides it without search.
 //!   That model is resident too: a [`ConditionalWfm`] solved once under
-//!   the nominal scenario, so a query of one or two faults recomputes only
-//!   the atoms downstream of those faults (on the `sweep` benchmark's
-//!   plants, about 70 of 2,200 atoms: about 13 µs instead of 135 µs for
-//!   the whole program), and its outcome is read from the `affected/2` and
-//!   `violated/1` atoms decoded once per session to [`Vocabulary`] ids.
-//!   Each worker builds a query's assumption set in one reused buffer, so
-//!   a statically decided query costs little beyond that model: 13–18 µs
-//!   on those plants, within 1.3× of [`ConditionalWfm::under`] alone. Its
-//!   answer copies no name: the scenario, and one bitset each of effective
+//!   the nominal scenario. A query hands it only the `scenario_fault/1`
+//!   pins it switches on, and each sweep worker keeps one
+//!   [`WfmWorkspace`], so a query of one or two faults recomputes only the
+//!   atoms downstream of those faults (on the `sweep` benchmark's plants,
+//!   about 70 of 2,200 atoms) and touches nothing else. Its outcome is the
+//!   nominal outcome with the region's `affected/2` and `violated/1` atoms
+//!   read again, decoded once per session to [`Vocabulary`] ids. On those
+//!   plants a statically decided query on a worker's reused state costs
+//!   about 5 µs, against about 11 µs before the workspace, and the region
+//!   model alone about 4.4 µs (one-thread scratch harness, 2-vCPU host;
+//!   see `EXPERIMENTS.md`). Its answer copies no name: the scenario, and one bitset each of effective
 //!   pairs and violated requirements over the session's vocabulary, about
 //!   160 bytes in 5 heap blocks (a tree of strings took about 4.2 KB in
 //!   104 blocks).
@@ -43,7 +45,7 @@ use std::sync::Arc;
 use cpsrisk_asp::ast::Term;
 use cpsrisk_asp::{
     check_proof, AspError, AtomId, ConditionalWfm, GroundProgram, Grounder, Lit, SolveOptions,
-    Solver,
+    Solver, WfmWorkspace,
 };
 
 use crate::encode::{encode, EncodeMode};
@@ -180,11 +182,28 @@ impl Resident {
         &self.ground
     }
 
+    /// The positions in `nominal` of the atoms `scenario` (and, on the
+    /// contested program, targeting `requirement`) switches on: the
+    /// scenario's faults and the target. Scenario faults unknown to the
+    /// problem have no atom and are ignored.
+    fn toggles<'s>(
+        &'s self,
+        vocab: &'s Vocabulary,
+        scenario: &'s Scenario,
+        requirement: Option<&str>,
+    ) -> impl Iterator<Item = u32> + 's {
+        let faults = scenario
+            .iter()
+            .filter_map(|f| self.faults[vocab.fault_id(f)? as usize]);
+        let target = requirement
+            .and_then(|r| vocab.requirement_id(r))
+            .and_then(|r| self.targets[r as usize]);
+        faults.chain(target)
+    }
+
     /// Fill `lits` with the assumption set pinning every assumable atom for
-    /// `scenario` (and, on the contested program, targeting `requirement`):
-    /// the nominal set with the scenario's faults and the target switched
-    /// on. Scenario faults unknown to the problem have no atom and are
-    /// ignored.
+    /// `scenario` (and `requirement`): the nominal set with the
+    /// [`toggles`](Self::toggles) switched on.
     fn assumptions(
         &self,
         lits: &mut Vec<Lit>,
@@ -194,16 +213,28 @@ impl Resident {
     ) {
         lits.clear();
         lits.extend_from_slice(&self.nominal);
-        let faults = scenario
-            .iter()
-            .filter_map(|f| self.faults[vocab.fault_id(f)? as usize]);
-        let target = requirement
-            .and_then(|r| vocab.requirement_id(r))
-            .and_then(|r| self.targets[r as usize]);
-        for i in faults.chain(target) {
+        for i in self.toggles(vocab, scenario, requirement) {
             lits[i as usize].positive = true;
         }
     }
+
+    /// Fill `lits` with the changes the assumption set of `scenario` makes
+    /// to the nominal set: the toggles, each switched on.
+    fn changes(&self, lits: &mut Vec<Lit>, vocab: &Vocabulary, scenario: &Scenario) {
+        lits.clear();
+        let toggles = self.toggles(vocab, scenario, None);
+        lits.extend(toggles.map(|i| Lit::pos(self.nominal[i as usize].atom)));
+    }
+}
+
+/// What an atom of the outcome program tells about an outcome.
+#[derive(Debug, Clone, Copy)]
+enum Reads {
+    Nothing,
+    /// An `affected(C, M)` atom: the id of its `(C, M)`.
+    Pair(u32),
+    /// A `violated(R)` atom: the id of its `R`.
+    Requirement(u32),
 }
 
 /// How the session reads outcomes: its vocabulary, the atoms an outcome is
@@ -217,6 +248,12 @@ struct Statics {
     affected: Vec<(AtomId, u32)>,
     /// Every `violated(R)` atom with the id of its `R`.
     violated: Vec<(AtomId, u32)>,
+    /// The same, per atom. No two atoms are read as the same id.
+    reads: Vec<Reads>,
+    /// The effective pairs and violated requirements of the nominal model:
+    /// the outcome outside any query's region.
+    base_modes: ModeSet,
+    base_violated: RequirementSet,
 }
 
 impl Statics {
@@ -241,14 +278,47 @@ impl Statics {
             problem.mutations.iter().map(|m| m.id.as_str()),
         ));
         let interned = "the vocabulary holds every decoded name";
+        let affected: Vec<(AtomId, u32)> = (affected.iter())
+            .map(|(atom, (c, m))| (*atom, vocab.pair_id(c, m).expect(interned)))
+            .collect();
+        let violated: Vec<(AtomId, u32)> = (violated.iter())
+            .map(|(atom, r)| (*atom, vocab.requirement_id(r).expect(interned)))
+            .collect();
+        let mut reads = vec![Reads::Nothing; ground.atom_count()];
+        let mut pairs_seen = vec![false; vocab.pair_count()];
+        let mut requirements_seen = vec![false; vocab.requirement_count()];
+        let decoded = (affected.iter().map(|&(atom, id)| (atom, Reads::Pair(id)))).chain(
+            violated
+                .iter()
+                .map(|&(atom, id)| (atom, Reads::Requirement(id))),
+        );
+        for (atom, read) in decoded {
+            let seen = match read {
+                Reads::Pair(id) => &mut pairs_seen[id as usize],
+                Reads::Requirement(id) => &mut requirements_seen[id as usize],
+                Reads::Nothing => unreachable!("only outcome atoms are decoded"),
+            };
+            // A region read sets or clears an id from one atom's value.
+            assert!(!*seen, "two outcome atoms read as one id");
+            *seen = true;
+            reads[atom.index()] = read;
+        }
+        let wfm = ConditionalWfm::new(Arc::clone(ground), &outcome.nominal);
+        let base = wfm.base();
+        let held = |atoms: &[(AtomId, u32)]| {
+            let ids: Vec<u32> = (atoms.iter())
+                .filter(|&&(atom, _)| base.is_true(atom))
+                .map(|&(_, id)| id)
+                .collect();
+            ids
+        };
         Statics {
-            wfm: ConditionalWfm::new(Arc::clone(ground), &outcome.nominal),
-            affected: (affected.iter())
-                .map(|(atom, (c, m))| (*atom, vocab.pair_id(c, m).expect(interned)))
-                .collect(),
-            violated: (violated.iter())
-                .map(|(atom, r)| (*atom, vocab.requirement_id(r).expect(interned)))
-                .collect(),
+            base_modes: ModeSet::from_ids(&vocab, held(&affected)),
+            base_violated: RequirementSet::from_ids(&vocab, held(&violated)),
+            wfm,
+            affected,
+            violated,
+            reads,
             vocab,
         }
     }
@@ -265,24 +335,69 @@ impl Statics {
         }
     }
 
-    /// The conditional well-founded model under `assumptions`: when it is
-    /// total and consistent it pins every atom of the unique stable model,
-    /// so the outcome is read off its true atoms without search.
-    fn outcome(&self, scenario: &Scenario, assumptions: &[Lit]) -> Option<ScenarioOutcome> {
-        let wfm = self.wfm.under(assumptions);
-        if wfm.inconsistent || !wfm.total() {
+    /// The conditional well-founded model of `scenario`, computed in `ws`
+    /// from the `changes` its assumption set makes to the nominal one: when
+    /// it is total and consistent it pins every atom of the unique stable
+    /// model, so the outcome is read without search. Outside the query's
+    /// region that model is the nominal one, so the outcome is the nominal
+    /// outcome with the region's `affected/2` and `violated/1` atoms read
+    /// again.
+    fn outcome(
+        &self,
+        ws: &mut WfmWorkspace,
+        changes: &[Lit],
+        scenario: &Scenario,
+    ) -> Option<ScenarioOutcome> {
+        let model = self.wfm.under_changes(ws, changes);
+        if model.inconsistent() || !model.total() {
             return None;
         }
-        Some(self.read(scenario, |atom| wfm.is_true(atom)))
+        let mut effective_modes = self.base_modes.clone();
+        let mut violated = self.base_violated.clone();
+        for atom in model.region() {
+            match self.reads[atom.index()] {
+                Reads::Pair(id) => effective_modes.set(id, model.is_true(atom)),
+                Reads::Requirement(id) => violated.set(id, model.is_true(atom)),
+                Reads::Nothing => {}
+            }
+        }
+        Some(ScenarioOutcome {
+            scenario: scenario.clone(),
+            effective_modes,
+            violated,
+        })
     }
 }
 
-/// The reusable state of one sweep worker: solvers over the outcome
+/// A solver over one program, built when it is first asked for.
+struct LazySolver<'a> {
+    program: &'a GroundProgram,
+    solver: Option<Solver<'a>>,
+}
+
+impl<'a> LazySolver<'a> {
+    fn new(program: &'a GroundProgram) -> Self {
+        LazySolver {
+            program,
+            solver: None,
+        }
+    }
+
+    fn get(&mut self) -> &mut Solver<'a> {
+        let program = self.program;
+        self.solver.get_or_insert_with(|| Solver::new(program))
+    }
+}
+
+/// The reusable state of one sweep worker: the workspace of the outcome
+/// program's conditional well-founded model, solvers over the outcome
 /// program and, when the session has one, over the margin program, and the
-/// buffer each query's assumption set is built in.
+/// buffer each query's assumption set is built in. Each solver is built by
+/// the first query that searches its program.
 pub struct Solvers<'a> {
-    outcome: Solver<'a>,
-    margin: Option<Solver<'a>>,
+    workspace: WfmWorkspace,
+    outcome: LazySolver<'a>,
+    margin: Option<LazySolver<'a>>,
     assumptions: Vec<Lit>,
 }
 
@@ -332,21 +447,25 @@ impl Session {
     /// Try to decide `scenario`'s outcome without search, from the
     /// conditional well-founded model under its assumptions. Returns
     /// `None` when the WFM leaves atoms open (or refutes the assumptions);
-    /// [`answer_with`](Self::answer_with) then falls back to search.
+    /// [`answer_with`](Self::answer_with) then falls back to search. This
+    /// is the path of a sweep's outcome queries, on a fresh workspace.
     #[must_use]
     pub fn decide_statically(&self, scenario: &Scenario) -> Option<ScenarioOutcome> {
-        let mut lits = Vec::new();
-        (self.outcome).assumptions(&mut lits, &self.statics.vocab, scenario, None);
-        self.statics.outcome(scenario, &lits)
+        let mut changes = Vec::new();
+        (self.outcome).changes(&mut changes, &self.statics.vocab, scenario);
+        let mut ws = self.statics.wfm.workspace();
+        self.statics.outcome(&mut ws, &changes, scenario)
     }
 
-    /// Fresh reusable solvers, one per resident program — one set per
-    /// sweep worker.
+    /// Fresh reusable state — one set per sweep worker. Only the
+    /// well-founded workspace is built here; each solver waits for the
+    /// first query that searches its program.
     #[must_use]
     pub fn solvers(&self) -> Solvers<'_> {
         Solvers {
-            outcome: Solver::new(&self.outcome.ground),
-            margin: self.margin.as_ref().map(|m| Solver::new(&m.ground)),
+            workspace: self.statics.wfm.workspace(),
+            outcome: LazySolver::new(&self.outcome.ground),
+            margin: self.margin.as_ref().map(|m| LazySolver::new(&m.ground)),
             assumptions: Vec::with_capacity(self.outcome.nominal.len()),
         }
     }
@@ -371,12 +490,7 @@ impl Session {
         solvers: &mut Solvers<'_>,
         query: &Query,
     ) -> Result<Answer, EpaError> {
-        let Solvers {
-            outcome,
-            margin,
-            assumptions,
-        } = solvers;
-        self.answer_on(outcome, margin.as_mut(), assumptions, query, false)
+        self.answer_on(solvers, query, false)
     }
 
     /// [`answer_with`](Self::answer_with) on throwaway solvers.
@@ -388,36 +502,29 @@ impl Session {
         self.answer_with(&mut self.solvers(), query)
     }
 
-    /// Answer `query`, building its assumption set in `assumptions`; under
-    /// `certify` by proof-logged search alone (the static well-founded
-    /// shortcut emits no certificate).
+    /// Answer `query` on `solvers`; under `certify` by proof-logged search
+    /// alone (the static well-founded shortcut emits no certificate).
     fn answer_on(
         &self,
-        outcome: &mut Solver<'_>,
-        margin: Option<&mut Solver<'_>>,
-        assumptions: &mut Vec<Lit>,
+        solvers: &mut Solvers<'_>,
         query: &Query,
         certify: bool,
     ) -> Result<Answer, EpaError> {
-        let vocab = &self.statics.vocab;
-        let opts = SolveOptions {
-            max_models: 1,
-            certify,
-            ..SolveOptions::default()
-        };
+        let Solvers {
+            workspace,
+            outcome,
+            margin,
+            assumptions,
+        } = solvers;
         match query {
             Query::Outcome(scenario) => {
-                (self.outcome).assumptions(assumptions, vocab, scenario, None);
                 if !certify {
-                    if let Some(out) = self.statics.outcome(scenario, assumptions) {
+                    (self.outcome).changes(assumptions, &self.statics.vocab, scenario);
+                    if let Some(out) = self.statics.outcome(workspace, assumptions, scenario) {
                         return Ok(Answer::Outcome(out));
                     }
                 }
-                let result = outcome.solve_with_assumptions(assumptions, &opts)?;
-                let model = result.models.first().ok_or(EpaError::NoModel)?;
-                let holds = model.ids();
-                let out = self.statics.read(scenario, |atom| holds.contains(&atom));
-                Ok(Answer::Outcome(out))
+                self.search_outcome(outcome.get(), assumptions, scenario, certify)
             }
             Query::Margin {
                 scenario,
@@ -429,12 +536,66 @@ impl Session {
                         requirement: requirement.clone(),
                     });
                 };
-                program.assumptions(assumptions, vocab, scenario, Some(requirement));
-                Ok(Answer::Margin(
-                    solver.has_model_with_assumptions(assumptions, &opts)?,
-                ))
+                self.search_margin(
+                    program,
+                    solver.get(),
+                    assumptions,
+                    scenario,
+                    requirement,
+                    certify,
+                )
             }
         }
+    }
+
+    /// The search options of one query.
+    fn options(certify: bool) -> SolveOptions {
+        SolveOptions {
+            max_models: 1,
+            certify,
+            ..SolveOptions::default()
+        }
+    }
+
+    /// Answer the outcome query of `scenario` by search on `solver`, over
+    /// the outcome program, building its assumption set in `assumptions`.
+    fn search_outcome(
+        &self,
+        solver: &mut Solver<'_>,
+        assumptions: &mut Vec<Lit>,
+        scenario: &Scenario,
+        certify: bool,
+    ) -> Result<Answer, EpaError> {
+        (self.outcome).assumptions(assumptions, &self.statics.vocab, scenario, None);
+        let result = solver.solve_with_assumptions(assumptions, &Self::options(certify))?;
+        let model = result.models.first().ok_or(EpaError::NoModel)?;
+        let holds = model.ids();
+        let out = self.statics.read(scenario, |atom| holds.contains(&atom));
+        Ok(Answer::Outcome(out))
+    }
+
+    /// Can an attacker extend `scenario` to violate `requirement`? Decided
+    /// by search on `solver`, over the margin program `program`, building
+    /// the assumption set in `assumptions`.
+    fn search_margin(
+        &self,
+        program: &Resident,
+        solver: &mut Solver<'_>,
+        assumptions: &mut Vec<Lit>,
+        scenario: &Scenario,
+        requirement: &str,
+        certify: bool,
+    ) -> Result<Answer, EpaError> {
+        program.assumptions(
+            assumptions,
+            &self.statics.vocab,
+            scenario,
+            Some(requirement),
+        );
+        let opts = Self::options(certify);
+        Ok(Answer::Margin(
+            solver.has_model_with_assumptions(assumptions, &opts)?,
+        ))
     }
 
     /// Answer every query on the worker pool, each worker reusing one set
@@ -551,15 +712,10 @@ impl Session {
         // One proof-logging solver per program answers every sampled query
         // of its kind; each accumulated certificate (learned-nogood
         // retention included) is replayed once at the end.
-        let Solvers {
-            mut outcome,
-            mut margin,
-            mut assumptions,
-        } = self.solvers();
+        let mut solvers = self.solvers();
         let (mut outcome_calls, mut margin_calls) = (0usize, 0usize);
         for (i, query) in queries.iter().enumerate().step_by(stride) {
-            let certified =
-                self.answer_on(&mut outcome, margin.as_mut(), &mut assumptions, query, true)?;
+            let certified = self.answer_on(&mut solvers, query, true)?;
             if certified != answers[i] {
                 return Err(internal(format!(
                     "certified answer disagrees with the sweep for query {i}: {query:?}"
@@ -585,8 +741,11 @@ impl Session {
             summary.unsats += report.unsats;
             Ok::<_, EpaError>(())
         };
-        audit(&mut outcome, &self.outcome, outcome_calls)?;
-        if let (Some(solver), Some(program)) = (margin.as_mut(), &self.margin) {
+        if let Some(solver) = solvers.outcome.solver.as_mut() {
+            audit(solver, &self.outcome, outcome_calls)?;
+        }
+        let margin = solvers.margin.as_mut().and_then(|m| m.solver.as_mut());
+        if let (Some(solver), Some(program)) = (margin, &self.margin) {
             audit(solver, program, margin_calls)?;
         }
         Ok((answers, summary))
@@ -626,10 +785,10 @@ impl CatalogAnalysis {
 
     #[must_use]
     pub fn solvers(&self) -> (Solver<'_>, Solver<'_>) {
-        let Solvers {
-            outcome, margin, ..
-        } = self.0.solvers();
-        (outcome, margin.expect("built with a margin budget"))
+        (
+            Solver::new(&self.0.outcome.ground),
+            Solver::new(&self.margin_analysis().ground),
+        )
     }
 
     pub fn answer_with(
@@ -638,8 +797,27 @@ impl CatalogAnalysis {
         query: &Query,
     ) -> Result<Answer, EpaError> {
         let (outcome, margin) = solvers;
-        self.0
-            .answer_on(outcome, Some(margin), &mut Vec::new(), query, false)
+        let session = &self.0;
+        match query {
+            Query::Outcome(scenario) => match session.decide_statically(scenario) {
+                Some(out) => Ok(Answer::Outcome(out)),
+                None => session.search_outcome(outcome, &mut Vec::new(), scenario, false),
+            },
+            Query::Margin {
+                scenario,
+                requirement,
+            } => {
+                let program = self.margin_analysis();
+                session.search_margin(
+                    program,
+                    margin,
+                    &mut Vec::new(),
+                    scenario,
+                    requirement,
+                    false,
+                )
+            }
+        }
     }
 
     pub fn sweep(
@@ -801,15 +979,7 @@ mod tests {
             decided += 1;
             let query = Query::Outcome(scenario.clone());
             // The certified path always searches.
-            let searched = session
-                .answer_on(
-                    &mut solvers.outcome,
-                    None,
-                    &mut solvers.assumptions,
-                    &query,
-                    true,
-                )
-                .unwrap();
+            let searched = session.answer_on(&mut solvers, &query, true).unwrap();
             assert_eq!(Answer::Outcome(static_out), searched, "scenario {scenario}");
         }
         // The assumable encoding pins every toggle, so the conditional WFM

@@ -419,6 +419,16 @@ impl<K: IdKind> IdSet<K> {
         other.is_superset(self)
     }
 
+    /// Add (`on`) or remove id `id`.
+    pub(crate) fn set(&mut self, id: u32, on: bool) {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if on {
+            self.bits[word] |= bit;
+        } else {
+            self.bits[word] &= !bit;
+        }
+    }
+
     /// Keep the elements `keep` accepts.
     pub fn retain(&mut self, mut keep: impl FnMut(K::Item<'_>) -> bool) {
         let dropped: Vec<u32> = self

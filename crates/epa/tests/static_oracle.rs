@@ -1,7 +1,8 @@
-//! `Session::decide_statically`, which answers each outcome query from a
-//! resident conditional well-founded model that recomputes only the
-//! forward cone of the query's faults, against the same model computed
-//! from scratch for every scenario.
+//! `Session::decide_statically` and `Session::sweep`, which answer each
+//! outcome query from a resident conditional well-founded model that
+//! recomputes only the forward cone of the query's faults (the sweep in
+//! one reused workspace per worker), against the same model computed from
+//! scratch for every scenario.
 
 #[path = "support/static_oracle.rs"]
 mod static_oracle;
@@ -9,13 +10,15 @@ mod static_oracle;
 mod wfm_oracle;
 
 use cpsrisk_epa::workload::catalog_problem;
-use cpsrisk_epa::{EpaProblem, ScenarioSpace, Session};
+use cpsrisk_epa::{Answer, EpaProblem, Query, ScenarioSpace, Session, SweepOptions};
 
 /// Every scenario of at most `max_faults` faults is decided statically,
-/// with the from-scratch outcome.
+/// with the from-scratch outcome, and a two-thread sweep of them all
+/// answers each with that outcome too.
 fn assert_static_outcomes_match(problem: &EpaProblem, max_faults: usize, label: &str) {
     let session = Session::new(problem, None).expect("the problem grounds");
-    let mut scenarios = 0usize;
+    let mut queries = Vec::new();
+    let mut wants = Vec::new();
     for scenario in ScenarioSpace::new(problem, max_faults).iter() {
         let want = static_oracle::outcome(session.ground(), problem, &scenario);
         assert!(want.is_some(), "{label}: the oracle leaves {scenario} open");
@@ -24,9 +27,17 @@ fn assert_static_outcomes_match(problem: &EpaProblem, max_faults: usize, label: 
             want,
             "{label}: scenario {scenario}"
         );
-        scenarios += 1;
+        queries.push(Query::Outcome(scenario));
+        wants.extend(want);
     }
-    assert!(scenarios > 1, "{label}: the space has faulty scenarios");
+    assert!(queries.len() > 1, "{label}: the space has faulty scenarios");
+    let (answers, _) = session
+        .sweep(&queries, &SweepOptions::with_threads(2))
+        .expect("the sweep succeeds");
+    assert_eq!(answers.len(), queries.len(), "{label}");
+    for ((query, answer), want) in queries.iter().zip(answers).zip(wants) {
+        assert_eq!(answer, Answer::Outcome(want), "{label}: sweep of {query:?}");
+    }
 }
 
 #[test]
@@ -37,8 +48,9 @@ fn static_outcomes_match_the_from_scratch_wfm_on_catalog_plants() {
     }
 }
 
-/// The first plant of the `sweep` benchmark: 9,454 scenarios. Slow in a
-/// debug build; `ci.sh` runs it in release with `--ignored`.
+/// The first plant of the `sweep` benchmark: 9,454 scenarios, decided one
+/// by one and swept on two threads. Slow in a debug build; `ci.sh` runs it
+/// in release with `--ignored`.
 #[test]
 #[ignore = "catalog scale; run in release with --ignored"]
 fn static_outcomes_match_the_from_scratch_wfm_on_the_sweep_plant() {

@@ -276,7 +276,10 @@ fn certificate_of(path: &str, label: &str) -> String {
 #[test]
 fn water_tank_certificate_is_byte_identical() {
     let root = env!("CARGO_MANIFEST_DIR");
-    let text = certificate_of(&format!("{root}/../../examples/water_tank.lp"), "water_tank");
+    let text = certificate_of(
+        &format!("{root}/../../examples/water_tank.lp"),
+        "water_tank",
+    );
     assert_eq!(text, include_str!("golden/certificate_water_tank.txt"));
 }
 
@@ -286,7 +289,10 @@ fn water_tank_certificate_is_byte_identical() {
 #[test]
 fn unfounded_loops_certificate_is_byte_identical() {
     let root = env!("CARGO_MANIFEST_DIR");
-    let text = certificate_of(&format!("{root}/../../tests/golden/unfounded_loops.lp"), "unfounded_loops");
+    let text = certificate_of(
+        &format!("{root}/../../tests/golden/unfounded_loops.lp"),
+        "unfounded_loops",
+    );
     let golden = include_str!("golden/certificate_unfounded_loops.txt");
     assert!(
         golden.lines().any(|l| l.starts_with("unf ")),
