@@ -23,11 +23,11 @@
 //!   read again, decoded once per session to [`Vocabulary`] ids. On those
 //!   plants a statically decided query on a worker's reused state costs
 //!   about 5 µs, against about 11 µs before the workspace, and the region
-//!   model alone about 4.4 µs (one-thread scratch harness, 2-vCPU host;
-//!   see `EXPERIMENTS.md`). Its answer copies no name: the scenario, and one bitset each of effective
-//!   pairs and violated requirements over the session's vocabulary, about
-//!   160 bytes in 5 heap blocks (a tree of strings took about 4.2 KB in
-//!   104 blocks).
+//!   model alone about 4.4 µs (one thread, 2-vCPU host; see
+//!   `EXPERIMENTS.md`). Its answer copies no name: the scenario, and one
+//!   bitset each of effective pairs and violated requirements over the
+//!   session's vocabulary, about 160 bytes in 5 heap blocks (a tree of
+//!   strings took about 4.2 KB in 104 blocks).
 //! * [`Query::Margin`] — can an attacker with `budget` extra faults,
 //!   on top of the pinned scenario, violate a requirement? Answered over
 //!   the [`EncodeMode::Contested`] program, whose bounded `chosen/1`
@@ -284,33 +284,28 @@ impl Statics {
         let violated: Vec<(AtomId, u32)> = (violated.iter())
             .map(|(atom, r)| (*atom, vocab.requirement_id(r).expect(interned)))
             .collect();
-        let mut reads = vec![Reads::Nothing; ground.atom_count()];
-        let mut pairs_seen = vec![false; vocab.pair_count()];
-        let mut requirements_seen = vec![false; vocab.requirement_count()];
-        let decoded = (affected.iter().map(|&(atom, id)| (atom, Reads::Pair(id)))).chain(
-            violated
-                .iter()
-                .map(|&(atom, id)| (atom, Reads::Requirement(id))),
+        // A region read sets or clears an id from one atom's value, so no
+        // two atoms may read as the same id.
+        let ids = |atoms: &[(AtomId, u32)]| atoms.iter().map(|&(_, id)| id).collect::<Vec<_>>();
+        assert!(
+            ModeSet::from_ids(&vocab, ids(&affected)).len() == affected.len()
+                && RequirementSet::from_ids(&vocab, ids(&violated)).len() == violated.len(),
+            "two outcome atoms read as one id"
         );
-        for (atom, read) in decoded {
-            let seen = match read {
-                Reads::Pair(id) => &mut pairs_seen[id as usize],
-                Reads::Requirement(id) => &mut requirements_seen[id as usize],
-                Reads::Nothing => unreachable!("only outcome atoms are decoded"),
-            };
-            // A region read sets or clears an id from one atom's value.
-            assert!(!*seen, "two outcome atoms read as one id");
-            *seen = true;
-            reads[atom.index()] = read;
+        let mut reads = vec![Reads::Nothing; ground.atom_count()];
+        for &(atom, id) in &affected {
+            reads[atom.index()] = Reads::Pair(id);
+        }
+        for &(atom, id) in &violated {
+            reads[atom.index()] = Reads::Requirement(id);
         }
         let wfm = ConditionalWfm::new(Arc::clone(ground), &outcome.nominal);
         let base = wfm.base();
         let held = |atoms: &[(AtomId, u32)]| {
-            let ids: Vec<u32> = (atoms.iter())
+            (atoms.iter())
                 .filter(|&&(atom, _)| base.is_true(atom))
                 .map(|&(_, id)| id)
-                .collect();
-            ids
+                .collect::<Vec<_>>()
         };
         Statics {
             base_modes: ModeSet::from_ids(&vocab, held(&affected)),
