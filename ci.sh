@@ -53,10 +53,13 @@ cargo test -q
 cargo test -q -p cpsrisk-asp check
 # Catalog-scale equality of the static outcome path (every scenario of the
 # first sweep benchmark plant, region-restricted conditional WFM against
-# the from-scratch oracle) and the certified refutation of the `solve`
-# benchmark's adversarial file (n=33), checked by the independent checker.
-# Too slow for a debug build, so they are ignored there and run here in
-# release.
+# the from-scratch oracle), the pinned certified margin stream of that
+# plant, and the certified refutation of the `solve` benchmark's
+# adversarial file (n=33): its search counters (decisions, conflicts,
+# propagations, restarts, retained learned nogoods) are pinned, two
+# certified runs must write byte-identical text, and the independent
+# checker replays it. Too slow for a debug build, so they are ignored
+# there and run here in release.
 cargo test --release -q -p cpsrisk-epa -- --ignored
 # Release depth of the CDCL differential suite: 20,000 card-heavy programs
 # against the oracle, deep enough to reach a conflict explained through a

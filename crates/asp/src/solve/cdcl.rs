@@ -49,8 +49,10 @@
 
 use std::collections::{HashMap, HashSet};
 
+use super::branch::Branching;
 use super::{Lit, SolveOptions, Solver, Val};
 use crate::error::AspError;
+use crate::intern::IdSet;
 use crate::program::{AtomId, CardConstraint, GroundHead, GroundProgram};
 use crate::proof::{ProofLog, ProofStep};
 
@@ -253,14 +255,181 @@ impl LearnedState {
     }
 }
 
-/// One stored nogood. `lits[0]` and `lits[1]` are the watched positions.
+/// The nogood store. The literals of nogood `n`, in order, are `pair[n]`
+/// followed by `rest[rest_start[n]..rest_start[n + 1]]`. Positions 0 and 1
+/// are the watched ones: they sit in a dense array of their own and
+/// nowhere else, so a watch visit that finds its nogood inert reads only
+/// that array and the assignment, and every other literal of every nogood
+/// shares one arena.
 #[derive(Debug)]
-pub(super) struct Nogood {
-    lits: Vec<u32>,
-    /// Literal-block distance at learn time (static nogoods: 0).
-    lbd: u32,
-    /// Bumped when the nogood participates in conflict analysis.
-    activity: f64,
+struct Nogoods {
+    pair: Vec<[u32; 2]>,
+    rest_start: Vec<u32>,
+    rest: Vec<u32>,
+}
+
+impl Nogoods {
+    fn new() -> Self {
+        Nogoods {
+            pair: Vec::new(),
+            rest_start: vec![0],
+            rest: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pair.len()
+    }
+
+    /// Append a nogood of at least two literals, watched at positions 0
+    /// and 1.
+    fn push(&mut self, lits: &[u32]) {
+        debug_assert!(lits.len() >= 2);
+        self.pair.push([lits[0], lits[1]]);
+        self.rest.extend_from_slice(&lits[2..]);
+        self.rest_start.push(self.rest.len() as u32);
+    }
+
+    /// The literals of nogood `n` after the watched pair.
+    fn rest(&self, n: usize) -> &[u32] {
+        &self.rest[self.rest_start[n] as usize..self.rest_start[n + 1] as usize]
+    }
+
+    /// The literals of nogood `n`, in order.
+    fn lits(&self, n: usize) -> impl Iterator<Item = u32> + '_ {
+        self.pair[n].iter().chain(self.rest(n)).copied()
+    }
+
+    /// Overwrite nogood `n` with `lits`, a reordering of its literals.
+    fn reorder(&mut self, n: usize, lits: &[u32]) {
+        let (from, to) = (self.rest_start[n] as usize, self.rest_start[n + 1] as usize);
+        debug_assert_eq!(lits.len(), 2 + to - from);
+        self.pair[n] = [lits[0], lits[1]];
+        self.rest[from..to].copy_from_slice(&lits[2..]);
+    }
+
+    /// Keep the first `n` nogoods.
+    fn truncate(&mut self, n: usize) {
+        self.pair.truncate(n);
+        self.rest_start.truncate(n + 1);
+        self.rest.truncate(self.rest_start[n] as usize);
+    }
+
+    /// Drop every nogood `n >= first` with `dropped[n - first]` set,
+    /// keeping the others in order.
+    fn compact(&mut self, first: usize, dropped: &[bool]) {
+        let mut kept = first;
+        let mut end = self.rest_start[first] as usize;
+        for n in first..self.len() {
+            if dropped[n - first] {
+                continue;
+            }
+            let (from, to) = (self.rest_start[n] as usize, self.rest_start[n + 1] as usize);
+            self.rest.copy_within(from..to, end);
+            end += to - from;
+            self.pair[kept] = self.pair[n];
+            kept += 1;
+            // `kept <= n + 1`: this entry has been read already.
+            self.rest_start[kept] = end as u32;
+        }
+        self.pair.truncate(kept);
+        self.rest_start.truncate(kept + 1);
+        self.rest.truncate(end);
+    }
+}
+
+/// A conflict found by propagation, handed to analysis without copying a
+/// stored nogood.
+#[derive(Debug, Clone, Copy)]
+enum Conflict {
+    /// Every literal of the stored nogood is satisfied.
+    Nogood(u32),
+    /// Every literal of [`Cdcl::conflict`] is satisfied.
+    Lits,
+}
+
+/// Scratch memory of conflict analysis, reused across conflicts.
+#[derive(Debug, Default)]
+struct Analysis {
+    /// Per variable: marked in the current analysis.
+    seen: Vec<bool>,
+    /// The marked variables, to bump and unmark afterwards.
+    marked: Vec<u32>,
+    /// The learned nogood: the UIP first, then the literals below the
+    /// conflict level.
+    learnt: Vec<u32>,
+    /// The explanation of the witness-backed reason being resolved.
+    explain: Vec<u32>,
+    /// Per decision level: the last analysis that counted it in an LBD.
+    level_stamp: Vec<u32>,
+    stamp: u32,
+}
+
+impl Analysis {
+    /// Mark literal `c` of a nogood being resolved at conflict level `d`:
+    /// a literal of level `d` raises `counter`, one below it joins the
+    /// learned nogood.
+    fn classify(&mut self, c: u32, level: &[u32], dep: &[bool], d: u32, counter: &mut usize) {
+        let var = code_var(c);
+        if self.seen[var as usize] {
+            return;
+        }
+        let lvl = level[var as usize];
+        if lvl == 0 {
+            // Level-0 literals are globally sound unless they depend on
+            // the current call's assumptions, in which case the
+            // assumption literal itself must stay in the nogood.
+            if dep[var as usize] {
+                self.seen[var as usize] = true;
+                self.marked.push(var);
+                self.learnt.push(c);
+            }
+            return;
+        }
+        self.seen[var as usize] = true;
+        self.marked.push(var);
+        if lvl == d {
+            *counter += 1;
+        } else {
+            self.learnt.push(c);
+        }
+    }
+
+    /// The backjump level and the LBD of the learned nogood, whose
+    /// literals after the UIP all lie below conflict level `d`.
+    fn levels(&mut self, level: &[u32], d: u32) -> (usize, u32) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.level_stamp.fill(0);
+            self.stamp = 1;
+        }
+        if self.level_stamp.len() <= d as usize {
+            self.level_stamp.resize(d as usize + 1, 0);
+        }
+        let stamp = self.stamp;
+        let fresh = |slot: &mut u32| std::mem::replace(slot, stamp) != stamp;
+        let mut lbd = u32::from(fresh(&mut self.level_stamp[d as usize]));
+        let mut backjump = 0u32;
+        for &c in &self.learnt[1..] {
+            let lvl = level[code_var(c) as usize];
+            backjump = backjump.max(lvl);
+            lbd += u32::from(fresh(&mut self.level_stamp[lvl as usize]));
+        }
+        (backjump as usize, lbd)
+    }
+}
+
+/// Reused scratch of one cardinality event.
+#[derive(Debug, Default)]
+struct CardScratch {
+    /// The satisfied body literals, then the event's witness.
+    witness: Vec<u32>,
+    /// The literals of the held elements (atom and guard).
+    held: Vec<u32>,
+    /// One failing literal per out element.
+    out: Vec<u32>,
+    /// The forcible elements (global index).
+    forcible: Vec<u32>,
 }
 
 /// A cone rule body count that marks a rule blocked under the current
@@ -458,6 +627,8 @@ pub(super) struct Cdcl {
     dep: Vec<bool>,
     /// Assignment order.
     trail: Vec<u32>,
+    /// Atoms on the trail (body variables not counted).
+    assigned_atoms: usize,
     /// Next trail position to propagate watches from.
     qhead: usize,
     /// Trail length at each decision level.
@@ -469,14 +640,20 @@ pub(super) struct Cdcl {
     /// Number of `true` entries in `flipped`.
     flips: usize,
     /// All watched nogoods: statics first, learned from `first_learned`.
-    ngs: Vec<Nogood>,
+    ngs: Nogoods,
     /// Index of the first learned nogood in `ngs`.
     first_learned: usize,
+    /// Per learned nogood `first_learned + k`, at `k`: its literal-block
+    /// distance at learn time, and its activity, bumped when it takes
+    /// part in conflict analysis.
+    lbd: Vec<u32>,
+    ng_activity: Vec<f64>,
     /// Learned unit nogoods (single literal codes) — too short to watch,
     /// replayed as level-0 forcings at each `prepare`.
     learned_units: Vec<u32>,
-    /// Fingerprint dedup over learned nogoods and units.
-    learned_fps: HashSet<u64>,
+    /// Fingerprint dedup over learned nogoods and units (a fingerprint
+    /// is already a hash).
+    learned_fps: IdSet<u64>,
     /// Static unit assignments `(var, value)` from the translation.
     units: Vec<(u32, Val)>,
     /// The translation derived an empty nogood: no model, ever.
@@ -511,31 +688,31 @@ pub(super) struct Cdcl {
     ante_lits: Vec<u32>,
     /// Number of witnesses at the start of each decision level.
     ante_lim: Vec<u32>,
-    /// Reusable buffer for the explanation conflict analysis resolves.
-    explain_buf: Vec<u32>,
+    /// Reused scratch of conflict analysis and of cardinality events.
+    an: Analysis,
+    card_scratch: CardScratch,
+    /// The literals of the last conflict that is not a stored nogood.
+    conflict: Vec<u32>,
     /// Most witnesses the store has held at once, and witnesses created,
     /// over the solver's lifetime.
     #[cfg(test)]
     pub(super) ante_peak: usize,
     #[cfg(test)]
     pub(super) ante_created: usize,
-    /// EVSIDS activity per variable.
-    activity: Vec<f64>,
+    /// EVSIDS activities and the branching heap, built at the first
+    /// decision of each call.
+    branch: Branching,
     /// Current activity increment (grows by 1/0.95 per conflict).
     var_inc: f64,
-    /// Per atom: appears as a choice head (preferred branching tie-break).
-    is_choice: Vec<bool>,
     /// Saved phase per variable (initially `True`, matching the engine's
     /// try-true-first enumeration order).
     pub(super) saved: Vec<Val>,
-    /// Scratch marks for conflict analysis.
-    seen: Vec<bool>,
     /// Conflicts since the last restart.
     conflicts_since_restart: u64,
     /// Index into the Luby sequence for the next restart.
     restart_seq: u64,
     /// Completed learned-DB reductions (raises the next threshold).
-    reduce_count: u64,
+    pub(super) reduce_count: u64,
     /// Body variable keys, by body index (`var = n_atoms + index`): the
     /// sorted deduplicated `(pos, neg)` atom-id lists. Retained so learned
     /// nogoods can be exported/imported across program extensions — body
@@ -559,7 +736,7 @@ impl Cdcl {
         let mut unconditional = vec![false; n_atoms];
         let mut supports: Vec<Vec<u32>> = vec![Vec::new(); n_atoms];
         let mut head_forward: Vec<(u32, u32)> = Vec::new();
-        let mut statics: Vec<Vec<u32>> = Vec::new();
+        let mut ngs = Nogoods::new();
 
         for r in &g.rules {
             let mut pos: Vec<u32> = r.pos.iter().map(|a| a.0).collect();
@@ -583,7 +760,7 @@ impl Cdcl {
                             let c = lits[0];
                             units.push((code_var(c), negate(code_val(c))));
                         }
-                        _ => statics.push(lits),
+                        _ => ngs.push(&lits),
                     }
                 }
                 GroundHead::Atom(h) | GroundHead::Choice(h) => {
@@ -614,20 +791,21 @@ impl Cdcl {
         let n_vars = n_atoms + bodies.len();
 
         // Body equivalence nogoods.
+        let mut lits: Vec<u32> = Vec::new();
         for (bi, (pos, neg)) in bodies.iter().enumerate() {
             let beta = (n_atoms + bi) as u32;
             // Body true when every literal holds: {(β,F)} ∪ B.
-            let mut omega: Vec<u32> = Vec::with_capacity(1 + pos.len() + neg.len());
-            omega.push(code(beta, Val::False));
-            omega.extend(pos.iter().map(|&p| code(p, Val::True)));
-            omega.extend(neg.iter().map(|&n| code(n, Val::False)));
-            statics.push(omega);
+            lits.clear();
+            lits.push(code(beta, Val::False));
+            lits.extend(pos.iter().map(|&p| code(p, Val::True)));
+            lits.extend(neg.iter().map(|&n| code(n, Val::False)));
+            ngs.push(&lits);
             // Body false when any literal fails: {(β,T), l̄} per literal.
             for &p in pos {
-                statics.push(vec![code(beta, Val::True), code(p, Val::False)]);
+                ngs.push(&[code(beta, Val::True), code(p, Val::False)]);
             }
             for &n in neg {
-                statics.push(vec![code(beta, Val::True), code(n, Val::True)]);
+                ngs.push(&[code(beta, Val::True), code(n, Val::True)]);
             }
         }
         // Forward inference for normal heads: {(h,F),(β,T)}, in a fixed
@@ -635,20 +813,21 @@ impl Cdcl {
         head_forward.sort_unstable();
         head_forward.dedup();
         for &(h, beta) in &head_forward {
-            statics.push(vec![code(h, Val::False), code(beta, Val::True)]);
+            ngs.push(&[code(h, Val::False), code(beta, Val::True)]);
         }
         // Support nogoods: a defined non-unconditional atom needs a body.
         for a in 0..n_atoms as u32 {
             if !defined[a as usize] {
                 units.push((a, Val::False));
             } else if !unconditional[a as usize] && !supports[a as usize].is_empty() {
-                let mut lits = vec![code(a, Val::True)];
+                lits.clear();
+                lits.push(code(a, Val::True));
                 lits.extend(
                     supports[a as usize]
                         .iter()
                         .map(|&beta| code(beta, Val::False)),
                 );
-                statics.push(lits);
+                ngs.push(&lits);
             }
         }
 
@@ -660,17 +839,9 @@ impl Cdcl {
         }
 
         let mut watches: Vec<Vec<u32>> = vec![Vec::new(); n_vars * 2];
-        let mut ngs: Vec<Nogood> = Vec::with_capacity(statics.len());
-        for lits in statics {
-            debug_assert!(lits.len() >= 2);
-            let ni = ngs.len() as u32;
-            watches[lits[0] as usize].push(ni);
-            watches[lits[1] as usize].push(ni);
-            ngs.push(Nogood {
-                lits,
-                lbd: 0,
-                activity: 0.0,
-            });
+        for (ni, [w0, w1]) in ngs.pair.iter().enumerate() {
+            watches[*w0 as usize].push(ni as u32);
+            watches[*w1 as usize].push(ni as u32);
         }
 
         // Cardinality occurrences of every atom a card can react to, and
@@ -735,14 +906,17 @@ impl Cdcl {
             reason: vec![Reason::Decision; n_vars],
             dep: vec![false; n_vars],
             trail: Vec::new(),
+            assigned_atoms: 0,
             qhead: 0,
             lim: Vec::new(),
             flipped: Vec::new(),
             flips: 0,
             first_learned: ngs.len(),
             ngs,
+            lbd: Vec::new(),
+            ng_activity: Vec::new(),
             learned_units: Vec::new(),
-            learned_fps: HashSet::new(),
+            learned_fps: IdSet::default(),
             units,
             root_unsat,
             watches,
@@ -760,16 +934,19 @@ impl Cdcl {
             antes: Vec::new(),
             ante_lits: Vec::new(),
             ante_lim: Vec::new(),
-            explain_buf: Vec::new(),
+            an: Analysis {
+                seen: vec![false; n_vars],
+                ..Analysis::default()
+            },
+            card_scratch: CardScratch::default(),
+            conflict: Vec::new(),
             #[cfg(test)]
             ante_peak: 0,
             #[cfg(test)]
             ante_created: 0,
-            activity: vec![0.0; n_vars],
+            branch: Branching::new(n_vars, is_choice),
             var_inc: 1.0,
-            is_choice,
             saved: vec![Val::True; n_vars],
-            seen: vec![false; n_vars],
             conflicts_since_restart: 0,
             restart_seq: 1,
             reduce_count: 0,
@@ -785,14 +962,57 @@ impl Cdcl {
     /// Drop every learned nogood and rebuild the static watch lists.
     pub(super) fn clear_learned(&mut self) {
         self.ngs.truncate(self.first_learned);
+        self.lbd.clear();
+        self.ng_activity.clear();
         self.learned_units.clear();
         self.learned_fps.clear();
+        self.rebuild_watches();
+    }
+
+    /// Rebuild every watch list from scratch, in store order. A learned
+    /// nogood first moves its two best watch candidates to the front (see
+    /// [`choose_watches`](Self::choose_watches)); statics keep theirs.
+    fn rebuild_watches(&mut self) {
         for w in &mut self.watches {
             w.clear();
         }
-        for (ni, ng) in self.ngs.iter().enumerate() {
-            self.watches[ng.lits[0] as usize].push(ni as u32);
-            self.watches[ng.lits[1] as usize].push(ni as u32);
+        let mut lits: Vec<u32> = Vec::new();
+        for ni in 0..self.ngs.len() {
+            if ni >= self.first_learned {
+                lits.clear();
+                lits.extend(self.ngs.lits(ni));
+                self.choose_watches(&mut lits);
+                self.ngs.reorder(ni, &lits);
+            }
+            let [w0, w1] = self.ngs.pair[ni];
+            self.watches[w0 as usize].push(ni as u32);
+            self.watches[w1 as usize].push(ni as u32);
+        }
+    }
+
+    /// Move the two best watch candidates into positions 0 and 1:
+    /// unassigned literals first, then falsified, then satisfied — watching
+    /// satisfied literals would fire immediately and could miss later
+    /// state changes after backjumping.
+    fn choose_watches(&self, lits: &mut [u32]) {
+        let rank = |c: u32| -> u8 {
+            let v = self.val[code_var(c) as usize];
+            if v == Val::Unknown {
+                0
+            } else if v == negate(code_val(c)) {
+                1
+            } else {
+                2
+            }
+        };
+        for slot in 0..2usize.min(lits.len()) {
+            let mut best = slot;
+            for i in slot + 1..lits.len() {
+                if rank(lits[i]) < rank(lits[best]) {
+                    best = i;
+                }
+            }
+            lits.swap(slot, best);
         }
     }
 
@@ -804,6 +1024,7 @@ impl Cdcl {
         self.reason.fill(Reason::Decision);
         self.dep.fill(false);
         self.trail.clear();
+        self.assigned_atoms = 0;
         self.qhead = 0;
         self.lim.clear();
         self.flipped.clear();
@@ -819,6 +1040,7 @@ impl Cdcl {
         self.card_queue.extend(0..n_cards as u32);
         self.conflicts_since_restart = 0;
         self.restart_seq = 1;
+        self.branch.invalidate();
     }
 
     /// Move the counters of every card mentioning atom `var` across its
@@ -918,6 +1140,98 @@ impl Cdcl {
             }
         }
     }
+
+    /// 1UIP conflict analysis, with EVSIDS bumps unless `frozen`. Leaves
+    /// the learned nogood in `an.learnt` (UIP first) and returns the
+    /// backjump level and the LBD.
+    fn analyze(&mut self, confl: Conflict, frozen: bool) -> (usize, u32) {
+        let d = self.lim.len() as u32;
+        debug_assert!(d > 0, "analyze called at level 0");
+        let mut an = std::mem::take(&mut self.an);
+        an.learnt.clear();
+        // The UIP's place, filled in at the end.
+        an.learnt.push(u32::MAX);
+        let mut counter = 0usize;
+        match confl {
+            Conflict::Nogood(ni) => {
+                for c in self.ngs.lits(ni as usize) {
+                    an.classify(c, &self.level, &self.dep, d, &mut counter);
+                }
+            }
+            Conflict::Lits => {
+                for &c in &self.conflict {
+                    an.classify(c, &self.level, &self.dep, d, &mut counter);
+                }
+            }
+        }
+
+        // Walk the trail backwards, resolving current-level literals
+        // through their reasons until one remains: the 1UIP.
+        let mut idx = self.trail.len();
+        let uip = loop {
+            debug_assert!(counter >= 1, "conflict must involve current level");
+            idx -= 1;
+            let x = self.trail[idx];
+            if !an.seen[x as usize] {
+                continue;
+            }
+            if counter == 1 {
+                break x;
+            }
+            an.seen[x as usize] = false;
+            counter -= 1;
+            match self.reason[x as usize] {
+                Reason::Nogood(ni) => {
+                    if let Some(k) = (ni as usize).checked_sub(self.first_learned) {
+                        self.ng_activity[k] += 1.0;
+                    }
+                    for c in self.ngs.lits(ni as usize) {
+                        if code_var(c) != x {
+                            an.classify(c, &self.level, &self.dep, d, &mut counter);
+                        }
+                    }
+                }
+                reason @ (Reason::Ante(_) | Reason::Guarded(..)) => {
+                    let mut ante = std::mem::take(&mut an.explain);
+                    ante.clear();
+                    self.explain_into(reason, &mut ante);
+                    for &c in &ante {
+                        if code_var(c) != x {
+                            an.classify(c, &self.level, &self.dep, d, &mut counter);
+                        }
+                    }
+                    an.explain = ante;
+                }
+                Reason::Decision | Reason::Static | Reason::Assumption => {
+                    unreachable!("current-level non-UIP literal must have an antecedent")
+                }
+            }
+        };
+
+        // EVSIDS bumps: every variable that participated in the analysis.
+        // Suppressed while enumerating — movement is chronological there,
+        // so the branching heuristic is frozen anyway, and the per-conflict
+        // decay (plus its periodic full-array rescale) is pure churn.
+        if !frozen {
+            for &v in &an.marked {
+                self.branch.bump(v, self.var_inc);
+            }
+            self.var_inc /= 0.95;
+            if self.var_inc > 1e100 {
+                self.branch.rescale(1e-100);
+                self.var_inc *= 1e-100;
+            }
+        }
+        for &v in &an.marked {
+            an.seen[v as usize] = false;
+        }
+        an.marked.clear();
+
+        an.learnt[0] = code(uip, self.val[uip as usize]);
+        let levels = an.levels(&self.level, d);
+        self.an = an;
+        levels
+    }
 }
 
 /// The `i`-th element of the Luby restart sequence (1-indexed):
@@ -976,19 +1290,20 @@ impl Solver<'_> {
         // WFM backbone, program units, retained learned units — all sound
         // level-0 consequences; a clash with an assumption is a genuine
         // root conflict worth learning.
-        let seeds: Vec<(u32, Val)> = self
-            .wfm_seeds
-            .iter()
-            .copied()
-            .chain(self.cdcl.units.iter().copied())
-            .collect();
-        for (a, v) in seeds {
+        for i in 0..self.wfm_seeds.len() {
+            let (a, v) = self.wfm_seeds[i];
             if !self.seed0(a, v) {
                 return self.root_conflict();
             }
         }
-        let units: Vec<u32> = self.cdcl.learned_units.clone();
-        for c in units {
+        for i in 0..self.cdcl.units.len() {
+            let (a, v) = self.cdcl.units[i];
+            if !self.seed0(a, v) {
+                return self.root_conflict();
+            }
+        }
+        for i in 0..self.cdcl.learned_units.len() {
+            let c = self.cdcl.learned_units[i];
             if !self.seed0(code_var(c), negate(code_val(c))) {
                 return self.root_conflict();
             }
@@ -1013,49 +1328,54 @@ impl Solver<'_> {
     fn root_conflict(&mut self) -> bool {
         self.conflict_count += 1;
         self.lifetime_conflicts += 1;
-        if !self.assumptions.is_empty() {
-            let lits: Vec<u32> = self.assumptions.iter().map(|&(a, v)| code(a, v)).collect();
-            self.learn_stored(lits, 1);
-        }
+        self.learn_assumptions();
         false
     }
 
+    /// Learn the nogood of the current call's assumptions, refuted at
+    /// level 0 (nothing without assumptions).
+    fn learn_assumptions(&mut self) {
+        if self.assumptions.is_empty() {
+            return;
+        }
+        let mut lits = std::mem::take(&mut self.cdcl.an.learnt);
+        lits.clear();
+        lits.extend(self.assumptions.iter().map(|&(a, v)| code(a, v)));
+        self.learn_stored(&mut lits, 1);
+        self.cdcl.an.learnt = lits;
+    }
+
     /// Store a learned nogood (deduplicated): units go to the replay list,
-    /// longer nogoods into the watched database.
-    fn learn_stored(&mut self, lits: Vec<u32>, lbd: u32) {
-        if !self.cdcl.learned_fps.insert(fingerprint(&lits)) {
+    /// longer nogoods into the watched database, watched at the two best
+    /// candidates (see [`Cdcl::choose_watches`], which reorders `lits`).
+    fn learn_stored(&mut self, lits: &mut [u32], lbd: u32) {
+        if !self.cdcl.learned_fps.insert(fingerprint(lits)) {
             return;
         }
         if lits.len() == 1 {
             if self.proof.is_some() {
-                self.plog(ProofStep::Learned(lits.clone()));
+                self.plog(ProofStep::Learned(lits.to_vec()));
             }
             self.cdcl.learned_units.push(lits[0]);
             return;
         }
-        self.add_learned_watched(lits, lbd, true);
+        self.cdcl.choose_watches(lits);
+        self.add_learned_watched(lits, lbd);
     }
 
-    /// Append a learned nogood to the watched store. When `choose` is set
-    /// the watches are selected by quality (unassigned > falsified >
-    /// satisfied); otherwise positions 0 and 1 are watched as given (the
-    /// asserting-nogood path sets them up itself).
-    fn add_learned_watched(&mut self, mut lits: Vec<u32>, lbd: u32, choose: bool) -> u32 {
-        debug_assert!(lits.len() >= 2);
-        if choose {
-            self.choose_watches(&mut lits);
-        }
+    /// Append a learned nogood to the watched store, watched at positions
+    /// 0 and 1 as given.
+    fn add_learned_watched(&mut self, lits: &[u32], lbd: u32) -> u32 {
         if self.proof.is_some() {
-            self.plog(ProofStep::Learned(lits.clone()));
+            self.plog(ProofStep::Learned(lits.to_vec()));
         }
-        let ni = self.cdcl.ngs.len() as u32;
-        self.cdcl.watches[lits[0] as usize].push(ni);
-        self.cdcl.watches[lits[1] as usize].push(ni);
-        self.cdcl.ngs.push(Nogood {
-            lits,
-            lbd,
-            activity: 0.0,
-        });
+        let cd = &mut self.cdcl;
+        let ni = cd.ngs.len() as u32;
+        cd.watches[lits[0] as usize].push(ni);
+        cd.watches[lits[1] as usize].push(ni);
+        cd.ngs.push(lits);
+        cd.lbd.push(lbd);
+        cd.ng_activity.push(0.0);
         ni
     }
 
@@ -1095,9 +1415,10 @@ impl Solver<'_> {
                 LearnedLit::Body(idx, positive)
             }
         };
-        for ng in &self.cdcl.ngs[self.cdcl.first_learned..] {
-            let lits: Vec<LearnedLit> = ng.lits.iter().map(|&c| convert(&mut state, c)).collect();
-            state.nogoods.push((lits, ng.lbd));
+        let cd = &self.cdcl;
+        for (ni, &lbd) in (cd.first_learned..).zip(&cd.lbd) {
+            let lits: Vec<LearnedLit> = cd.ngs.lits(ni).map(|c| convert(&mut state, c)).collect();
+            state.nogoods.push((lits, lbd));
         }
         for &c in &self.cdcl.learned_units {
             let l = convert(&mut state, c);
@@ -1180,7 +1501,7 @@ impl Solver<'_> {
         };
         let mut kept = 0usize;
         for (lits, lbd) in &state.nogoods {
-            let Some(codes) = lits.iter().map(&live_code).collect::<Option<Vec<u32>>>() else {
+            let Some(mut codes) = lits.iter().map(&live_code).collect::<Option<Vec<u32>>>() else {
                 continue;
             };
             if codes.len() < 2 {
@@ -1191,7 +1512,7 @@ impl Solver<'_> {
             #[cfg(debug_assertions)]
             let dup = self.cdcl.learned_fps.contains(&fingerprint(&codes));
             let before = self.cdcl.learned_count();
-            self.learn_stored(codes, *lbd);
+            self.learn_stored(&mut codes, *lbd);
             let grown = self.cdcl.learned_count() > before;
             #[cfg(debug_assertions)]
             assert!(!(dup && grown), "duplicate fingerprint re-imported");
@@ -1204,39 +1525,13 @@ impl Solver<'_> {
             #[cfg(debug_assertions)]
             let dup = self.cdcl.learned_fps.contains(&fingerprint(&[c]));
             let before = self.cdcl.learned_count();
-            self.learn_stored(vec![c], 1);
+            self.learn_stored(&mut [c], 1);
             let grown = self.cdcl.learned_count() > before;
             #[cfg(debug_assertions)]
             assert!(!(dup && grown), "duplicate fingerprint re-imported");
             kept += usize::from(grown);
         }
         kept
-    }
-
-    /// Move the two best watch candidates into positions 0 and 1:
-    /// unassigned literals first, then falsified, then satisfied — watching
-    /// satisfied literals would fire immediately and could miss later
-    /// state changes after backjumping.
-    fn choose_watches(&mut self, lits: &mut [u32]) {
-        let rank = |solver: &Self, c: u32| -> u8 {
-            let v = solver.cdcl.val[code_var(c) as usize];
-            if v == Val::Unknown {
-                0
-            } else if v == negate(code_val(c)) {
-                1
-            } else {
-                2
-            }
-        };
-        for slot in 0..2usize.min(lits.len()) {
-            let mut best = slot;
-            for i in slot + 1..lits.len() {
-                if rank(self, lits[i]) < rank(self, lits[best]) {
-                    best = i;
-                }
-            }
-            lits.swap(slot, best);
-        }
     }
 
     /// Assign a variable, recording level, reason and assumption
@@ -1249,10 +1544,9 @@ impl Solver<'_> {
                 Reason::Assumption => true,
                 Reason::Nogood(ni) => {
                     let cd = &self.cdcl;
-                    cd.ngs[ni as usize]
-                        .lits
-                        .iter()
-                        .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
+                    cd.ngs
+                        .lits(ni as usize)
+                        .any(|c| code_var(c) != var && cd.dep[code_var(c) as usize])
                 }
                 Reason::Ante(w) => {
                     let cd = &self.cdcl;
@@ -1285,15 +1579,15 @@ impl Solver<'_> {
             }
         }
         if (var as usize) < self.cdcl.n_atoms {
+            self.cdcl.assigned_atoms += 1;
             self.cdcl.card_update(var, v, true);
         }
     }
 
     /// Propagate to fixpoint: watched nogoods, then dirty cardinality
     /// constraints, then (non-tight only) the unfounded backstop over the
-    /// cone. Returns
-    /// the conflicting nogood's literal codes, or `None` at fixpoint.
-    fn cdcl_propagate(&mut self) -> Option<Vec<u32>> {
+    /// cone. Returns the conflict, or `None` at fixpoint.
+    fn cdcl_propagate(&mut self) -> Option<Conflict> {
         loop {
             while self.cdcl.qhead < self.cdcl.trail.len() {
                 let var = self.cdcl.trail[self.cdcl.qhead];
@@ -1323,37 +1617,40 @@ impl Solver<'_> {
         }
     }
 
-    /// Visit every nogood watching the just-satisfied literal `c`.
-    fn propagate_watches(&mut self, c: u32) -> Option<Vec<u32>> {
+    /// Visit every nogood watching the just-satisfied literal `c`. Each
+    /// visit swaps the pair so that `c` sits at position 1, inert visits
+    /// included: the literal order is part of the search (it orders
+    /// conflict analysis and the watch choices of later visits).
+    fn propagate_watches(&mut self, c: u32) -> Option<Conflict> {
         let mut ws = std::mem::take(&mut self.cdcl.watches[c as usize]);
         let mut i = 0usize;
         while i < ws.len() {
             let ni = ws[i];
             let action = {
-                let cd = &mut self.cdcl;
-                let ng = &mut cd.ngs[ni as usize];
-                if ng.lits[0] == c {
-                    ng.lits.swap(0, 1);
+                let Cdcl { ngs, val, .. } = &mut self.cdcl;
+                let pair = &mut ngs.pair[ni as usize];
+                if pair[0] == c {
+                    pair.swap(0, 1);
                 }
-                debug_assert_eq!(ng.lits[1], c);
-                let w0 = ng.lits[0];
-                let w0v = cd.val[code_var(w0) as usize];
+                debug_assert_eq!(pair[1], c);
+                let w0 = pair[0];
+                let w0v = val[code_var(w0) as usize];
                 if w0v == negate(code_val(w0)) {
                     WatchAction::Inert
                 } else {
                     // Look for a non-satisfied replacement watch.
-                    let mut moved = None;
-                    for k in 2..ng.lits.len() {
-                        let lk = ng.lits[k];
-                        if cd.val[code_var(lk) as usize] != code_val(lk) {
-                            moved = Some(k);
-                            break;
-                        }
-                    }
-                    match moved {
+                    let (from, to) = (
+                        ngs.rest_start[ni as usize] as usize,
+                        ngs.rest_start[ni as usize + 1] as usize,
+                    );
+                    let rest = &mut ngs.rest[from..to];
+                    match rest
+                        .iter()
+                        .position(|&lk| val[code_var(lk) as usize] != code_val(lk))
+                    {
                         Some(k) => {
-                            ng.lits.swap(1, k);
-                            WatchAction::Moved(ng.lits[1])
+                            std::mem::swap(&mut pair[1], &mut rest[k]);
+                            WatchAction::Moved(pair[1])
                         }
                         None if w0v == Val::Unknown => WatchAction::Force(w0),
                         None => WatchAction::Conflict,
@@ -1371,9 +1668,8 @@ impl Solver<'_> {
                     i += 1;
                 }
                 WatchAction::Conflict => {
-                    let confl = self.cdcl.ngs[ni as usize].lits.clone();
                     self.cdcl.watches[c as usize] = ws;
-                    return Some(confl);
+                    return Some(Conflict::Nogood(ni));
                 }
             }
         }
@@ -1384,14 +1680,23 @@ impl Solver<'_> {
     /// Propagate one dequeued cardinality constraint. Its counters decide
     /// in O(1) whether a bound is tight or violated; only then is the card
     /// scanned, once, for the event's witness, which every literal the
-    /// event forces shares. A violation returns the conflict nogood.
-    fn propagate_card(&mut self, ci: usize) -> Option<Vec<u32>> {
+    /// event forces shares. A violation returns the conflict.
+    fn propagate_card(&mut self, ci: usize) -> Option<Conflict> {
+        if !self.cdcl.card_count[ci].event(&self.g.cards[ci]) {
+            return None;
+        }
+        let mut scratch = std::mem::take(&mut self.cdcl.card_scratch);
+        let confl = self.card_event(ci, &mut scratch);
+        self.cdcl.card_scratch = scratch;
+        confl
+    }
+
+    /// The event of card `ci`, whose counters show a tight or violated
+    /// bound, computed in the reused buffers of `s`.
+    fn card_event(&mut self, ci: usize, s: &mut CardScratch) -> Option<Conflict> {
         let g = self.g;
         let c = &g.cards[ci];
         let count = self.cdcl.card_count[ci];
-        if !count.event(c) {
-            return None;
-        }
         let first_elem = self.cdcl.elem_start[ci];
         let v = |s: &Self, a: AtomId| s.cdcl.val[a.index()];
         debug_assert_eq!(
@@ -1402,8 +1707,17 @@ impl Solver<'_> {
                 .filter(|&&a| v(self, a) == Val::Unknown)
                 .count()
         );
+        let CardScratch {
+            witness,
+            held,
+            out,
+            forcible,
+        } = s;
+        witness.clear();
+        held.clear();
+        out.clear();
+        forcible.clear();
         // The satisfied body literals and the open one, if any.
-        let mut body_sat_lits: Vec<u32> = Vec::new();
         let mut body_unknown: Option<u32> = None;
         for (&a, holds) in c
             .pos
@@ -1415,13 +1729,10 @@ impl Solver<'_> {
                 Val::Unknown => body_unknown = Some(code(a.0, holds)),
                 x => {
                     debug_assert_eq!(x, holds, "a failed body literal stops the event");
-                    body_sat_lits.push(code(a.0, holds));
+                    witness.push(code(a.0, holds));
                 }
             }
         }
-        let mut held_witness: Vec<u32> = Vec::new();
-        let mut out_witness: Vec<u32> = Vec::new();
-        let mut forcible: Vec<u32> = Vec::new();
         for (k, e) in c.elements.iter().enumerate() {
             let ei = first_elem + k as u32;
             debug_assert_eq!(
@@ -1431,8 +1742,8 @@ impl Solver<'_> {
             );
             match self.cdcl.elem_count[ei as usize].status() {
                 ElemStatus::Held => {
-                    held_witness.push(code(e.atom.0, Val::True));
-                    held_witness.extend_from_slice(self.cdcl.guard(ei));
+                    held.push(code(e.atom.0, Val::True));
+                    held.extend_from_slice(self.cdcl.guard(ei));
                 }
                 ElemStatus::Out => {
                     // The atom's falsity, else the first failing guard
@@ -1449,7 +1760,7 @@ impl Solver<'_> {
                             Val::True,
                         )
                     };
-                    out_witness.push(lit);
+                    out.push(lit);
                 }
                 ElemStatus::Forcible => forcible.push(ei),
                 ElemStatus::Open => {}
@@ -1458,21 +1769,22 @@ impl Solver<'_> {
         let max_possible = c.elements.len() as u32 - count.out;
         let over = count.held > c.upper;
         let violated = over || max_possible < c.lower;
-        let mut witness = body_sat_lits;
         if violated {
             // Body satisfied (but for `body_unknown`) and the bound
             // provably violated: the held literals explain an upper-bound
             // violation, the out literals a lower-bound one.
-            witness.extend(if over { held_witness } else { out_witness });
+            witness.extend_from_slice(if over { held } else { out });
             witness.sort_unstable();
             witness.dedup();
             let Some(unk) = body_unknown else {
-                self.log_card(ci, &witness, &[]);
-                return Some(witness);
+                self.log_card(ci, witness, &[]);
+                self.cdcl.conflict.clear();
+                self.cdcl.conflict.extend_from_slice(witness);
+                return Some(Conflict::Lits);
             };
             // The body must be falsified.
-            self.log_card(ci, &witness, &[unk]);
-            let w = self.cdcl.push_witness(&witness);
+            self.log_card(ci, witness, &[unk]);
+            let w = self.cdcl.push_witness(witness);
             self.cd_assign(code_var(unk), negate(code_val(unk)), Reason::Ante(w));
             return None;
         }
@@ -1482,30 +1794,26 @@ impl Solver<'_> {
         // not make the element held. A tight lower bound makes every
         // forcible element true.
         let tight_upper = count.held == c.upper;
-        witness.extend(if tight_upper {
-            held_witness
-        } else {
-            out_witness
-        });
+        witness.extend_from_slice(if tight_upper { held } else { out });
         witness.sort_unstable();
         witness.dedup();
         let mut shared: Option<u32> = None;
-        for ei in forcible {
+        for &ei in forcible.iter() {
             let a = c.elements[(ei - first_elem) as usize].atom;
             // An atom counted in two elements is forced once.
             if self.cdcl.val[a.index()] != Val::Unknown {
                 continue;
             }
-            let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(&witness));
+            let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(witness));
             if tight_upper {
                 if self.proof.is_some() {
                     let mut extra = self.cdcl.guard(ei).to_vec();
                     extra.push(code(a.0, Val::True));
-                    self.log_card(ci, &witness, &extra);
+                    self.log_card(ci, witness, &extra);
                 }
                 self.cd_assign(a.0, Val::False, Reason::Guarded(w, ei));
             } else {
-                self.log_card(ci, &witness, &[code(a.0, Val::False)]);
+                self.log_card(ci, witness, &[code(a.0, Val::False)]);
                 self.cd_assign(a.0, Val::True, Reason::Ante(w));
             }
         }
@@ -1552,15 +1860,16 @@ impl Solver<'_> {
         });
     }
 
-    /// The assumption and decision literals of the current state as codes —
-    /// the sound (if coarse) antecedent for unfounded-set inferences.
-    fn prefix_codes(&self) -> Vec<u32> {
-        let mut out: Vec<u32> = self.assumptions.iter().map(|&(a, v)| code(a, v)).collect();
-        for l in 0..self.cdcl.lim.len() {
-            let dvar = self.cdcl.trail[self.cdcl.lim[l]];
+    /// The assumption and decision literals of the current state as codes,
+    /// into `out` — the sound (if coarse) antecedent for unfounded-set
+    /// inferences.
+    fn prefix_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.assumptions.iter().map(|&(a, v)| code(a, v)));
+        for &start in &self.cdcl.lim {
+            let dvar = self.cdcl.trail[start];
             out.push(code(dvar, self.cdcl.val[dvar as usize]));
         }
-        out
     }
 
     /// Unfounded-set backstop for non-tight programs: falsify every atom
@@ -1570,47 +1879,52 @@ impl Solver<'_> {
     /// the unfounded cone alone (see [`Cone::close`]); outside the cone
     /// only false atoms are outside the closure. The cone atoms are
     /// visited in ascending id order.
-    fn unfounded_backstop(&mut self) -> Option<Vec<u32>> {
+    fn unfounded_backstop(&mut self) -> Option<Conflict> {
         self.cone.close(&self.cdcl.val);
         debug_assert!(
             self.cone_closure_matches_program(),
             "the cone closure differs from the whole program's closure"
         );
-        // The prefix, and its witness once an atom is forced.
-        let mut prefix: Option<(Vec<u32>, Option<u32>)> = None;
+        // The prefix, once needed, and its witness once an atom is forced.
+        let mut prefix = std::mem::take(&mut self.cdcl.conflict);
+        let mut have_prefix = false;
+        let mut shared: Option<u32> = None;
+        let mut confl = None;
         for k in 0..self.cone.atoms.len() {
             if self.cone.closed[k] {
                 continue;
             }
             let i = self.cone.atoms[k];
-            match self.cdcl.val[i as usize] {
-                Val::True => {
-                    let mut ng = prefix.map_or_else(|| self.prefix_codes(), |(p, _)| p);
-                    ng.push(code(i, Val::True));
-                    if self.proof.is_some() {
-                        self.plog(ProofStep::Unfounded(ng.clone()));
-                    }
-                    return Some(ng);
-                }
-                Val::Unknown => {
-                    let (p, shared) = prefix.get_or_insert_with(|| (self.prefix_codes(), None));
-                    // As a nogood the inference carries the *satisfied*
-                    // form of its target — `(i, True)` is what no stable
-                    // model under this prefix can hold. The witness is the
-                    // prefix alone: conflict analysis skips the target's
-                    // own variable.
-                    if self.proof.is_some() {
-                        let mut ng = p.clone();
-                        ng.push(code(i, Val::True));
-                        self.plog(ProofStep::Unfounded(ng));
-                    }
-                    let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(p));
-                    self.cd_assign(i, Val::False, Reason::Ante(w));
-                }
-                Val::False => {}
+            let val = self.cdcl.val[i as usize];
+            if val == Val::False {
+                continue;
             }
+            if !have_prefix {
+                self.prefix_into(&mut prefix);
+                have_prefix = true;
+            }
+            if val == Val::True {
+                prefix.push(code(i, Val::True));
+                if self.proof.is_some() {
+                    self.plog(ProofStep::Unfounded(prefix.clone()));
+                }
+                confl = Some(Conflict::Lits);
+                break;
+            }
+            // As a nogood the inference carries the *satisfied* form of
+            // its target — `(i, True)` is what no stable model under this
+            // prefix can hold. The witness is the prefix alone: conflict
+            // analysis skips the target's own variable.
+            if self.proof.is_some() {
+                let mut ng = prefix.clone();
+                ng.push(code(i, Val::True));
+                self.plog(ProofStep::Unfounded(ng));
+            }
+            let w = *shared.get_or_insert_with(|| self.cdcl.push_witness(&prefix));
+            self.cd_assign(i, Val::False, Reason::Ante(w));
         }
-        None
+        self.cdcl.conflict = prefix;
+        confl
     }
 
     /// The closure over the whole program, by naive fixpoint iteration
@@ -1662,8 +1976,9 @@ impl Solver<'_> {
         self.cdcl.flips += usize::from(flip);
     }
 
-    /// Undo every assignment above decision level `to`, saving phases and
-    /// dropping the witnesses of the undone levels.
+    /// Undo every assignment above decision level `to`, saving phases,
+    /// putting the atoms back into the branching heap and dropping the
+    /// witnesses of the undone levels.
     fn backjump(&mut self, to: usize) {
         let cd = &mut self.cdcl;
         let keep = if to == 0 && cd.lim.is_empty() {
@@ -1675,6 +1990,8 @@ impl Solver<'_> {
             let v = cd.trail.pop().expect("trail len checked") as usize;
             if v < cd.n_atoms {
                 cd.card_update(v as u32, cd.val[v], false);
+                cd.branch.insert(v as u32);
+                cd.assigned_atoms -= 1;
             }
             cd.saved[v] = cd.val[v];
             cd.val[v] = Val::Unknown;
@@ -1725,154 +2042,39 @@ impl Solver<'_> {
     /// is assigned (body variables follow by propagation, but sweep them
     /// too so the assignment is total).
     fn pick_branch(&mut self) -> Option<u32> {
-        let cd = &self.cdcl;
-        let mut best: Option<u32> = None;
-        for a in 0..cd.n_atoms as u32 {
-            if cd.val[a as usize] != Val::Unknown {
-                continue;
+        let cd = &mut self.cdcl;
+        let n_atoms = cd.n_atoms as u32;
+        let mut picked = None;
+        // Once every atom is assigned the heap holds only assigned ones:
+        // draining it would sort them all for nothing.
+        if cd.assigned_atoms < cd.n_atoms {
+            if !cd.branch.is_built() {
+                let val = &cd.val;
+                cd.branch
+                    .build((0..n_atoms).filter(|&a| val[a as usize] == Val::Unknown));
             }
-            match best {
-                None => best = Some(a),
-                Some(b) => {
-                    let better = cd.activity[a as usize] > cd.activity[b as usize]
-                        || (cd.activity[a as usize] == cd.activity[b as usize]
-                            && cd.is_choice[a as usize]
-                            && !cd.is_choice[b as usize]);
-                    if better {
-                        best = Some(a);
-                    }
+            // Every unassigned atom is in the heap, so this stops at one.
+            while let Some(a) = cd.branch.pop() {
+                if cd.val[a as usize] == Val::Unknown {
+                    picked = Some(a);
+                    break;
                 }
             }
         }
-        if best.is_some() {
-            return best;
+        debug_assert_eq!(
+            picked,
+            cd.branch
+                .scan((0..n_atoms).filter(|&a| cd.val[a as usize] == Val::Unknown)),
+            "the branching heap disagrees with the linear scan"
+        );
+        if picked.is_some() {
+            return picked;
         }
         // All atoms assigned; assign any straggler body variable (possible
         // when its rule bodies were never touched by propagation).
         (cd.n_atoms..cd.n_vars)
             .map(|v| v as u32)
             .find(|&v| cd.val[v as usize] == Val::Unknown)
-    }
-
-    /// 1UIP conflict analysis. Returns the learned nogood's literal codes
-    /// (UIP first), the backjump level, and the LBD.
-    fn analyze(&mut self, confl: &[u32]) -> (Vec<u32>, usize, u32) {
-        let d = self.cdcl.lim.len() as u32;
-        debug_assert!(d > 0, "analyze called at level 0");
-        let mut learned: Vec<u32> = Vec::new();
-        let mut to_clear: Vec<u32> = Vec::new();
-        let mut counter = 0usize;
-
-        let classify = |solver: &mut Self,
-                        c: u32,
-                        learned: &mut Vec<u32>,
-                        to_clear: &mut Vec<u32>,
-                        counter: &mut usize| {
-            let var = code_var(c);
-            if solver.cdcl.seen[var as usize] {
-                return;
-            }
-            let lvl = solver.cdcl.level[var as usize];
-            if lvl == 0 {
-                // Level-0 literals are globally sound unless they depend on
-                // the current call's assumptions, in which case the
-                // assumption literal itself must stay in the nogood.
-                if solver.cdcl.dep[var as usize] {
-                    solver.cdcl.seen[var as usize] = true;
-                    to_clear.push(var);
-                    learned.push(c);
-                }
-                return;
-            }
-            solver.cdcl.seen[var as usize] = true;
-            to_clear.push(var);
-            if lvl == d {
-                *counter += 1;
-            } else {
-                learned.push(c);
-            }
-        };
-
-        for &c in confl {
-            classify(self, c, &mut learned, &mut to_clear, &mut counter);
-        }
-
-        // Walk the trail backwards, resolving current-level literals
-        // through their reasons until one remains: the 1UIP.
-        let mut idx = self.cdcl.trail.len();
-        let uip = loop {
-            debug_assert!(counter >= 1, "conflict must involve current level");
-            idx -= 1;
-            let x = self.cdcl.trail[idx];
-            if !self.cdcl.seen[x as usize] {
-                continue;
-            }
-            if counter == 1 {
-                break x;
-            }
-            self.cdcl.seen[x as usize] = false;
-            counter -= 1;
-            let reason = self.cdcl.reason[x as usize];
-            let mut ante = std::mem::take(&mut self.cdcl.explain_buf);
-            ante.clear();
-            match reason {
-                Reason::Nogood(ni) => {
-                    let ng = &mut self.cdcl.ngs[ni as usize];
-                    ng.activity += 1.0;
-                    ante.extend_from_slice(&ng.lits);
-                }
-                Reason::Ante(_) | Reason::Guarded(..) => self.cdcl.explain_into(reason, &mut ante),
-                Reason::Decision | Reason::Static | Reason::Assumption => {
-                    unreachable!("current-level non-UIP literal must have an antecedent")
-                }
-            }
-            for &c in &ante {
-                if code_var(c) != x {
-                    classify(self, c, &mut learned, &mut to_clear, &mut counter);
-                }
-            }
-            self.cdcl.explain_buf = ante;
-        };
-
-        // EVSIDS bumps: every variable that participated in the analysis.
-        // Suppressed while enumerating — movement is chronological there,
-        // so the branching heuristic is frozen anyway, and the per-conflict
-        // decay (plus its periodic full-array rescale) is pure churn.
-        if !self.in_flip_mode() {
-            for &v in &to_clear {
-                self.cdcl.activity[v as usize] += self.cdcl.var_inc;
-            }
-            self.cdcl.var_inc /= 0.95;
-            if self.cdcl.var_inc > 1e100 {
-                for a in &mut self.cdcl.activity {
-                    *a *= 1e-100;
-                }
-                self.cdcl.var_inc *= 1e-100;
-            }
-        }
-        for v in to_clear {
-            self.cdcl.seen[v as usize] = false;
-        }
-
-        let uip_code = code(uip, self.cdcl.val[uip as usize]);
-        let bl = learned
-            .iter()
-            .map(|&c| self.cdcl.level[code_var(c) as usize] as usize)
-            .max()
-            .unwrap_or(0);
-        let mut lbd_levels: Vec<u32> = learned
-            .iter()
-            .map(|&c| self.cdcl.level[code_var(c) as usize])
-            .collect();
-        lbd_levels.push(d);
-        lbd_levels.sort_unstable();
-        lbd_levels.dedup();
-        let lbd = lbd_levels.len() as u32;
-
-        let mut lits = Vec::with_capacity(1 + learned.len());
-        lits.push(uip_code);
-        lits.extend(learned);
-        (lits, bl, lbd)
     }
 
     /// Whether any decision level is a flip (enumeration mode: restarts off,
@@ -1887,7 +2089,7 @@ impl Solver<'_> {
 
     /// Handle a conflict: learn, backjump (or flip in enumeration mode),
     /// maybe restart. `Ok(false)` means the search space is exhausted.
-    fn handle_conflict(&mut self, confl: &[u32], opts: &SolveOptions) -> Result<bool, AspError> {
+    fn handle_conflict(&mut self, confl: Conflict, opts: &SolveOptions) -> Result<bool, AspError> {
         self.conflict_count += 1;
         self.lifetime_conflicts += 1;
         self.check_budget(opts)?;
@@ -1895,25 +2097,24 @@ impl Solver<'_> {
             // Conflict with no decisions: refuted under the assumptions
             // alone (or outright). Learn the assumption nogood so later
             // calls refute it by propagation.
-            if !self.assumptions.is_empty() {
-                let lits: Vec<u32> = self.assumptions.iter().map(|&(a, v)| code(a, v)).collect();
-                self.learn_stored(lits, 1);
-            }
+            self.learn_assumptions();
             return Ok(false);
         }
-        if self.in_flip_mode() {
+        let flipping = self.in_flip_mode();
+        let (bl, lbd) = self.cdcl.analyze(confl, flipping);
+        let mut lits = std::mem::take(&mut self.cdcl.an.learnt);
+        if flipping {
             // Enumeration mode: learn the 1UIP nogood for pruning but move
             // chronologically — exhaustiveness relies on the flip trail.
             // Restarts (and with them learned-DB reduction) stay off, and
             // `analyze` skips activity bumps/decay: dropping pruning
             // nogoods or reshuffling the heuristic mid-enumeration costs
             // more than either is worth when movement is chronological.
-            let (lits, _bl, lbd) = self.analyze(confl);
             let alive = self.flip_deepest();
-            self.learn_stored(lits, lbd);
+            self.learn_stored(&mut lits, lbd);
+            self.cdcl.an.learnt = lits;
             return Ok(alive);
         }
-        let (lits, bl, lbd) = self.analyze(confl);
         self.backjump(bl);
         if lits.len() == 1 {
             let c = lits[0];
@@ -1931,7 +2132,6 @@ impl Solver<'_> {
             // literal (position 1): the standard asserting setup — every
             // other literal stays satisfied until the backjump level is
             // undone.
-            let mut lits = lits;
             let mut deepest = 1usize;
             for i in 2..lits.len() {
                 if self.cdcl.level[code_var(lits[i]) as usize]
@@ -1946,11 +2146,12 @@ impl Solver<'_> {
             // may exist): the assertion needs a resolvable reason, and a
             // rare duplicate in the database is sound.
             self.cdcl.learned_fps.insert(fingerprint(&lits));
-            let ni = self.add_learned_watched(lits, lbd, false);
+            let ni = self.add_learned_watched(&lits, lbd);
             if self.cdcl.val[code_var(uip) as usize] == Val::Unknown {
                 self.cd_assign(code_var(uip), negate(code_val(uip)), Reason::Nogood(ni));
             }
         }
+        self.cdcl.an.learnt = lits;
         self.cdcl.conflicts_since_restart += 1;
         if self.cdcl.conflicts_since_restart >= luby(self.cdcl.restart_seq) * self.restart_interval
         {
@@ -1968,84 +2169,77 @@ impl Solver<'_> {
     /// active half of the rest. Replaces the former flat 4096-entry cap.
     fn maybe_reduce_db(&mut self) {
         debug_assert!(self.cdcl.lim.is_empty());
-        let learned = self.cdcl.ngs.len() - self.cdcl.first_learned;
+        let first = self.cdcl.first_learned;
+        let learned = self.cdcl.ngs.len() - first;
         let threshold = 4000 + 2000 * self.cdcl.reduce_count as usize;
         if learned <= threshold {
             return;
         }
-        let first = self.cdcl.first_learned;
-        let mut locked = vec![false; self.cdcl.ngs.len()];
+        // Learned nogoods by their position `k` after `first`.
+        let learned_pos = |r: Reason| match r {
+            Reason::Nogood(ni) => (ni as usize).checked_sub(first),
+            _ => None,
+        };
+        let mut locked = vec![false; learned];
         for &v in &self.cdcl.trail {
-            if let Reason::Nogood(ni) = self.cdcl.reason[v as usize] {
-                locked[ni as usize] = true;
+            if let Some(k) = learned_pos(self.cdcl.reason[v as usize]) {
+                locked[k] = true;
             }
         }
         // Rank the unlocked, high-LBD candidates; drop the worse half.
-        let mut candidates: Vec<u32> = (first..self.cdcl.ngs.len())
-            .map(|i| i as u32)
-            .filter(|&i| !locked[i as usize] && self.cdcl.ngs[i as usize].lbd > 3)
-            .collect();
+        let (lbd, activity) = (&self.cdcl.lbd, &self.cdcl.ng_activity);
+        let mut candidates: Vec<usize> =
+            (0..learned).filter(|&k| !locked[k] && lbd[k] > 3).collect();
         candidates.sort_by(|&a, &b| {
-            let (na, nb) = (&self.cdcl.ngs[a as usize], &self.cdcl.ngs[b as usize]);
-            na.lbd.cmp(&nb.lbd).then(
-                nb.activity
-                    .partial_cmp(&na.activity)
+            lbd[a].cmp(&lbd[b]).then(
+                activity[b]
+                    .partial_cmp(&activity[a])
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let drop_from = candidates.len() / 2;
-        let dropped: HashSet<u32> = candidates[drop_from..].iter().copied().collect();
-        if dropped.is_empty() {
+        if drop_from == candidates.len() {
             return;
         }
+        let mut dropped = vec![false; learned];
+        for &k in &candidates[drop_from..] {
+            dropped[k] = true;
+        }
+        // Deletions are logged in store order, so the certificate text
+        // is the same from run to run.
         if self.proof.is_some() {
-            let dels: Vec<Vec<u32>> = dropped
-                .iter()
-                .map(|&i| self.cdcl.ngs[i as usize].lits.clone())
-                .collect();
-            for d in dels {
-                self.plog(ProofStep::Delete(d));
+            for k in (0..learned).filter(|&k| dropped[k]) {
+                let lits = self.cdcl.ngs.lits(first + k).collect();
+                self.plog(ProofStep::Delete(lits));
             }
         }
-        // Compact the store, remapping reasons and rebuilding every watch
-        // list (statics keep their indices: they all precede `first`).
-        let mut remap: Vec<u32> = vec![u32::MAX; self.cdcl.ngs.len()];
-        let mut kept: Vec<Nogood> = Vec::with_capacity(self.cdcl.ngs.len() - dropped.len());
-        for (i, ng) in self.cdcl.ngs.drain(..).enumerate() {
-            if dropped.contains(&(i as u32)) {
-                continue;
-            }
-            remap[i] = kept.len() as u32;
-            kept.push(ng);
+        // Compact the store and its metadata, remap reasons (statics keep
+        // their indices: they all precede `first`) and rebuild every
+        // watch list.
+        let cd = &mut self.cdcl;
+        let mut remap: Vec<u32> = Vec::with_capacity(learned);
+        let mut next = first as u32;
+        for &d in &dropped {
+            remap.push(if d { u32::MAX } else { next });
+            next += u32::from(!d);
         }
-        self.cdcl.ngs = kept;
-        for r in &mut self.cdcl.reason {
-            if let Reason::Nogood(ni) = r {
-                let new = remap[*ni as usize];
-                debug_assert_ne!(new, u32::MAX, "locked nogood dropped");
-                *ni = new;
+        for r in &mut cd.reason {
+            if let Some(k) = learned_pos(*r) {
+                debug_assert_ne!(remap[k], u32::MAX, "locked nogood dropped");
+                *r = Reason::Nogood(remap[k]);
             }
         }
-        for w in &mut self.cdcl.watches {
-            w.clear();
+        cd.ngs.compact(first, &dropped);
+        let mut kept = 0;
+        for k in (0..learned).filter(|&k| !dropped[k]) {
+            cd.lbd[kept] = cd.lbd[k];
+            cd.ng_activity[kept] = cd.ng_activity[k];
+            kept += 1;
         }
-        for ni in 0..self.cdcl.ngs.len() {
-            let mut lits = std::mem::take(&mut self.cdcl.ngs[ni].lits);
-            if ni >= self.cdcl.first_learned {
-                self.choose_watches(&mut lits);
-            }
-            self.cdcl.watches[lits[0] as usize].push(ni as u32);
-            self.cdcl.watches[lits[1] as usize].push(ni as u32);
-            self.cdcl.ngs[ni].lits = lits;
-        }
-        self.cdcl.reduce_count += 1;
-    }
-
-    /// A complete assignment failed the independent stability check: the
-    /// current prefix admits no stable model. Treat it as a conflict over
-    /// the prefix literals.
-    fn prefix_nogood(&self) -> Vec<u32> {
-        self.prefix_codes()
+        cd.lbd.truncate(kept);
+        cd.ng_activity.truncate(kept);
+        cd.rebuild_watches();
+        cd.reduce_count += 1;
     }
 
     /// The CDCL search loop: propagate, branch by EVSIDS with phase saving,
@@ -2063,7 +2257,7 @@ impl Solver<'_> {
     ) -> Result<bool, AspError> {
         loop {
             if let Some(confl) = self.cdcl_propagate() {
-                if !self.handle_conflict(&confl, opts)? {
+                if !self.handle_conflict(confl, opts)? {
                     return Ok(true);
                 }
                 continue;
@@ -2108,12 +2302,15 @@ impl Solver<'_> {
                         }
                     } else {
                         // Sound prefix refutation (assignment is a fixpoint
-                        // of sound propagation yet not stable).
-                        let confl = self.prefix_nogood();
+                        // of sound propagation yet not stable): a conflict
+                        // over the prefix literals.
+                        let mut prefix = std::mem::take(&mut self.cdcl.conflict);
+                        self.prefix_into(&mut prefix);
                         if self.proof.is_some() {
-                            self.plog(ProofStep::Stability(confl.clone()));
+                            self.plog(ProofStep::Stability(prefix.clone()));
                         }
-                        if !self.handle_conflict(&confl, opts)? {
+                        self.cdcl.conflict = prefix;
+                        if !self.handle_conflict(Conflict::Lits, opts)? {
                             return Ok(true);
                         }
                     }
@@ -2140,8 +2337,8 @@ impl Solver<'_> {
         if cd.root_unsat {
             log.push(ProofStep::Axiom(Vec::new()));
         }
-        for ng in &cd.ngs {
-            log.push(ProofStep::Axiom(ng.lits.clone()));
+        for ni in 0..cd.ngs.len() {
+            log.push(ProofStep::Axiom(cd.ngs.lits(ni).collect()));
         }
         for &(var, v) in &cd.units {
             log.push(ProofStep::Axiom(vec![code(var, negate(v))]));
@@ -2179,33 +2376,38 @@ impl Solver<'_> {
         if self.proof.is_none() {
             return;
         }
-        let dels: Vec<Vec<u32>> = self.cdcl.ngs[self.cdcl.first_learned..]
-            .iter()
-            .map(|ng| ng.lits.clone())
-            .chain(self.cdcl.learned_units.iter().map(|&c| vec![c]))
+        let cd = &self.cdcl;
+        let dels: Vec<Vec<u32>> = (cd.first_learned..cd.ngs.len())
+            .map(|ni| cd.ngs.lits(ni).collect())
+            .chain(cd.learned_units.iter().map(|&c| vec![c]))
             .collect();
         for d in dels {
             self.plog(ProofStep::Delete(d));
         }
     }
 
-    /// Test-only invariant: every stored nogood is watched exactly at its
-    /// first two literal positions.
+    /// Test-only invariant of the nogood store: the arena is tiled by the
+    /// nogoods' spans in store order, every learned nogood has its LBD and
+    /// activity, and every nogood is watched exactly at its pair.
     #[cfg(test)]
     pub(super) fn debug_check_watches(&self) -> bool {
         let cd = &self.cdcl;
-        let mut total = 0usize;
-        for (ni, ng) in cd.ngs.iter().enumerate() {
+        let ngs = &cd.ngs;
+        let tiled = ngs.rest_start.len() == ngs.len() + 1
+            && ngs.rest_start[0] == 0
+            && ngs.rest_start.windows(2).all(|w| w[0] <= w[1])
+            && ngs.rest_start[ngs.len()] as usize == ngs.rest.len();
+        let learned = ngs.len() - cd.first_learned;
+        if !tiled || cd.lbd.len() != learned || cd.ng_activity.len() != learned {
+            return false;
+        }
+        for (ni, [w0, w1]) in ngs.pair.iter().enumerate() {
             let ni = ni as u32;
-            if !cd.watches[ng.lits[0] as usize].contains(&ni)
-                || !cd.watches[ng.lits[1] as usize].contains(&ni)
-            {
+            if !cd.watches[*w0 as usize].contains(&ni) || !cd.watches[*w1 as usize].contains(&ni) {
                 return false;
             }
         }
-        for w in &cd.watches {
-            total += w.len();
-        }
-        total == 2 * cd.ngs.len()
+        let total: usize = cd.watches.iter().map(Vec::len).sum();
+        total == 2 * ngs.len()
     }
 }

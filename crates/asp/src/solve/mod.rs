@@ -17,6 +17,7 @@
 //! reported, so the engine's soundness rests on the textbook definition
 //! rather than on the propagation code.
 
+mod branch;
 mod cdcl;
 
 pub use cdcl::LearnedState;

@@ -420,6 +420,27 @@ fn watches_stay_consistent_after_backjumping() {
 }
 
 #[test]
+fn the_nogood_store_stays_consistent_across_a_database_reduction() {
+    // Pigeonhole, 8 into 7: UNSAT with thousands of conflicts, enough for
+    // the learned database to pass its first reduction threshold, which
+    // compacts the store and rebuilds every watch list.
+    let src = "p(1..8). h(1..7). 1 { in(P, H) : h(H) } 1 :- p(P). \
+               :- in(P1, H), in(P2, H), p(P1), p(P2), P1 < P2.";
+    let g = Grounder::new().ground(&parse(src).unwrap()).unwrap();
+    let mut s = Solver::new(&g);
+    let r = s.enumerate(&SolveOptions::default()).unwrap();
+    assert!(r.models.is_empty() && r.exhausted);
+    assert!(s.cdcl.reduce_count > 0, "the database was reduced");
+    assert!(s.debug_check_watches(), "store and watches agree");
+    // The compacted store answers the next call: the refutation now
+    // takes fewer conflicts, and the store stays consistent.
+    let again = s.enumerate(&SolveOptions::default()).unwrap();
+    assert!(again.models.is_empty() && again.exhausted);
+    assert!(again.conflicts < r.conflicts);
+    assert!(s.debug_check_watches());
+}
+
+#[test]
 fn restarts_fire_under_a_tight_interval() {
     // UNSAT pigeonhole-style core: conflicts pile up before the (absent)
     // first model, so a 1-conflict Luby interval must restart.

@@ -743,18 +743,56 @@ mod tests {
         let n = 33;
         let program = adversarial_problem(n, adversarial_needed(n) - 1);
         let ground = cpsrisk_asp::Grounder::new().ground(&program).unwrap();
-        let mut solver = Solver::new(&ground);
-        let certified = solver
-            .enumerate(&cpsrisk_asp::SolveOptions {
-                certify: true,
-                ..cpsrisk_asp::SolveOptions::default()
-            })
+        // The search itself is pinned: a change to the engine's data
+        // layout must make the same decisions, propagations and learned
+        // nogoods, so these counters move only with a change of algorithm.
+        let mut plain = Solver::new(&ground);
+        let result = plain
+            .enumerate(&cpsrisk_asp::SolveOptions::default())
             .unwrap();
-        assert!(
-            certified.models.is_empty() && certified.exhausted,
-            "UNSAT one below the covering number"
+        assert_eq!(
+            (
+                result.decisions,
+                result.conflicts,
+                plain.propagations(),
+                plain.restarts(),
+                plain.learned_nogoods()
+            ),
+            (12_435, 10_390, 637_838, 44, 5_269),
+            "decisions, conflicts, propagations, restarts, retained learned nogoods"
         );
-        let proof = solver.take_proof().expect("certified call logs a proof");
+        // Two certified runs write the same text: the search shrinks its
+        // learned database several times, and the deletions it logs must
+        // not depend on the process.
+        let certify = || {
+            let mut solver = Solver::new(&ground);
+            let certified = solver
+                .enumerate(&cpsrisk_asp::SolveOptions {
+                    certify: true,
+                    ..cpsrisk_asp::SolveOptions::default()
+                })
+                .unwrap();
+            assert!(
+                certified.models.is_empty() && certified.exhausted,
+                "UNSAT one below the covering number"
+            );
+            assert_eq!(
+                (certified.decisions, certified.conflicts),
+                (result.decisions, result.conflicts),
+                "logging a proof does not change the search"
+            );
+            solver.take_proof().expect("certified call logs a proof")
+        };
+        let proof = certify();
+        let text = proof.to_text(None, usize::MAX).unwrap();
+        assert!(
+            text.lines().any(|l| l.starts_with("del ")),
+            "the database shrank"
+        );
+        assert!(
+            text == certify().to_text(None, usize::MAX).unwrap(),
+            "two certified runs differ"
+        );
         let report = cpsrisk_asp::check_proof(&ground, &proof).expect("certificate checks");
         assert_eq!(report.unsats, 1, "the refutation is audited");
     }
