@@ -52,8 +52,9 @@ cargo test -q
 # on its own (proof replay, model audits, corrupted-proof rejection).
 cargo test -q -p cpsrisk-asp check
 # Catalog-scale equality of the static outcome path (every scenario of the
-# first sweep benchmark plant, region-restricted conditional WFM against
-# the from-scratch oracle), the pinned certified margin stream of that
+# first sweep benchmark plant and of the seed-1 plant, composed from
+# one-fault footprints or recomputed over the region, against the
+# from-scratch oracle), the pinned certified margin stream of the first
 # plant, and the certified refutation of the `solve` benchmark's
 # adversarial file (n=33): its search counters (decisions, conflicts,
 # propagations, restarts, retained learned nogoods) are pinned, two
@@ -63,7 +64,10 @@ cargo test -q -p cpsrisk-asp check
 cargo test --release -q -p cpsrisk-epa -- --ignored
 # Release depth of the CDCL differential suite: 20,000 card-heavy programs
 # against the oracle, deep enough to reach a conflict explained through a
-# cardinality element's guard.
+# cardinality element's guard; and of the well-founded differentials: the
+# reused workspace against the from-scratch oracle, and the composition
+# differential (every composable root pair and triple of 20,000 programs
+# against the resident model).
 cargo test --release -q -p cpsrisk-asp -- --ignored
 cargo clippy --all-targets -- -D warnings
 cargo fmt --check

@@ -39,5 +39,6 @@ pub use simplify::{simplify, simplify_with, SimplifyResult};
 pub use size::{predict_sizes, PredBound, RuleEstimate, SizePrediction, EXPLOSION_THRESHOLD};
 pub use slice::{slice_program, Slice};
 pub use wfm::{
-    well_founded, well_founded_with, ConditionalWfm, RegionModel, Truth, WfmResult, WfmWorkspace,
+    well_founded, well_founded_with, ConditionalWfm, Footprint, RegionModel, Truth, WfmResult,
+    WfmWorkspace,
 };

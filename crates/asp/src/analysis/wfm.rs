@@ -67,6 +67,80 @@
 //! rules that define the region and nothing in proportion to the program.
 //! [`under`](ConditionalWfm::under) takes any assumption set and runs the
 //! same query on a fresh workspace.
+//!
+//! # Composing queries from their footprints
+//!
+//! A query whose change set is the union of other queries' change sets
+//! can often be answered from those queries' models without a fixpoint.
+//! [`ConditionalWfm::footprint`] keeps what the rule below reads of one
+//! query's model, and [`Footprint::composes_with`] decides it for a pair.
+//! A query qualifies when it is *statically decided* (its model is total
+//! and consistent) and *upward* (every literal of its change set is
+//! positive, so each root goes from false or free to true). For such a
+//! query `a`, let `C_a` be its region, `T_a` its true atoms, and `N_a`
+//! the atoms of `T_a` that the base model does not hold true. The query is
+//! *monotone* when no rule that defines an atom reads an atom of `C_a`
+//! negatively: that is the one-round exit above. Its *joins* `J_a` are
+//! the rules, integrity constraints and cardinality constraints that read
+//! an atom of `N_a` positively but do not fire under `a` (some positive
+//! body atom is outside `T_a`); every cardinality constraint that reads an
+//! atom of `N_a` anywhere counts as a join.
+//!
+//! A set of qualifying queries composes when every pair `a`, `b` of it
+//! satisfies one of:
+//!
+//! * **(i)** both are monotone and `J_a ∩ J_b = ∅`. The model of the union
+//!   is then the base model with `N_a ∪ N_b` set true.
+//! * **(ii)** neither is monotone, `C_a ∩ C_b = ∅`, and no integrity or
+//!   cardinality constraint reads atoms of both regions. Each region then
+//!   keeps the values of its own query, and the rest the base's.
+//!
+//! A monotone and a non-monotone query do not compose: only non-monotone
+//! footprints keep their region. In both cases the union is total and
+//! consistent, and the model outside the changed atoms is the base model.
+//!
+//! *Why (i) is exact.* Let `U = T_a ∪ T_b`, and `T_ab`, `P_ab` the certain
+//! and possible sets of the union. A rule that defines an atom of
+//! `C_a ∪ C_b` and reads `x ∈ C_b` negatively defines an atom of `C_b`,
+//! since regions are forward closed, so it would make `b` non-monotone.
+//! Hence the union's region takes the one-round exit too, and its rules
+//! read negatively only atoms outside it, at their base values. Both half
+//! steps are then least models of positive programs, monotone in the pins;
+//! the union's pins lie above each query's, which lie above the base's, so
+//! `T_base ⊆ T_a ⊆ T_ab` and likewise for `b`: `U ⊆ T_ab`. For the
+//! converse, `U` is closed under the union's underestimate step. Its
+//! assumed-true atoms are assumed true by the base, `a` or `b`. Take a
+//! rule with head `h` and positive body in `U` whose negative body is
+//! outside the base's possible set. If its positive body lies in `T_a`,
+//! then `h ∈ T_a` (when `h ∈ C_a`, from `a`'s fixpoint; otherwise its body
+//! lies outside `C_a`, where `T_a` is the base's, and the base fires it).
+//! The same holds for `T_b`. Otherwise it reads an atom of `T_b \ T_a ⊆
+//! N_b` and one of `T_a \ T_b ⊆ N_a` and fires under neither: it is in
+//! `J_a ∩ J_b`. So `T_ab = U`. The overestimate takes the same argument
+//! with choice heads firing and assumed-false heads blocked (an atom the
+//! union unblocks is a root, true in `T_a` or `T_b`); since `a` and `b`
+//! are total, `P_a = T_a` and `P_b = T_b`, so `P_ab = U` and the union is
+//! total. An assumed-false atom of `U` lies in `T_a` or `T_b`, where it is
+//! assumed false as well, so one of them would be inconsistent. An
+//! integrity constraint certainly satisfied by `U` has its positive body
+//! in `U` and its negative body outside it: if the positive body lay in
+//! `T_a`, `a` would violate it; so, as for rules, it is a shared join. A
+//! cardinality constraint that reads no atom of `N_b` sees in `U` exactly
+//! what it sees in `T_a`, where it holds; one that reads atoms of both is a
+//! shared join. Both change sets are positive, so the union pins no atom
+//! both ways, and a contradictory pair of the base is overridden by `a`
+//! already. For `k` queries the same argument holds with `U` the union
+//! of all `T_i`: a rule with positive body in `U` but in no `T_i` reads an
+//! atom of some `N_i`, so it is in `J_i`, and some atom of its body outside
+//! `T_i`, which lies in some `N_j`, so it is in `J_j` too.
+//!
+//! *Why (ii) is exact.* A rule that defines an atom of `C_a` and reads an
+//! atom of `C_b` would put its head in `C_b`, so the union's fixpoint
+//! splits into the two regions' fixpoints, each reading only base values
+//! outside itself: this is the relevance argument again. A constraint
+//! reads atoms of at most one region, so its verdict is that region's
+//! query's, or the base's; pins and assumed-false atoms split the same
+//! way.
 
 use std::borrow::Borrow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -688,6 +762,73 @@ impl RegionModel<'_> {
     }
 }
 
+/// What composing one query with others reads of its model (see the
+/// [module docs](self)): whether it is monotone and, if so, its joins, or
+/// else its region and the constraints that read it. Made by
+/// [`ConditionalWfm::footprint`].
+#[derive(Debug, Clone)]
+pub struct Footprint {
+    /// The [`ConditionalWfm`] of the query.
+    owner: u64,
+    /// No rule that defines an atom reads a region atom negatively.
+    monotone: bool,
+    /// Monotone only: the joins, sorted. A rule or integrity constraint is
+    /// named by its index, a cardinality constraint by its index after
+    /// the rules.
+    joins: Box<[u32]>,
+    /// Non-monotone only: the region, sorted, and the integrity and
+    /// cardinality constraints that read one of its atoms, sorted and
+    /// named as in `joins`.
+    region: Box<[u32]>,
+    checks: Box<[u32]>,
+}
+
+/// Two sorted lists share no item.
+fn disjoint(a: &[u32], b: &[u32]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(x), Some(y)) = (a.get(i), b.get(j)) {
+        match x.cmp(y) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
+}
+
+/// The items, sorted and each once.
+fn sorted(mut items: Vec<u32>) -> Box<[u32]> {
+    items.sort_unstable();
+    items.dedup();
+    items.into_boxed_slice()
+}
+
+impl Footprint {
+    /// Do the two queries compose, by condition (i) or (ii) of the
+    /// [module docs](self)? A set of queries composes when every pair of
+    /// it does: the model under the union of their change sets is then the
+    /// base model with each query's changed atoms set to their value in
+    /// its own model, and it is total and consistent.
+    ///
+    /// # Panics
+    ///
+    /// If the footprints come from different models.
+    #[must_use]
+    pub fn composes_with(&self, other: &Footprint) -> bool {
+        assert_eq!(
+            self.owner, other.owner,
+            "footprints of different models do not compose"
+        );
+        match (self.monotone, other.monotone) {
+            (true, true) => disjoint(&self.joins, &other.joins),
+            (false, false) => {
+                disjoint(&self.region, &other.region) && disjoint(&self.checks, &other.checks)
+            }
+            _ => false,
+        }
+    }
+}
+
 impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
     /// Index `program` and solve it under the `base` assumptions.
     #[must_use]
@@ -812,6 +953,69 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
     /// If `ws` was made by another model.
     pub fn under_changes<'w>(&self, ws: &'w mut WfmWorkspace, changes: &[Lit]) -> RegionModel<'w> {
         self.query(ws, changes, false)
+    }
+
+    /// The footprint of the query whose model `model` is, for
+    /// [`Footprint::composes_with`]; `None` unless the model is total and
+    /// consistent and the query pins every atom it names true. It is read
+    /// off the model's region and the resident indexes, at the cost of the
+    /// rules and constraints that read the region.
+    ///
+    /// # Panics
+    ///
+    /// If `model` was computed by another model.
+    #[must_use]
+    pub fn footprint(&self, model: RegionModel<'_>) -> Option<Footprint> {
+        let ws = model.ws;
+        assert_eq!(
+            ws.owner, self.id,
+            "a workspace serves only the model that made it"
+        );
+        let upward = ws.pinned.iter().all(|&a| ws.pins[a as usize] == Pin::True);
+        if model.inconsistent() || !model.total() || !upward {
+            return None;
+        }
+        let g: &GroundProgram = self.program.borrow();
+        let certain = &ws.kernel.certain;
+        let n_rules = g.rules.len() as u32;
+        let monotone = !ws.region.iter().any(|&a| self.read_negatively[a as usize]);
+        if !monotone {
+            let checks = (ws.region.iter()).flat_map(|&a| {
+                let cards = self.cards.get(a as usize).iter().map(|&ci| n_rules + ci);
+                self.constraints
+                    .get(a as usize)
+                    .iter()
+                    .copied()
+                    .chain(cards)
+            });
+            return Some(Footprint {
+                owner: self.id,
+                monotone,
+                joins: Box::default(),
+                region: sorted(ws.region.clone()),
+                checks: sorted(checks.collect()),
+            });
+        }
+        let fires = |ri: u32| (g.rules[ri as usize].pos.iter()).all(|p| certain[p.index()]);
+        let mut joins = Vec::new();
+        for &a in ws
+            .region
+            .iter()
+            .filter(|&&a| certain[a as usize] && !self.certain[a as usize])
+        {
+            let reads = |ri: &&u32| g.rules[**ri as usize].pos.contains(&AtomId(a));
+            let rules = self.occ.get(a as usize).iter();
+            let constraints = self.constraints.get(a as usize).iter().filter(reads);
+            joins.extend(rules.chain(constraints).filter(|&&ri| !fires(ri)));
+            joins.extend(self.cards.get(a as usize).iter().map(|&ci| n_rules + ci));
+        }
+        Some(Footprint {
+            owner: self.id,
+            monotone,
+            joins: sorted(joins),
+            region: Box::default(),
+            checks: Box::default(),
+        })
     }
 
     /// Run one query in `ws`: the base pins, with every atom the base
@@ -1181,6 +1385,142 @@ mod tests {
         assert_eq!(value(&[Lit::pos(a)], "c"), Truth::True);
         assert_eq!(value(&[Lit::neg(a)], "c"), Truth::False);
         assert_eq!(value(&[], "c"), Truth::Undefined, "the base leaves a open");
+    }
+
+    /// The footprints of one-root queries under `base`, one per root of
+    /// `roots`, each switching its root on, and whether they compose. When
+    /// they do, the base model with each root's changed atoms applied must
+    /// be the model `under` gives for all the roots together.
+    fn composes(g: &GroundProgram, base: &[Lit], roots: &[&str]) -> bool {
+        let id = |name: &str| g.atoms().find(|(_, x)| x.to_string() == name).unwrap().0;
+        let roots: Vec<Lit> = roots.iter().map(|r| Lit::pos(id(r))).collect();
+        let cond = ConditionalWfm::new(g, base);
+        let mut ws = cond.workspace();
+        let mut composed = cond.base().truth.clone();
+        let mut footprints = Vec::new();
+        for &root in &roots {
+            let model = cond.under_changes(&mut ws, &[root]);
+            for a in model
+                .region()
+                .filter(|&a| model.value(a) != cond.base().value(a))
+            {
+                composed[a.index()] = model.value(a);
+            }
+            footprints.push(cond.footprint(model).expect("each root is decided alone"));
+        }
+        let pairs = (0..footprints.len())
+            .flat_map(|i| (i + 1..footprints.len()).map(move |j| (i, j)))
+            .collect::<Vec<_>>();
+        let composes = (pairs.iter()).all(|&(i, j)| footprints[i].composes_with(&footprints[j]));
+        if composes {
+            let mut all: Vec<Lit> = (base.iter())
+                .filter(|l| roots.iter().all(|r| r.atom != l.atom))
+                .copied()
+                .collect();
+            all.extend_from_slice(&roots);
+            let want = cond.under(&all);
+            assert!(want.total() && !want.inconsistent, "roots {roots:?}");
+            assert_eq!(composed, want.truth, "roots {roots:?}");
+        }
+        composes
+    }
+
+    /// The base of the composition tests: every choice atom false.
+    fn all_off(g: &GroundProgram) -> Vec<Lit> {
+        (g.rules.iter())
+            .filter_map(|r| match r.head {
+                GroundHead::Choice(h) => Some(Lit::neg(h)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cones_that_meet_in_a_constraint_do_not_compose() {
+        let g = ground("{ a }. { b }. x :- a. y :- b. :- x, y.");
+        let base = all_off(&g);
+        assert!(!composes(&g, &base, &["a", "b"]));
+        let id = |name: &str| g.atoms().find(|(_, x)| x.to_string() == name).unwrap().0;
+        let (a, b) = (id("a"), id("b"));
+        assert!(well_founded_with(&g, &[Lit::pos(a), Lit::pos(b)]).inconsistent);
+        let cond = ConditionalWfm::new(&g, &base);
+        assert!(cond.under(&[Lit::pos(a), Lit::pos(b)]).inconsistent);
+    }
+
+    #[test]
+    fn a_join_rule_refuses_the_union() {
+        // Neither root alone derives `h`; together they do, so the union
+        // of their changes would miss it.
+        let g = ground("{ a }. { b }. x :- a. y :- b. h :- x, y.");
+        let base = all_off(&g);
+        assert!(!composes(&g, &base, &["a", "b"]));
+        let h = g.atoms().find(|(_, x)| x.to_string() == "h").unwrap().0;
+        let cond = ConditionalWfm::new(&g, &base);
+        let both: Vec<Lit> = base.iter().map(|l| Lit::pos(l.atom)).collect();
+        assert!(cond.under(&both).is_true(h));
+    }
+
+    #[test]
+    fn cones_read_negatively_compose_only_when_disjoint() {
+        // Each root reaches its region through negation: condition (ii).
+        let g = ground(
+            "{ a }. { b }. { c }. { d }. \
+             p :- not a. x :- not p. q :- not b. y :- not q. \
+             r :- not c. z :- not r, x. :- y, w. w :- d. v :- d.",
+        );
+        let base = all_off(&g);
+        let cond = ConditionalWfm::new(&g, &base);
+        let mut ws = cond.workspace();
+        let a = g.atoms().find(|(_, x)| x.to_string() == "a").unwrap().0;
+        let model = cond.under_changes(&mut ws, &[Lit::pos(a)]);
+        assert!(!cond.footprint(model).unwrap().monotone);
+        assert!(composes(&g, &base, &["a", "b"]), "disjoint regions");
+        // `z` reads `x`, so the regions of `a` and `c` share it.
+        assert!(!composes(&g, &base, &["a", "c"]));
+        // `d` is monotone: its region keeps no atoms to compare.
+        assert!(!composes(&g, &base, &["b", "d"]));
+    }
+
+    #[test]
+    fn regions_that_meet_only_in_a_constraint_do_not_compose() {
+        // Two non-monotone regions, disjoint but for the constraint.
+        let g = ground("{ a }. { b }. p :- not a. x :- not p. q :- not b. y :- not q. :- x, y.");
+        let base = all_off(&g);
+        assert!(!composes(&g, &base, &["a", "b"]));
+        let both: Vec<Lit> = base.iter().map(|l| Lit::pos(l.atom)).collect();
+        assert!(ConditionalWfm::new(&g, &base).under(&both).inconsistent);
+    }
+
+    #[test]
+    fn overlapping_monotone_cones_without_a_join_compose() {
+        // `y` lies in the regions of `a`, `b` and `c`, `x` in those of `a`
+        // and `b`. `z :- a, x` reads `x` from `b` but fires under `a`: a
+        // join of `b` only.
+        let g = ground(
+            "{ a }. { b }. { c }. { e }. x :- a. x :- b. y :- x. w :- c. y :- w. \
+             z :- a, x. h :- z, e. f :- e.",
+        );
+        let base = all_off(&g);
+        assert!(composes(&g, &base, &["a", "b"]));
+        assert!(composes(&g, &base, &["a", "b", "c"]));
+        // `h :- z, e` joins `a` (through `z`) and `e`.
+        assert!(composes(&g, &base, &["b", "e"]));
+        assert!(!composes(&g, &base, &["a", "e"]));
+        assert!(!composes(&g, &base, &["a", "b", "e"]));
+    }
+
+    #[test]
+    fn undecided_or_downward_queries_have_no_footprint() {
+        let g = ground("{ a }. { b }. x :- a. p :- not q, b. q :- not p, b.");
+        let id = |name: &str| g.atoms().find(|(_, x)| x.to_string() == name).unwrap().0;
+        let cond = ConditionalWfm::new(&g, &[Lit::neg(id("b")), Lit::pos(id("a"))]);
+        let mut ws = cond.workspace();
+        let model = cond.under_changes(&mut ws, &[Lit::pos(id("b"))]);
+        assert!(!model.total());
+        assert!(cond.footprint(model).is_none(), "an even loop stays open");
+        let model = cond.under_changes(&mut ws, &[Lit::neg(id("a"))]);
+        assert!(model.total() && !model.inconsistent());
+        assert!(cond.footprint(model).is_none(), "a root switched off");
     }
 
     #[test]

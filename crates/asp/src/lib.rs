@@ -76,8 +76,8 @@ pub mod solve;
 
 pub use analysis::{
     analyze_dependencies, ground_tight, predict_sizes, simplify, simplify_with, slice_program,
-    unfounded_cone, well_founded, well_founded_with, ConditionalWfm, RegionModel, SimplifyResult,
-    WfmResult, WfmWorkspace,
+    unfounded_cone, well_founded, well_founded_with, ConditionalWfm, Footprint, RegionModel,
+    SimplifyResult, WfmResult, WfmWorkspace,
 };
 pub use ast::{Atom, ChoiceElement, Head, Literal, Program, Rule, Statement, Term};
 pub use builder::ProgramBuilder;

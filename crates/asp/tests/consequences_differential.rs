@@ -89,6 +89,44 @@ fn arb_bounded_program(n_atoms: usize) -> impl Strategy<Value = String> {
         .prop_map(|(program, bounded)| format!("{program}\n{}", bounded.join("\n")))
 }
 
+/// A program shaped like a propagation encoding: choices, and rules and
+/// constraints whose bodies are mostly positive, so that many one-root
+/// queries are decided and their regions overlap; plus bounded choices,
+/// which ground to cardinality constraints.
+fn arb_propagation_program(n_atoms: usize) -> impl Strategy<Value = String> {
+    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
+    let body = move |max: usize| {
+        prop::collection::vec((atom(), 0u8..4), 1..max).prop_map(|lits| {
+            lits.into_iter()
+                .map(|(a, neg)| if neg == 0 { format!("not {a}") } else { a })
+                .collect::<Vec<_>>()
+                .join(", ")
+        })
+    };
+    let rule = (0u8..10, atom(), body(4)).prop_map(|(kind, h, b)| match kind {
+        0..=5 => format!("{h} :- {b}."),
+        6 => format!(":- {h}, {b}."),
+        _ => format!("{{ {h} }}."),
+    });
+    // Upper bounds only: the base pins most choice atoms false, and a
+    // lower bound would refute it.
+    let element = move || {
+        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+            0 => a,
+            1 => format!("{a} : {g}"),
+            _ => format!("{a} : not {g}"),
+        })
+    };
+    let bounded = (prop::collection::vec(element(), 1..4), 0u32..3, atom()).prop_map(
+        |(elements, upper, body)| format!("{{ {} }} {upper} :- {body}.", elements.join("; ")),
+    );
+    let rules = prop::collection::vec(rule, 1..16);
+    (rules, prop::collection::vec(bounded, 0..3)).prop_map(|(mut rules, bounded)| {
+        rules.extend(bounded);
+        rules.join("\n")
+    })
+}
+
 /// Ground with a random subset of the atom universe marked assumable, so
 /// the WFM's "assumables stay undefined" rule is exercised.
 fn ground_with_assumables(src: &str, assumable: &[usize]) -> GroundProgram {
@@ -264,6 +302,134 @@ proptest! {
     ) {
         let assumable: Vec<usize> = assumable.into_iter().collect();
         check_reused_workspace(&src, &assumable, &base, &queries)?;
+    }
+}
+
+/// Every root pair (and triple) whose one-root footprints compose is
+/// answered by the composition exactly as `under` answers it. The base
+/// pins each choice atom to the polarity `choices` gives it, then `extra`
+/// pins more atoms. Every atom is a root: its query switches it on, or off
+/// if the base pins it true.
+fn check_composition(
+    src: &str,
+    assumable: &[usize],
+    choices: &[u8],
+    extra: &[(usize, bool)],
+) -> Result<(), TestCaseError> {
+    let g = ground_with_assumables(src, assumable);
+    let mut base: Vec<Lit> = Vec::new();
+    for r in &g.rules {
+        if let cpsrisk_asp::program::GroundHead::Choice(h) = r.head {
+            if base.iter().all(|l| l.atom != h) {
+                let positive = choices[h.index() % choices.len()] == 0;
+                base.push(Lit { atom: h, positive });
+            }
+        }
+    }
+    for l in lits(&g, extra) {
+        if base.iter().all(|b| b.atom != l.atom) {
+            base.push(l);
+        }
+    }
+    let cond = ConditionalWfm::new(&g, &base);
+    let mut ws = cond.workspace();
+    let truth = |w: &cpsrisk_asp::WfmResult| -> Vec<Truth> {
+        (0..w.len() as u32)
+            .map(|i| w.value(cpsrisk_asp::AtomId(i)))
+            .collect()
+    };
+    let base_truth = truth(cond.base());
+    let mut roots = Vec::new();
+    for i in 0..g.atom_count() as u32 {
+        // An atom the base pins true is switched off instead: such a
+        // query has no footprint.
+        let mut root = Lit::pos(cpsrisk_asp::AtomId(i));
+        if base.contains(&root) {
+            root.positive = false;
+        }
+        let model = cond.under_changes(&mut ws, &[root]);
+        let changed: Vec<(usize, Truth)> = (model.region())
+            .filter(|&a| model.value(a) != base_truth[a.index()])
+            .map(|a| (a.index(), model.value(a)))
+            .collect();
+        if let Some(footprint) = cond.footprint(model) {
+            roots.push((root, footprint, changed));
+        }
+    }
+    let mut sets: Vec<Vec<usize>> = Vec::new();
+    for i in 0..roots.len() {
+        for j in i + 1..roots.len() {
+            sets.push(vec![i, j]);
+            sets.extend((j + 1..roots.len()).map(|k| vec![i, j, k]));
+        }
+    }
+    for set in sets {
+        let composes = set.iter().enumerate().all(|(n, &i)| {
+            set[n + 1..]
+                .iter()
+                .all(|&j| roots[i].1.composes_with(&roots[j].1))
+        });
+        if !composes {
+            continue;
+        }
+        let changes: Vec<Lit> = set.iter().map(|&i| roots[i].0).collect();
+        let mut composed = base_truth.clone();
+        for &i in &set {
+            for &(a, t) in &roots[i].2 {
+                composed[a] = t;
+            }
+        }
+        let want = cond.under(&with_changes(&base, &changes));
+        prop_assert!(
+            !want.inconsistent && want.total(),
+            "base {:?}, roots {:?}: the union is not decided, program:\n{}",
+            base,
+            changes,
+            src
+        );
+        prop_assert_eq!(
+            &composed,
+            &truth(&want),
+            "base {:?}, roots {:?}, program:\n{}",
+            base,
+            changes,
+            src
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Composed root sets against `under`.
+    #[test]
+    fn composed_footprints_match_the_resident_model(
+        src in arb_propagation_program(7),
+        assumable in prop::collection::btree_set(0usize..7, 0..3),
+        choices in prop::collection::vec(0u8..4, 1..4),
+        extra in prop::collection::vec((0usize..7, any::<bool>()), 0..3),
+    ) {
+        let assumable: Vec<usize> = assumable.into_iter().collect();
+        check_composition(&src, &assumable, &choices, &extra)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Release depth of the composition differential: more cases and
+    /// larger programs.
+    #[test]
+    #[ignore = "release depth (about a second in release); run with --ignored"]
+    fn composed_footprints_match_the_resident_model_at_depth(
+        src in arb_propagation_program(9),
+        assumable in prop::collection::btree_set(0usize..9, 0..4),
+        choices in prop::collection::vec(0u8..4, 1..5),
+        extra in prop::collection::vec((0usize..9, any::<bool>()), 0..4),
+    ) {
+        let assumable: Vec<usize> = assumable.into_iter().collect();
+        check_composition(&src, &assumable, &choices, &extra)?;
     }
 }
 

@@ -14,17 +14,23 @@
 //!   the [`EncodeMode::Assumable`] program. Every toggle is pinned, so the
 //!   conditional well-founded model usually decides it without search.
 //!   That model is resident too: a [`ConditionalWfm`] solved once under
-//!   the nominal scenario. A query hands it only the `scenario_fault/1`
-//!   pins it switches on, and each sweep worker keeps one
-//!   [`WfmWorkspace`], so a query of one or two faults recomputes only the
-//!   atoms downstream of those faults (on the `sweep` benchmark's plants,
-//!   about 70 of 2,200 atoms) and touches nothing else. Its outcome is the
-//!   nominal outcome with the region's `affected/2` and `violated/1` atoms
-//!   read again, decoded once per session to [`Vocabulary`] ids. On those
-//!   plants a statically decided query on a worker's reused state costs
-//!   about 5 µs, against about 11 µs before the workspace, and the region
-//!   model alone about 4.4 µs (one thread, 2-vCPU host; see
-//!   `EXPERIMENTS.md`). Its answer copies no name: the scenario, and one
+//!   the nominal scenario. [`Session::new`] answers each fault's
+//!   one-fault query on it once and keeps the query's [`Footprint`], with
+//!   the outcome ids whose value it changes. A query whose faults'
+//!   footprints compose (see the composition rule in
+//!   [`cpsrisk_asp::analysis::wfm`]) is the nominal outcome with those
+//!   changes applied, with no fixpoint. Any other query hands the model
+//!   only the `scenario_fault/1` pins it switches on, in the
+//!   [`WfmWorkspace`] each sweep worker keeps, and recomputes only the
+//!   atoms downstream of its faults (on the `sweep` benchmark's plants,
+//!   about 70 of 2,200 atoms); its outcome is the nominal outcome with the
+//!   region's `affected/2` and `violated/1` atoms read again. Both read
+//!   atoms as [`Vocabulary`] ids decoded once per session. On the first
+//!   `sweep` plant 9,387 of its 9,454 outcome queries compose, and the
+//!   9,454 take about 0.45 µs each on a worker's reused state, against
+//!   about 4.7 µs each on the region path (one thread, 2-vCPU host; see
+//!   `EXPERIMENTS.md`). Debug builds check every composed outcome against
+//!   the region path. An answer copies no name: the scenario, and one
 //!   bitset each of effective pairs and violated requirements over the
 //!   session's vocabulary, about 160 bytes in 5 heap blocks (a tree of
 //!   strings took about 4.2 KB in 104 blocks).
@@ -44,8 +50,8 @@ use std::sync::Arc;
 
 use cpsrisk_asp::ast::Term;
 use cpsrisk_asp::{
-    check_proof, AspError, AtomId, ConditionalWfm, GroundProgram, Grounder, Lit, SolveOptions,
-    Solver, WfmWorkspace,
+    check_proof, AspError, AtomId, ConditionalWfm, Footprint, GroundProgram, Grounder, Lit,
+    SolveOptions, Solver, WfmWorkspace,
 };
 
 use crate::encode::{encode, EncodeMode};
@@ -225,6 +231,12 @@ impl Resident {
         let toggles = self.toggles(vocab, scenario, None);
         lits.extend(toggles.map(|i| Lit::pos(self.nominal[i as usize].atom)));
     }
+
+    /// The change the one-fault scenario of the fault with vocabulary id
+    /// `fault` makes to the nominal set: none if the fault has no atom.
+    fn fault_change(&self, fault: u32) -> Option<Lit> {
+        (self.faults[fault as usize]).map(|i| Lit::pos(self.nominal[i as usize].atom))
+    }
 }
 
 /// What an atom of the outcome program tells about an outcome.
@@ -237,10 +249,21 @@ enum Reads {
     Requirement(u32),
 }
 
+/// One fault's one-fault outcome query, kept for composing the outcomes
+/// of the scenarios that hold it: its footprint, and the outcome ids whose
+/// value differs from the nominal outcome, with their value under the
+/// fault.
+struct Single {
+    footprint: Footprint,
+    modes: Box<[(u32, bool)]>,
+    violated: Box<[(u32, bool)]>,
+}
+
 /// How the session reads outcomes: its vocabulary, the atoms an outcome is
 /// read from (decoded to vocabulary ids once), and the outcome program's
 /// conditional well-founded model, resident under the nominal scenario, for
-/// the search-free path.
+/// the search-free path, with each fault's one-fault query kept for
+/// composition.
 struct Statics {
     vocab: Arc<Vocabulary>,
     wfm: ConditionalWfm<Arc<GroundProgram>>,
@@ -254,6 +277,9 @@ struct Statics {
     /// the outcome outside any query's region.
     base_modes: ModeSet,
     base_violated: RequirementSet,
+    /// Per fault, by vocabulary id: its one-fault query, when that query
+    /// is statically decided and has a footprint.
+    singles: Vec<Option<Single>>,
 }
 
 impl Statics {
@@ -315,7 +341,75 @@ impl Statics {
             violated,
             reads,
             vocab,
+            singles: Vec::new(),
         }
+    }
+
+    /// Answer each fault's one-fault query once, on one workspace, and keep
+    /// what composing it needs: its footprint and its outcome changes.
+    fn keep_singles(&mut self, outcome: &Resident) {
+        let mut ws = self.wfm.workspace();
+        let base = self.wfm.base();
+        self.singles = (0..self.vocab.fault_count() as u32)
+            .map(|fault| {
+                let change = outcome.fault_change(fault);
+                let model = self.wfm.under_changes(&mut ws, change.as_slice());
+                let mut modes = Vec::new();
+                let mut violated = Vec::new();
+                for atom in model.region() {
+                    let value = model.is_true(atom);
+                    if value == base.is_true(atom) {
+                        continue;
+                    }
+                    match self.reads[atom.index()] {
+                        Reads::Pair(id) => modes.push((id, value)),
+                        Reads::Requirement(id) => violated.push((id, value)),
+                        Reads::Nothing => {}
+                    }
+                }
+                Some(Single {
+                    footprint: self.wfm.footprint(model)?,
+                    modes: modes.into_boxed_slice(),
+                    violated: violated.into_boxed_slice(),
+                })
+            })
+            .collect();
+    }
+
+    /// The outcome of `scenario` composed from the one-fault queries of its
+    /// faults, whose vocabulary ids are `faults`, or `None` unless each is
+    /// kept and every pair of their footprints composes (see
+    /// [`Footprint::composes_with`]). The outcome is then the nominal
+    /// outcome with each fault's outcome changes applied.
+    fn compose(&self, faults: &[u32], scenario: &Scenario) -> Option<ScenarioOutcome> {
+        if faults.is_empty() {
+            return None;
+        }
+        let single = |i: usize| self.singles[faults[i] as usize].as_ref();
+        for i in 0..faults.len() {
+            let a = single(i)?;
+            for j in i + 1..faults.len() {
+                if !a.footprint.composes_with(&single(j)?.footprint) {
+                    return None;
+                }
+            }
+        }
+        let mut effective_modes = self.base_modes.clone();
+        let mut violated = self.base_violated.clone();
+        for i in 0..faults.len() {
+            let single = single(i)?;
+            for &(id, value) in &single.modes {
+                effective_modes.set(id, value);
+            }
+            for &(id, value) in &single.violated {
+                violated.set(id, value);
+            }
+        }
+        Some(ScenarioOutcome {
+            scenario: scenario.clone(),
+            effective_modes,
+            violated,
+        })
     }
 
     /// The outcome of `scenario` in an interpretation whose true atoms
@@ -387,13 +481,14 @@ impl<'a> LazySolver<'a> {
 /// The reusable state of one sweep worker: the workspace of the outcome
 /// program's conditional well-founded model, solvers over the outcome
 /// program and, when the session has one, over the margin program, and the
-/// buffer each query's assumption set is built in. Each solver is built by
-/// the first query that searches its program.
+/// buffers each query's assumption set and fault ids are built in. Each
+/// solver is built by the first query that searches its program.
 pub struct Solvers<'a> {
     workspace: WfmWorkspace,
     outcome: LazySolver<'a>,
     margin: Option<LazySolver<'a>>,
     assumptions: Vec<Lit>,
+    faults: Vec<u32>,
 }
 
 /// The resident analysis of one [`EpaProblem`]: every [`Query`] is
@@ -417,8 +512,9 @@ impl Session {
     /// [`EpaError::Asp`] on grounding failure.
     pub fn new(problem: &EpaProblem, margin_budget: Option<u32>) -> Result<Self, EpaError> {
         let mut outcome = Resident::new(problem, &EncodeMode::Assumable)?;
-        let statics = Statics::new(problem, &outcome);
+        let mut statics = Statics::new(problem, &outcome);
         outcome.index(&statics.vocab);
+        statics.keep_singles(&outcome);
         let margin = margin_budget
             .map(|budget| {
                 let mut margin = Resident::new(problem, &EncodeMode::Contested { budget })?;
@@ -443,13 +539,61 @@ impl Session {
     /// conditional well-founded model under its assumptions. Returns
     /// `None` when the WFM leaves atoms open (or refutes the assumptions);
     /// [`answer_with`](Self::answer_with) then falls back to search. This
-    /// is the path of a sweep's outcome queries, on a fresh workspace.
+    /// is the path of a sweep's outcome queries: composed from the
+    /// one-fault queries of the scenario's faults when they compose, else
+    /// the region model, on a fresh workspace.
     #[must_use]
     pub fn decide_statically(&self, scenario: &Scenario) -> Option<ScenarioOutcome> {
-        let mut changes = Vec::new();
-        (self.outcome).changes(&mut changes, &self.statics.vocab, scenario);
-        let mut ws = self.statics.wfm.workspace();
-        self.statics.outcome(&mut ws, &changes, scenario)
+        self.decide(&mut Vec::new(), &mut Vec::new(), None, scenario)
+    }
+
+    /// The search-free outcome of `scenario`, or `None` when its
+    /// conditional well-founded model is not total and consistent. It is
+    /// composed from the one-fault queries of its faults when they compose;
+    /// otherwise it is read off the region model, computed in `ws` or,
+    /// without one, in a fresh workspace. `faults` and `changes` are
+    /// buffers. Debug builds compute the region model of every composed
+    /// outcome too, and check that the two agree.
+    fn decide(
+        &self,
+        faults: &mut Vec<u32>,
+        changes: &mut Vec<Lit>,
+        ws: Option<&mut WfmWorkspace>,
+        scenario: &Scenario,
+    ) -> Option<ScenarioOutcome> {
+        let vocab = &self.statics.vocab;
+        faults.clear();
+        faults.extend(scenario.iter().filter_map(|f| vocab.fault_id(f)));
+        let composed = self.statics.compose(faults, scenario);
+        if composed.is_some() && !cfg!(debug_assertions) {
+            return composed;
+        }
+        let mut fresh = None;
+        let ws = match ws {
+            Some(ws) => ws,
+            None => fresh.insert(self.statics.wfm.workspace()),
+        };
+        let by_region = self.decide_by_region(ws, changes, scenario);
+        if composed.is_some() {
+            assert_eq!(
+                composed, by_region,
+                "the composed outcome of {scenario} is not its region model's"
+            );
+        }
+        by_region
+    }
+
+    /// The outcome of `scenario` read off its region model, computed in
+    /// `ws`, or `None` when that model is not total and consistent.
+    /// `changes` is a buffer.
+    fn decide_by_region(
+        &self,
+        ws: &mut WfmWorkspace,
+        changes: &mut Vec<Lit>,
+        scenario: &Scenario,
+    ) -> Option<ScenarioOutcome> {
+        (self.outcome).changes(changes, &self.statics.vocab, scenario);
+        self.statics.outcome(ws, changes, scenario)
     }
 
     /// Fresh reusable state — one set per sweep worker. Only the
@@ -462,6 +606,7 @@ impl Session {
             outcome: LazySolver::new(&self.outcome.ground),
             margin: self.margin.as_ref().map(|m| LazySolver::new(&m.ground)),
             assumptions: Vec::with_capacity(self.outcome.nominal.len()),
+            faults: Vec::new(),
         }
     }
 
@@ -510,12 +655,12 @@ impl Session {
             outcome,
             margin,
             assumptions,
+            faults,
         } = solvers;
         match query {
             Query::Outcome(scenario) => {
                 if !certify {
-                    (self.outcome).changes(assumptions, &self.statics.vocab, scenario);
-                    if let Some(out) = self.statics.outcome(workspace, assumptions, scenario) {
+                    if let Some(out) = self.decide(faults, assumptions, Some(workspace), scenario) {
                         return Ok(Answer::Outcome(out));
                     }
                 }
@@ -981,6 +1126,31 @@ mod tests {
         // decides every scenario of this choice-free-after-assumption
         // workload without search.
         assert!(decided > 0, "no scenario was statically decided");
+    }
+
+    #[test]
+    fn composed_outcomes_equal_the_region_path() {
+        let p = catalog_problem(34, 4, 1);
+        let session = Session::new(&p, None).unwrap();
+        let (mut ws, mut changes) = (session.statics.wfm.workspace(), Vec::new());
+        let (mut composed, mut scenarios) = (0usize, 0usize);
+        for scenario in ScenarioSpace::new(&p, 3).iter() {
+            let faults: Vec<u32> = (scenario.iter())
+                .filter_map(|f| session.statics.vocab.fault_id(f))
+                .collect();
+            let by_region = session.decide_by_region(&mut ws, &mut changes, &scenario);
+            assert!(by_region.is_some(), "scenario {scenario}");
+            if let Some(out) = session.statics.compose(&faults, &scenario) {
+                assert_eq!(Some(out), by_region, "scenario {scenario}");
+                composed += 1;
+            }
+            assert_eq!(session.decide_statically(&scenario), by_region);
+            scenarios += 1;
+        }
+        // Most scenarios compose (5,310 of 5,489); the nominal one and those
+        // whose faults' footprints share a join take the region path.
+        assert!(composed * 10 > scenarios * 9, "{composed} of {scenarios}");
+        assert!(composed < scenarios);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `Session::decide_statically` and `Session::sweep`, which answer each
-//! outcome query from a resident conditional well-founded model that
-//! recomputes only the forward cone of the query's faults (the sweep in
-//! one reused workspace per worker), against the same model computed from
-//! scratch for every scenario.
+//! outcome query from a resident conditional well-founded model, against
+//! the same model computed from scratch for every scenario. A query is
+//! composed from the one-fault queries of its faults when their footprints
+//! compose, and otherwise recomputes the forward cone of its faults (the
+//! sweep in one reused workspace per worker).
 
 #[path = "support/static_oracle.rs"]
 mod static_oracle;
@@ -48,13 +49,22 @@ fn static_outcomes_match_the_from_scratch_wfm_on_catalog_plants() {
     }
 }
 
-/// The first plant of the `sweep` benchmark: 9,454 scenarios, decided one
-/// by one and swept on two threads. Slow in a debug build; `ci.sh` runs it
-/// in release with `--ignored`.
+/// Scenarios of up to three faults compose from three one-fault queries.
+#[test]
+fn three_fault_outcomes_match_the_from_scratch_wfm() {
+    let problem = catalog_problem(34, 4, 2);
+    assert_static_outcomes_match(&problem, 3, "catalog_problem(34, 4, 0x2), three faults");
+}
+
+/// The first plant of the `sweep` benchmark (9,454 scenarios) and a plant
+/// of seed 1 (9,592), decided one by one and swept on two threads. Slow in
+/// a debug build; `ci.sh` runs it in release with `--ignored`.
 #[test]
 #[ignore = "catalog scale; run in release with --ignored"]
 fn static_outcomes_match_the_from_scratch_wfm_on_the_sweep_plant() {
-    let problem = catalog_problem(120, 17, 0x5dda_d83b_4e87_4069);
-    assert_eq!(ScenarioSpace::new(&problem, 2).scenario_count(), 9454);
-    assert_static_outcomes_match(&problem, 2, "catalog_problem(120, 17, 0x5ddad83b4e874069)");
+    for (seed, scenarios) in [(0x5dda_d83b_4e87_4069, 9454), (1, 9592)] {
+        let problem = catalog_problem(120, 17, seed);
+        assert_eq!(ScenarioSpace::new(&problem, 2).scenario_count(), scenarios);
+        assert_static_outcomes_match(&problem, 2, &format!("catalog_problem(120, 17, {seed:#x})"));
+    }
 }
