@@ -770,17 +770,22 @@ impl RegionModel<'_> {
 pub struct Footprint {
     /// The [`ConditionalWfm`] of the query.
     owner: u64,
-    /// No rule that defines an atom reads a region atom negatively.
-    monotone: bool,
-    /// Monotone only: the joins, sorted. A rule or integrity constraint is
-    /// named by its index, a cardinality constraint by its index after
-    /// the rules.
-    joins: Box<[u32]>,
-    /// Non-monotone only: the region, sorted, and the integrity and
-    /// cardinality constraints that read one of its atoms, sorted and
-    /// named as in `joins`.
-    region: Box<[u32]>,
-    checks: Box<[u32]>,
+    shape: Shape,
+}
+
+/// What a [`Footprint`] keeps. A rule or integrity constraint is named by
+/// its index, a cardinality constraint by its index after the rules.
+#[derive(Debug, Clone)]
+enum Shape {
+    /// No rule that defines an atom reads a region atom negatively: the
+    /// joins, sorted.
+    Monotone { joins: Box<[u32]> },
+    /// Otherwise: the region, sorted, and the integrity and cardinality
+    /// constraints that read one of its atoms, sorted.
+    Cone {
+        region: Box<[u32]>,
+        checks: Box<[u32]>,
+    },
 }
 
 /// Two sorted lists share no item.
@@ -819,11 +824,15 @@ impl Footprint {
             self.owner, other.owner,
             "footprints of different models do not compose"
         );
-        match (self.monotone, other.monotone) {
-            (true, true) => disjoint(&self.joins, &other.joins),
-            (false, false) => {
-                disjoint(&self.region, &other.region) && disjoint(&self.checks, &other.checks)
-            }
+        match (&self.shape, &other.shape) {
+            (Shape::Monotone { joins: a }, Shape::Monotone { joins: b }) => disjoint(a, b),
+            (
+                Shape::Cone { region, checks },
+                Shape::Cone {
+                    region: other_region,
+                    checks: other_checks,
+                },
+            ) => disjoint(region, other_region) && disjoint(checks, other_checks),
             _ => false,
         }
     }
@@ -978,8 +987,7 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
         let g: &GroundProgram = self.program.borrow();
         let certain = &ws.kernel.certain;
         let n_rules = g.rules.len() as u32;
-        let monotone = !ws.region.iter().any(|&a| self.read_negatively[a as usize]);
-        if !monotone {
+        if ws.region.iter().any(|&a| self.read_negatively[a as usize]) {
             let checks = (ws.region.iter()).flat_map(|&a| {
                 let cards = self.cards.get(a as usize).iter().map(|&ci| n_rules + ci);
                 self.constraints
@@ -990,10 +998,10 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
             });
             return Some(Footprint {
                 owner: self.id,
-                monotone,
-                joins: Box::default(),
-                region: sorted(ws.region.clone()),
-                checks: sorted(checks.collect()),
+                shape: Shape::Cone {
+                    region: sorted(ws.region.clone()),
+                    checks: sorted(checks.collect()),
+                },
             });
         }
         let fires = |ri: u32| (g.rules[ri as usize].pos.iter()).all(|p| certain[p.index()]);
@@ -1011,10 +1019,9 @@ impl<P: Borrow<GroundProgram>> ConditionalWfm<P> {
         }
         Some(Footprint {
             owner: self.id,
-            monotone,
-            joins: sorted(joins),
-            region: Box::default(),
-            checks: Box::default(),
+            shape: Shape::Monotone {
+                joins: sorted(joins),
+            },
         })
     }
 
@@ -1473,7 +1480,8 @@ mod tests {
         let mut ws = cond.workspace();
         let a = g.atoms().find(|(_, x)| x.to_string() == "a").unwrap().0;
         let model = cond.under_changes(&mut ws, &[Lit::pos(a)]);
-        assert!(!cond.footprint(model).unwrap().monotone);
+        let footprint = cond.footprint(model).unwrap();
+        assert!(matches!(footprint.shape, Shape::Cone { .. }));
         assert!(composes(&g, &base, &["a", "b"]), "disjoint regions");
         // `z` reads `x`, so the regions of `a` and `c` share it.
         assert!(!composes(&g, &base, &["a", "c"]));

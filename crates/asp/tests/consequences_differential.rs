@@ -59,20 +59,24 @@ fn arb_program(n_atoms: usize) -> impl Strategy<Value = String> {
     prop::collection::vec(rule, 1..10).prop_map(|rules| rules.join("\n"))
 }
 
+/// A choice element over atoms a0..a{n-1}: bare, or with a positive or
+/// negative guard.
+fn arb_element(n_atoms: usize) -> impl Strategy<Value = String> {
+    let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
+    (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
+        0 => a,
+        1 => format!("{a} : {g}"),
+        _ => format!("{a} : not {g}"),
+    })
+}
+
 /// [`arb_program`] plus bounded choice rules with conditional elements and
 /// bodies, which ground to cardinality constraints.
 fn arb_bounded_program(n_atoms: usize) -> impl Strategy<Value = String> {
     let atom = move || (0..n_atoms).prop_map(|i| format!("a{i}"));
-    let element = move || {
-        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
-            0 => a,
-            1 => format!("{a} : {g}"),
-            _ => format!("{a} : not {g}"),
-        })
-    };
     let bounded = (
         0u32..3,
-        prop::collection::vec(element(), 1..4),
+        prop::collection::vec(arb_element(n_atoms), 1..4),
         0u32..3,
         any::<bool>(),
         atom(),
@@ -110,16 +114,14 @@ fn arb_propagation_program(n_atoms: usize) -> impl Strategy<Value = String> {
     });
     // Upper bounds only: the base pins most choice atoms false, and a
     // lower bound would refute it.
-    let element = move || {
-        (atom(), 0u8..3, atom()).prop_map(|(a, guard, g)| match guard {
-            0 => a,
-            1 => format!("{a} : {g}"),
-            _ => format!("{a} : not {g}"),
-        })
-    };
-    let bounded = (prop::collection::vec(element(), 1..4), 0u32..3, atom()).prop_map(
-        |(elements, upper, body)| format!("{{ {} }} {upper} :- {body}.", elements.join("; ")),
-    );
+    let bounded = (
+        prop::collection::vec(arb_element(n_atoms), 1..4),
+        0u32..3,
+        atom(),
+    )
+        .prop_map(|(elements, upper, body)| {
+            format!("{{ {} }} {upper} :- {body}.", elements.join("; "))
+        });
     let rules = prop::collection::vec(rule, 1..16);
     (rules, prop::collection::vec(bounded, 0..3)).prop_map(|(mut rules, bounded)| {
         rules.extend(bounded);

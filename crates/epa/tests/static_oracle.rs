@@ -41,19 +41,15 @@ fn assert_static_outcomes_match(problem: &EpaProblem, max_faults: usize, label: 
     }
 }
 
+/// The last plant's scenarios of three faults compose from three
+/// one-fault queries.
 #[test]
 fn static_outcomes_match_the_from_scratch_wfm_on_catalog_plants() {
-    for seed in [0xC47A, 1, 2] {
+    for (seed, max_faults) in [(0xC47A, 2), (1, 2), (2, 3)] {
         let problem = catalog_problem(34, 4, seed);
-        assert_static_outcomes_match(&problem, 2, &format!("catalog_problem(34, 4, {seed:#x})"));
+        let label = format!("catalog_problem(34, 4, {seed:#x}), {max_faults} faults");
+        assert_static_outcomes_match(&problem, max_faults, &label);
     }
-}
-
-/// Scenarios of up to three faults compose from three one-fault queries.
-#[test]
-fn three_fault_outcomes_match_the_from_scratch_wfm() {
-    let problem = catalog_problem(34, 4, 2);
-    assert_static_outcomes_match(&problem, 3, "catalog_problem(34, 4, 0x2), three faults");
 }
 
 /// The first plant of the `sweep` benchmark (9,454 scenarios) and a plant
