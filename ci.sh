@@ -64,7 +64,9 @@ cargo test -q -p cpsrisk-asp check
 cargo test --release -q -p cpsrisk-epa -- --ignored
 # Release depth of the CDCL differential suite: 20,000 card-heavy programs
 # against the oracle, deep enough to reach a conflict explained through a
-# cardinality element's guard; and of the well-founded differentials: the
+# cardinality element's guard, and 20,000 streams of call pins on a solver
+# holding a base of pins (its resident level 0) against fresh solvers given
+# base and call pins together; and of the well-founded differentials: the
 # reused workspace against the from-scratch oracle, and the composition
 # differential (every composable root pair and triple of 20,000 programs
 # against the resident model).

@@ -17,7 +17,7 @@
 const ABSENT: u32 = u32::MAX;
 
 /// Activities and the branching heap.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct Branching {
     /// EVSIDS activity per variable (atoms, then body variables).
     activity: Vec<f64>,

@@ -46,6 +46,28 @@
 //! falsifies the cone atoms outside the closure in ascending id order,
 //! all under one prefix witness. Debug builds check every pass against
 //! the naive closure over the whole program.
+//!
+//! # Two level-0 segments
+//!
+//! The level-0 trail of a call has two segments. The *resident* segment
+//! is built at the first call and kept: the WFM seeds, the static units
+//! and the learned units, closed under propagation, then the solver's
+//! base pins (see [`Solver::with_base`]), closed again. The *call* segment
+//! holds the call's own pins and their closure. The next call undoes only
+//! that segment and the search above it, on the undo path of a backjump
+//! (card counters included, no phases saved), and pins its own literals.
+//!
+//! The assumption-free literals are closed before the base pins go in, so
+//! their `dep` flags are clear and unfounded-set inferences among them
+//! cite an empty prefix. Learning treats base pins as assumptions like any
+//! other, so every learned nogood holds whatever the pins. A nogood
+//! learned during a call may still be unit or violated under the resident
+//! segment alone, or watched at a satisfied literal beside an open one. A
+//! restore therefore settles the nogoods learned since the last one: it
+//! re-watches them, and builds the resident segment again from scratch
+//! when one of them is unit or violated there (or a learned unit does not
+//! hold there). Debug builds check every restored call against a closure
+//! from scratch of the same pins.
 
 use std::collections::{HashMap, HashSet};
 
@@ -74,6 +96,11 @@ fn fingerprint(codes: &[u32]) -> u64 {
         (code_var(c), code_val(c) == Val::True).hash(&mut h);
     }
     h.finish()
+}
+
+/// An assumption literal as the `(atom, value)` pair it pins.
+pub(super) fn pinned(l: Lit) -> (u32, Val) {
+    (l.atom.0, if l.positive { Val::True } else { Val::False })
 }
 
 /// Pack a (variable, value) literal into its code.
@@ -150,7 +177,7 @@ enum ElemStatus {
 }
 
 /// Per-element counters behind [`ElemStatus`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ElemCount {
     /// The element atom's value.
     atom: Val,
@@ -176,7 +203,7 @@ impl ElemCount {
 
 /// Per-card counters, kept equal to what a full rescan would count.
 /// Body literals and guard literals count per occurrence.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct CardCount {
     /// Body literals that fail.
     body_false: u32,
@@ -261,7 +288,7 @@ impl LearnedState {
 /// nowhere else, so a watch visit that finds its nogood inert reads only
 /// that array and the assignment, and every other literal of every nogood
 /// shares one arena.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Nogoods {
     pair: Vec<[u32; 2]>,
     rest_start: Vec<u32>,
@@ -349,7 +376,7 @@ enum Conflict {
 }
 
 /// Scratch memory of conflict analysis, reused across conflicts.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Analysis {
     /// Per variable: marked in the current analysis.
     seen: Vec<bool>,
@@ -420,7 +447,7 @@ impl Analysis {
 }
 
 /// Reused scratch of one cardinality event.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct CardScratch {
     /// The satisfied body literals, then the event's witness.
     witness: Vec<u32>,
@@ -467,6 +494,9 @@ pub(super) struct Cone {
     missing: Vec<u32>,
     closed: Vec<bool>,
     stack: Vec<u32>,
+    /// Per atom: [`close`](Self::close) reads its value (a cone atom, or
+    /// the atom of a blocking literal).
+    reads: Vec<bool>,
 }
 
 impl Cone {
@@ -524,7 +554,16 @@ impl Cone {
             readers[fill[k as usize] as usize] = ri;
             fill[k as usize] += 1;
         }
+        let mut reads = vec![false; g.atom_count()];
+        for a in atoms
+            .iter()
+            .copied()
+            .chain(block.iter().map(|&c| code_var(c)))
+        {
+            reads[a as usize] = true;
+        }
         Cone {
+            reads,
             missing: Vec::with_capacity(head.len()),
             closed: vec![false; atoms.len()],
             atoms,
@@ -567,6 +606,7 @@ impl Cone {
             missing,
             closed,
             stack,
+            ..
         } = self;
         closed.fill(false);
         stack.clear();
@@ -609,7 +649,7 @@ impl Cone {
 }
 
 /// The CDCL engine state.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(super) struct Cdcl {
     /// Number of atom variables (`val[..n_atoms]` is the atom assignment).
     pub(super) n_atoms: usize,
@@ -719,6 +759,38 @@ pub(super) struct Cdcl {
     /// *indices* are build-order dependent, body *keys* are the stable
     /// identity.
     bodies: Vec<(Vec<u32>, Vec<u32>)>,
+    /// The resident level-0 segment.
+    pub(super) resident: Resident,
+    /// An atom the unfounded-set closure reads was assigned since the
+    /// state of its last pass, which forced nothing.
+    cone_dirty: bool,
+    /// The learned store when the resident segment was last restored or
+    /// built: watched nogoods, units, and completed reductions.
+    learned_mark: (usize, usize, u64),
+}
+
+/// The state of the resident level-0 segment (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Resident {
+    /// Not built, or out of date: the next call builds it from scratch.
+    Stale,
+    /// Built: the trail length and the witness count at its end.
+    Built { trail: usize, antes: usize },
+    /// The program refutes the base pins: every call is UNSAT.
+    Refuted,
+}
+
+/// How closing a level-0 segment ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Closure {
+    /// At a propagation fixpoint.
+    Closed,
+    /// Two pins contradict each other: nothing to learn.
+    Contradiction,
+    /// A seed or a pin clashes with a value already assigned.
+    Clash,
+    /// Propagation hit a conflict.
+    Conflict,
 }
 
 impl Cdcl {
@@ -951,6 +1023,9 @@ impl Cdcl {
             restart_seq: 1,
             reduce_count: 0,
             bodies,
+            resident: Resident::Stale,
+            cone_dirty: true,
+            learned_mark: (0, 0, 0),
         }
     }
 
@@ -959,7 +1034,9 @@ impl Cdcl {
         (self.ngs.len() - self.first_learned) + self.learned_units.len()
     }
 
-    /// Drop every learned nogood and rebuild the static watch lists.
+    /// Drop every learned nogood and rebuild the static watch lists. The
+    /// resident segment may rest on the dropped nogoods, so the next call
+    /// builds it again.
     pub(super) fn clear_learned(&mut self) {
         self.ngs.truncate(self.first_learned);
         self.lbd.clear();
@@ -967,6 +1044,7 @@ impl Cdcl {
         self.learned_units.clear();
         self.learned_fps.clear();
         self.rebuild_watches();
+        self.resident = Resident::Stale;
     }
 
     /// Rebuild every watch list from scratch, in store order. A learned
@@ -1016,8 +1094,9 @@ impl Cdcl {
         }
     }
 
-    /// Per-call reset: clear the assignment and the propagation state;
-    /// learned nogoods, activities and saved phases persist.
+    /// Full reset, before the resident segment is built: clear the
+    /// assignment and the propagation state; learned nogoods, activities
+    /// and saved phases persist.
     fn reset(&mut self, n_cards: usize) {
         self.val.fill(Val::Unknown);
         self.level.fill(0);
@@ -1041,6 +1120,146 @@ impl Cdcl {
         self.conflicts_since_restart = 0;
         self.restart_seq = 1;
         self.branch.invalidate();
+        self.cone_dirty = true;
+    }
+
+    /// Per-call restore: undo everything above the resident segment, which
+    /// ends at trail length `trail` with `antes` witnesses, without saving
+    /// phases. The resident segment is propagation-closed, so no card is
+    /// left queued and the unfounded-set closure has nothing to force. The
+    /// branching heap is built again at the call's first decision.
+    fn restore(&mut self, trail: usize, antes: usize) {
+        self.branch.invalidate();
+        self.undo_to(trail, false);
+        self.antes.truncate(antes);
+        self.ante_lits
+            .truncate(self.antes.last().map_or(0, |&(_, end)| end as usize));
+        self.ante_lim.clear();
+        self.lim.clear();
+        self.flipped.clear();
+        self.flips = 0;
+        for ci in self.card_queue.drain(..) {
+            self.card_dirty[ci as usize] = false;
+        }
+        self.qhead = trail;
+        self.cone_dirty = false;
+        self.conflicts_since_restart = 0;
+        self.restart_seq = 1;
+    }
+
+    /// Pop the trail down to `keep` entries, moving the card counters back,
+    /// putting the atoms back into the branching heap and, with `save`,
+    /// saving their phases.
+    fn undo_to(&mut self, keep: usize, save: bool) {
+        while self.trail.len() > keep {
+            let v = self.trail.pop().expect("trail len checked") as usize;
+            if v < self.n_atoms {
+                self.card_update(v as u32, self.val[v], false);
+                self.branch.insert(v as u32);
+                self.assigned_atoms -= 1;
+            }
+            if save {
+                self.saved[v] = self.val[v];
+            }
+            self.val[v] = Val::Unknown;
+            self.reason[v] = Reason::Decision;
+            self.dep[v] = false;
+        }
+    }
+
+    /// Record the learned store as settled against the resident segment.
+    fn mark_learned(&mut self) {
+        self.learned_mark = (self.ngs.len(), self.learned_units.len(), self.reduce_count);
+    }
+
+    /// Whether a level-0 assignment of `var` for `reason` depends on the
+    /// pins: it is a pin, or its reason holds a pin-dependent literal.
+    fn reason_dep(&self, var: u32, reason: Reason) -> bool {
+        let dep = |c: &u32| code_var(*c) != var && self.dep[code_var(*c) as usize];
+        match reason {
+            Reason::Assumption => true,
+            Reason::Nogood(ni) => self.ngs.lits(ni as usize).any(|c| dep(&c)),
+            Reason::Ante(w) => self.witness(w).iter().any(dep),
+            Reason::Guarded(w, e) => self.witness(w).iter().chain(self.guard(e)).any(dep),
+            Reason::Decision | Reason::Static => false,
+        }
+    }
+
+    /// Whether nogood `ni` is unit or violated under the current (resident)
+    /// assignment: the resident segment would then not be closed.
+    fn extends_resident(&self, ni: usize) -> bool {
+        let mut open = self
+            .ngs
+            .lits(ni)
+            .filter(|&c| self.val[code_var(c) as usize] != code_val(c));
+        match (open.next(), open.next()) {
+            (None, _) => true,
+            (Some(c), None) => self.val[code_var(c) as usize] == Val::Unknown,
+            _ => false,
+        }
+    }
+
+    /// Settle the nogoods learned since the resident segment was last
+    /// restored or built against it, now that it is restored: true when
+    /// none of them extends it (see [`extends_resident`](Self::extends_resident)),
+    /// each then watched at a settled pair; false when it must be built
+    /// again. A learned unit must already hold. After a database
+    /// reduction, which re-chose every learned nogood's watches under the
+    /// call's assignment, every learned nogood is checked.
+    fn settle_learned(&mut self) -> bool {
+        let (ngs, units, reductions) = self.learned_mark;
+        for &c in &self.learned_units[units..] {
+            if self.val[code_var(c) as usize] != negate(code_val(c)) {
+                return false;
+            }
+        }
+        let reduced = self.reduce_count != reductions;
+        let first = if reduced { self.first_learned } else { ngs };
+        if (first..self.ngs.len()).any(|ni| self.extends_resident(ni)) {
+            return false;
+        }
+        if reduced {
+            self.rebuild_watches();
+        } else {
+            for ni in first..self.ngs.len() {
+                if self.unsettled(ni) {
+                    self.rewatch(ni);
+                }
+            }
+        }
+        self.mark_learned();
+        true
+    }
+
+    /// Whether nogood `ni` has a watch satisfied while the other is not
+    /// falsified: a pair that propagation leaves only when it visits the
+    /// satisfied watch, which a restored segment never does again.
+    fn unsettled(&self, ni: usize) -> bool {
+        let state = |c: u32| {
+            let v = self.val[code_var(c) as usize];
+            (v == code_val(c), v == negate(code_val(c)))
+        };
+        let [w0, w1] = self.ngs.pair[ni];
+        let ((sat0, false0), (sat1, false1)) = (state(w0), state(w1));
+        sat0 && !false1 || sat1 && !false0
+    }
+
+    /// Watch nogood `ni` at its two best candidates (see
+    /// [`choose_watches`](Self::choose_watches)). On a nogood neither unit
+    /// nor violated that is two open literals, or a falsified one: a
+    /// settled pair.
+    fn rewatch(&mut self, ni: usize) {
+        let [w0, w1] = self.ngs.pair[ni];
+        for w in [w0, w1] {
+            let list = &mut self.watches[w as usize];
+            let at = list.iter().position(|&x| x as usize == ni);
+            list.remove(at.expect("a nogood is watched at its pair"));
+        }
+        let mut lits: Vec<u32> = self.ngs.lits(ni).collect();
+        self.choose_watches(&mut lits);
+        self.ngs.reorder(ni, &lits);
+        self.watches[lits[0] as usize].push(ni as u32);
+        self.watches[lits[1] as usize].push(ni as u32);
     }
 
     /// Move the counters of every card mentioning atom `var` across its
@@ -1265,50 +1484,136 @@ enum WatchAction {
 }
 
 impl Solver<'_> {
-    /// CDCL per-call setup: reset, pin assumptions at level 0, replay WFM
-    /// seeds, static units and learned units. False means the search space
-    /// is empty before the first decision.
-    pub(super) fn prepare_cdcl(&mut self, assumptions: &[Lit]) -> bool {
-        if self.cdcl.root_unsat {
-            // Still record the assumptions for bookkeeping symmetry.
-            for l in assumptions {
-                let v = if l.positive { Val::True } else { Val::False };
-                self.assumptions.push((l.atom.0, v));
-            }
-            return false;
+    /// CDCL per-call setup: restore the resident segment (or build it),
+    /// then pin the call's literals at level 0 and close them under
+    /// propagation. False means the search space is empty before the first
+    /// decision.
+    pub(super) fn prepare_cdcl(
+        &mut self,
+        pins: &[Lit],
+        opts: &SolveOptions,
+    ) -> Result<bool, AspError> {
+        let mut restored = false;
+        if let Resident::Built { trail, antes } = self.cdcl.resident {
+            self.cdcl.restore(trail, antes);
+            restored = self.cdcl.settle_learned();
         }
+        let ready = restored
+            || (!self.cdcl.root_unsat
+                && self.cdcl.resident != Resident::Refuted
+                && self.build_resident(opts)?);
+        self.assumptions.clear();
+        self.assumptions.extend_from_slice(&self.base);
+        let n_base = self.assumptions.len();
+        self.assumptions.extend(pins.iter().map(|&l| pinned(l)));
+        if !ready {
+            return Ok(false);
+        }
+        match self.close_pins(n_base) {
+            Closure::Closed => {}
+            end => return self.fail(end, opts),
+        }
+        #[cfg(debug_assertions)]
+        if restored {
+            self.assert_closure_from_scratch(n_base);
+        }
+        Ok(true)
+    }
+
+    /// Build the resident segment from scratch: a full reset, the
+    /// assumption-free literals closed, then the base pins closed. False
+    /// when the program refutes the base pins.
+    fn build_resident(&mut self, opts: &SolveOptions) -> Result<bool, AspError> {
         self.cdcl.reset(self.g.cards.len());
-        for l in assumptions {
-            let v = if l.positive { Val::True } else { Val::False };
-            self.assumptions.push((l.atom.0, v));
-            match self.cdcl.val[l.atom.index()] {
-                Val::Unknown => self.cd_assign(l.atom.0, v, Reason::Assumption),
-                cur if cur == v => {}
-                _ => return false, // self-contradictory assumptions
-            }
+        self.assumptions.clear();
+        let mut end = self.close_statics();
+        if end == Closure::Closed {
+            self.assumptions.extend_from_slice(&self.base);
+            end = self.close_pins(0);
         }
-        // WFM backbone, program units, retained learned units — all sound
-        // level-0 consequences; a clash with an assumption is a genuine
-        // root conflict worth learning.
+        if end != Closure::Closed {
+            self.cdcl.resident = Resident::Refuted;
+            return self.fail(end, opts);
+        }
+        self.cdcl.resident = Resident::Built {
+            trail: self.cdcl.trail.len(),
+            antes: self.cdcl.antes.len(),
+        };
+        self.cdcl.mark_learned();
+        Ok(true)
+    }
+
+    /// Assign the WFM backbone, the program units and the retained learned
+    /// units at level 0 — all sound consequences of the program alone —
+    /// and close them under propagation.
+    fn close_statics(&mut self) -> Closure {
         for i in 0..self.wfm_seeds.len() {
             let (a, v) = self.wfm_seeds[i];
             if !self.seed0(a, v) {
-                return self.root_conflict();
+                return Closure::Clash;
             }
         }
         for i in 0..self.cdcl.units.len() {
             let (a, v) = self.cdcl.units[i];
             if !self.seed0(a, v) {
-                return self.root_conflict();
+                return Closure::Clash;
             }
         }
         for i in 0..self.cdcl.learned_units.len() {
             let c = self.cdcl.learned_units[i];
             if !self.seed0(code_var(c), negate(code_val(c))) {
-                return self.root_conflict();
+                return Closure::Clash;
             }
         }
-        true
+        if self.cdcl_propagate().is_some() {
+            return Closure::Conflict;
+        }
+        Closure::Closed
+    }
+
+    /// Pin `assumptions[from..]` at level 0 and close them under
+    /// propagation. A pin that an earlier pin contradicts is a
+    /// contradiction; one that a derived value contradicts is a clash.
+    fn close_pins(&mut self, from: usize) -> Closure {
+        let start = self.cdcl.trail.len();
+        for i in from..self.assumptions.len() {
+            let (a, v) = self.assumptions[i];
+            match self.cdcl.val[a as usize] {
+                Val::Unknown => self.cd_assign(a, v, Reason::Assumption),
+                cur if cur == v => {}
+                _ if self.cdcl.reason[a as usize] == Reason::Assumption => {
+                    return Closure::Contradiction;
+                }
+                _ => return Closure::Clash,
+            }
+        }
+        if self.cdcl.trail.len() > start && self.cdcl_propagate().is_some() {
+            return Closure::Conflict;
+        }
+        Closure::Closed
+    }
+
+    /// Account for a level-0 segment that did not close: a clash or a
+    /// conflict refutes the pins so far, and their nogood is learned so
+    /// later calls refute the combination by propagation. Returns
+    /// `Ok(false)`: the search space is empty.
+    fn fail(&mut self, end: Closure, opts: &SolveOptions) -> Result<bool, AspError> {
+        match end {
+            Closure::Closed | Closure::Contradiction => {}
+            Closure::Clash => {
+                self.conflict_count += 1;
+                self.lifetime_conflicts += 1;
+                self.learn_assumptions();
+            }
+            Closure::Conflict => {
+                // As a conflict with no decisions in the search loop.
+                self.conflict_count += 1;
+                self.lifetime_conflicts += 1;
+                self.check_budget(opts)?;
+                self.learn_assumptions();
+            }
+        }
+        Ok(false)
     }
 
     /// Assign a sound level-0 consequence, detecting clashes.
@@ -1322,14 +1627,56 @@ impl Solver<'_> {
         }
     }
 
-    /// A conflict at decision level 0 during `prepare`: the assumptions are
-    /// jointly refuted. Learn the assumption-set nogood so later calls
-    /// refute the combination by propagation.
-    fn root_conflict(&mut self) -> bool {
-        self.conflict_count += 1;
-        self.lifetime_conflicts += 1;
-        self.learn_assumptions();
-        false
+    /// Debug builds, after a restored call closed its pins: the state
+    /// equals a closure from scratch of the same base pins and the call's
+    /// pins `assumptions[n_base..]` — values, levels and card counters —
+    /// every `dep` flag is the one its reason gives, and the nogood store
+    /// and its watches are consistent and settled. A `dep` flag may differ
+    /// from the closure's: card propagation forces only elements whose
+    /// guard holds, so the first reason found for a literal, and whether it
+    /// cites a pin, depends on the order in which nogoods and cards fire.
+    #[cfg(debug_assertions)]
+    fn assert_closure_from_scratch(&mut self, n_base: usize) {
+        assert!(self.debug_check_watches(), "store and watches disagree");
+        assert!(
+            (0..self.cdcl.ngs.len()).all(|ni| !self.cdcl.unsettled(ni)),
+            "a nogood is watched at a satisfied literal beside an unfalsified one"
+        );
+        let kept = self.cdcl.clone();
+        let proof = self.proof.take();
+        let assumptions = self.assumptions.clone();
+        let counts = (self.propagation_count, self.nogood_force_count);
+        self.cdcl.reset(self.g.cards.len());
+        self.assumptions.clear();
+        let mut end = self.close_statics();
+        self.assumptions.extend_from_slice(&assumptions[..n_base]);
+        if end == Closure::Closed {
+            end = self.close_pins(0);
+        }
+        self.assumptions.extend_from_slice(&assumptions[n_base..]);
+        if end == Closure::Closed {
+            end = self.close_pins(n_base);
+        }
+        let scratch = std::mem::replace(&mut self.cdcl, kept);
+        self.proof = proof;
+        self.assumptions = assumptions;
+        (self.propagation_count, self.nogood_force_count) = counts;
+        assert_eq!(end, Closure::Closed, "the closure from scratch fails");
+        let cd = &self.cdcl;
+        assert!(cd.lim.is_empty());
+        assert_eq!(cd.trail.len(), scratch.trail.len(), "level-0 trail length");
+        for &v in &cd.trail {
+            let v = v as usize;
+            assert_eq!(cd.val[v], scratch.val[v], "value of variable {v}");
+            assert_eq!((cd.level[v], scratch.level[v]), (0, 0), "level of {v}");
+            assert_eq!(
+                cd.dep[v],
+                cd.reason_dep(v as u32, cd.reason[v]),
+                "dep flag of variable {v}"
+            );
+        }
+        assert_eq!(cd.card_count, scratch.card_count, "card counters");
+        assert_eq!(cd.elem_count, scratch.elem_count, "card element counters");
     }
 
     /// Learn the nogood of the current call's assumptions, refuted at
@@ -1531,6 +1878,10 @@ impl Solver<'_> {
             assert!(!(dup && grown), "duplicate fingerprint re-imported");
             kept += usize::from(grown);
         }
+        if kept > 0 {
+            // The imported nogoods may extend the resident closure.
+            self.cdcl.resident = Resident::Stale;
+        }
         kept
     }
 
@@ -1539,33 +1890,7 @@ impl Solver<'_> {
     /// mention it.
     fn cd_assign(&mut self, var: u32, v: Val, reason: Reason) {
         debug_assert_eq!(self.cdcl.val[var as usize], Val::Unknown);
-        let dep = if self.cdcl.lim.is_empty() {
-            match reason {
-                Reason::Assumption => true,
-                Reason::Nogood(ni) => {
-                    let cd = &self.cdcl;
-                    cd.ngs
-                        .lits(ni as usize)
-                        .any(|c| code_var(c) != var && cd.dep[code_var(c) as usize])
-                }
-                Reason::Ante(w) => {
-                    let cd = &self.cdcl;
-                    cd.witness(w)
-                        .iter()
-                        .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
-                }
-                Reason::Guarded(w, e) => {
-                    let cd = &self.cdcl;
-                    cd.witness(w)
-                        .iter()
-                        .chain(cd.guard(e))
-                        .any(|&c| code_var(c) != var && cd.dep[code_var(c) as usize])
-                }
-                Reason::Decision | Reason::Static => false,
-            }
-        } else {
-            false
-        };
+        let dep = self.cdcl.lim.is_empty() && self.cdcl.reason_dep(var, reason);
         let cd = &mut self.cdcl;
         cd.val[var as usize] = v;
         cd.level[var as usize] = cd.lim.len() as u32;
@@ -1581,6 +1906,7 @@ impl Solver<'_> {
         if (var as usize) < self.cdcl.n_atoms {
             self.cdcl.assigned_atoms += 1;
             self.cdcl.card_update(var, v, true);
+            self.cdcl.cone_dirty |= self.cone.reads.get(var as usize) == Some(&true);
         }
     }
 
@@ -1607,6 +1933,16 @@ impl Solver<'_> {
             if self.cone.is_empty() {
                 return None;
             }
+            if !self.cdcl.cone_dirty {
+                // A pass over the values of a pass that forced nothing
+                // would force nothing either; debug builds run it anyway.
+                debug_assert!(
+                    self.backstop_is_idle(),
+                    "a skipped unfounded-set pass would force an atom"
+                );
+                return None;
+            }
+            self.cdcl.cone_dirty = false;
             let before = self.cdcl.trail.len();
             if let Some(confl) = self.unfounded_backstop() {
                 return Some(confl);
@@ -1927,6 +2263,15 @@ impl Solver<'_> {
         confl
     }
 
+    /// Whether an unfounded-set pass would force nothing: every cone atom
+    /// outside the closure is false already.
+    fn backstop_is_idle(&mut self) -> bool {
+        self.cone.close(&self.cdcl.val);
+        let cone = &self.cone;
+        (cone.atoms.iter().zip(&cone.closed))
+            .all(|(&a, &closed)| closed || self.cdcl.val[a as usize] == Val::False)
+    }
+
     /// The closure over the whole program, by naive fixpoint iteration
     /// over every rule, equals the cone closure with every atom outside the
     /// cone in it iff not false (the backstop's oracle in debug builds).
@@ -1981,22 +2326,11 @@ impl Solver<'_> {
     /// witnesses of the undone levels.
     fn backjump(&mut self, to: usize) {
         let cd = &mut self.cdcl;
-        let keep = if to == 0 && cd.lim.is_empty() {
-            cd.trail.len()
-        } else {
-            cd.lim[to]
-        };
-        while cd.trail.len() > keep {
-            let v = cd.trail.pop().expect("trail len checked") as usize;
-            if v < cd.n_atoms {
-                cd.card_update(v as u32, cd.val[v], false);
-                cd.branch.insert(v as u32);
-                cd.assigned_atoms -= 1;
-            }
-            cd.saved[v] = cd.val[v];
-            cd.val[v] = Val::Unknown;
-            cd.reason[v] = Reason::Decision;
-            cd.dep[v] = false;
+        if to < cd.lim.len() {
+            // Back to the state at which level `to + 1` was opened: a
+            // propagation fixpoint.
+            cd.undo_to(cd.lim[to], true);
+            cd.cone_dirty = false;
         }
         if let Some(&w) = cd.ante_lim.get(to) {
             cd.antes.truncate(w as usize);
@@ -2351,15 +2685,15 @@ impl Solver<'_> {
     }
 
     /// Begin a certified solve call: lazily initialize the log and tag the
-    /// call's assumptions so its terminal (model / unsat) steps are scoped
-    /// to them.
+    /// call with the base pins and its own, so its terminal (model /
+    /// unsat) steps are scoped to them.
     pub(super) fn begin_certified_call(&mut self, assumptions: &[Lit]) {
         if self.proof.is_none() {
             self.init_proof();
         }
-        let lits: Vec<u32> = assumptions
-            .iter()
-            .map(|l| code(l.atom.0, if l.positive { Val::True } else { Val::False }))
+        let lits: Vec<u32> = (self.base.iter().copied())
+            .chain(assumptions.iter().map(|&l| pinned(l)))
+            .map(|(a, v)| code(a, v))
             .collect();
         let seq = self.call_seq;
         self.call_seq += 1;
@@ -2386,10 +2720,11 @@ impl Solver<'_> {
         }
     }
 
-    /// Test-only invariant of the nogood store: the arena is tiled by the
-    /// nogoods' spans in store order, every learned nogood has its LBD and
+    /// Invariant of the nogood store, checked by tests and by debug
+    /// builds at each restored call: the arena is tiled by the nogoods'
+    /// spans in store order, every learned nogood has its LBD and
     /// activity, and every nogood is watched exactly at its pair.
-    #[cfg(test)]
+    #[cfg(any(test, debug_assertions))]
     pub(super) fn debug_check_watches(&self) -> bool {
         let cd = &self.cdcl;
         let ngs = &cd.ngs;

@@ -38,7 +38,8 @@ pub(crate) enum Val {
 }
 
 /// An assumption literal: a ground atom fixed true or false for the
-/// duration of one [`Solver::solve_with_assumptions`] call.
+/// duration of one [`Solver::solve_with_assumptions`] call, or for the
+/// solver's life as a base pin ([`Solver::with_base`]).
 ///
 /// Assumptions are the multi-shot interface of the solver: a program is
 /// grounded once with its scenario atoms left open (choice-supported, see
@@ -199,6 +200,13 @@ pub struct SolveResult {
 /// [`Solver::new`] builds the CDCL engine: watched-literal propagation over
 /// completion nogoods, 1UIP learning, EVSIDS branching with phase saving,
 /// Luby restarts, LBD-managed learned database.
+///
+/// Level 0 is kept between calls in two segments. The *resident* one is
+/// the closure of the WFM backbone, the static and learned units and the
+/// solver's base pins, computed at the first call and then kept; the
+/// *call* one holds a call's own pins and their closure, and is all the
+/// next call undoes. So pins that every call of a stream shares belong in
+/// the base, where they are paid for once.
 #[derive(Debug)]
 pub struct Solver<'a> {
     g: &'a GroundProgram,
@@ -212,15 +220,13 @@ pub struct Solver<'a> {
     audit: Option<check::StabilityAudit<'a>>,
     /// The complete assignment last audited, one truth value per atom.
     truth: Vec<bool>,
-    /// Display form of every atom, rendered once at construction; model
-    /// building clones these instead of re-rendering per model.
-    display: Vec<String>,
-    /// All atom ids ordered by display form, so each model's sorted atom
-    /// list is a filtered scan instead of a per-model sort.
-    sorted_ids: Vec<u32>,
-    /// Per atom: passes the `#show` projection.
-    shown_flags: Vec<bool>,
-    /// The current call's assumption literals `(atom, assumed value)`,
+    /// The display tables of models, built at the first model or sorted
+    /// atom list: existence queries never pay for them.
+    tables: std::cell::OnceCell<ModelTables>,
+    /// The base pins `(atom, assumed value)`: assumptions of every call,
+    /// closed once in the resident level-0 segment.
+    base: Vec<(u32, Val)>,
+    /// The current call's assumption literals, the base pins first,
     /// assigned at decision level 0 and embedded in every learned nogood
     /// that depends on them, so the nogood stays valid under *different*
     /// assumptions later.
@@ -264,26 +270,57 @@ pub struct Solver<'a> {
     call_seq: u32,
 }
 
+/// What building models reads, per atom.
+#[derive(Debug)]
+struct ModelTables {
+    /// Display form of every atom, rendered once; model building clones
+    /// these instead of re-rendering per model.
+    display: Vec<String>,
+    /// All atom ids ordered by display form, so each model's sorted atom
+    /// list is a filtered scan instead of a per-model sort.
+    sorted_ids: Vec<u32>,
+    /// Per atom: passes the `#show` projection.
+    shown_flags: Vec<bool>,
+}
+
+impl ModelTables {
+    fn new(program: &GroundProgram) -> Self {
+        let n_atoms = program.atom_count() as u32;
+        let display: Vec<String> = program.atoms().map(|(_, a)| a.to_string()).collect();
+        let mut sorted_ids: Vec<u32> = (0..n_atoms).collect();
+        sorted_ids.sort_by(|&a, &b| display[a as usize].cmp(&display[b as usize]));
+        let shown_flags: Vec<bool> = (0..n_atoms).map(|i| program.shown(AtomId(i))).collect();
+        ModelTables {
+            display,
+            sorted_ids,
+            shown_flags,
+        }
+    }
+}
+
 impl<'a> Solver<'a> {
     /// Create a CDCL solver for a ground program.
     #[must_use]
     pub fn new(program: &'a GroundProgram) -> Self {
-        let n_atoms = program.atom_count();
+        Self::with_base(program, &[])
+    }
+
+    /// Create a CDCL solver whose every call assumes the `base` pins as
+    /// well as its own. The base's level-0 closure is computed at the
+    /// first call and kept, so a call pays only for its own pins. Base
+    /// pins are assumptions like any other: learned nogoods that depend on
+    /// them carry them, each certified call's proof step lists them, and a
+    /// base that the program refutes makes every call UNSAT.
+    #[must_use]
+    pub fn with_base(program: &'a GroundProgram, base: &[Lit]) -> Self {
         let wfm = crate::analysis::well_founded(program);
-        let display: Vec<String> = program.atoms().map(|(_, a)| a.to_string()).collect();
-        let mut sorted_ids: Vec<u32> = (0..n_atoms as u32).collect();
-        sorted_ids.sort_by(|&a, &b| display[a as usize].cmp(&display[b as usize]));
-        let shown_flags: Vec<bool> = (0..n_atoms as u32)
-            .map(|i| program.shown(AtomId(i)))
-            .collect();
         Solver {
             g: program,
             cone: cdcl::Cone::build(program),
             audit: None,
             truth: Vec::new(),
-            display,
-            sorted_ids,
-            shown_flags,
+            tables: std::cell::OnceCell::new(),
+            base: base.iter().map(|&l| cdcl::pinned(l)).collect(),
             assumptions: Vec::new(),
             decision_count: 0,
             propagation_count: 0,
@@ -403,19 +440,19 @@ impl<'a> Solver<'a> {
         &self.wfm
     }
 
-    /// Per-call setup shared by every solve entry point: reset, pin the
-    /// assumptions at level 0, then seed the WFM backbone and the static
-    /// units. False means the search space is empty before the first
-    /// decision.
-    fn prepare(&mut self, assumptions: &[Lit]) -> bool {
+    /// Per-call setup shared by every solve entry point: zero the call's
+    /// counters, restore the resident level-0 segment (building it at the
+    /// first call, where its work counts towards that call), then pin the
+    /// call's assumptions at level 0 and close them. False means the search
+    /// space is empty before the first decision.
+    fn prepare(&mut self, assumptions: &[Lit], opts: &SolveOptions) -> Result<bool, AspError> {
         self.decision_count = 0;
         self.propagation_count = 0;
         self.conflict_count = 0;
         self.nogood_force_count = 0;
         self.bound_prune_count = 0;
         self.restart_count = 0;
-        self.assumptions.clear();
-        self.prepare_cdcl(assumptions)
+        self.prepare_cdcl(assumptions, opts)
     }
 
     /// The current truth value of an atom.
@@ -432,14 +469,15 @@ impl<'a> Solver<'a> {
         self.solve_with_assumptions(&[], opts)
     }
 
-    /// Enumerate answer sets with the given atoms fixed at decision level 0.
+    /// Enumerate answer sets with the given atoms fixed at decision level 0,
+    /// on top of the solver's base pins.
     ///
-    /// The solver is fully reset between calls (trail, decisions, counters),
-    /// so one instance answers any number of assumption sets over the same
-    /// ground program; learned conflict nogoods are **retained** across
-    /// calls and keep pruning later queries. Contradictory assumptions (or
-    /// assumptions the program refutes outright) yield zero models with
-    /// `exhausted = true`.
+    /// Each call undoes the last call's pins, search and counters, back to
+    /// the resident level-0 segment, so one instance answers any number of
+    /// assumption sets over the same ground program; learned conflict
+    /// nogoods are **retained** across calls and keep pruning later
+    /// queries. Contradictory assumptions (or assumptions the program
+    /// refutes outright) yield zero models with `exhausted = true`.
     ///
     /// # Errors
     ///
@@ -502,7 +540,7 @@ impl<'a> Solver<'a> {
             self.certify_call = false;
         }
         let mut found = false;
-        let exhausted = if self.prepare(assumptions) {
+        let exhausted = if self.prepare(assumptions, opts)? {
             self.search(
                 opts,
                 &mut |s| {
@@ -551,7 +589,7 @@ impl<'a> Solver<'a> {
         } else {
             self.certify_call = false;
         }
-        if !self.prepare(assumptions) {
+        if !self.prepare(assumptions, opts)? {
             if self.certify_call {
                 self.plog(crate::proof::ProofStep::Unsat);
             }
@@ -648,7 +686,7 @@ impl<'a> Solver<'a> {
     /// [`AspError::SolveBudget`] if the search budget is exceeded.
     pub fn brave(&mut self, opts: &SolveOptions) -> Result<Vec<Atom>, AspError> {
         self.certify_call = false; // brave reasoning is never certified
-        if !self.prepare(&[]) {
+        if !self.prepare(&[], opts)? {
             return Ok(Vec::new());
         }
         let n = self.g.atom_count();
@@ -687,7 +725,7 @@ impl<'a> Solver<'a> {
     /// [`AspError::SolveBudget`] if the search budget is exceeded.
     pub fn cautious(&mut self, opts: &SolveOptions) -> Result<Vec<Atom>, AspError> {
         self.certify_call = false; // cautious reasoning is never certified
-        if !self.prepare(&[]) {
+        if !self.prepare(&[], opts)? {
             return Ok(Vec::new());
         }
         let floor = self.wfm.true_count;
@@ -713,9 +751,15 @@ impl<'a> Solver<'a> {
         Ok(self.collect_sorted(&in_all))
     }
 
+    /// The model-rendering tables, built at first use.
+    fn tables(&self) -> &ModelTables {
+        self.tables.get_or_init(|| ModelTables::new(self.g))
+    }
+
     /// The marked atoms in display order (the order models print in).
     fn collect_sorted(&self, marked: &[bool]) -> Vec<Atom> {
-        self.sorted_ids
+        self.tables()
+            .sorted_ids
             .iter()
             .filter(|&&i| marked[i as usize])
             .map(|&i| self.g.atom(AtomId(i)).clone())
@@ -748,17 +792,18 @@ impl<'a> Solver<'a> {
         // display keys (the binary-search index of `Model::contains`) and
         // the shown projection all come out sorted with no per-model sort
         // or re-rendering.
+        let tables = self.tables();
         let mut keys = Vec::new();
         let mut atoms = Vec::new();
         let mut shown = Vec::new();
-        for &ai in &self.sorted_ids {
+        for &ai in &tables.sorted_ids {
             if !self.truth[ai as usize] {
                 continue;
             }
             let id = AtomId(ai);
-            keys.push(self.display[ai as usize].clone());
+            keys.push(tables.display[ai as usize].clone());
             atoms.push(self.g.atom(id).clone());
-            if self.shown_flags[ai as usize] {
+            if tables.shown_flags[ai as usize] {
                 shown.push(self.g.atom(id).clone());
             }
         }

@@ -10,9 +10,11 @@
 //! closure on programs made non-tight by positive loops (loops entered
 //! from generated atoms, loops through them, loops feeding generated heads,
 //! choices and constraints, and one loop feeding another), and assumption
-//! streams over a reused solver with retained learned nogoods. In every
-//! configuration the CDCL engine must enumerate exactly the answer sets of
-//! the oracle in `support`.
+//! streams over a reused solver with retained learned nogoods, also on a
+//! solver holding a base of pins, whose level-0 closure is kept between
+//! calls. In every configuration the CDCL engine must enumerate exactly
+//! the answer sets of the oracle in `support`, or, for a based solver,
+//! those of a fresh solver given the base and the call's pins together.
 
 mod support;
 
@@ -144,6 +146,67 @@ fn looped_program_matches(
     Ok(())
 }
 
+/// A stream of call pins on one solver holding the pins `base` (its level-0
+/// closure kept between calls): each call's existence verdict and model set
+/// equal a fresh solver's given base and call pins as plain assumptions.
+/// Random pins contradict the base or each other, and some bases are
+/// refuted by the program; a one-conflict restart interval makes calls
+/// learn units. Debug builds also check every restored call against a
+/// closure from scratch.
+fn based_stream_matches(
+    src: &str,
+    loops: &str,
+    base: &[(usize, bool)],
+    sets: &[Vec<(usize, bool)>],
+    restart_hard: bool,
+) -> Result<(), TestCaseError> {
+    let src = format!("{src}\n{loops}");
+    let g = ground(&src);
+    let opts = SolveOptions::default();
+    let base = lits(&g, base);
+    let mut based = Solver::with_base(&g, &base);
+    if restart_hard {
+        based.set_restart_interval(1);
+    }
+    for (k, set) in sets.iter().enumerate() {
+        let pins = lits(&g, set);
+        let all: Vec<Lit> = base.iter().chain(&pins).copied().collect();
+        let want = render(
+            &Solver::new(&g)
+                .solve_with_assumptions(&all, &opts)
+                .expect("within budget"),
+        );
+        let exists = based
+            .has_model_with_assumptions(&pins, &opts)
+            .expect("within budget");
+        prop_assert_eq!(exists, !want.0.is_empty(), "query {}, program:\n{}", k, src);
+        let got = render(
+            &based
+                .solve_with_assumptions(&pins, &opts)
+                .expect("within budget"),
+        );
+        prop_assert_eq!(got, want, "query {}, program:\n{}", k, src);
+    }
+    Ok(())
+}
+
+/// Sorted model renderings and the exhausted flag of a result.
+fn render(result: &cpsrisk_asp::SolveResult) -> (Vec<String>, bool) {
+    let mut models: Vec<String> = result
+        .models
+        .iter()
+        .map(|m| {
+            m.atoms
+                .iter()
+                .map(ToString::to_string)
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect();
+    models.sort();
+    (models, result.exhausted)
+}
+
 /// Bounded cardinality choices: the oracle's answer sets, space exhausted.
 fn card_heavy_program_matches(src: &str) -> Result<(), TestCaseError> {
     let g = ground(src);
@@ -255,6 +318,20 @@ proptest! {
         }
     }
 
+    /// Streams of call pins on a solver holding a base of pins, on programs
+    /// with loop gadgets: the same verdicts and models as fresh solvers
+    /// given base and call pins together.
+    #[test]
+    fn based_solver_streams_match_fresh_solvers(
+        src in support::arb_search_program(6),
+        loops in arb_loops(6),
+        base in prop::collection::vec((0..6usize, any::<bool>()), 0..4),
+        sets in arb_assumption_sets(6),
+        restart_hard in any::<bool>(),
+    ) {
+        based_stream_matches(&src, &loops, &base, &sets, restart_hard)?;
+    }
+
     /// The model-free existence query on one reused solver agrees with
     /// the oracle on every query of an assumption stream.
     #[test]
@@ -326,6 +403,18 @@ mod depth {
             sets in arb_assumption_sets(6),
         ) {
             looped_program_matches(&src, &loops, &sets)?;
+        }
+
+        #[test]
+        #[ignore = "release depth; run in release with --ignored"]
+        fn based_solver_streams_match_fresh_solvers(
+            src in support::arb_search_program(6),
+            loops in arb_loops(6),
+            base in prop::collection::vec((0..6usize, any::<bool>()), 0..4),
+            sets in arb_assumption_sets(6),
+            restart_hard in any::<bool>(),
+        ) {
+            based_stream_matches(&src, &loops, &base, &sets, restart_hard)?;
         }
     }
 }

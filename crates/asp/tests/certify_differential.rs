@@ -8,9 +8,10 @@
 //! differential suite also uses: bounded cardinality choices (with
 //! conditional elements and bodies, so certificates carry card steps over
 //! guards and bodies), negation-heavy rules, constraints, and
-//! `#minimize` objectives; the assumption-stream property additionally
-//! exercises multi-shot certificates with learned-nogood retention
-//! across calls (contradictory pins included).
+//! `#minimize` objectives; the assumption-stream properties additionally
+//! exercise multi-shot certificates with learned-nogood retention
+//! across calls (contradictory pins included), also on a solver holding a
+//! base of pins, whose level-0 inferences are logged once.
 //!
 //! A second, guard-targeted family ([`arb_guarded_program`]) aims at the
 //! rare conflict whose explanation runs through the guard of a
@@ -246,6 +247,47 @@ proptest! {
             )),
         };
         prop_assert_eq!(report.calls, sets.len(), "one call section per query");
+    }
+
+    /// A certified stream on a solver holding a base of pins, with an
+    /// uncertified call interleaved every third query: each call matches
+    /// a fresh solver given base and call pins together, and the
+    /// accumulated certificate, whose `call` sections list the base pins
+    /// with each call's own, passes the checker.
+    #[test]
+    fn certified_streams_on_a_based_solver_check(
+        src in support::arb_search_program(6),
+        base in prop::collection::vec((0..6usize, any::<bool>()), 0..4),
+        sets in arb_assumption_sets(6),
+    ) {
+        let g = ground(&src);
+        let base = lits(&g, &base);
+        let mut certified = Solver::with_base(&g, &base);
+        let mut calls = 0;
+        for (k, set) in sets.iter().enumerate() {
+            let pins = lits(&g, set);
+            let opts = if k % 3 == 2 { SolveOptions::default() } else { certify_opts() };
+            calls += usize::from(opts.certify);
+            let got = certified
+                .solve_with_assumptions(&pins, &opts)
+                .expect("within budget");
+            let all: Vec<Lit> = base.iter().chain(&pins).copied().collect();
+            let want = Solver::new(&g)
+                .solve_with_assumptions(&all, &SolveOptions::default())
+                .expect("within budget");
+            prop_assert_eq!(
+                render(&got), render(&want),
+                "query {}, program:\n{}", k, src
+            );
+        }
+        let log = certified.take_proof().expect("certified stream emits a proof");
+        let report = match check_proof(&g, &log) {
+            Ok(report) => report,
+            Err(e) => return Err(TestCaseError::fail(
+                format!("certificate rejected: {e}\nprogram:\n{src}"),
+            )),
+        };
+        prop_assert_eq!(report.calls, calls, "one call section per certified query");
     }
 }
 

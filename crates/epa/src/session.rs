@@ -6,7 +6,10 @@
 //! facts differ. A [`Session`] therefore encodes and grounds the problem
 //! **once** and pins each query's toggles with assumption literals, in the
 //! style of clingo's multi-shot interface. Reused [`Solver`]s carry their
-//! learned conflict nogoods from call to call.
+//! learned conflict nogoods from call to call, and hold the pins every
+//! query shares (`fault_enabled/1`, `active_mitigation/2`) as their base
+//! (see [`Solver::with_base`]): its level-0 closure is computed once, so a
+//! query pays only for its own pins.
 //!
 //! Two query kinds share the session:
 //!
@@ -114,15 +117,19 @@ pub struct CertifySummary {
 #[doc(hidden)]
 pub struct Resident {
     ground: Arc<GroundProgram>,
-    /// The nominal assumption set: one literal per atom of
-    /// `ground.assumable`, in that order, for the fault-free scenario and
-    /// no target. `fault_enabled/1` is pinned true, `active_mitigation/2`
-    /// to the problem's baseline activation, everything else false.
-    nominal: Vec<Lit>,
-    /// Position in `nominal` of each fault's `scenario_fault/1` atom, by
-    /// the fault's vocabulary id.
+    /// The pins every query shares, in `ground.assumable` order:
+    /// `fault_enabled/1` true and `active_mitigation/2` at the problem's
+    /// baseline activation. A solver holds them as its base.
+    base: Vec<Lit>,
+    /// The nominal pins of the other assumable atoms (`scenario_fault/1`,
+    /// `target/1`), in `ground.assumable` order, all false: the fault-free
+    /// scenario and no target. Each query passes these, its toggles
+    /// switched on.
+    pins: Vec<Lit>,
+    /// Position in `pins` of each fault's `scenario_fault/1` atom, by the
+    /// fault's vocabulary id.
     faults: Vec<Option<u32>>,
-    /// Position in `nominal` of each requirement's `target/1` atom, by the
+    /// Position in `pins` of each requirement's `target/1` atom, by the
     /// requirement's vocabulary id.
     targets: Vec<Option<u32>>,
 }
@@ -142,25 +149,30 @@ impl Resident {
             grounder = grounder.assumable("target", 1);
         }
         let ground = grounder.with_slicing(true).ground(&program)?;
-        let nominal = (ground.assumable.iter())
-            .map(|&id| {
-                let atom = ground.atom(id);
-                let positive = match (atom.pred.as_str(), atom.args.as_slice()) {
-                    ("fault_enabled", _) => true,
-                    ("active_mitigation", [_, Term::Const(m)]) => {
-                        problem.active_mitigations.contains(m)
-                    }
-                    _ => false,
-                };
-                Lit { atom: id, positive }
-            })
-            .collect();
+        let (mut base, mut pins) = (Vec::new(), Vec::new());
+        for &id in &ground.assumable {
+            let atom = ground.atom(id);
+            let (list, positive) = match (atom.pred.as_str(), atom.args.as_slice()) {
+                ("fault_enabled", _) => (&mut base, true),
+                ("active_mitigation", [_, Term::Const(m)]) => {
+                    (&mut base, problem.active_mitigations.contains(m))
+                }
+                _ => (&mut pins, false),
+            };
+            list.push(Lit { atom: id, positive });
+        }
         Ok(Resident {
             ground: Arc::new(ground),
-            nominal,
+            base,
+            pins,
             faults: Vec::new(),
             targets: Vec::new(),
         })
+    }
+
+    /// A solver over the program holding the base pins.
+    fn solver(&self) -> Solver<'_> {
+        Solver::with_base(&self.ground, &self.base)
     }
 
     /// Map each vocabulary fault and requirement to the position of its
@@ -168,7 +180,7 @@ impl Resident {
     fn index(&mut self, vocab: &Vocabulary) {
         let mut faults = vec![None; vocab.fault_count()];
         let mut targets = vec![None; vocab.requirement_count()];
-        for (i, l) in self.nominal.iter().enumerate() {
+        for (i, l) in self.pins.iter().enumerate() {
             let atom = self.ground.atom(l.atom);
             let (table, id) = match (atom.pred.as_str(), atom.args.as_slice()) {
                 ("scenario_fault", [Term::Const(f)]) => (&mut faults, vocab.fault_id(f)),
@@ -188,7 +200,7 @@ impl Resident {
         &self.ground
     }
 
-    /// The positions in `nominal` of the atoms `scenario` (and, on the
+    /// The positions in `pins` of the atoms `scenario` (and, on the
     /// contested program, targeting `requirement`) switches on: the
     /// scenario's faults and the target. Scenario faults unknown to the
     /// problem have no atom and are ignored.
@@ -207,9 +219,9 @@ impl Resident {
         faults.chain(target)
     }
 
-    /// Fill `lits` with the assumption set pinning every assumable atom for
-    /// `scenario` (and `requirement`): the nominal set with the
-    /// [`toggles`](Self::toggles) switched on.
+    /// Fill `lits` with the pins of `scenario` (and `requirement`) beside
+    /// the base: the nominal pins with the [`toggles`](Self::toggles)
+    /// switched on. With the base they pin every assumable atom.
     fn assumptions(
         &self,
         lits: &mut Vec<Lit>,
@@ -218,7 +230,7 @@ impl Resident {
         requirement: Option<&str>,
     ) {
         lits.clear();
-        lits.extend_from_slice(&self.nominal);
+        lits.extend_from_slice(&self.pins);
         for i in self.toggles(vocab, scenario, requirement) {
             lits[i as usize].positive = true;
         }
@@ -229,13 +241,13 @@ impl Resident {
     fn changes(&self, lits: &mut Vec<Lit>, vocab: &Vocabulary, scenario: &Scenario) {
         lits.clear();
         let toggles = self.toggles(vocab, scenario, None);
-        lits.extend(toggles.map(|i| Lit::pos(self.nominal[i as usize].atom)));
+        lits.extend(toggles.map(|i| Lit::pos(self.pins[i as usize].atom)));
     }
 
     /// The change the one-fault scenario of the fault with vocabulary id
     /// `fault` makes to the nominal set: none if the fault has no atom.
     fn fault_change(&self, fault: u32) -> Option<Lit> {
-        (self.faults[fault as usize]).map(|i| Lit::pos(self.nominal[i as usize].atom))
+        (self.faults[fault as usize]).map(|i| Lit::pos(self.pins[i as usize].atom))
     }
 }
 
@@ -325,7 +337,8 @@ impl Statics {
         for &(atom, id) in &violated {
             reads[atom.index()] = Reads::Requirement(id);
         }
-        let wfm = ConditionalWfm::new(Arc::clone(ground), &outcome.nominal);
+        let nominal: Vec<Lit> = outcome.base.iter().chain(&outcome.pins).copied().collect();
+        let wfm = ConditionalWfm::new(Arc::clone(ground), &nominal);
         let base = wfm.base();
         let held = |atoms: &[(AtomId, u32)]| {
             (atoms.iter())
@@ -458,14 +471,15 @@ impl Statics {
     }
 }
 
-/// A solver over one program, built when it is first asked for.
+/// A solver over one program, holding its base pins, built when it is
+/// first asked for.
 struct LazySolver<'a> {
-    program: &'a GroundProgram,
+    program: &'a Resident,
     solver: Option<Solver<'a>>,
 }
 
 impl<'a> LazySolver<'a> {
-    fn new(program: &'a GroundProgram) -> Self {
+    fn new(program: &'a Resident) -> Self {
         LazySolver {
             program,
             solver: None,
@@ -474,15 +488,18 @@ impl<'a> LazySolver<'a> {
 
     fn get(&mut self) -> &mut Solver<'a> {
         let program = self.program;
-        self.solver.get_or_insert_with(|| Solver::new(program))
+        self.solver.get_or_insert_with(|| program.solver())
     }
 }
 
 /// The reusable state of one sweep worker: the workspace of the outcome
 /// program's conditional well-founded model, solvers over the outcome
 /// program and, when the session has one, over the margin program, and the
-/// buffers each query's assumption set and fault ids are built in. Each
-/// solver is built by the first query that searches its program.
+/// buffers each query's pins and fault ids are built in. Each solver is
+/// built by the first query that searches its program. It holds the pins
+/// every query shares (`fault_enabled/1`, `active_mitigation/2`) as its
+/// base, closed once at level 0, so a query pins only its
+/// `scenario_fault/1` and `target/1` atoms.
 pub struct Solvers<'a> {
     workspace: WfmWorkspace,
     outcome: LazySolver<'a>,
@@ -492,8 +509,10 @@ pub struct Solvers<'a> {
 }
 
 /// The resident analysis of one [`EpaProblem`]: every [`Query`] is
-/// answered on a shared ground program by fixing its assumable atoms at
-/// decision level 0.
+/// answered on a shared ground program with its assumable atoms fixed at
+/// decision level 0: the pins every query shares as the solver's resident
+/// base, and the query's own `scenario_fault/1` and `target/1` pins above
+/// it.
 pub struct Session {
     outcome: Resident,
     statics: Statics,
@@ -603,9 +622,9 @@ impl Session {
     pub fn solvers(&self) -> Solvers<'_> {
         Solvers {
             workspace: self.statics.wfm.workspace(),
-            outcome: LazySolver::new(&self.outcome.ground),
-            margin: self.margin.as_ref().map(|m| LazySolver::new(&m.ground)),
-            assumptions: Vec::with_capacity(self.outcome.nominal.len()),
+            outcome: LazySolver::new(&self.outcome),
+            margin: self.margin.as_ref().map(LazySolver::new),
+            assumptions: Vec::with_capacity(self.outcome.pins.len()),
             faults: Vec::new(),
         }
     }
@@ -925,10 +944,7 @@ impl CatalogAnalysis {
 
     #[must_use]
     pub fn solvers(&self) -> (Solver<'_>, Solver<'_>) {
-        (
-            Solver::new(&self.0.outcome.ground),
-            Solver::new(&self.margin_analysis().ground),
-        )
+        (self.0.outcome.solver(), self.margin_analysis().solver())
     }
 
     pub fn answer_with(
@@ -1080,16 +1096,27 @@ mod tests {
             &Scenario::nominal(),
             None,
         );
-        let order: Vec<AtomId> = lits.iter().map(|l| l.atom).collect();
-        assert_eq!(order, session.ground().assumable, "ground.assumable order");
+        // The solver's base pins and the query's own pins cover every
+        // assumable atom once, each list in `ground.assumable` order.
+        let assumable = &session.ground().assumable;
+        let position = |l: &Lit| assumable.iter().position(|&a| a == l.atom).unwrap();
+        let base = &session.outcome.base;
+        for list in [base, &lits] {
+            assert!(list.windows(2).all(|w| position(&w[0]) < position(&w[1])));
+        }
+        let mut covered: Vec<usize> = base.iter().chain(&lits).map(position).collect();
+        covered.sort_unstable();
+        assert_eq!(covered, (0..assumable.len()).collect::<Vec<_>>());
         // Nominal scenario under the baseline problem: no scenario faults,
-        // all faults enabled.
-        for l in &lits {
+        // all faults enabled; the shared pins are the base.
+        for (l, in_base) in (base.iter().map(|l| (l, true))).chain(lits.iter().map(|l| (l, false)))
+        {
             let atom = session.ground().atom(l.atom);
             match atom.pred.as_str() {
-                "scenario_fault" => assert!(!l.positive, "{atom}"),
-                "fault_enabled" => assert!(l.positive, "{atom}"),
-                _ => {}
+                "scenario_fault" => assert!(!l.positive && !in_base, "{atom}"),
+                "fault_enabled" => assert!(l.positive && in_base, "{atom}"),
+                "active_mitigation" => assert!(in_base, "{atom}"),
+                _ => assert!(!in_base, "{atom}"),
             }
         }
     }
